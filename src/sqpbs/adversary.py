@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import DecoyState
 from .registers import Qubit, apply_to_qubits, measure_qubit
 from .statevec import (
     Basis,
@@ -37,11 +38,11 @@ from .statevec import (
     _sv,
     apply_unitary,
     is_unitary,
-    ket_minus,
-    ket_plus,
     postselect,
     tensor,
 )
+
+INTERCEPT_BASES = ("random", "z", "x")
 
 
 class InterceptResend:
@@ -53,8 +54,8 @@ class InterceptResend:
     """
 
     def __init__(self, basis: str = "random"):
-        if basis not in ("random", "z", "x"):
-            raise ValueError(f"basis must be 'random', 'z' or 'x', got {basis!r}")
+        if basis not in INTERCEPT_BASES:
+            raise ValueError(f"basis must be one of {INTERCEPT_BASES}, got {basis!r}")
         self.basis = basis
 
     def intercept(self, qubit: Qubit, rng: Rng) -> None:
@@ -189,29 +190,19 @@ class EveParams:
         orthogonal outcome.
         """
         rates: dict[str, float] = {}
-        for label, state, basis, wrong in (
-            ("0", _sv(1, np.array([1, 0], dtype=complex)), Basis.Z, 1),
-            ("1", _sv(1, np.array([0, 1], dtype=complex)), Basis.Z, 0),
-            ("+", ket_plus(), Basis.X, 1),
-            ("-", ket_minus(), Basis.X, 0),
-        ):
-            joint = self.joint_state_after(state)
-            prob, _ = postselect(joint, 0, basis, wrong)
-            rates[label] = float(prob)
+        for decoy in DecoyState:
+            joint = self.joint_state_after(decoy.make_state())
+            prob, _ = postselect(joint, 0, decoy.basis, 1 - decoy.bit)
+            rates[decoy.label] = float(prob)
         return rates
 
     def probe_states(self) -> dict[str, np.ndarray]:
         """Reduced probe density matrix after coupling, per input state."""
         out: dict[str, np.ndarray] = {}
-        for label, state in (
-            ("0", _sv(1, np.array([1, 0], dtype=complex))),
-            ("1", _sv(1, np.array([0, 1], dtype=complex))),
-            ("+", ket_plus()),
-            ("-", ket_minus()),
-        ):
-            joint = self.joint_state_after(state)
+        for decoy in DecoyState:
+            joint = self.joint_state_after(decoy.make_state())
             t = joint.amps.reshape(2, self.probe_dim)
-            out[label] = t.conj().T @ t  # trace out the qubit
+            out[decoy.label] = t.conj().T @ t  # trace out the qubit
         return out
 
     def max_probe_trace_distance(self) -> float:
@@ -297,7 +288,7 @@ class EntangleMeasure:
 
     def intercept(self, qubit: Qubit, rng: Rng) -> None:
         probe_qubits = qubit.register.extend(self.params.initial_probe())
-        apply_to_qubits([qubit, *probe_qubits], self.params.coupling_unitary(), validate=False)
+        apply_to_qubits([qubit, *probe_qubits], self.params.coupling_unitary())
         self.probes.append(probe_qubits)
 
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .adversary import EntangleMeasure, InterceptResend
 from .bits import Bits
 from .channels import check_decoys, send_with_decoys
 from .errors import EavesdroppingDetected
@@ -48,6 +47,9 @@ SQKD_QUBITS_PER_KEY_BIT = 8
 THIS_PROTOCOL = "chi-teleport proxy blind signature (this package)"
 WSTATE_REFERENCE = "W-state bi-signature (published reference design)"
 GHZ5_REFERENCE = "five-particle GHZ blind signature (published reference design)"
+
+DETECTION_SCOPES = ("channel", "full")
+FORGERY_MODELS = ("outside-random-md", "honest-control")
 
 
 @dataclass(frozen=True)
@@ -290,15 +292,6 @@ def _trial_seeds(seed: int, trials: int) -> list[int]:
     return [int(s) for s in master.integers(0, 2**63, size=trials)]
 
 
-def _fresh_adversary(attack: AttackSpec):
-    if attack.kind == "intercept-resend":
-        return InterceptResend(attack.basis)
-    if attack.kind == "entangle-measure":
-        assert attack.eve is not None
-        return EntangleMeasure(attack.eve)
-    return None
-
-
 def experiment_detection(
     attack: AttackSpec,
     *,
@@ -319,14 +312,14 @@ def experiment_detection(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if scope not in ("channel", "full"):
-        raise ValueError(f"scope must be 'channel' or 'full', got {scope!r}")
+    if scope not in DETECTION_SCOPES:
+        raise ValueError(f"scope must be one of {DETECTION_SCOPES}, got {scope!r}")
     attack.validate()
     detections = 0
     if scope == "channel":
         master = new_rng(seed)
         for _ in range(trials):
-            adversary = _fresh_adversary(attack)
+            adversary = attack.adversary(attack.channel)
             payload = [new_qubit(ket_plus()) for _ in range(n)]
             seq = send_with_decoys(payload, decoy_count, master, adversary, channel=attack.channel)
             try:
@@ -399,7 +392,7 @@ def experiment_forgery(
     can do no better); ``honest-control`` leaves the run untouched and
     must accept every time.
     """
-    if model not in ("outside-random-md", "honest-control"):
+    if model not in FORGERY_MODELS:
         raise ValueError(f"unknown forgery model {model!r}")
     attack = AttackSpec(kind="forge-md") if model == "outside-random-md" else AttackSpec()
     accepted = 0

@@ -31,37 +31,33 @@ from .statevec import Basis, Rng, StateVector, basis_state, ket_minus, ket_plus
 
 
 class DecoyState(Enum):
-    """The four decoy preparations, sampled uniformly."""
+    """The four BB84/decoy preparations: label, basis and encoded bit.
 
-    ZERO = "0"
-    ONE = "1"
-    PLUS = "+"
-    MINUS = "-"
+    This table is the single definition of the four states; key
+    agreement and the entangle-measure analysis derive theirs from it.
+    """
 
-    @property
-    def basis(self) -> Basis:
-        return Basis.Z if self in (DecoyState.ZERO, DecoyState.ONE) else Basis.X
+    ZERO = ("0", Basis.Z, 0)
+    ONE = ("1", Basis.Z, 1)
+    PLUS = ("+", Basis.X, 0)
+    MINUS = ("-", Basis.X, 1)
 
-    @property
-    def bit(self) -> int:
-        """Expected outcome when measured in the preparation basis."""
-        return 0 if self in (DecoyState.ZERO, DecoyState.PLUS) else 1
+    def __init__(self, label: str, basis: Basis, bit: int):
+        self.label = label
+        self.basis = basis
+        self.bit = bit  # expected outcome when measured in the preparation basis
 
     def make_state(self) -> StateVector:
-        if self is DecoyState.ZERO:
-            return basis_state(1, 0)
-        if self is DecoyState.ONE:
-            return basis_state(1, 1)
-        if self is DecoyState.PLUS:
-            return ket_plus()
-        return ket_minus()
+        if self.basis is Basis.Z:
+            return basis_state(1, self.bit)
+        return ket_minus() if self.bit else ket_plus()
 
     @classmethod
     def sample(cls, rng: Rng) -> "DecoyState":
         return _DECOY_ORDER[int(rng.integers(0, 4))]
 
 
-_DECOY_ORDER = (DecoyState.ZERO, DecoyState.ONE, DecoyState.PLUS, DecoyState.MINUS)
+_DECOY_ORDER = tuple(DecoyState)
 
 
 @dataclass

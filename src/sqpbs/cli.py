@@ -26,13 +26,21 @@ import sys
 from pathlib import Path
 
 from . import analysis
-from .adversary import EveParams
+from .adversary import INTERCEPT_BASES, EveParams
 from .bits import Bits
 from .errors import ConfigError, SqpbsError
-from .protocol import run_full
+from .protocol import replay_matches, run_full
 from .statevec import new_rng
 from .teleport import MessageQubit, verify_correction_table, _TABLE
-from .transcript import AttackSpec, RunConfig, TOOL_VERSION, TRANSCRIPT_FORMAT
+from .transcript import (
+    ATTACK_KINDS,
+    KEY_MODES,
+    TOOL_VERSION,
+    TRANSCRIPT_FORMAT,
+    WITHHOLDABLE,
+    AttackSpec,
+    RunConfig,
+)
 
 EXIT_VALID = 0
 EXIT_FAILURE = 1
@@ -96,19 +104,14 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--attack",
-        default="none",
-        choices=["none", "intercept-resend", "entangle-measure", "forge-md", "tamper-md", "withhold"],
-        help="adversary model to inject",
-    )
+    parser.add_argument("--attack", default="none", choices=ATTACK_KINDS, help="adversary model to inject")
     parser.add_argument("--attack-channel", default="xi_m", help="which transmission is tapped")
-    parser.add_argument("--attack-basis", default="random", choices=["random", "z", "x"],
+    parser.add_argument("--attack-basis", default="random", choices=INTERCEPT_BASES,
                         help="intercept-resend measurement basis")
     parser.add_argument("--eve-params", metavar="FILE",
                         help="JSON file with entangle-measure parameters (alpha/eps)")
     parser.add_argument("--tamper-bit", type=int, default=1, help="tamper-md: ciphertext bit to flip")
-    parser.add_argument("--withhold-record", default="M_D", choices=["M_B", "M_D", "M_C"],
+    parser.add_argument("--withhold-record", default="M_D", choices=WITHHOLDABLE,
                         help="withhold: record that never reaches the arbiter")
 
 
@@ -129,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--threshold", type=float, default=0.0, help="tolerated check error rate")
     run_p.add_argument("--hash-bits", type=int, default=128, help="keyed-hash output length")
     run_p.add_argument("--hash-algorithm", default="sha256")
-    run_p.add_argument("--key-mode", default="simulated", choices=["simulated", "stubbed"])
+    run_p.add_argument("--key-mode", default="simulated", choices=KEY_MODES)
     run_p.add_argument("--out", metavar="FILE", help="write the replayable transcript JSON here")
     _add_attack_flags(run_p)
 
@@ -148,12 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--threshold", type=float, default=0.0)
     exp_p.add_argument("--hash-bits", "--l", dest="hash_bits", type=int, default=128,
                        help="hash output length l (efficiency accounting)")
-    exp_p.add_argument("--scope", default="channel", choices=["channel", "full"],
+    exp_p.add_argument("--scope", default="channel", choices=analysis.DETECTION_SCOPES,
                        help="detection: simulate the attacked channel only, or whole runs")
-    exp_p.add_argument("--key-mode", default="stubbed", choices=["simulated", "stubbed"],
+    exp_p.add_argument("--key-mode", default="stubbed", choices=KEY_MODES,
                        help="forgery: key-agreement mode for the underlying runs")
-    exp_p.add_argument("--model", default="outside-random-md",
-                       choices=["outside-random-md", "honest-control"], help="forgery model")
+    exp_p.add_argument("--model", default="outside-random-md", choices=analysis.FORGERY_MODELS,
+                       help="forgery model")
     exp_p.add_argument("--out", metavar="FILE", help="write the result JSON here")
     _add_attack_flags(exp_p)
 
@@ -301,11 +304,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if data.get("format") != TRANSCRIPT_FORMAT:
         raise ConfigError(f"{args.transcript} is not a {TRANSCRIPT_FORMAT} file")
     config = RunConfig.from_json_dict(data["config"])
-    fresh = run_full(config)
-    recorded = json.dumps(data["transcript"], sort_keys=True)
-    replayed = json.dumps(fresh.to_dict(), sort_keys=True)
-    if recorded == replayed:
-        print(f"replay matches: {len(fresh.events)} events, verdict {fresh.verdict}")
+    recorded = data["transcript"]
+    if replay_matches(config, recorded):
+        print(f"replay matches: {len(recorded['events'])} events, verdict {recorded['verdict']}")
         return EXIT_VALID
     print("replay MISMATCH: re-executed transcript differs from the recorded one")
     return EXIT_FAILURE

@@ -20,9 +20,10 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .bits import Bits
+from .channels import DecoyState
 from .errors import KeyEstablishmentError
 from .registers import Qubit, measure_qubit, new_qubit
-from .statevec import Basis, Rng, basis_state, ket_minus, ket_plus, measure
+from .statevec import Basis, Rng, measure
 
 __all__ = [
     "HashConfig",
@@ -158,12 +159,7 @@ class KeyExchangeResult:
         return self.sender_key == self.receiver_key
 
 
-_BB84_STATES = {
-    (Basis.Z, 0): basis_state(1, 0),
-    (Basis.Z, 1): basis_state(1, 1),
-    (Basis.X, 0): ket_plus(),
-    (Basis.X, 1): ket_minus(),
-}
+_BB84_STATES = {(d.basis, d.bit): d.make_state() for d in DecoyState}
 
 
 class _Channel:

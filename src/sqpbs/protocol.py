@@ -32,11 +32,10 @@ are therefore bit-identical, which is the replay contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
 
 import numpy as np
 
-from .adversary import EntangleMeasure, InterceptResend
 from .bits import Bits
 from .channels import (
     TransmittedSequence,
@@ -62,6 +61,7 @@ from .keys import (
 from .registers import (
     Qubit,
     Register,
+    apply_to_qubits,
     measure_qubit,
     measure_qubits_bell,
     new_qubit,
@@ -73,7 +73,6 @@ from .statevec import (
     BellState,
     Rng,
     StateVector,
-    apply_unitary,
     ket_minus,
     ket_plus,
     new_rng,
@@ -115,31 +114,7 @@ class Party:
 
     def apply_gate(self, qubit: Qubit, matrix: np.ndarray) -> None:
         self._require_quantum("a unitary operation")
-        reg = qubit.register
-        reg.state = apply_unitary(reg.state, [qubit.index], matrix, validate=False)
-
-
-@dataclass
-class ChiInstance:
-    """One four-particle carrier register with its particle handles.
-
-    Handles are captured at creation and stay valid when the register
-    later absorbs other registers (e.g. the message qubit at the Bell
-    measurement).
-    """
-
-    register: Register
-    particles: dict[int, Qubit]
-
-    @classmethod
-    def fresh(cls) -> "ChiInstance":
-        register = Register(prepare_chi())
-        return cls(register=register, particles={label: register.qubits[label - 1] for label in (1, 2, 3, 4)})
-
-    def particle(self, label: int) -> Qubit:
-        if label not in (1, 2, 3, 4):
-            raise ValueError(f"carrier particles are labeled 1..4, got {label}")
-        return self.particles[label]
+        apply_to_qubits([qubit], matrix)
 
 
 VERDICT_VALID = "valid"
@@ -181,21 +156,7 @@ class ProtocolRun:
                 "attack": config.attack.to_json_dict(),
             }
         )
-        self._entangle_adversary: EntangleMeasure | None = None
         self.phase = "initializing"
-
-    # -- attack routing -------------------------------------------------------
-
-    def _adversary_for(self, channel: str):
-        attack = self.config.attack
-        if attack.kind == "intercept-resend" and attack.channel == channel:
-            return InterceptResend(attack.basis)
-        if attack.kind == "entangle-measure" and attack.channel == channel:
-            if self._entangle_adversary is None:
-                assert attack.eve is not None
-                self._entangle_adversary = EntangleMeasure(attack.eve)
-            return self._entangle_adversary
-        return None
 
     # -- phase 1: initializing -------------------------------------------------
 
@@ -228,13 +189,15 @@ class ProtocolRun:
         self.otp_ct = OtpKey(k_ct, "K_CT")
         self.otp_dt = OtpKey(k_dt, "K_DT")
 
-        self.chi = [ChiInstance.fresh() for _ in range(n)]
+        # Particles 1..4 of each carrier; the handles stay valid when the
+        # register later absorbs the message qubit at the Bell measurement.
+        self.chi = [tuple(Register(prepare_chi()).qubits) for _ in range(n)]
         self.transcript.add("chi_prepared", party="trent", instances=n, qubits=4 * n)
         self.transcript.count("chi_qubits", 4 * n)
 
-        self.w1_seq = self._dispatch("w1", [inst.particle(1) for inst in self.chi], "trent", "bob")
-        self.w2_seq = self._dispatch("w2", [inst.particle(2) for inst in self.chi], "trent", "david")
-        self.w4_seq = self._dispatch("w4", [inst.particle(4) for inst in self.chi], "trent", "charlie")
+        self.w1_seq = self._dispatch("w1", [p1 for p1, _, _, _ in self.chi], "trent", "bob")
+        self.w2_seq = self._dispatch("w2", [p2 for _, p2, _, _ in self.chi], "trent", "david")
+        self.w4_seq = self._dispatch("w4", [p4 for _, _, _, p4 in self.chi], "trent", "charlie")
 
         self.g = xor_blind(self.g_a, self.k_a)
         self.h_g = keyed_hash(self.hash_config, hash_secret, self.g)
@@ -242,7 +205,7 @@ class ProtocolRun:
         self.phase = "blindness"
 
     def _establish(self, kind: str, channel: str, bits: int, parties: tuple[str, str]) -> Bits:
-        adversary = self._adversary_for(channel)
+        adversary = self.config.attack.adversary(channel)
         if kind == "bb84":
             result = establish_key_bb84(
                 bits, self.rng, adversary, error_threshold=self.threshold
@@ -261,7 +224,7 @@ class ProtocolRun:
 
     def _dispatch(self, channel: str, payload: list[Qubit], sender: str, receiver: str) -> TransmittedSequence:
         seq = send_with_decoys(
-            payload, self.d, self.rng, self._adversary_for(channel), channel=channel
+            payload, self.d, self.rng, self.config.attack.adversary(channel), channel=channel
         )
         self.transcript.add(
             "quantum_send", channel=channel, sender=sender, receiver=receiver,
@@ -383,11 +346,10 @@ class ProtocolRun:
         pairs = self.m_d.pairs()
         g_prime_bits: list[int] = []
         fidelities: list[float] = []
-        for i, inst in enumerate(self.chi):
+        for i, (_, _, particle3, _) in enumerate(self.chi):
             outcomes = TeleportOutcomes(
                 z1=self.m_b[i], bell_m2=BellState.from_bits(*pairs[i]), z4=self.m_c[i]
             )
-            particle3 = inst.particle(3)
             self.trent.apply_gate(particle3, correction_for(outcomes).matrix)
             expected = ket_plus() if self.g[i] == 0 else ket_minus()
             fidelities.append(qubit_fidelity_to(particle3, expected))
@@ -453,7 +415,5 @@ def run_full(config: RunConfig) -> Transcript:
 
 def replay_matches(config: RunConfig, transcript_dict: dict) -> bool:
     """Re-run ``config`` and compare against a previously recorded transcript."""
-    import json
-
     fresh = run_full(config)
     return json.dumps(fresh.to_dict(), sort_keys=True) == json.dumps(transcript_dict, sort_keys=True)

@@ -19,7 +19,6 @@ from .statevec import (
     MAX_QUBITS,
     Rng,
     StateVector,
-    _sv,
     apply_unitary,
     basis_state,
     measure,
@@ -108,41 +107,18 @@ def measure_qubits_bell(qubit_a: Qubit, qubit_b: Qubit, rng: Rng) -> BellState:
     return outcome
 
 
-def apply_to_qubits(qubits: list[Qubit], matrix: np.ndarray, *, validate: bool = True) -> None:
+def apply_to_qubits(qubits: list[Qubit], matrix: np.ndarray) -> None:
+    """Apply a trusted unitary to ``qubits``, merging their registers first."""
     reg = qubits[0].register
     for q in qubits[1:]:
         reg = merge(reg, q.register)
-    reg.state = apply_unitary(reg.state, [q.index for q in qubits], matrix, validate=validate)
-
-
-def _reduced_density(qubit: Qubit) -> np.ndarray:
-    """2x2 reduced density matrix of one qubit in its register."""
-    reg = qubit.register
-    n = reg.num_qubits
-    t = reg.state.amps.reshape(1 << qubit.index, 2, -1)
-    block = np.swapaxes(t, 0, 1).reshape(2, -1)
-    return block @ block.conj().T
-
-
-def single_qubit_state(qubit: Qubit) -> tuple[StateVector, float]:
-    """Extract one qubit's pure state, with the purity of its reduced state.
-
-    Valid (purity ~ 1) only when the qubit is unentangled with the rest
-    of its register — e.g. after every other qubit has been measured.
-    Used for diagnostics and oracle checks, never by protocol parties.
-    """
-    rho = _reduced_density(qubit)
-    purity = float(np.real(np.trace(rho @ rho)))
-    eigvals, eigvecs = np.linalg.eigh(rho)
-    vec = eigvecs[:, int(np.argmax(eigvals))]
-    return _sv(1, vec / np.linalg.norm(vec)), purity
+    reg.state = apply_unitary(reg.state, [q.index for q in qubits], matrix, validate=False)
 
 
 def qubit_fidelity_to(qubit: Qubit, target: StateVector) -> float:
-    """<target| rho |target> for one qubit; equals |<target|psi>|^2 when pure.
-
-    Diagnostic shortcut that avoids extracting the qubit state.
-    """
-    rho = _reduced_density(qubit)
+    """<target| rho |target> for one qubit; equals |<target|psi>|^2 when pure."""
+    t = qubit.register.state.amps.reshape(1 << qubit.index, 2, -1)
+    block = np.swapaxes(t, 0, 1).reshape(2, -1)
+    rho = block @ block.conj().T  # the qubit's 2x2 reduced density matrix
     v = target.amps
     return float(np.real(v.conj() @ rho @ v))

@@ -184,23 +184,6 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     return _sv(num_qubits, amps)
 
 
-def from_amplitudes(amplitudes: Sequence[complex]) -> StateVector:
-    """Build a state from an explicit amplitude vector (must be unit norm)."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    n = int(round(math.log2(amps.size)))
-    if 1 << n != amps.size:
-        raise ValueError(f"amplitude vector length {amps.size} is not a power of two")
-    return StateVector(n, amps)
-
-
-def ket_zero() -> StateVector:
-    return basis_state(1, 0)
-
-
-def ket_one() -> StateVector:
-    return basis_state(1, 1)
-
-
 def ket_plus() -> StateVector:
     return _sv(1, np.array([SQRT1_2, SQRT1_2], dtype=complex))
 

@@ -148,11 +148,16 @@ def correction_for(outcomes: TeleportOutcomes) -> PauliCorrection:
     return _TABLE[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][1]
 
 
-def collapsed_state_for(outcomes: TeleportOutcomes, m: MessageQubit) -> StateVector:
-    """Particle 3's state after the three measurements, before correction."""
-    c0a, c0b, c1a, c1b = _TABLE[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][0]
+def _table_collapsed(table: dict, outcomes: TeleportOutcomes, m: MessageQubit) -> StateVector:
+    """Particle 3's pre-correction state as ``table``'s coefficient column gives it."""
+    c0a, c0b, c1a, c1b = table[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][0]
     v = np.array([c0a * m.a + c0b * m.b, c1a * m.a + c1b * m.b], dtype=complex)
     return _sv(1, v)
+
+
+def collapsed_state_for(outcomes: TeleportOutcomes, m: MessageQubit) -> StateVector:
+    """Particle 3's state after the three measurements, before correction."""
+    return _table_collapsed(_TABLE, outcomes, m)
 
 
 # Joint-register qubit layout used below: (m, 1, 2, 3, 4) = indices 0..4.
@@ -303,10 +308,8 @@ def verify_correction_table(
         if state is None:
             raise AssertionError(f"branch {outcomes} unexpectedly has zero probability")
         got3 = _particle3_state(state, outcomes)
-        coeffs, corr = table[(outcomes.z1, outcomes.bell_m2, outcomes.z4)]
-        v = np.array([coeffs[0] * m.a + coeffs[1] * m.b, coeffs[2] * m.a + coeffs[3] * m.b], dtype=complex)
-        expected3 = _sv(1, v)
-        collapsed_fid = fidelity_up_to_phase(got3, expected3)
+        corr = table[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][1]
+        collapsed_fid = fidelity_up_to_phase(got3, _table_collapsed(table, outcomes, m))
         recovered = _sv(1, corr.matrix @ got3.amps)
         corrected_fid = fidelity_up_to_phase(recovered, target)
         phase = overlap(target, recovered)

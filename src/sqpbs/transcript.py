@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .adversary import EveParams
+from .adversary import INTERCEPT_BASES, EntangleMeasure, EveParams, InterceptResend
 from .bits import Bits
 from .errors import ConfigError
 
@@ -55,8 +55,19 @@ class AttackSpec:
             raise ConfigError("entangle-measure attack requires eve parameters")
         if self.kind == "withhold" and self.record not in WITHHOLDABLE:
             raise ConfigError(f"withholdable records are {WITHHOLDABLE}, got {self.record!r}")
-        if self.basis not in ("random", "z", "x"):
-            raise ConfigError(f"intercept-resend basis must be random/z/x, got {self.basis!r}")
+        if self.basis not in INTERCEPT_BASES:
+            raise ConfigError(f"intercept-resend basis must be one of {INTERCEPT_BASES}, got {self.basis!r}")
+
+    def adversary(self, channel: str) -> InterceptResend | EntangleMeasure | None:
+        """A fresh attacker for ``channel``, or None when it is not tapped."""
+        if channel != self.channel:
+            return None
+        if self.kind == "intercept-resend":
+            return InterceptResend(self.basis)
+        if self.kind == "entangle-measure":
+            assert self.eve is not None
+            return EntangleMeasure(self.eve)
+        return None
 
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {"kind": self.kind}

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .bits import Bits
 from .channels import check_decoys, send_with_decoys
-from .errors import EavesdroppingDetected
+from .errors import ConfigError, EavesdroppingDetected
 from .protocol import run_full
 from .registers import new_qubit
 from .statevec import BellState, ket_plus, new_rng
@@ -85,9 +85,9 @@ class EfficiencyReport:
 def qubit_efficiency(n: int, hash_bits: int) -> EfficiencyReport:
     """eta = 2n / (34n + l), assembled term by term and kept rational."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ConfigError(f"n must be >= 1, got {n}")
     if hash_bits < 1:
-        raise ValueError(f"hash_bits must be >= 1, got {hash_bits}")
+        raise ConfigError(f"hash_bits must be >= 1, got {hash_bits}")
     components = {
         "carrier_qubits": 4 * n,
         "message_qubits": n,
@@ -287,6 +287,11 @@ class ExperimentResult:
         }
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+
+
 def _trial_seeds(seed: int, trials: int) -> list[int]:
     master = new_rng(seed)
     return [int(s) for s in master.integers(0, 2**63, size=trials)]
@@ -310,8 +315,7 @@ def experiment_detection(
     A random-basis intercept-resend attacker disturbs each decoy with
     probability 1/4, so detection approaches 1 - (3/4)^d.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _require_trials(trials)
     if scope not in DETECTION_SCOPES:
         raise ValueError(f"scope must be one of {DETECTION_SCOPES}, got {scope!r}")
     attack.validate()
@@ -392,6 +396,7 @@ def experiment_forgery(
     can do no better); ``honest-control`` leaves the run untouched and
     must accept every time.
     """
+    _require_trials(trials)
     if model not in FORGERY_MODELS:
         raise ValueError(f"unknown forgery model {model!r}")
     attack = AttackSpec(kind="forge-md") if model == "outside-random-md" else AttackSpec()
@@ -424,6 +429,7 @@ def experiment_blindness(
     their public transcripts must serialize identically; any difference
     counts as a violation (the expected count is zero).
     """
+    _require_trials(trials)
     master = new_rng(seed)
     violations = 0
     for _ in range(trials):

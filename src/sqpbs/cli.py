@@ -103,6 +103,13 @@ def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit through :class:`ConfigError`."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--attack", default="none", choices=ATTACK_KINDS, help="adversary model to inject")
     parser.add_argument("--attack-channel", default="xi_m", help="which transmission is tapped")
@@ -116,7 +123,7 @@ def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqpbs",
         description="Simulator and verification harness for a semiquantum proxy blind signature protocol",
     )
@@ -153,8 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hash output length l (efficiency accounting)")
     exp_p.add_argument("--scope", default="channel", choices=analysis.DETECTION_SCOPES,
                        help="detection: simulate the attacked channel only, or whole runs")
-    exp_p.add_argument("--key-mode", default="stubbed", choices=KEY_MODES,
-                       help="forgery: key-agreement mode for the underlying runs")
+    exp_p.add_argument("--key-mode", choices=KEY_MODES,
+                       help="forgery and blindness: key-agreement mode for the underlying runs "
+                            "(default: stubbed for forgery, simulated for blindness)")
     exp_p.add_argument("--model", default="outside-random-md", choices=analysis.FORGERY_MODELS,
                        help="forgery model")
     exp_p.add_argument("--out", metavar="FILE", help="write the result JSON here")
@@ -205,6 +213,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_corrections(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     seed = _resolve_seed(args.seed)
     rng = new_rng(seed)
     table = None
@@ -275,12 +285,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             threshold=args.threshold,
             scope=args.scope,
         )
-    elif args.kind == "forgery":
-        result = analysis.experiment_forgery(
-            n=args.n, trials=args.trials, seed=seed, model=args.model, key_mode=args.key_mode
-        )
-    else:  # blindness
-        result = analysis.experiment_blindness(n=args.n, trials=args.trials, seed=seed)
+    else:
+        # Without --key-mode each driver keeps its own default.
+        key_mode = {} if args.key_mode is None else {"key_mode": args.key_mode}
+        if args.kind == "forgery":
+            result = analysis.experiment_forgery(
+                n=args.n, trials=args.trials, seed=seed, model=args.model, **key_mode
+            )
+        else:  # blindness
+            result = analysis.experiment_blindness(n=args.n, trials=args.trials, seed=seed, **key_mode)
     lo, hi = result.interval3
     print(
         f"{result.kind}: {result.successes}/{result.trials} "
@@ -301,10 +314,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         data = json.loads(Path(args.transcript).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read transcript {args.transcript}: {exc}") from exc
-    if data.get("format") != TRANSCRIPT_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != TRANSCRIPT_FORMAT:
         raise ConfigError(f"{args.transcript} is not a {TRANSCRIPT_FORMAT} file")
-    config = RunConfig.from_json_dict(data["config"])
-    recorded = data["transcript"]
+    try:
+        config = RunConfig.from_json_dict(data["config"])
+        config.validate()
+        recorded = data["transcript"]
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{args.transcript} is malformed: {exc!r}") from exc
     if replay_matches(config, recorded):
         print(f"replay matches: {len(recorded['events'])} events, verdict {recorded['verdict']}")
         return EXIT_VALID

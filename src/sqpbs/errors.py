@@ -7,8 +7,12 @@ class SqpbsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(SqpbsError):
-    """A run configuration is malformed or inconsistent."""
+class ConfigError(SqpbsError, ValueError):
+    """A run configuration is malformed or inconsistent.
+
+    Also a ``ValueError``, so library callers can catch bad arguments
+    the usual way; the CLI maps it to exit code 4.
+    """
 
 
 class KeyEstablishmentError(SqpbsError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .bits import Bits
 from .channels import DecoyState
-from .errors import KeyEstablishmentError
+from .errors import ConfigError, KeyEstablishmentError
 from .registers import Qubit, measure_qubit, new_qubit
 from .statevec import Basis, Rng, measure
 
@@ -88,9 +88,11 @@ class HashConfig:
 
     def __post_init__(self):
         if self.output_bits < 1:
-            raise ValueError(f"hash output length must be >= 1 bit, got {self.output_bits}")
+            raise ConfigError(f"hash output length must be >= 1 bit, got {self.output_bits}")
         if self.algorithm not in hashlib.algorithms_available:
-            raise ValueError(f"unknown hash algorithm {self.algorithm!r}")
+            raise ConfigError(f"unknown hash algorithm {self.algorithm!r}")
+        if hashlib.new(self.algorithm).digest_size == 0:
+            raise ConfigError(f"hash algorithm {self.algorithm!r} has no fixed digest length")
 
 
 def keyed_hash(config: HashConfig, secret: Bits, message: Bits) -> Bits:

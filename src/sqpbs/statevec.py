@@ -31,6 +31,8 @@ Rng = np.random.Generator
 MAX_QUBITS = 8
 NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
+# Outcomes with less Born weight than this count as impossible.
+ZERO_PROB = 1e-15
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -311,7 +313,7 @@ def postselect(state: StateVector, qubit: int, basis: Basis, outcome: int) -> tu
     c0, c1 = _basis_components(state, qubit, basis)
     component = (c0, c1)[outcome]
     prob = _sumsq(component)
-    if prob < 1e-15:
+    if prob < ZERO_PROB:
         return prob, None
     return prob, _compose_collapsed(state, qubit, basis, outcome, component, prob)
 
@@ -321,14 +323,19 @@ def measure(state: StateVector, qubit: int, basis: Basis, rng: Rng) -> tuple[int
 
     Samples via a single uniform draw against the cumulative Born
     probabilities and returns ``(bit, collapsed_state)``.  In the X
-    basis, bit 0 corresponds to ``|+>`` and bit 1 to ``|->``.
+    basis, bit 0 corresponds to ``|+>`` and bit 1 to ``|->``.  A draw
+    that lands on an outcome without weight (possible when the
+    probabilities sum to just under 1) takes the other outcome.
     """
     _check_targets(state.num_qubits, [qubit])
     c0, c1 = _basis_components(state, qubit, basis)
     p0 = _sumsq(c0)
     outcome = 0 if rng.random() < p0 else 1
-    component = (c0, c1)[outcome]
     prob = p0 if outcome == 0 else _sumsq(c1)
+    if prob < ZERO_PROB:
+        outcome ^= 1
+        prob = _sumsq((c0, c1)[outcome])
+    component = (c0, c1)[outcome]
     return outcome, _compose_collapsed(state, qubit, basis, outcome, component, prob)
 
 
@@ -373,24 +380,30 @@ def postselect_bell(
     comp = _bell_components(state, qubit_a, qubit_b)
     probs = np.sum(np.abs(comp) ** 2, axis=1)
     prob = float(probs[outcome.index])
-    if prob < 1e-15:
+    if prob < ZERO_PROB:
         return prob, None
     return prob, _bell_collapse(state, qubit_a, qubit_b, comp, outcome.index, prob)
 
 
 def measure_bell(state: StateVector, qubit_a: int, qubit_b: int, rng: Rng) -> tuple[BellState, StateVector]:
-    """Projective measurement of a qubit pair in the Bell basis."""
+    """Projective measurement of a qubit pair in the Bell basis.
+
+    One uniform draw selects the first outcome with weight whose
+    cumulative probability exceeds it; a draw past the last cumulative
+    sum (which can round to just under 1) takes the last outcome with
+    weight.
+    """
     _check_targets(state.num_qubits, [qubit_a, qubit_b])
     comp = _bell_components(state, qubit_a, qubit_b)
     probs = np.sum(np.abs(comp) ** 2, axis=1)
     u = rng.random()
     acc = 0.0
-    index = 3
-    for i in range(4):
-        acc += probs[i]
-        if u < acc:
-            index = i
+    for index in range(4):
+        acc += probs[index]
+        if u < acc and probs[index] >= ZERO_PROB:
             break
+    else:
+        index = max(i for i in range(4) if probs[i] >= ZERO_PROB)
     outcome = BellState.from_index(index)
     return outcome, _bell_collapse(state, qubit_a, qubit_b, comp, index, float(probs[index]))
 

@@ -25,6 +25,7 @@ import numpy as np
 from .adversary import INTERCEPT_BASES, EntangleMeasure, EveParams, InterceptResend
 from .bits import Bits
 from .errors import ConfigError
+from .keys import HashConfig
 
 TOOL_VERSION = "0.1.0"
 TRANSCRIPT_FORMAT = "sqpbs-transcript"
@@ -122,8 +123,7 @@ class RunConfig:
             raise ConfigError(f"decoy_count must be >= 1, got {self.decoy_count}")
         if not 0.0 <= self.error_threshold < 1.0:
             raise ConfigError(f"error_threshold must be in [0, 1), got {self.error_threshold}")
-        if self.hash_bits < 1:
-            raise ConfigError(f"hash_bits must be >= 1, got {self.hash_bits}")
+        HashConfig(self.hash_bits, self.hash_algorithm)
         if self.key_mode not in KEY_MODES:
             raise ConfigError(f"key_mode must be one of {KEY_MODES}, got {self.key_mode!r}")
         self.attack.validate()

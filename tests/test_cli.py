@@ -19,6 +19,38 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--attack", "bogus"),
+        ("run", "--n", "abc"),
+        ("run", "--seed", "1", "--hash-algorithm", "nope"),
+        ("run", "--seed", "1", "--hash-algorithm", "shake_128"),
+        ("verify-corrections", "--trials", "0", "--seed", "1"),
+        ("verify-corrections", "--trials", "-2", "--seed", "1"),
+        ("experiment", "detection", "--trials", "0", "--seed", "1"),
+        ("experiment", "forgery", "--trials", "0", "--seed", "1"),
+        ("experiment", "blindness", "--trials", "0", "--seed", "1"),
+        ("experiment", "efficiency", "--n", "0"),
+        ("bogus-command",),
+        (),
+    ],
+    ids=lambda argv: "_".join(argv) or "no-arguments",
+)
+def test_bad_input_exits_4_with_one_line(argv, capsys):
+    assert run_cli(*argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(flag)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 class TestRun:
     def test_honest_run_exits_zero(self, capsys):
         assert run_cli("run", "--n", "4", "--seed", "7") == EXIT_VALID
@@ -108,6 +140,22 @@ class TestReplay:
     def test_replay_missing_file_is_config_error(self, tmp_path):
         assert run_cli("replay", str(tmp_path / "absent.json")) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"format": "sqpbs-transcript", "transcript": {}},
+            {"format": "sqpbs-transcript", "config": {"n": 3, "seed": 1, "g_a": "10x"}, "transcript": {}},
+            ["sqpbs-transcript"],
+        ],
+        ids=["missing-config", "bad-bits", "top-level-array"],
+    )
+    def test_replay_of_malformed_file_is_config_error(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli("replay", str(bad)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
 
 class TestVerifyCorrections:
     def test_audit_passes(self, capsys):
@@ -152,6 +200,20 @@ class TestExperiments:
         code = run_cli("experiment", "blindness", "--n", "4", "--trials", "5", "--seed", "2")
         assert code == EXIT_VALID
         assert "blindness: 0/5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "kind, flag, recorded",
+        [
+            ("blindness", ["--key-mode", "stubbed"], "stubbed"),
+            ("blindness", [], "simulated"),
+            ("forgery", [], "stubbed"),
+        ],
+    )
+    def test_key_mode_reaches_the_driver(self, tmp_path, kind, flag, recorded):
+        out = tmp_path / "result.json"
+        code = run_cli("experiment", kind, "--n", "2", "--trials", "2", "--seed", "3", *flag, "--out", str(out))
+        assert code == EXIT_VALID
+        assert json.loads(out.read_text())["config"]["key_mode"] == recorded
 
     def test_forgery_writes_result_file(self, tmp_path):
         out = tmp_path / "forgery.json"

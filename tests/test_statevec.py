@@ -31,6 +31,15 @@ from sqpbs.statevec import (
 from sqpbs.teleport import prepare_chi
 
 SQRT1_2 = 1 / math.sqrt(2)
+# Largest double below 1: squared, it rounds to 1 - 2**-52.
+JUST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+class LastDraw:
+    """Generator stub whose uniform draw lies past any sum that rounded below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
 
 
 class TestBasisStates:
@@ -224,6 +233,12 @@ class TestMeasure:
         sigma = math.sqrt(p1 * (1 - p1) / trials)
         assert abs(ones / trials - p1) < 3 * sigma
 
+    def test_draw_past_rounded_total_takes_the_weighted_outcome(self):
+        state = StateVector(1, [JUST_BELOW_ONE, 0])
+        bit, post = measure(state, 0, Basis.Z, LastDraw())
+        assert bit == 0
+        np.testing.assert_allclose(post.amps, [1, 0])
+
     def test_same_seed_same_outcomes(self):
         state = tensor(ket_plus(), ket_plus())
         seq1 = [measure(state, 0, Basis.Z, new_rng(7))[0] for _ in range(50)]
@@ -271,6 +286,14 @@ class TestBellMeasurement:
         prob, state = postselect_bell(basis_state(2, 0), 0, 1, BellState.PSI_PLUS)
         assert prob == pytest.approx(0.0, abs=1e-15)
         assert state is None
+
+    def test_draw_past_rounded_total_takes_the_last_weighted_outcome(self):
+        phi_plus = StateVector(2, [JUST_BELOW_ONE * SQRT1_2, 0, 0, JUST_BELOW_ONE * SQRT1_2])
+        assert bell_probabilities(phi_plus, 0, 1).sum() < LastDraw().random()
+        outcome, post = measure_bell(phi_plus, 0, 1, LastDraw())
+        assert outcome is BellState.PHI_PLUS
+        assert np.all(np.isfinite(post.amps))
+        assert fidelity_up_to_phase(post, phi_plus) == pytest.approx(1.0, abs=1e-12)
 
     def test_classical_bit_mapping(self):
         assert BellState.PHI_PLUS.bits == (0, 0)

@@ -53,7 +53,6 @@ from .statevec import (
     Basis,
     BellState,
     PauliCorrection,
-    StateVector,
     apply_unitary,
     basis_state,
     fidelity_up_to_phase,

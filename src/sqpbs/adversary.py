@@ -34,10 +34,9 @@ from .registers import Qubit, apply_to_qubits, measure_qubit
 from .statevec import (
     Basis,
     Rng,
-    StateVector,
-    _sv,
     apply_unitary,
     is_unitary,
+    num_qubits,
     postselect,
     tensor,
 )
@@ -164,11 +163,11 @@ class EveParams:
     def probe_qubits(self) -> int:
         return int(math.log2(self.probe_dim))
 
-    def initial_probe(self) -> StateVector:
+    def initial_probe(self) -> np.ndarray:
         """Probe reference state |e> = first basis vector of the probe space."""
         amps = np.zeros(self.probe_dim, dtype=complex)
         amps[0] = 1.0
-        return _sv(self.probe_qubits, amps)
+        return amps
 
     def coupling_unitary(self) -> np.ndarray:
         """The completed joint unitary on (qubit x probe)."""
@@ -176,10 +175,10 @@ class EveParams:
 
     # -- exact analysis helpers (no sampling) --------------------------------
 
-    def joint_state_after(self, qubit_state: StateVector) -> StateVector:
+    def joint_state_after(self, qubit_state: np.ndarray) -> np.ndarray:
         """E (|qubit> x |e>) for an arbitrary single-qubit input."""
         joint = tensor(qubit_state, self.initial_probe())
-        targets = list(range(joint.num_qubits))
+        targets = list(range(num_qubits(joint)))
         return apply_unitary(joint, targets, self._unitary, validate=False)
 
     def expected_error_rates(self) -> dict[str, float]:
@@ -201,7 +200,7 @@ class EveParams:
         out: dict[str, np.ndarray] = {}
         for decoy in DecoyState:
             joint = self.joint_state_after(decoy.make_state())
-            t = joint.amps.reshape(2, self.probe_dim)
+            t = joint.reshape(2, self.probe_dim)
             out[decoy.label] = t.conj().T @ t  # trace out the qubit
         return out
 

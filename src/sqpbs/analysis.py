@@ -21,7 +21,7 @@ master seed, so results are reproducible from (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .bits import Bits
@@ -118,16 +118,11 @@ def qubit_efficiency(n: int, hash_bits: int) -> EfficiencyReport:
     )
 
 
-def instrumented_accounting(
-    transcript: Transcript,
-    *,
-    bb84_qubits_per_key_bit: int = BB84_QUBITS_PER_KEY_BIT,
-    sqkd_qubits_per_key_bit: int = SQKD_QUBITS_PER_KEY_BIT,
-) -> dict:
+def instrumented_accounting(transcript: Transcript) -> dict:
     """Re-derive (q_s, q_t, q_c) from a real run's transcript counters.
 
     Protocol qubits are counted directly; key-agreement qubits are
-    charged at the configured per-key-bit overheads (the simulator's
+    charged at the per-key-bit overheads of the convention (the simulator's
     actual raw counts are reported alongside but are stochastic).
     """
     acc = transcript.accounting
@@ -135,8 +130,8 @@ def instrumented_accounting(
         acc.get("chi_qubits", 0)
         + acc.get("xi_qubits", 0)
         + acc.get("g_prime_qubits", 0)
-        + bb84_qubits_per_key_bit * acc.get("bb84_key_bits", 0)
-        + sqkd_qubits_per_key_bit * acc.get("sqkd_key_bits", 0)
+        + BB84_QUBITS_PER_KEY_BIT * acc.get("bb84_key_bits", 0)
+        + SQKD_QUBITS_PER_KEY_BIT * acc.get("sqkd_key_bits", 0)
     )
     return {
         "signature_bits": acc.get("signature_bits", 0),
@@ -318,7 +313,8 @@ def experiment_detection(
     _require_trials(trials)
     if scope not in DETECTION_SCOPES:
         raise ValueError(f"scope must be one of {DETECTION_SCOPES}, got {scope!r}")
-    attack.validate()
+    base = RunConfig(n=n, seed=seed, decoy_count=decoy_count, error_threshold=threshold, attack=attack)
+    base.validate()
     detections = 0
     if scope == "channel":
         master = new_rng(seed)
@@ -332,11 +328,7 @@ def experiment_detection(
                 detections += 1
     else:
         for trial_seed in _trial_seeds(seed, trials):
-            config = RunConfig(
-                n=n, seed=trial_seed, decoy_count=decoy_count,
-                error_threshold=threshold, attack=attack,
-            )
-            transcript = run_full(config)
+            transcript = run_full(replace(base, seed=trial_seed))
             detections += transcript.verdict == "aborted:eavesdropping"
     return ExperimentResult(
         kind="detection",
@@ -363,13 +355,13 @@ def forgery_instance_probability(g_bit: int) -> float:
     if g_bit not in (0, 1):
         raise ValueError(f"g_bit must be 0 or 1, got {g_bit}")
     m = MessageQubit.plus() if g_bit == 0 else MessageQubit.minus()
-    target = m.state().amps
+    target = m.state()
     total = 0.0
     for outcomes in all_outcomes():
         prob, collapsed3 = forced_branch_particle3(m, outcomes)
         for substituted in BellState:
             corr = correction_for(TeleportOutcomes(outcomes.z1, substituted, outcomes.z4))
-            final = corr.matrix @ collapsed3.amps
+            final = corr.matrix @ collapsed3
             p_match = abs(target.conj() @ final) ** 2
             total += prob * 0.25 * p_match
     return total

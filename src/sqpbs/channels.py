@@ -25,9 +25,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .errors import EavesdroppingDetected
 from .registers import Qubit, measure_qubit, new_qubit
-from .statevec import Basis, Rng, StateVector, basis_state, ket_minus, ket_plus
+from .statevec import Basis, Rng, basis_state, ket_minus, ket_plus
 
 
 class DecoyState(Enum):
@@ -47,7 +49,7 @@ class DecoyState(Enum):
         self.basis = basis
         self.bit = bit  # expected outcome when measured in the preparation basis
 
-    def make_state(self) -> StateVector:
+    def make_state(self) -> np.ndarray:
         if self.basis is Basis.Z:
             return basis_state(1, self.bit)
         return ket_minus() if self.bit else ket_plus()

@@ -57,15 +57,17 @@ def _resolve_seed(seed: int | None) -> int:
     Whatever wins is echoed into the transcript config, so every output
     is replayable.
     """
-    if seed is not None:
-        return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return secrets.randbits(48)
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return secrets.randbits(48)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _parse_bits(text: str | None, label: str) -> Bits | None:

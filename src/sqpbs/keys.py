@@ -6,8 +6,11 @@ simulated semiquantum exchange, and the owner's locally generated n-bit
 blinding key), the one-time-pad encryption of measurement records, and
 the keyed hash shared between the message owner and the verifier.
 
-Key establishment is simulated honestly at the single-qubit level and
-accepts an optional adversary hook acting on each forward transmission.
+Key establishment is simulated honestly at the single-qubit level.
+Every transmitted qubit is a fresh one-qubit register
+(``registers.new_qubit``); an optional adversary hook acts on it in
+transit, and the receiver reads it with ``registers.measure_qubit`` —
+the same path the decoy-protected channels use.
 Runs that do not care about the key-agreement channel may skip it
 entirely and draw pre-shared keys ("stubbed" mode in the protocol
 layer), since the agreed keys of an honest noiseless exchange are
@@ -23,7 +26,7 @@ from .bits import Bits
 from .channels import DecoyState
 from .errors import ConfigError, KeyEstablishmentError
 from .registers import Qubit, measure_qubit, new_qubit
-from .statevec import Basis, Rng, measure
+from .statevec import Basis, Rng
 
 __all__ = [
     "HashConfig",
@@ -164,31 +167,12 @@ class KeyExchangeResult:
 _BB84_STATES = {(d.basis, d.bit): d.make_state() for d in DecoyState}
 
 
-class _Channel:
-    """One-qubit transmissions, with or without an attached adversary.
-
-    The honest path works on bare statevectors; the attacked path wraps
-    each qubit in a register so the adversary hook can act on it.  Both
-    paths consume identical generator draws, so seeds replay the same
-    way regardless of attack presence.
-    """
-
-    def __init__(self, adversary, rng: Rng):
-        self.adversary = adversary
-        self.rng = rng
-
-    def send(self, state):
-        if self.adversary is None:
-            return state
-        qubit = new_qubit(state)
-        self.adversary.intercept(qubit, self.rng)
-        return qubit
-
-    def measure(self, carrier, basis: Basis) -> int:
-        if isinstance(carrier, Qubit):
-            return measure_qubit(carrier, basis, self.rng)
-        outcome, _ = measure(carrier, 0, basis, self.rng)
-        return outcome
+def _send(state, adversary, rng: Rng) -> Qubit:
+    """One forward-leg transmission; the adversary, if any, acts in transit."""
+    qubit = new_qubit(state)
+    if adversary is not None:
+        adversary.intercept(qubit, rng)
+    return qubit
 
 
 def establish_key_bb84(
@@ -213,7 +197,6 @@ def establish_key_bb84(
     if check_bits is None:
         check_bits = min(length, 64)
     needed = length + check_bits
-    channel = _Channel(adversary, rng)
     sender_bits: list[int] = []
     receiver_bits: list[int] = []
     raw = 0
@@ -226,8 +209,8 @@ def establish_key_bb84(
             raw += 1
             basis_s = Basis.X if sb else Basis.Z
             basis_r = Basis.X if rb else Basis.Z
-            carrier = channel.send(_BB84_STATES[(basis_s, int(sv))])
-            outcome = channel.measure(carrier, basis_r)
+            carrier = _send(_BB84_STATES[(basis_s, int(sv))], adversary, rng)
+            outcome = measure_qubit(carrier, basis_r, rng)
             if basis_s is basis_r:
                 sender_bits.append(int(sv))
                 receiver_bits.append(outcome)
@@ -274,7 +257,6 @@ def establish_key_sqkd(
     """
     if length < 1:
         raise ValueError(f"key length must be >= 1, got {length}")
-    channel = _Channel(adversary, rng)
     sender_key: list[int] = []
     receiver_key: list[int] = []
     raw = 0
@@ -290,17 +272,17 @@ def establish_key_sqkd(
         for pb, pv, coin in zip(prep_bases, prep_values, sift_coins):
             raw += 1
             basis = Basis.X if pb else Basis.Z
-            carrier = channel.send(_BB84_STATES[(basis, int(pv))])
+            carrier = _send(_BB84_STATES[(basis, int(pv))], adversary, rng)
             if coin:  # SIFT: classical party measures in Z and resends the result
-                measured = channel.measure(carrier, Basis.Z)
-                channel.measure(_BB84_STATES[(Basis.Z, measured)], Basis.Z)  # read the resend
+                measured = measure_qubit(carrier, Basis.Z, rng)
+                measure_qubit(new_qubit(_BB84_STATES[(Basis.Z, measured)]), Basis.Z, rng)  # read the resend
                 if basis is Basis.Z:
                     sender_key.append(int(pv))
                     receiver_key.append(measured)
                     if len(sender_key) >= length:
                         break
             else:  # CTRL: reflected untouched; checked in the preparation basis
-                echoed = channel.measure(carrier, basis)
+                echoed = measure_qubit(carrier, basis, rng)
                 ctrl_total += 1
                 mismatch = echoed != int(pv)
                 ctrl_errors += mismatch

@@ -72,7 +72,6 @@ from .statevec import (
     Basis,
     BellState,
     Rng,
-    StateVector,
     ket_minus,
     ket_plus,
     new_rng,
@@ -108,7 +107,7 @@ class Party:
     def prepare_z(self, bit: int) -> Qubit:
         return new_z_qubit(bit)
 
-    def prepare_state(self, state: StateVector) -> Qubit:
+    def prepare_state(self, state: np.ndarray) -> Qubit:
         self._require_quantum("arbitrary state preparation")
         return new_qubit(state)
 

@@ -1,6 +1,7 @@
-"""Mutable register arena on top of the immutable statevector core.
+"""Mutable register arena on top of the statevector core.
 
-A ``Register`` owns one statevector and hands out ``Qubit`` handles.
+A ``Register`` owns one state array and hands out ``Qubit`` handles;
+operations replace that array with the new one the core returns.
 Handles stay valid across register merges: a joint operation on qubits
 living in different registers first absorbs one register into the other
 (tensor product) and re-points the handles.  This keeps every simulated
@@ -18,11 +19,11 @@ from .statevec import (
     BellState,
     MAX_QUBITS,
     Rng,
-    StateVector,
     apply_unitary,
     basis_state,
     measure,
     measure_bell,
+    num_qubits,
     tensor,
 )
 
@@ -45,27 +46,27 @@ class Register:
 
     __slots__ = ("state", "qubits")
 
-    def __init__(self, state: StateVector):
+    def __init__(self, state: np.ndarray):
         self.state = state
-        self.qubits = [Qubit(self, i) for i in range(state.num_qubits)]
+        self.qubits = [Qubit(self, i) for i in range(num_qubits(state))]
 
     @property
     def num_qubits(self) -> int:
-        return self.state.num_qubits
+        return num_qubits(self.state)
 
-    def extend(self, extra: StateVector) -> list[Qubit]:
+    def extend(self, extra: np.ndarray) -> list[Qubit]:
         """Append fresh qubits in the given state; returns their handles."""
         self.state = tensor(self.state, extra)
         start = len(self.qubits)
-        new = [Qubit(self, start + i) for i in range(extra.num_qubits)]
+        new = [Qubit(self, start + i) for i in range(num_qubits(extra))]
         self.qubits.extend(new)
         return new
 
 
-def new_qubit(state: StateVector) -> Qubit:
+def new_qubit(state: np.ndarray) -> Qubit:
     """A fresh single-qubit register around ``state``."""
-    if state.num_qubits != 1:
-        raise ValueError(f"expected a 1-qubit state, got {state.num_qubits} qubits")
+    if state.shape != (2,):
+        raise ValueError(f"expected a 1-qubit state, got shape {state.shape}")
     return Register(state).qubits[0]
 
 
@@ -115,10 +116,9 @@ def apply_to_qubits(qubits: list[Qubit], matrix: np.ndarray) -> None:
     reg.state = apply_unitary(reg.state, [q.index for q in qubits], matrix, validate=False)
 
 
-def qubit_fidelity_to(qubit: Qubit, target: StateVector) -> float:
+def qubit_fidelity_to(qubit: Qubit, target: np.ndarray) -> float:
     """<target| rho |target> for one qubit; equals |<target|psi>|^2 when pure."""
-    t = qubit.register.state.amps.reshape(1 << qubit.index, 2, -1)
+    t = qubit.register.state.reshape(1 << qubit.index, 2, -1)
     block = np.swapaxes(t, 0, 1).reshape(2, -1)
     rho = block @ block.conj().T  # the qubit's 2x2 reduced density matrix
-    v = target.amps
-    return float(np.real(v.conj() @ rho @ v))
+    return float(np.real(target.conj() @ rho @ target))

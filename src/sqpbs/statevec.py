@@ -2,6 +2,11 @@
 
 Conventions, fixed across the package:
 
+* A state of ``n`` qubits is a plain 1-D complex numpy array of length
+  ``2**n``; ``num_qubits`` derives ``n`` from the length.  Operations
+  never write into their input arrays: they return new ones.  Only
+  ``apply_unitary`` with ``validate=True`` checks the length and norm
+  of the state it is given.
 * Qubit 0 is the most significant bit of a basis-state index: in a
   register of ``n`` qubits, qubit ``q`` occupies bit ``n - 1 - q`` of
   the index, so ``basis_state(4, 5)`` is ``|0101>``.
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,50 +137,12 @@ _PAULI_MATRICES = {
 }
 
 
-class StateVector:
-    """Immutable normalized amplitude vector over ``num_qubits`` qubits.
-
-    Treat instances as read-only: operations return new states and may
-    share no storage with their inputs.
-    """
-
-    __slots__ = ("num_qubits", "amps")
-
-    def __init__(self, num_qubits: int, amplitudes: Iterable[complex], *, validate: bool = True):
-        amps = np.asarray(amplitudes, dtype=complex)
-        if validate:
-            if not 1 <= num_qubits <= MAX_QUBITS:
-                raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
-            if amps.shape != (1 << num_qubits,):
-                raise ValueError(
-                    f"amplitude vector has length {amps.size}, expected {1 << num_qubits}"
-                )
-            norm = float(np.sum(np.abs(amps) ** 2))
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError(f"state is not normalized: |amps|^2 = {norm}")
-        self.num_qubits = num_qubits
-        self.amps = amps
-
-    @property
-    def dim(self) -> int:
-        return self.amps.size
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
-    def probability(self, index: int) -> float:
-        return float(np.abs(self.amps[index]) ** 2)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StateVector(num_qubits={self.num_qubits}, amps={np.round(self.amps, 6)!r})"
+def num_qubits(state: np.ndarray) -> int:
+    """Number of qubits of a state array of length ``2**n``."""
+    return state.size.bit_length() - 1
 
 
-def _sv(num_qubits: int, amps: np.ndarray) -> StateVector:
-    """Internal constructor that skips validation (hot path)."""
-    return StateVector(num_qubits, amps, validate=False)
-
-
-def basis_state(num_qubits: int, index: int) -> StateVector:
+def basis_state(num_qubits: int, index: int) -> np.ndarray:
     """Computational basis state ``|index>`` under the MSB-first convention."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
@@ -183,23 +150,23 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[index] = 1.0
-    return _sv(num_qubits, amps)
+    return amps
 
 
-def ket_plus() -> StateVector:
-    return _sv(1, np.array([SQRT1_2, SQRT1_2], dtype=complex))
+def ket_plus() -> np.ndarray:
+    return np.array([SQRT1_2, SQRT1_2], dtype=complex)
 
 
-def ket_minus() -> StateVector:
-    return _sv(1, np.array([SQRT1_2, -SQRT1_2], dtype=complex))
+def ket_minus() -> np.ndarray:
+    return np.array([SQRT1_2, -SQRT1_2], dtype=complex)
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; ``a``'s qubits become the most significant ones."""
-    n = a.num_qubits + b.num_qubits
+    n = num_qubits(a) + num_qubits(b)
     if n > MAX_QUBITS:
         raise ValueError(f"tensor product would need {n} qubits (max {MAX_QUBITS})")
-    return _sv(n, np.kron(a.amps, b.amps))
+    return np.kron(a, b)
 
 
 def _check_targets(n: int, targets: Sequence[int]) -> None:
@@ -217,13 +184,13 @@ def is_unitary(matrix: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= atol)
 
 
-def _qubit_view(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
+def _qubit_view(amps: np.ndarray, qubit: int) -> np.ndarray:
     """No-copy view shaped (left, 2, right) with ``qubit`` on the middle axis."""
-    return amps.reshape(1 << qubit, 2, 1 << (n - qubit - 1))
+    return amps.reshape(1 << qubit, 2, -1)
 
 
-def _apply_1q(amps: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> np.ndarray:
-    t = _qubit_view(amps, n, qubit)
+def _apply_1q(amps: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
+    t = _qubit_view(amps, qubit)
     a0 = t[:, 0, :]
     a1 = t[:, 1, :]
     out = np.empty_like(t)
@@ -233,40 +200,53 @@ def _apply_1q(amps: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> np.nd
 
 
 def apply_unitary(
-    state: StateVector,
+    state: np.ndarray,
     targets: Sequence[int],
     matrix: np.ndarray,
     *,
     validate: bool = True,
-) -> StateVector:
+) -> np.ndarray:
     """Apply ``matrix`` to the ordered ``targets``, identity elsewhere.
 
     ``targets[0]`` is the most significant bit of the matrix's index
-    space.  ``matrix`` must be unitary within 1e-10.
+    space.  ``matrix`` must be unitary within 1e-10.  With
+    ``validate=True`` the state must also have length ``2**n`` for
+    ``1 <= n <= MAX_QUBITS`` and unit norm within 1e-9; internal callers
+    whose inputs are already checked pass ``validate=False``.
     """
-    n = state.num_qubits
     k = len(targets)
     matrix = np.asarray(matrix, dtype=complex)
     if validate:
+        state = np.asarray(state, dtype=complex)
+        n = num_qubits(state)
+        if not 1 <= n <= MAX_QUBITS or state.shape != (1 << n,):
+            raise ValueError(
+                f"state must be a 1-D array of length 2**n with 1 <= n <= {MAX_QUBITS}, "
+                f"got shape {state.shape}"
+            )
+        norm = float(np.sum(np.abs(state) ** 2))
+        if abs(norm - 1.0) > 1e-9:
+            raise ValueError(f"state is not normalized: |amps|^2 = {norm}")
         _check_targets(n, targets)
         if matrix.shape != (1 << k, 1 << k):
             raise ValueError(f"matrix shape {matrix.shape} does not act on {k} qubits")
         if not is_unitary(matrix):
             raise ValueError("matrix is not unitary within 1e-10")
     if k == 1:
-        return _sv(n, _apply_1q(state.amps, n, targets[0], matrix))
-    t = state.amps.reshape((2,) * n)
+        return _apply_1q(state, targets[0], matrix)
+    n = num_qubits(state)
+    t = state.reshape((2,) * n)
     t = np.moveaxis(t, targets, range(k))
     block = t.reshape(1 << k, -1)
     block = matrix @ block
     t = block.reshape((2,) * n)
     t = np.moveaxis(t, range(k), targets)
-    return _sv(n, np.ascontiguousarray(t).reshape(-1))
+    return np.ascontiguousarray(t).reshape(-1)
 
 
-def z_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
+def z_probabilities(state: np.ndarray, qubit: int) -> tuple[float, float]:
     """Born probabilities (p0, p1) for a Z measurement of one qubit."""
-    t = _qubit_view(state.amps, state.num_qubits, qubit)
+    t = _qubit_view(state, qubit)
     p0 = float(np.sum(t[:, 0, :].real ** 2 + t[:, 0, :].imag ** 2))
     p1 = float(np.sum(t[:, 1, :].real ** 2 + t[:, 1, :].imag ** 2))
     return p0, p1
@@ -276,9 +256,9 @@ def _sumsq(block: np.ndarray) -> float:
     return float(np.sum(block.real**2 + block.imag**2))
 
 
-def _basis_components(state: StateVector, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+def _basis_components(state: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     """Component blocks of the state along ``qubit`` in the given basis."""
-    t = _qubit_view(state.amps, state.num_qubits, qubit)
+    t = _qubit_view(state, qubit)
     a0 = t[:, 0, :]
     a1 = t[:, 1, :]
     if basis is Basis.Z:
@@ -286,11 +266,8 @@ def _basis_components(state: StateVector, qubit: int, basis: Basis) -> tuple[np.
     return (a0 + a1) * SQRT1_2, (a0 - a1) * SQRT1_2
 
 
-def _compose_collapsed(
-    state: StateVector, qubit: int, basis: Basis, outcome: int, component: np.ndarray, prob: float
-) -> StateVector:
+def _compose_collapsed(basis: Basis, outcome: int, component: np.ndarray, prob: float) -> np.ndarray:
     """Rebuild the full collapsed state from the surviving component block."""
-    n = state.num_qubits
     v = component * (1.0 / math.sqrt(prob))
     out = np.zeros((component.shape[0], 2, component.shape[1]), dtype=complex)
     if basis is Basis.Z:
@@ -298,16 +275,16 @@ def _compose_collapsed(
     else:
         out[:, 0, :] = v * SQRT1_2
         out[:, 1, :] = v * (SQRT1_2 if outcome == 0 else -SQRT1_2)
-    return _sv(n, out.reshape(-1))
+    return out.reshape(-1)
 
 
-def postselect(state: StateVector, qubit: int, basis: Basis, outcome: int) -> tuple[float, StateVector | None]:
+def postselect(state: np.ndarray, qubit: int, basis: Basis, outcome: int) -> tuple[float, np.ndarray | None]:
     """Probability of ``outcome`` and the renormalized projected state.
 
     Returns ``(prob, None)`` when the outcome has (numerically) zero
     probability.  Deterministic; used by oracles to force branches.
     """
-    _check_targets(state.num_qubits, [qubit])
+    _check_targets(num_qubits(state), [qubit])
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
     c0, c1 = _basis_components(state, qubit, basis)
@@ -315,10 +292,10 @@ def postselect(state: StateVector, qubit: int, basis: Basis, outcome: int) -> tu
     prob = _sumsq(component)
     if prob < ZERO_PROB:
         return prob, None
-    return prob, _compose_collapsed(state, qubit, basis, outcome, component, prob)
+    return prob, _compose_collapsed(basis, outcome, component, prob)
 
 
-def measure(state: StateVector, qubit: int, basis: Basis, rng: Rng) -> tuple[int, StateVector]:
+def measure(state: np.ndarray, qubit: int, basis: Basis, rng: Rng) -> tuple[int, np.ndarray]:
     """Projective single-qubit measurement in the Z or X basis.
 
     Samples via a single uniform draw against the cumulative Born
@@ -327,7 +304,7 @@ def measure(state: StateVector, qubit: int, basis: Basis, rng: Rng) -> tuple[int
     that lands on an outcome without weight (possible when the
     probabilities sum to just under 1) takes the other outcome.
     """
-    _check_targets(state.num_qubits, [qubit])
+    _check_targets(num_qubits(state), [qubit])
     c0, c1 = _basis_components(state, qubit, basis)
     p0 = _sumsq(c0)
     outcome = 0 if rng.random() < p0 else 1
@@ -336,7 +313,7 @@ def measure(state: StateVector, qubit: int, basis: Basis, rng: Rng) -> tuple[int
         outcome ^= 1
         prob = _sumsq((c0, c1)[outcome])
     component = (c0, c1)[outcome]
-    return outcome, _compose_collapsed(state, qubit, basis, outcome, component, prob)
+    return outcome, _compose_collapsed(basis, outcome, component, prob)
 
 
 def _pair_shape(n: int, qubit_a: int, qubit_b: int) -> tuple[tuple[int, int, int], tuple, tuple]:
@@ -348,35 +325,35 @@ def _pair_shape(n: int, qubit_a: int, qubit_b: int) -> tuple[tuple[int, int, int
     return dims, (3, 1, 0, 2, 4), (2, 1, 3, 0, 4)
 
 
-def _bell_components(state: StateVector, qubit_a: int, qubit_b: int) -> np.ndarray:
+def _bell_components(state: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
     """Amplitudes of the pair (a, b) in the Bell basis: a 4 x rest block."""
-    (da, db, dc), forward, _ = _pair_shape(state.num_qubits, qubit_a, qubit_b)
-    t = state.amps.reshape(da, 2, db, 2, dc).transpose(forward).reshape(4, -1)
+    (da, db, dc), forward, _ = _pair_shape(num_qubits(state), qubit_a, qubit_b)
+    t = state.reshape(da, 2, db, 2, dc).transpose(forward).reshape(4, -1)
     return BELL_MATRIX.conj().T @ t
 
 
 def _bell_collapse(
-    state: StateVector, qubit_a: int, qubit_b: int, components: np.ndarray, index: int, prob: float
-) -> StateVector:
-    n = state.num_qubits
+    state: np.ndarray, qubit_a: int, qubit_b: int, components: np.ndarray, index: int, prob: float
+) -> np.ndarray:
+    n = num_qubits(state)
     (da, db, dc), _, inverse = _pair_shape(n, qubit_a, qubit_b)
     block = np.outer(BELL_MATRIX[:, index], components[index] / math.sqrt(prob))
     t = block.reshape(2, 2, da, db, dc).transpose(inverse)
-    return _sv(n, np.ascontiguousarray(t).reshape(-1))
+    return np.ascontiguousarray(t).reshape(-1)
 
 
-def bell_probabilities(state: StateVector, qubit_a: int, qubit_b: int) -> np.ndarray:
+def bell_probabilities(state: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on a qubit pair."""
-    _check_targets(state.num_qubits, [qubit_a, qubit_b])
+    _check_targets(num_qubits(state), [qubit_a, qubit_b])
     comp = _bell_components(state, qubit_a, qubit_b)
     return np.sum(np.abs(comp) ** 2, axis=1)
 
 
 def postselect_bell(
-    state: StateVector, qubit_a: int, qubit_b: int, outcome: BellState
-) -> tuple[float, StateVector | None]:
+    state: np.ndarray, qubit_a: int, qubit_b: int, outcome: BellState
+) -> tuple[float, np.ndarray | None]:
     """Probability of a Bell outcome on (a, b) and the projected state."""
-    _check_targets(state.num_qubits, [qubit_a, qubit_b])
+    _check_targets(num_qubits(state), [qubit_a, qubit_b])
     comp = _bell_components(state, qubit_a, qubit_b)
     probs = np.sum(np.abs(comp) ** 2, axis=1)
     prob = float(probs[outcome.index])
@@ -385,7 +362,7 @@ def postselect_bell(
     return prob, _bell_collapse(state, qubit_a, qubit_b, comp, outcome.index, prob)
 
 
-def measure_bell(state: StateVector, qubit_a: int, qubit_b: int, rng: Rng) -> tuple[BellState, StateVector]:
+def measure_bell(state: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tuple[BellState, np.ndarray]:
     """Projective measurement of a qubit pair in the Bell basis.
 
     One uniform draw selects the first outcome with weight whose
@@ -393,7 +370,7 @@ def measure_bell(state: StateVector, qubit_a: int, qubit_b: int, rng: Rng) -> tu
     sum (which can round to just under 1) takes the last outcome with
     weight.
     """
-    _check_targets(state.num_qubits, [qubit_a, qubit_b])
+    _check_targets(num_qubits(state), [qubit_a, qubit_b])
     comp = _bell_components(state, qubit_a, qubit_b)
     probs = np.sum(np.abs(comp) ** 2, axis=1)
     u = rng.random()
@@ -408,19 +385,19 @@ def measure_bell(state: StateVector, qubit_a: int, qubit_b: int, rng: Rng) -> tu
     return outcome, _bell_collapse(state, qubit_a, qubit_b, comp, index, float(probs[index]))
 
 
-def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
+def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 — equality predicate that ignores global phase."""
-    if a.num_qubits != b.num_qubits:
+    if num_qubits(a) != num_qubits(b):
         raise ValueError(
-            f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
+            f"dimension mismatch: {num_qubits(a)} vs {num_qubits(b)} qubits"
         )
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
+    return float(abs(np.vdot(a, b)) ** 2)
 
 
-def overlap(a: StateVector, b: StateVector) -> complex:
+def overlap(a: np.ndarray, b: np.ndarray) -> complex:
     """Inner product <a|b> (phase-sensitive; oracles use it to report phases)."""
-    if a.num_qubits != b.num_qubits:
+    if num_qubits(a) != num_qubits(b):
         raise ValueError(
-            f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
+            f"dimension mismatch: {num_qubits(a)} vs {num_qubits(b)} qubits"
         )
-    return complex(np.vdot(a.amps, b.amps))
+    return complex(np.vdot(a, b))

@@ -33,8 +33,6 @@ from .statevec import (
     BellState,
     PauliCorrection,
     Rng,
-    StateVector,
-    _sv,
     fidelity_up_to_phase,
     measure,
     measure_bell,
@@ -56,9 +54,9 @@ for _ket in _CHI_MINUS_KETS:
     _CHI_AMPS[_ket] = -CHI_AMPLITUDE
 
 
-def prepare_chi() -> StateVector:
+def prepare_chi() -> np.ndarray:
     """Fresh copy of the four-qubit chi carrier state (particles 1..4)."""
-    return _sv(4, _CHI_AMPS.copy())
+    return _CHI_AMPS.copy()
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,8 @@ class MessageQubit:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"message amplitudes are not normalized: |a|^2+|b|^2 = {norm}")
 
-    def state(self) -> StateVector:
-        return _sv(1, np.array([self.a, self.b], dtype=complex))
+    def state(self) -> np.ndarray:
+        return np.array([self.a, self.b], dtype=complex)
 
     @classmethod
     def plus(cls) -> "MessageQubit":
@@ -148,14 +146,13 @@ def correction_for(outcomes: TeleportOutcomes) -> PauliCorrection:
     return _TABLE[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][1]
 
 
-def _table_collapsed(table: dict, outcomes: TeleportOutcomes, m: MessageQubit) -> StateVector:
+def _table_collapsed(table: dict, outcomes: TeleportOutcomes, m: MessageQubit) -> np.ndarray:
     """Particle 3's pre-correction state as ``table``'s coefficient column gives it."""
     c0a, c0b, c1a, c1b = table[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][0]
-    v = np.array([c0a * m.a + c0b * m.b, c1a * m.a + c1b * m.b], dtype=complex)
-    return _sv(1, v)
+    return np.array([c0a * m.a + c0b * m.b, c1a * m.a + c1b * m.b], dtype=complex)
 
 
-def collapsed_state_for(outcomes: TeleportOutcomes, m: MessageQubit) -> StateVector:
+def collapsed_state_for(outcomes: TeleportOutcomes, m: MessageQubit) -> np.ndarray:
     """Particle 3's state after the three measurements, before correction."""
     return _table_collapsed(_TABLE, outcomes, m)
 
@@ -164,28 +161,28 @@ def collapsed_state_for(outcomes: TeleportOutcomes, m: MessageQubit) -> StateVec
 Q_M, Q_1, Q_2, Q_3, Q_4 = 0, 1, 2, 3, 4
 
 
-def joint_state(m: MessageQubit) -> StateVector:
+def joint_state(m: MessageQubit) -> np.ndarray:
     """The five-qubit state message (x) carrier, qubit order (m, 1, 2, 3, 4)."""
     return tensor(m.state(), prepare_chi())
 
 
-def _particle3_state(collapsed: StateVector, outcomes: TeleportOutcomes) -> StateVector:
+def _particle3_state(collapsed: np.ndarray, outcomes: TeleportOutcomes) -> np.ndarray:
     """Extract particle 3's single-qubit state after all three projections.
 
     The post-measurement register factorizes as |bell>_{m,2} (x) |z1>_1
     (x) |z4>_4 (x) |v>_3; contracting against the known factors leaves v.
     """
-    t = collapsed.amps.reshape((2,) * 5)
+    t = collapsed.reshape((2,) * 5)
     t = t[:, outcomes.z1, :, :, outcomes.z4]  # axes (m, 2, 3)
     bv = outcomes.bell_m2.vector.reshape(2, 2)
     v = np.einsum("ab,abc->c", bv.conj(), t)
     norm = np.linalg.norm(v)
     if norm < 1e-12:
         raise ValueError(f"branch {outcomes} has zero weight; cannot extract particle 3")
-    return _sv(1, v / norm)
+    return v / norm
 
 
-def run_teleportation(m: MessageQubit, rng: Rng) -> tuple[TeleportOutcomes, StateVector]:
+def run_teleportation(m: MessageQubit, rng: Rng) -> tuple[TeleportOutcomes, np.ndarray]:
     """Sampled end-to-end teleportation of one message qubit.
 
     Measures in the fixed order: Z on particle 1, Bell on (m, 2), Z on
@@ -200,7 +197,7 @@ def run_teleportation(m: MessageQubit, rng: Rng) -> tuple[TeleportOutcomes, Stat
     outcomes = TeleportOutcomes(z1, bell, z4)
     recovered = _particle3_state(state, outcomes)
     corr = correction_for(outcomes)
-    return outcomes, _sv(1, corr.matrix @ recovered.amps)
+    return outcomes, corr.matrix @ recovered
 
 
 @dataclass(frozen=True)
@@ -227,13 +224,7 @@ class TableAuditReport:
     tolerance: float
 
     def all_pass(self) -> bool:
-        return all(
-            abs(b.probability - 1 / 16) <= 1e-12
-            and b.collapsed_fidelity >= 1 - self.tolerance
-            and b.corrected_fidelity >= 1 - self.tolerance
-            and b.order_independent
-            for b in self.branches
-        )
+        return not self.failures()
 
     def failures(self) -> list[BranchAudit]:
         return [
@@ -250,7 +241,7 @@ class TableAuditReport:
         return [b.outcomes for b in self.branches if b.recovery_phase.real < 0]
 
 
-def _force_branch(omega: StateVector, outcomes: TeleportOutcomes, *, reverse: bool = False) -> tuple[float, StateVector | None]:
+def _force_branch(omega: np.ndarray, outcomes: TeleportOutcomes, *, reverse: bool = False) -> tuple[float, np.ndarray | None]:
     """Project the joint state onto one outcome triple; returns (prob, state)."""
     steps = [
         lambda s: postselect(s, Q_1, Basis.Z, outcomes.z1),
@@ -260,7 +251,7 @@ def _force_branch(omega: StateVector, outcomes: TeleportOutcomes, *, reverse: bo
     if reverse:
         steps.reverse()
     prob = 1.0
-    state: StateVector | None = omega
+    state: np.ndarray | None = omega
     for step in steps:
         p, state = step(state)
         prob *= p
@@ -269,7 +260,7 @@ def _force_branch(omega: StateVector, outcomes: TeleportOutcomes, *, reverse: bo
     return prob, state
 
 
-def forced_branch_particle3(m: MessageQubit, outcomes: TeleportOutcomes) -> tuple[float, StateVector]:
+def forced_branch_particle3(m: MessageQubit, outcomes: TeleportOutcomes) -> tuple[float, np.ndarray]:
     """Branch probability and particle 3's projected state, no sampling.
 
     First-principles route used by oracles: projects the joint state
@@ -310,13 +301,13 @@ def verify_correction_table(
         got3 = _particle3_state(state, outcomes)
         corr = table[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][1]
         collapsed_fid = fidelity_up_to_phase(got3, _table_collapsed(table, outcomes, m))
-        recovered = _sv(1, corr.matrix @ got3.amps)
+        recovered = corr.matrix @ got3
         corrected_fid = fidelity_up_to_phase(recovered, target)
         phase = overlap(target, recovered)
         winners = tuple(
             p
             for p in PauliCorrection
-            if fidelity_up_to_phase(_sv(1, p.matrix @ got3.amps), target) >= 1 - tolerance
+            if fidelity_up_to_phase(p.matrix @ got3, target) >= 1 - tolerance
         )
         rprob, rstate = _force_branch(omega, outcomes, reverse=True)
         order_ok = (
@@ -324,7 +315,7 @@ def verify_correction_table(
             and abs(rprob - prob) <= 1e-12
             and abs(
                 fidelity_up_to_phase(
-                    _sv(1, corr.matrix @ _particle3_state(rstate, outcomes).amps), target
+                    corr.matrix @ _particle3_state(rstate, outcomes), target
                 )
                 - corrected_fid
             )

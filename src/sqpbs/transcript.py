@@ -115,6 +115,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.g_a is not None and len(self.g_a) != self.n:
             raise ConfigError(f"g_a has {len(self.g_a)} bits, expected n={self.n}")
         if self.k_a is not None and len(self.k_a) != self.n:

@@ -69,7 +69,7 @@ def test_criterion_2_carrier_amplitudes():
     }
     worst = 0.0
     for ket in range(16):
-        worst = max(worst, abs(chi.amps[ket] - expected.get(ket, 0.0)))
+        worst = max(worst, abs(chi[ket] - expected.get(ket, 0.0)))
     assert worst <= 1e-12
     report(2, "carrier amplitudes", f"max deviation {worst:.2e} over all 16 kets")
 

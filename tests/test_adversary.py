@@ -16,7 +16,6 @@ from sqpbs.statevec import (
     ket_plus,
     new_rng,
     tensor,
-    StateVector,
 )
 
 
@@ -123,7 +122,7 @@ class TestUndetectableCoupling:
         params = EveParams.undetectable(tau)
         joint = tensor(ket_plus(), params.initial_probe())
         out = apply_unitary(joint, [0, 1], params.coupling_unitary())
-        expected = tensor(ket_plus(), StateVector(1, tau))
+        expected = tensor(ket_plus(), np.array(tau, dtype=complex))
         assert fidelity_up_to_phase(out, expected) == pytest.approx(1.0, abs=1e-12)
 
     def test_probe_carries_no_information(self):

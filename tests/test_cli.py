@@ -32,6 +32,12 @@ def run_cli(*argv):
         ("experiment", "forgery", "--trials", "0", "--seed", "1"),
         ("experiment", "blindness", "--trials", "0", "--seed", "1"),
         ("experiment", "efficiency", "--n", "0"),
+        ("run", "--n", "2", "--seed", "-1"),
+        ("verify-corrections", "--seed", "-1"),
+        ("experiment", "detection", "--decoys", "0", "--trials", "2", "--seed", "1"),
+        ("experiment", "detection", "--n", "0", "--trials", "2", "--seed", "1"),
+        ("experiment", "detection", "--threshold", "2", "--trials", "2", "--seed", "1"),
+        ("experiment", "detection", "--threshold", "-0.5", "--trials", "2", "--seed", "1"),
         ("bogus-command",),
         (),
     ],
@@ -93,8 +99,9 @@ class TestRun:
         assert run_cli("run", "--n", "3", "--out", str(out)) == EXIT_VALID
         assert json.loads(out.read_text())["config"]["seed"] == 424242
 
-    def test_bad_seed_env_is_config_error(self, monkeypatch):
-        monkeypatch.setenv("SQPBS_SEED", "not-a-number")
+    @pytest.mark.parametrize("value", ["not-a-number", "-1"])
+    def test_bad_seed_env_is_config_error(self, monkeypatch, value):
+        monkeypatch.setenv("SQPBS_SEED", value)
         assert run_cli("run", "--n", "3") == EXIT_CONFIG
 
     def test_eve_params_file(self, tmp_path):
@@ -146,8 +153,9 @@ class TestReplay:
             {"format": "sqpbs-transcript", "transcript": {}},
             {"format": "sqpbs-transcript", "config": {"n": 3, "seed": 1, "g_a": "10x"}, "transcript": {}},
             ["sqpbs-transcript"],
+            {"format": "sqpbs-transcript", "config": {"n": 3, "seed": -1}, "transcript": {}},
         ],
-        ids=["missing-config", "bad-bits", "top-level-array"],
+        ids=["missing-config", "bad-bits", "top-level-array", "negative-seed"],
     )
     def test_replay_of_malformed_file_is_config_error(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"

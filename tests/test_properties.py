@@ -1,0 +1,117 @@
+"""Property-based tests: invariants checked on generated inputs, not fixed seeds."""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqpbs.adversary import EveParams
+from sqpbs.bits import Bits
+from sqpbs.keys import otp_decrypt, otp_encrypt
+from sqpbs.protocol import run_full
+from sqpbs.statevec import Basis, apply_unitary, measure, new_rng, num_qubits, postselect
+from sqpbs.transcript import RunConfig
+
+FAST = settings(max_examples=60, deadline=None)
+SLOW = settings(max_examples=15, deadline=None)
+
+bit_lists = st.lists(st.integers(0, 1), max_size=80)
+
+
+@st.composite
+def states(draw, max_qubits=5):
+    """A normalized random state array of 1..max_qubits qubits."""
+    n = draw(st.integers(1, max_qubits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return raw / np.linalg.norm(raw)
+
+
+def norm_squared(state: np.ndarray) -> float:
+    return float(np.sum(np.abs(state) ** 2))
+
+
+def random_unitary(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(raw)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@FAST
+@given(states(), st.data())
+def test_apply_unitary_keeps_norm_and_input(state, data):
+    n = num_qubits(state)
+    targets = data.draw(st.permutations(range(n)).map(lambda p: p[: min(n, 3)]))
+    k = data.draw(st.integers(1, len(targets)))
+    u = random_unitary(1 << k, data.draw(st.integers(0, 2**32 - 1)))
+    before = state.copy()
+    out = apply_unitary(state, targets[:k], u)
+    assert abs(norm_squared(out) - 1.0) <= 1e-12
+    np.testing.assert_array_equal(state, before)
+
+
+@FAST
+@given(states(), st.data(), st.sampled_from(Basis), st.integers(0, 2**32 - 1))
+def test_measure_returns_unit_norm_and_keeps_input(state, data, basis, seed):
+    qubit = data.draw(st.integers(0, num_qubits(state) - 1))
+    before = state.copy()
+    bit, post = measure(state, qubit, basis, new_rng(seed))
+    assert bit in (0, 1)
+    assert abs(norm_squared(post) - 1.0) <= 1e-12
+    np.testing.assert_array_equal(state, before)
+
+
+@FAST
+@given(states(), st.data(), st.sampled_from(Basis), st.integers(0, 1))
+def test_postselect_returns_unit_norm_and_keeps_input(state, data, basis, outcome):
+    qubit = data.draw(st.integers(0, num_qubits(state) - 1))
+    before = state.copy()
+    prob, post = postselect(state, qubit, basis, outcome)
+    assert 0.0 <= prob <= 1.0 + 1e-12
+    if post is not None:
+        assert abs(norm_squared(post) - 1.0) <= 1e-12
+    np.testing.assert_array_equal(state, before)
+
+
+@FAST
+@given(bit_lists)
+def test_bits_round_trip_through_bytes_and_str(values):
+    bits = Bits(values)
+    assert Bits.from_bytes(bits.to_bytes(), len(bits)) == bits
+    assert Bits(str(bits)) == bits
+
+
+@FAST
+@given(bit_lists, st.data())
+def test_otp_decrypt_inverts_encrypt(message, data):
+    key = Bits(data.draw(st.lists(st.integers(0, 1), min_size=len(message), max_size=len(message) + 16)))
+    assert otp_decrypt(key, otp_encrypt(key, Bits(message))) == Bits(message)
+
+
+angles = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@FAST
+@given(st.one_of(angles.map(EveParams.rotation), angles.map(EveParams.probe_marking)))
+def test_eve_params_json_round_trip(params):
+    assert EveParams.from_json_dict(json.loads(json.dumps(params.to_json_dict()))) == params
+
+
+@st.composite
+def blind_inputs(draw):
+    """(g_a, k_a, delta): three random bit strings of one length n <= 4."""
+    n = draw(st.integers(1, 4))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(Bits)
+    return draw(bits), draw(bits), draw(bits)
+
+
+@SLOW
+@given(blind_inputs(), st.integers(0, 2**63 - 1))
+def test_paired_flip_blindness(inputs, seed):
+    g_a, k_a, delta = inputs
+    n = len(g_a)
+    base = run_full(RunConfig(n=n, seed=seed, g_a=g_a, k_a=k_a, key_mode="stubbed"))
+    flipped = run_full(RunConfig(n=n, seed=seed, g_a=g_a ^ delta, k_a=k_a ^ delta, key_mode="stubbed"))
+    assert base.canonical_json() == flipped.canonical_json()

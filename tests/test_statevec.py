@@ -13,7 +13,6 @@ from sqpbs.statevec import (
     PauliCorrection,
     SIGMA_X,
     SIGMA_Z,
-    StateVector,
     apply_unitary,
     basis_state,
     bell_probabilities,
@@ -45,15 +44,15 @@ class LastDraw:
 class TestBasisStates:
     def test_single_zero(self):
         s = basis_state(1, 0)
-        np.testing.assert_allclose(s.amps, [1, 0])
+        np.testing.assert_allclose(s, [1, 0])
 
     def test_two_qubit_three_is_11(self):
-        np.testing.assert_allclose(basis_state(2, 3).amps, [0, 0, 0, 1])
+        np.testing.assert_allclose(basis_state(2, 3), [0, 0, 0, 1])
 
     def test_bit_convention_qubit0_is_msb(self):
         # |0101> = index 5 on 4 qubits
         s = basis_state(4, 5)
-        assert s.probability(0b0101) == 1.0
+        assert abs(s[0b0101]) ** 2 == 1.0
         p0, _ = z_probabilities(s, 0)
         assert p0 == 1.0  # qubit 0 reads 0
         _, p1 = z_probabilities(s, 1)
@@ -71,17 +70,17 @@ class TestBasisStates:
 
     def test_non_normalized_rejected(self):
         with pytest.raises(ValueError):
-            StateVector(1, [1.0, 1.0])
+            apply_unitary(np.array([1.0, 1.0], dtype=complex), [0], SIGMA_X)
 
 
 class TestTensor:
     def test_zero_one(self):
         s = tensor(basis_state(1, 0), basis_state(1, 1))
-        np.testing.assert_allclose(s.amps, [0, 1, 0, 0])
+        np.testing.assert_allclose(s, [0, 1, 0, 0])
 
     def test_plus_zero(self):
         s = tensor(ket_plus(), basis_state(1, 0))
-        np.testing.assert_allclose(s.amps, [SQRT1_2, 0, SQRT1_2, 0])
+        np.testing.assert_allclose(s, [SQRT1_2, 0, SQRT1_2, 0])
 
     def test_overflow(self):
         with pytest.raises(ValueError):
@@ -97,7 +96,7 @@ class TestTensor:
         products.
         """
         a, b = 0.6, 0.8j
-        xi = StateVector(1, [a, b])
+        xi = np.array([a, b], dtype=complex)
         joint = tensor(xi, prepare_chi())
 
         # branch -> particle-3 coefficients (c0a, c0b, c1a, c1b)
@@ -129,19 +128,19 @@ class TestTensor:
                         # qubit order (m, 1, 2, 3, 4), MSB first
                         idx = (bm << 4) | (z1 << 3) | (b2 << 2) | (b3 << 1) | z4
                         expected[idx] += 0.25 * bell_amp[bm, b2] * psi3[b3]
-        np.testing.assert_allclose(joint.amps, expected, atol=1e-12)
+        np.testing.assert_allclose(joint, expected, atol=1e-12)
 
 
 class TestApplyUnitary:
     def test_sigma_x_flips(self):
         s = apply_unitary(basis_state(1, 0), [0], SIGMA_X)
-        np.testing.assert_allclose(s.amps, [0, 1])
+        np.testing.assert_allclose(s, [0, 1])
 
     def test_i_sigma_y_correction_row(self):
         # i_sigma_y maps a|1> - b|0> back to a|0> + b|1>
         a, b = 0.6, 0.8
-        s = apply_unitary(StateVector(1, [-b, a]), [0], I_SIGMA_Y)
-        np.testing.assert_allclose(s.amps, [a, b], atol=1e-12)
+        s = apply_unitary(np.array([-b, a], dtype=complex), [0], I_SIGMA_Y)
+        np.testing.assert_allclose(s, [a, b], atol=1e-12)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
@@ -162,15 +161,15 @@ class TestApplyUnitary:
         targets = [3, 1]
         forth = apply_unitary(state, targets, u)
         back = apply_unitary(forth, targets, u.conj().T)
-        np.testing.assert_allclose(back.amps, state.amps, atol=1e-10)
+        np.testing.assert_allclose(back, state, atol=1e-10)
 
     def test_multi_qubit_matches_kron_on_adjacent_targets(self):
         rng = new_rng(12)
         state = random_state(3, rng)
         u = random_unitary(4, rng)
         got = apply_unitary(state, [0, 1], u)
-        expected = np.kron(u, np.eye(2)) @ state.amps
-        np.testing.assert_allclose(got.amps, expected, atol=1e-12)
+        expected = np.kron(u, np.eye(2)) @ state
+        np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_norm_preserved_through_random_circuit(self):
         rng = new_rng(13)
@@ -178,12 +177,12 @@ class TestApplyUnitary:
         for _ in range(40):
             q = int(rng.integers(5))
             state = apply_unitary(state, [q], random_unitary(2, rng))
-            assert abs(state.norm_squared() - 1.0) < 1e-12
+            assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
 
 
-def random_state(n: int, rng) -> StateVector:
+def random_state(n: int, rng) -> np.ndarray:
     raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return StateVector(n, raw / np.linalg.norm(raw))
+    return raw / np.linalg.norm(raw)
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:
@@ -196,7 +195,7 @@ class TestMeasure:
     def test_z_on_zero_deterministic(self):
         bit, post = measure(basis_state(1, 0), 0, Basis.Z, new_rng(0))
         assert bit == 0
-        np.testing.assert_allclose(post.amps, [1, 0])
+        np.testing.assert_allclose(post, [1, 0])
 
     def test_x_on_minus_deterministic(self):
         bit, post = measure(ket_minus(), 0, Basis.X, new_rng(0))
@@ -208,7 +207,7 @@ class TestMeasure:
         # 4 of the 8 kets, each 1/8, so p0 = 1/2.
         chi = prepare_chi()
         expected_p0 = sum(
-            abs(chi.amps[k]) ** 2 for k in range(16) if not (k >> 2) & 1
+            abs(chi[k]) ** 2 for k in range(16) if not (k >> 2) & 1
         )
         assert expected_p0 == pytest.approx(0.5, abs=1e-12)
         p0, p1 = z_probabilities(chi, 1)
@@ -220,7 +219,7 @@ class TestMeasure:
         state = random_state(3, rng)
         for q in range(3):
             _, state = measure(state, q, Basis.Z, rng)
-            assert abs(state.norm_squared() - 1.0) < 1e-12
+            assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
 
     def test_born_statistics(self):
         """Empirical frequencies match Born probabilities within 3 sigma."""
@@ -228,16 +227,16 @@ class TestMeasure:
         p1 = 0.64
         trials = 100_000
         rng = new_rng(42)
-        state = StateVector(1, amps)
+        state = np.array(amps, dtype=complex)
         ones = sum(measure(state, 0, Basis.Z, rng)[0] for _ in range(trials))
         sigma = math.sqrt(p1 * (1 - p1) / trials)
         assert abs(ones / trials - p1) < 3 * sigma
 
     def test_draw_past_rounded_total_takes_the_weighted_outcome(self):
-        state = StateVector(1, [JUST_BELOW_ONE, 0])
+        state = np.array([JUST_BELOW_ONE, 0], dtype=complex)
         bit, post = measure(state, 0, Basis.Z, LastDraw())
         assert bit == 0
-        np.testing.assert_allclose(post.amps, [1, 0])
+        np.testing.assert_allclose(post, [1, 0])
 
     def test_same_seed_same_outcomes(self):
         state = tensor(ket_plus(), ket_plus())
@@ -253,7 +252,7 @@ class TestMeasure:
 
 class TestBellMeasurement:
     def test_phi_minus_is_fixed_point(self):
-        state = StateVector(2, [SQRT1_2, 0, 0, -SQRT1_2])
+        state = np.array([SQRT1_2, 0, 0, -SQRT1_2], dtype=complex)
         outcome, post = measure_bell(state, 0, 1, new_rng(0))
         assert outcome is BellState.PHI_MINUS
         assert fidelity_up_to_phase(post, state) == pytest.approx(1.0, abs=1e-12)
@@ -268,7 +267,7 @@ class TestBellMeasurement:
     def test_conditional_quarters_on_joint_state(self):
         # Project the joint message+carrier state on particle 1 = |0>,
         # then each Bell outcome on (m, particle 2) has probability 1/4.
-        joint = tensor(StateVector(1, [0.6, 0.8j]), prepare_chi())
+        joint = tensor(np.array([0.6, 0.8j], dtype=complex), prepare_chi())
         prob1, conditioned = postselect(joint, 1, Basis.Z, 0)
         assert prob1 == pytest.approx(0.5, abs=1e-12)
         probs = bell_probabilities(conditioned, 0, 2)
@@ -276,7 +275,7 @@ class TestBellMeasurement:
 
     def test_qubit_order_matters(self):
         # psi+ on (a, b) reads psi+ on (b, a) too, but phi on asymmetric states differs
-        state = StateVector(2, [0, 1, 0, 0])  # |01>
+        state = np.array([0, 1, 0, 0], dtype=complex)  # |01>
         p_ab = bell_probabilities(state, 0, 1)
         p_ba = bell_probabilities(state, 1, 0)
         np.testing.assert_allclose(p_ab, [0, 0, 0.5, 0.5], atol=1e-12)
@@ -288,11 +287,11 @@ class TestBellMeasurement:
         assert state is None
 
     def test_draw_past_rounded_total_takes_the_last_weighted_outcome(self):
-        phi_plus = StateVector(2, [JUST_BELOW_ONE * SQRT1_2, 0, 0, JUST_BELOW_ONE * SQRT1_2])
+        phi_plus = np.array([JUST_BELOW_ONE * SQRT1_2, 0, 0, JUST_BELOW_ONE * SQRT1_2], dtype=complex)
         assert bell_probabilities(phi_plus, 0, 1).sum() < LastDraw().random()
         outcome, post = measure_bell(phi_plus, 0, 1, LastDraw())
         assert outcome is BellState.PHI_PLUS
-        assert np.all(np.isfinite(post.amps))
+        assert np.all(np.isfinite(post))
         assert fidelity_up_to_phase(post, phi_plus) == pytest.approx(1.0, abs=1e-12)
 
     def test_classical_bit_mapping(self):
@@ -313,8 +312,8 @@ class TestFidelity:
 
     def test_global_phase_ignored(self):
         a, b = 0.6, 0.8
-        s1 = StateVector(1, [a, b])
-        s2 = StateVector(1, [-a, -b])
+        s1 = np.array([a, b], dtype=complex)
+        s2 = np.array([-a, -b], dtype=complex)
         assert fidelity_up_to_phase(s1, s2) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):

@@ -8,7 +8,6 @@ import pytest
 from sqpbs.statevec import (
     BellState,
     PauliCorrection,
-    StateVector,
     fidelity_up_to_phase,
     new_rng,
 )
@@ -38,22 +37,22 @@ class TestCarrierState:
         }
         for ket in range(16):
             want = expected.get(ket, 0.0)
-            assert chi.amps[ket] == pytest.approx(want, abs=1e-12), f"ket {ket:04b}"
+            assert chi[ket] == pytest.approx(want, abs=1e-12), f"ket {ket:04b}"
 
     def test_normalized(self):
-        assert prepare_chi().norm_squared() == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(prepare_chi()) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_fresh_copy_each_time(self):
         a, b = prepare_chi(), prepare_chi()
-        assert a.amps is not b.amps
+        assert a is not b
 
 
 class TestMessageQubit:
     def test_basic_states(self):
-        np.testing.assert_allclose(MessageQubit(1, 0).state().amps, [1, 0])
+        np.testing.assert_allclose(MessageQubit(1, 0).state(), [1, 0])
         s = 1 / math.sqrt(2)
-        np.testing.assert_allclose(MessageQubit.plus().state().amps, [s, s])
-        np.testing.assert_allclose(MessageQubit.minus().state().amps, [s, -s])
+        np.testing.assert_allclose(MessageQubit.plus().state(), [s, s])
+        np.testing.assert_allclose(MessageQubit.minus().state(), [s, -s])
 
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
@@ -88,14 +87,14 @@ class TestCorrectionLookup:
         a, b = 0.6, 0.8
         m = MessageQubit(a, b)
         got = collapsed_state_for(TeleportOutcomes(0, BellState.PHI_PLUS, 1), m)
-        np.testing.assert_allclose(got.amps, [-b, a], atol=1e-12)  # a|1> - b|0>
+        np.testing.assert_allclose(got, [-b, a], atol=1e-12)  # a|1> - b|0>
         got = collapsed_state_for(TeleportOutcomes(1, BellState.PSI_PLUS, 0), m)
-        np.testing.assert_allclose(got.amps, [a, b], atol=1e-12)  # a|0> + b|1>
+        np.testing.assert_allclose(got, [a, b], atol=1e-12)  # a|0> + b|1>
 
     def test_collapsed_state_unit_norm_for_basis_message(self):
         m = MessageQubit(1, 0)
         for outcomes in all_outcomes():
-            assert collapsed_state_for(outcomes, m).norm_squared() == pytest.approx(1.0, abs=1e-12)
+            assert np.sum(np.abs(collapsed_state_for(outcomes, m)) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRunTeleportation:
@@ -214,7 +213,7 @@ class TestTamperedOutcome:
             high, low = outcomes.bell_m2.bits
             for flipped in (BellState.from_bits(high ^ 1, low), BellState.from_bits(high, low ^ 1)):
                 wrong = correction_for(TeleportOutcomes(outcomes.z1, flipped, outcomes.z4))
-                recovered = StateVector(1, wrong.matrix @ particle3.amps, validate=False)
+                recovered = wrong.matrix @ particle3
                 assert fidelity_up_to_phase(recovered, target) < 1 - 1e-3
 
     def test_low_bit_flip_always_flips_blinded_readout(self):
@@ -227,7 +226,7 @@ class TestTamperedOutcome:
                 wrong = correction_for(
                     TeleportOutcomes(outcomes.z1, BellState.from_bits(high, low ^ 1), outcomes.z4)
                 )
-                recovered = StateVector(1, wrong.matrix @ particle3.amps, validate=False)
+                recovered = wrong.matrix @ particle3
                 assert fidelity_up_to_phase(recovered, target) == pytest.approx(0.0, abs=1e-10)
 
     def test_outcome_validation(self):

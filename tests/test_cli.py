@@ -154,8 +154,9 @@ class TestReplay:
             {"format": "sqpbs-transcript", "config": {"n": 3, "seed": 1, "g_a": "10x"}, "transcript": {}},
             ["sqpbs-transcript"],
             {"format": "sqpbs-transcript", "config": {"n": 3, "seed": -1}, "transcript": {}},
+            {"format": "sqpbs-transcript", "config": {"n": 3, "seed": 1, "decoys": 5}, "transcript": {}},
         ],
-        ids=["missing-config", "bad-bits", "top-level-array", "negative-seed"],
+        ids=["missing-config", "bad-bits", "top-level-array", "negative-seed", "unknown-config-key"],
     )
     def test_replay_of_malformed_file_is_config_error(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"

@@ -2,16 +2,22 @@
 
 Each config below is pinned to the sha256 of its run's canonical JSON.
 A change that alters the random stream or the transcript format on
-purpose bumps ``TOOL_VERSION`` and regenerates these hashes with::
+purpose bumps ``TOOL_VERSION`` (here and in ``pyproject.toml``) and
+regenerates these hashes, and the ``--out`` pins of two experiments,
+with::
 
     PYTHONPATH=src python -m tests.test_golden
 
 ``data/golden_run.json`` is a transcript file written by ``sqpbs run``;
-``sqpbs replay`` must still reproduce it byte for byte.
+``sqpbs replay`` must still reproduce it byte for byte.  Rewrite it,
+from the repository root, with::
+
+    PYTHONPATH=src python -m sqpbs.cli run --n 4 --seed 21 --out tests/data/golden_run.json
 """
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -23,7 +29,8 @@ from sqpbs.cli import EXIT_VALID, main
 from sqpbs.protocol import run_full
 from sqpbs.transcript import AttackSpec, RunConfig
 
-GOLDEN_FILE = Path(__file__).resolve().parent / "data" / "golden_run.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_FILE = ROOT / "tests" / "data" / "golden_run.json"
 
 CONFIGS = {
     "honest-sim-n4": RunConfig(n=4, seed=1),
@@ -77,13 +84,39 @@ PINS = {
     "withhold-M_C-stubbed": "1fe6a4d90ed809a7d657046feff8a3bb6e13e79f829d7e127ff15c5347ac6fd8",
 }
 
+# `--out` JSON of experiments, parsed and without its "version" key.
+OUT_ARGV = {
+    "efficiency-n16-l256": ("experiment", "efficiency", "--n", "16", "--l", "256"),
+    "detection-ir-d5": (
+        "experiment", "detection", "--trials", "50", "--seed", "3", "--decoys", "5",
+        "--attack", "intercept-resend",
+    ),
+}
+
+OUT_PINS = {
+    "efficiency-n16-l256": "3a5aad2154ed922d0778feaa50a7ff24cd464edbfbf06eab87d9c98b4fc44376",
+    "detection-ir-d5": "b24199239716908e89af1d79b9a58c753116f439bb15c362a1e85dd112ae5a96",
+}
+
 
 def transcript_sha256(config: RunConfig) -> str:
     return hashlib.sha256(run_full(config).canonical_json().encode()).hexdigest()
 
 
+def out_sha256(argv: tuple[str, ...], path: Path) -> str:
+    assert main([*argv, "--out", str(path)]) == EXIT_VALID
+    data = json.loads(path.read_text())
+    del data["version"]
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
 def test_tool_version_matches_the_pins():
     assert TOOL_VERSION == "0.1.0"
+
+
+def test_pyproject_version_is_the_tool_version():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) == TOOL_VERSION
 
 
 def test_pins_cover_every_config():
@@ -95,6 +128,17 @@ def test_transcript_bytes_are_pinned(name):
     assert transcript_sha256(CONFIGS[name]) == PINS[name]
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_config_json_round_trip(name):
+    config = CONFIGS[name]
+    assert RunConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict()))) == config
+
+
+@pytest.mark.parametrize("name", sorted(OUT_ARGV))
+def test_experiment_out_is_pinned(name, tmp_path):
+    assert out_sha256(OUT_ARGV[name], tmp_path / "out.json") == OUT_PINS[name]
+
+
 def test_checked_in_transcript_replays(capsys):
     assert main(["replay", str(GOLDEN_FILE)]) == EXIT_VALID
     recorded = json.loads(GOLDEN_FILE.read_text())["transcript"]
@@ -103,5 +147,14 @@ def test_checked_in_transcript_replays(capsys):
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
     for key, config in CONFIGS.items():
         print(f'    "{key}": "{transcript_sha256(config)}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, argv in OUT_ARGV.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                digest = out_sha256(argv, Path(tmp) / "out.json")
+            print(f'    "{key}": "{digest}",')

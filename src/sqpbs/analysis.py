@@ -21,7 +21,7 @@ master seed, so results are reproducible from (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from .bits import Bits
@@ -66,19 +66,10 @@ class EfficiencyReport:
     components: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        eta = self.eta
         return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "hash_bits": self.hash_bits,
-            "signature_bits": self.signature_bits,
-            "consumed_qubits": self.consumed_qubits,
-            "classical_bits": self.classical_bits,
-            "eta": {
-                "numerator": self.eta.numerator,
-                "denominator": self.eta.denominator,
-                "decimal": float(self.eta),
-            },
-            "components": dict(self.components),
+            **asdict(self),
+            "eta": {"numerator": eta.numerator, "denominator": eta.denominator, "decimal": float(eta)},
         }
 
 
@@ -162,22 +153,10 @@ class ComparisonRow:
     eta_formula: str
 
     def to_json_dict(self) -> dict:
-        out = {
-            "protocol": self.protocol,
-            "quantum_resource": self.quantum_resource,
-            "semiquantum_parties": self.semiquantum_parties,
-            "message_owners": self.message_owners,
-            "proxy_signers": self.proxy_signers,
-            "eavesdropping_check": self.eavesdropping_check,
-            "quantum_party_measurements": self.quantum_party_measurements,
-            "semiquantum_party_measurements": self.semiquantum_party_measurements,
-            "preshared_keys": self.preshared_keys,
-            "uses_teleportation": self.uses_teleportation,
-            "uses_unitaries": self.uses_unitaries,
-            "eta_formula": self.eta_formula,
-        }
-        if self.eta is not None:
-            out["eta"] = {"numerator": self.eta.numerator, "denominator": self.eta.denominator}
+        out = asdict(self)
+        eta = out.pop("eta")
+        if eta is not None:
+            out["eta"] = {"numerator": eta.numerator, "denominator": eta.denominator}
         return out
 
 
@@ -269,17 +248,7 @@ class ExperimentResult:
         return (max(0.0, self.rate - 3 * self.stderr), min(1.0, self.rate + 3 * self.stderr))
 
     def to_json_dict(self) -> dict:
-        lo, hi = self.interval3
-        return {
-            "kind": self.kind,
-            "trials": self.trials,
-            "successes": self.successes,
-            "rate": self.rate,
-            "stderr": self.stderr,
-            "interval3": [lo, hi],
-            "config": dict(self.config),
-            "detail": dict(self.detail),
-        }
+        return {**asdict(self), "rate": self.rate, "stderr": self.stderr, "interval3": list(self.interval3)}
 
 
 def _require_trials(trials: int) -> None:

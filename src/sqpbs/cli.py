@@ -90,14 +90,13 @@ def _load_eve_params(path: str | None) -> EveParams | None:
 
 
 def _attack_from_args(args: argparse.Namespace) -> AttackSpec:
-    eve = _load_eve_params(getattr(args, "eve_params", None))
     return AttackSpec(
         kind=args.attack,
         channel=args.attack_channel,
         basis=args.attack_basis,
-        eve=eve,
-        bit_index=getattr(args, "tamper_bit", 1),
-        record=getattr(args, "withhold_record", "M_D"),
+        eve=_load_eve_params(args.eve_params),
+        bit_index=args.tamper_bit,
+        record=args.withhold_record,
     )
 
 
@@ -113,14 +112,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--attack", default="none", choices=ATTACK_KINDS, help="adversary model to inject")
-    parser.add_argument("--attack-channel", default="xi_m", help="which transmission is tapped")
-    parser.add_argument("--attack-basis", default="random", choices=INTERCEPT_BASES,
+    parser.add_argument("--attack", default=AttackSpec.kind, choices=ATTACK_KINDS,
+                        help="adversary model to inject")
+    parser.add_argument("--attack-channel", default=AttackSpec.channel, help="which transmission is tapped")
+    parser.add_argument("--attack-basis", default=AttackSpec.basis, choices=INTERCEPT_BASES,
                         help="intercept-resend measurement basis")
     parser.add_argument("--eve-params", metavar="FILE",
                         help="JSON file with entangle-measure parameters (alpha/eps)")
-    parser.add_argument("--tamper-bit", type=int, default=1, help="tamper-md: ciphertext bit to flip")
-    parser.add_argument("--withhold-record", default="M_D", choices=WITHHOLDABLE,
+    parser.add_argument("--tamper-bit", type=int, default=AttackSpec.bit_index,
+                        help="tamper-md: ciphertext bit to flip")
+    parser.add_argument("--withhold-record", default=AttackSpec.record, choices=WITHHOLDABLE,
                         help="withhold: record that never reaches the arbiter")
 
 
@@ -137,11 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="run seed (default: $SQPBS_SEED or entropy)")
     run_p.add_argument("--message", help="owner's message g_a as a 0/1 string (default: drawn from seed)")
     run_p.add_argument("--blinding-key", help="owner's blinding key k_a as a 0/1 string")
-    run_p.add_argument("--decoys", type=int, default=None, help="decoys per channel (default: n)")
-    run_p.add_argument("--threshold", type=float, default=0.0, help="tolerated check error rate")
-    run_p.add_argument("--hash-bits", type=int, default=128, help="keyed-hash output length")
-    run_p.add_argument("--hash-algorithm", default="sha256")
-    run_p.add_argument("--key-mode", default="simulated", choices=KEY_MODES)
+    run_p.add_argument("--decoys", type=int, default=RunConfig.decoy_count,
+                       help="decoys per channel (default: n)")
+    run_p.add_argument("--threshold", type=float, default=RunConfig.error_threshold,
+                       help="tolerated check error rate")
+    run_p.add_argument("--hash-bits", type=int, default=RunConfig.hash_bits, help="keyed-hash output length")
+    run_p.add_argument("--hash-algorithm", default=RunConfig.hash_algorithm)
+    run_p.add_argument("--key-mode", default=RunConfig.key_mode, choices=KEY_MODES)
     run_p.add_argument("--out", metavar="FILE", help="write the replayable transcript JSON here")
     _add_attack_flags(run_p)
 
@@ -157,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--trials", type=int, default=1000)
     exp_p.add_argument("--seed", type=int, default=None)
     exp_p.add_argument("--decoys", type=int, default=20)
-    exp_p.add_argument("--threshold", type=float, default=0.0)
-    exp_p.add_argument("--hash-bits", "--l", dest="hash_bits", type=int, default=128,
+    exp_p.add_argument("--threshold", type=float, default=RunConfig.error_threshold)
+    exp_p.add_argument("--hash-bits", "--l", dest="hash_bits", type=int, default=RunConfig.hash_bits,
                        help="hash output length l (efficiency accounting)")
     exp_p.add_argument("--scope", default="channel", choices=analysis.DETECTION_SCOPES,
                        help="detection: simulate the attacked channel only, or whole runs")

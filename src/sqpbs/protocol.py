@@ -167,22 +167,14 @@ class ProtocolRun:
         self.k_a = cfg.k_a if cfg.k_a is not None else Bits.random(n, rng)
         hash_secret = Bits.random(HASH_SECRET_BITS, rng)
 
-        if cfg.key_mode == "simulated":
-            k_dt = self._establish("bb84", "bb84_dt", 2 * n, ("trent", "david"))
-            k_bt = self._establish("sqkd", "sqkd_bt", n, ("trent", "bob"))
-            k_ct = self._establish("sqkd", "sqkd_ct", n, ("trent", "charlie"))
-        else:
-            k_dt, k_bt, k_ct = (Bits.random(2 * n, rng), Bits.random(n, rng), Bits.random(n, rng))
-            for label, parties, bits in (
-                ("bb84", ("trent", "david"), 2 * n),
-                ("sqkd", ("trent", "bob"), n),
-                ("sqkd", ("trent", "charlie"), n),
-            ):
-                self.transcript.add(
-                    "key_established", kind="preshared", simulates=label,
-                    parties=list(parties), bits=bits, error_rate=0.0,
-                )
-                self.transcript.count(f"{label}_key_bits", bits)
+        k_dt, k_bt, k_ct = (
+            self._establish(kind, channel, bits, parties)
+            for kind, channel, bits, parties in (
+                ("bb84", "bb84_dt", 2 * n, ("trent", "david")),
+                ("sqkd", "sqkd_bt", n, ("trent", "bob")),
+                ("sqkd", "sqkd_ct", n, ("trent", "charlie")),
+            )
+        )
         self.keys = KeyRing(n=n, k_a=self.k_a, k_bt=k_bt, k_ct=k_ct, k_dt=k_dt, hash_secret=hash_secret)
         self.otp_bt = OtpKey(k_bt, "K_BT")
         self.otp_ct = OtpKey(k_ct, "K_CT")
@@ -204,22 +196,26 @@ class ProtocolRun:
         self.phase = "blindness"
 
     def _establish(self, kind: str, channel: str, bits: int, parties: tuple[str, str]) -> Bits:
-        adversary = self.config.attack.adversary(channel)
-        if kind == "bb84":
-            result = establish_key_bb84(
-                bits, self.rng, adversary, error_threshold=self.threshold
+        """One key agreement, simulated or, in stubbed mode, drawn as a pre-shared key."""
+        if self.config.key_mode == "stubbed":
+            key = Bits.random(bits, self.rng)
+            self.transcript.add(
+                "key_established", kind="preshared", simulates=kind,
+                parties=list(parties), bits=bits, error_rate=0.0,
             )
         else:
-            result = establish_key_sqkd(
-                bits, self.rng, adversary, error_threshold=self.threshold
+            establish = establish_key_bb84 if kind == "bb84" else establish_key_sqkd
+            result = establish(
+                bits, self.rng, self.config.attack.adversary(channel), error_threshold=self.threshold
             )
-        self.transcript.add(
-            "key_established", kind=kind, parties=list(parties), bits=bits,
-            error_rate=result.error_rate, raw_qubits=result.raw_count,
-        )
+            key = result.sender_key
+            self.transcript.add(
+                "key_established", kind=kind, parties=list(parties), bits=bits,
+                error_rate=result.error_rate, raw_qubits=result.raw_count,
+            )
+            self.transcript.count(f"{kind}_raw_qubits", result.raw_count)
         self.transcript.count(f"{kind}_key_bits", bits)
-        self.transcript.count(f"{kind}_raw_qubits", result.raw_count)
-        return result.sender_key
+        return key
 
     def _dispatch(self, channel: str, payload: list[Qubit], sender: str, receiver: str) -> TransmittedSequence:
         seq = send_with_decoys(

@@ -16,7 +16,7 @@ the config next to the transcript so any file can be replayed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any
 
@@ -86,15 +86,10 @@ class AttackSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AttackSpec":
-        eve = EveParams.from_json_dict(data["eve"]) if data.get("eve") else None
-        return cls(
-            kind=data.get("kind", "none"),
-            channel=data.get("channel", "xi_m"),
-            basis=data.get("basis", "random"),
-            eve=eve,
-            bit_index=data.get("bit_index", 1),
-            record=data.get("record", "M_D"),
-        )
+        """Inverse of :meth:`to_json_dict`; absent keys take the field defaults."""
+        if data.get("eve") is not None:
+            data = {**data, "eve": EveParams.from_json_dict(data["eve"])}
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -107,8 +102,8 @@ class RunConfig:
     k_a: Bits | None = None        # owner's blinding key; drawn from the seed when None
     decoy_count: int | None = None  # per-channel decoys; defaults to n
     error_threshold: float = 0.0
-    hash_bits: int = 128
-    hash_algorithm: str = "sha256"
+    hash_bits: int = HashConfig.output_bits
+    hash_algorithm: str = HashConfig.algorithm
     key_mode: str = "simulated"
     attack: AttackSpec = field(default_factory=AttackSpec)
 
@@ -135,33 +130,19 @@ class RunConfig:
         return self.decoy_count if self.decoy_count is not None else self.n
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "g_a": str(self.g_a) if self.g_a is not None else None,
-            "k_a": str(self.k_a) if self.k_a is not None else None,
-            "decoy_count": self.decoy_count,
-            "error_threshold": self.error_threshold,
-            "hash_bits": self.hash_bits,
-            "hash_algorithm": self.hash_algorithm,
-            "key_mode": self.key_mode,
-            "attack": self.attack.to_json_dict(),
-        }
+        out = {f.name: _jsonify(getattr(self, f.name)) for f in fields(self) if f.name != "attack"}
+        return {**out, "attack": self.attack.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
-        return cls(
-            n=data["n"],
-            seed=data["seed"],
-            g_a=Bits(data["g_a"]) if data.get("g_a") is not None else None,
-            k_a=Bits(data["k_a"]) if data.get("k_a") is not None else None,
-            decoy_count=data.get("decoy_count"),
-            error_threshold=data.get("error_threshold", 0.0),
-            hash_bits=data.get("hash_bits", 128),
-            hash_algorithm=data.get("hash_algorithm", "sha256"),
-            key_mode=data.get("key_mode", "simulated"),
-            attack=AttackSpec.from_json_dict(data.get("attack", {"kind": "none"})),
-        )
+        """Inverse of :meth:`to_json_dict`; absent keys take the field defaults."""
+        data = dict(data)
+        for name in ("g_a", "k_a"):
+            if data.get(name) is not None:
+                data[name] = Bits(data[name])
+        if "attack" in data:
+            data["attack"] = AttackSpec.from_json_dict(data["attack"])
+        return cls(**data)
 
 
 def _jsonify(value: Any) -> Any:

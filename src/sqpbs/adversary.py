@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import DecoyState
-from .registers import Qubit, apply_to_qubits, measure_qubit
+from .registers import Qubit, Register, apply_to_qubits, measure_qubit
 from .statevec import (
     Basis,
     Rng,
@@ -286,7 +286,8 @@ class EntangleMeasure:
         self.probes: list[list[Qubit]] = []
 
     def intercept(self, qubit: Qubit, rng: Rng) -> None:
-        probe_qubits = qubit.register.extend(self.params.initial_probe())
+        # apply_to_qubits merges the probe's register into the qubit's.
+        probe_qubits = Register(self.params.initial_probe()).qubits
         apply_to_qubits([qubit, *probe_qubits], self.params.coupling_unitary())
         self.probes.append(probe_qubits)
 

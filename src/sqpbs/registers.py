@@ -54,14 +54,6 @@ class Register:
     def num_qubits(self) -> int:
         return num_qubits(self.state)
 
-    def extend(self, extra: np.ndarray) -> list[Qubit]:
-        """Append fresh qubits in the given state; returns their handles."""
-        self.state = tensor(self.state, extra)
-        start = len(self.qubits)
-        new = [Qubit(self, start + i) for i in range(num_qubits(extra))]
-        self.qubits.extend(new)
-        return new
-
 
 def new_qubit(state: np.ndarray) -> Qubit:
     """A fresh single-qubit register around ``state``."""

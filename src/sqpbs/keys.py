@@ -253,7 +253,9 @@ def establish_key_sqkd(
     measures everything that comes back in the original preparation
     basis; mismatches on CTRL (reflected) positions are the detection
     statistic.  The adversary hook acts on the forward leg of each
-    transmission; the return leg is modeled clean.
+    transmission; the return leg is modeled clean.  So the quantum
+    party's reading of a SIFT resend, a Z state measured in Z, always
+    returns the classical party's outcome, and it is not simulated.
     """
     if length < 1:
         raise ValueError(f"key length must be >= 1, got {length}")
@@ -275,7 +277,6 @@ def establish_key_sqkd(
             carrier = _send(_BB84_STATES[(basis, int(pv))], adversary, rng)
             if coin:  # SIFT: classical party measures in Z and resends the result
                 measured = measure_qubit(carrier, Basis.Z, rng)
-                measure_qubit(new_qubit(_BB84_STATES[(Basis.Z, measured)]), Basis.Z, rng)  # read the resend
                 if basis is Basis.Z:
                     sender_key.append(int(pv))
                     receiver_key.append(measured)

@@ -27,7 +27,7 @@ from .bits import Bits
 from .errors import ConfigError
 from .keys import HashConfig
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 TRANSCRIPT_FORMAT = "sqpbs-transcript"
 
 ATTACK_KINDS = ("none", "intercept-resend", "entangle-measure", "forge-md", "tamper-md", "withhold")

@@ -69,19 +69,19 @@ CONFIGS = {
 }
 
 PINS = {
-    "honest-sim-n4": "23624f1a5d11dcdffdfa0e5e07f568bfd971c8c89fa8cd7b2ef79fd07f50f3af",
-    "honest-stubbed-n8": "e6d8af97490dfbb047e99d1ef32965ada224303a6857d8eff8f822a95604d7b1",
-    "honest-explicit-inputs": "6d6572b580cb3c20f547f6adb36184f75fd30408095982dd0f0ea640b7c24f3a",
-    "ir-random-xi_m": "d68bce8fe1ab3967a8b88e6a73f40b3c345860d7aa14b591c1df02f8afd39914",
-    "ir-z-bb84_dt": "4d828ca8b1bfbd7a74c67387b815e1300a060ed795bf86210d9459d203ecba24",
-    "ir-x-sqkd_bt-threshold": "3216e22adc25fae3d4a63ceff8a48b34f9a8f199fd05bcdb88964316b9709285",
-    "em-rotation-w1": "3ef4176e3a76452739c0356cac5aeee4d1e73e0b79d225ea5e201f61205ac441",
-    "em-undetectable-sqkd_ct": "0833440e2da327b769ed0e1080f6d5506cf558e5b039203fe104aa73aee62e90",
-    "em-marking-g_prime": "43c390414848bed9e68cc87f9bf17850d0dd37117d35299ece38230176cc43a0",
-    "forge-md-stubbed": "7ac753b93ca46b1e355dcf8a1f5c233018b682e982bc0c892db76eb8acc5f3e5",
-    "tamper-md-bit7": "757a90dfea8f01faa8257c88f44e830a056f252cadb4f1eb73fa598d3a4ef99b",
-    "withhold-M_B": "0e0f4644acedb392b335aa119928d04e65f13683effd24f2ffd5e5e1533b1c62",
-    "withhold-M_C-stubbed": "1fe6a4d90ed809a7d657046feff8a3bb6e13e79f829d7e127ff15c5347ac6fd8",
+    "honest-sim-n4": "aa2d18dd69a7c57d08a415b808e1bd6a92ebe135f2a5d2e82f3b13ac1a02ee6b",
+    "honest-stubbed-n8": "1a0bf5e47f4faaff85e33f8482ecc6ae9b2ef1eeb8c06f9f1522751109a58f3a",
+    "honest-explicit-inputs": "eea7a7c70f49fd42eeb94d17190b89362c5c45b66355ef484fc889a7b4819564",
+    "ir-random-xi_m": "0e428d9968b5013a045d0137ec60f9ca08be2140db26ddb16450272eb5fcce07",
+    "ir-z-bb84_dt": "8f300bafe3ac15659d95d5c81a7891cceace98ef435882d76d5c99fa7d1f61cf",
+    "ir-x-sqkd_bt-threshold": "37aa88f3da70ed9b26481534d8f0b7d9bdc24d4f76c1fb892d4cc1018efb74b8",
+    "em-rotation-w1": "6651fe2d33a521ce367bfaf188450af2a4510686bf8cbeffc09ac5f19c2f337b",
+    "em-undetectable-sqkd_ct": "e48832ed87f29ad1f156128006a11044ed59bb88af2a9c6a313e4404da267ff8",
+    "em-marking-g_prime": "7d5d70bc4a5a8d48d49022ddfb8e1325aea80e1e7f32b87ed87b34eb4ce88ce0",
+    "forge-md-stubbed": "e1bdcf3651eed9cfc678ff7fdc1bd0c3ad024d99d5231050a18ad04f479bdd8d",
+    "tamper-md-bit7": "6b51f41e21cb3160f09a12a6265f51a8b385bf4b0aef546a447f0d844e989ba6",
+    "withhold-M_B": "5824b40a5c1c00d3b3d1a83a5f4adaab552d64095e00a07459dcba4c48c082e7",
+    "withhold-M_C-stubbed": "8139d4b580dd39c770fbac91456a612a66365a331e275862cdeb9deae9e0c624",
 }
 
 # `--out` JSON of experiments, parsed and without its "version" key.
@@ -111,7 +111,7 @@ def out_sha256(argv: tuple[str, ...], path: Path) -> str:
 
 
 def test_tool_version_matches_the_pins():
-    assert TOOL_VERSION == "0.1.0"
+    assert TOOL_VERSION == "0.2.0"
 
 
 def test_pyproject_version_is_the_tool_version():

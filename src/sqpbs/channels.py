@@ -143,20 +143,15 @@ def check_decoys(
     rng: Rng,
     *,
     threshold: float = 0.0,
-    measure=None,
 ) -> DecoyCheckResult:
     """Announced-basis decoy comparison for a fully quantum receiver.
 
-    ``measure`` customizes who measures (callable ``(qubit, basis, rng)
-    -> bit``, e.g. a capability-checked party method); defaults to a
-    plain projective measurement.  Raises
-    :class:`EavesdroppingDetected` when the error rate exceeds
+    Raises :class:`EavesdroppingDetected` when the error rate exceeds
     ``threshold``.
     """
-    do_measure = measure if measure is not None else measure_qubit
     errors = 0
     for record in seq.decoys:
-        outcome = do_measure(record.qubit, record.state.basis, rng)
+        outcome = measure_qubit(record.qubit, record.state.basis, rng)
         errors += outcome != record.state.bit
     rate = errors / len(seq.decoys)
     result = DecoyCheckResult(
@@ -190,7 +185,6 @@ def semiquantum_return_check(
     rng: Rng,
     *,
     threshold: float = 0.0,
-    z_measure=None,
 ) -> ReturnCheckResult:
     """SIFT/CTRL/reorder check for a semiquantum receiver.
 
@@ -200,16 +194,14 @@ def semiquantum_return_check(
     preparer has collected them; the preparer then measures each in its
     preparation basis.  Two error rates result: on reflected particles,
     and on the published Z outcomes of decoys the preparer prepared in
-    Z.  ``z_measure`` customizes the receiver's Z measurement (for
-    capability-checked parties).  Raises :class:`EavesdroppingDetected`
-    when either rate exceeds ``threshold``.
+    Z.  Raises :class:`EavesdroppingDetected` when either rate exceeds
+    ``threshold``.
     """
-    do_z = z_measure if z_measure is not None else (lambda q, rng_: measure_qubit(q, Basis.Z, rng_))
     sifted: list[tuple[DecoyRecord, int]] = []
     reflected: list[DecoyRecord] = []
     for record in seq.decoys:
         if rng.integers(0, 2):  # SIFT
-            sifted.append((record, do_z(record.qubit, rng)))
+            sifted.append((record, measure_qubit(record.qubit, Basis.Z, rng)))
         else:  # CTRL
             reflected.append(record)
     # Reflected particles travel back shuffled; once the receiver reveals

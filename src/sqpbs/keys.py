@@ -65,21 +65,21 @@ class OtpKey:
     """A one-time-pad key that refuses to encrypt twice within a run."""
 
     def __init__(self, key: Bits, label: str):
-        self._key = key
+        self.key = key
         self.label = label
         self._used = False
 
     def __len__(self) -> int:
-        return len(self._key)
+        return len(self.key)
 
     def encrypt(self, message: Bits) -> Bits:
         if self._used:
             raise ValueError(f"one-time-pad key {self.label!r} already used in this run")
         self._used = True
-        return otp_encrypt(self._key, message)
+        return otp_encrypt(self.key, message)
 
     def decrypt(self, ciphertext: Bits) -> Bits:
-        return otp_decrypt(self._key, ciphertext)
+        return otp_decrypt(self.key, ciphertext)
 
 
 @dataclass(frozen=True)

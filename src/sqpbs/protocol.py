@@ -77,7 +77,7 @@ from .statevec import (
     new_rng,
 )
 from .teleport import TeleportOutcomes, correction_for, prepare_chi
-from .transcript import RunConfig, TOOL_VERSION, Transcript
+from .transcript import CHANNELS, RunConfig, TOOL_VERSION, Transcript
 
 HASH_SECRET_BITS = 128
 
@@ -167,18 +167,15 @@ class ProtocolRun:
         self.k_a = cfg.k_a if cfg.k_a is not None else Bits.random(n, rng)
         hash_secret = Bits.random(HASH_SECRET_BITS, rng)
 
-        k_dt, k_bt, k_ct = (
-            self._establish(kind, channel, bits, parties)
-            for kind, channel, bits, parties in (
-                ("bb84", "bb84_dt", 2 * n, ("trent", "david")),
-                ("sqkd", "sqkd_bt", n, ("trent", "bob")),
-                ("sqkd", "sqkd_ct", n, ("trent", "charlie")),
-            )
+        # Each agreed key pads the record its receiver sends to Trent.
+        self.pads: dict[str, OtpKey] = {}
+        for channel, bits in (("bb84_dt", 2 * n), ("sqkd_bt", n), ("sqkd_ct", n)):
+            sender, receiver, _ = CHANNELS[channel]
+            self.pads[receiver] = OtpKey(self._establish(channel, bits), f"K{receiver[0]}{sender[0]}".upper())
+        self.keys = KeyRing(
+            n=n, k_a=self.k_a, k_bt=self.pads["bob"].key, k_ct=self.pads["charlie"].key,
+            k_dt=self.pads["david"].key, hash_secret=hash_secret,
         )
-        self.keys = KeyRing(n=n, k_a=self.k_a, k_bt=k_bt, k_ct=k_ct, k_dt=k_dt, hash_secret=hash_secret)
-        self.otp_bt = OtpKey(k_bt, "K_BT")
-        self.otp_ct = OtpKey(k_ct, "K_CT")
-        self.otp_dt = OtpKey(k_dt, "K_DT")
 
         # Particles 1..4 of each carrier; the handles stay valid when the
         # register later absorbs the message qubit at the Bell measurement.
@@ -186,22 +183,24 @@ class ProtocolRun:
         self.transcript.add("chi_prepared", party="trent", instances=n, qubits=4 * n)
         self.transcript.count("chi_qubits", 4 * n)
 
-        self.w1_seq = self._dispatch("w1", [p1 for p1, _, _, _ in self.chi], "trent", "bob")
-        self.w2_seq = self._dispatch("w2", [p2 for _, p2, _, _ in self.chi], "trent", "david")
-        self.w4_seq = self._dispatch("w4", [p4 for _, _, _, p4 in self.chi], "trent", "charlie")
+        self.w1_seq = self._dispatch("w1", [p1 for p1, _, _, _ in self.chi])
+        self.w2_seq = self._dispatch("w2", [p2 for _, p2, _, _ in self.chi])
+        self.w4_seq = self._dispatch("w4", [p4 for _, _, _, p4 in self.chi])
 
         self.g = xor_blind(self.g_a, self.k_a)
         self.h_g = keyed_hash(self.hash_config, hash_secret, self.g)
         self._classical("alice", "charlie", "H(g)", self.h_g, counted=True)
         self.phase = "blindness"
 
-    def _establish(self, kind: str, channel: str, bits: int, parties: tuple[str, str]) -> Bits:
+    def _establish(self, channel: str, bits: int) -> Bits:
         """One key agreement, simulated or, in stubbed mode, drawn as a pre-shared key."""
+        sender, receiver, kind = CHANNELS[channel]
+        parties = [sender, receiver]
         if self.config.key_mode == "stubbed":
             key = Bits.random(bits, self.rng)
             self.transcript.add(
                 "key_established", kind="preshared", simulates=kind,
-                parties=list(parties), bits=bits, error_rate=0.0,
+                parties=parties, bits=bits, error_rate=0.0,
             )
         else:
             establish = establish_key_bb84 if kind == "bb84" else establish_key_sqkd
@@ -210,14 +209,15 @@ class ProtocolRun:
             )
             key = result.sender_key
             self.transcript.add(
-                "key_established", kind=kind, parties=list(parties), bits=bits,
+                "key_established", kind=kind, parties=parties, bits=bits,
                 error_rate=result.error_rate, raw_qubits=result.raw_count,
             )
             self.transcript.count(f"{kind}_raw_qubits", result.raw_count)
         self.transcript.count(f"{kind}_key_bits", bits)
         return key
 
-    def _dispatch(self, channel: str, payload: list[Qubit], sender: str, receiver: str) -> TransmittedSequence:
+    def _dispatch(self, channel: str, payload: list[Qubit]) -> TransmittedSequence:
+        sender, receiver, _ = CHANNELS[channel]
         seq = send_with_decoys(
             payload, self.d, self.rng, self.config.attack.adversary(channel), channel=channel
         )
@@ -249,92 +249,74 @@ class ProtocolRun:
 
     # -- phase 3: authorization and signing ---------------------------------------
 
-    def _decoy_check(self, seq: TransmittedSequence, by: Party) -> None:
-        result = check_decoys(seq, self.rng, threshold=self.threshold, measure=by.measure_qubit)
-        self.transcript.add(
-            "decoy_check", channel=seq.channel, by=by.name, decoys=result.decoy_count,
-            errors=result.errors, error_rate=result.error_rate, passed=result.passed,
-        )
+    def _check(self, seq: TransmittedSequence) -> None:
+        """The receiver runs the guard that the channel table names."""
+        _, receiver, guard = CHANNELS[seq.channel]
+        if guard == "decoy":
+            result = check_decoys(seq, self.rng, threshold=self.threshold)
+            fields = dict(decoys=result.decoy_count, errors=result.errors, error_rate=result.error_rate)
+        else:
+            result = semiquantum_return_check(seq, self.rng, threshold=self.threshold)
+            fields = dict(
+                reflected_count=result.reflected_count, reflected_error_rate=result.reflected_error_rate,
+                z_sift_count=result.z_sift_count, z_sift_error_rate=result.z_sift_error_rate,
+            )
+        self.transcript.add(f"{guard}_check", channel=seq.channel, by=receiver, passed=result.passed, **fields)
 
-    def _return_check(self, seq: TransmittedSequence, by: Party) -> None:
-        result = semiquantum_return_check(
-            seq, self.rng, threshold=self.threshold,
-            z_measure=lambda q, r: by.measure_qubit(q, Basis.Z, r),
-        )
-        self.transcript.add(
-            "return_check", channel=seq.channel, by=by.name,
-            reflected_count=result.reflected_count,
-            reflected_error_rate=result.reflected_error_rate,
-            z_sift_count=result.z_sift_count,
-            z_sift_error_rate=result.z_sift_error_rate,
-            passed=result.passed,
-        )
+    def _report(self, party: Party, label: str, basis: str, bits: Bits) -> Bits:
+        """Publish ``party``'s record and pad it to Trent; return what Trent decrypts.
+
+        A withheld record aborts the run; a forged or tampered M_D is
+        swapped for the attacker's ciphertext on the way to Trent.
+        """
+        self.transcript.add("measurement_record", party=party.name, label=label, basis=basis, bits=bits)
+        pad = self.pads[party.name]
+        sent = f"E_{pad.label}[{label}]"
+        attack = self.config.attack
+        if attack.kind == "withhold" and attack.record == label:
+            self.transcript.add("withheld", party=party.name, label=sent)
+            raise ProtocolError(f"missing:{label}")
+        ct = pad.encrypt(bits)
+        self._classical(party.name, "trent", sent, ct, counted=True)
+        if label == "M_D" and attack.kind in ("forge-md", "tamper-md"):
+            forged = attack.kind == "forge-md"
+            ct = Bits.random(len(ct), self.rng) if forged else ct.flip(attack.bit_index % len(ct))
+            self.transcript.add("message_tampered", label=sent, kind=attack.kind, bits=ct)
+        return pad.decrypt(ct)
 
     def phase_sign(self) -> None:
         rng = self.rng
         n = self.n
-        attack = self.config.attack
 
         # Step 1-2: Alice ships the blinded states to David; decoy check.
-        self.xi_seq = self._dispatch("xi_m", self.xi_qubits, "alice", "david")
-        self._decoy_check(self.xi_seq, self.david)
+        self.xi_seq = self._dispatch("xi_m", self.xi_qubits)
+        self._check(self.xi_seq)
         self._notice("david", "bob", "signing-approval-request")
 
         # Step 3: Bob's SIFT/CTRL return check clears the w1 channel.
-        self._return_check(self.w1_seq, self.bob)
+        self._check(self.w1_seq)
 
         # Step 4: Bob authorizes by measuring his particle sequence in Z.
+        # Step 5: Trent decrypts and triggers the proxy signature.
         self._notice("bob", "david", "signing-approved")
         m_b = Bits(self.bob.measure_qubit(q, Basis.Z, rng) for q in self.w1_seq.payload())
-        self.transcript.add("measurement_record", party="bob", label="M_B", basis="Z", bits=m_b)
-        if attack.kind == "withhold" and attack.record == "M_B":
-            self.transcript.add("withheld", party="bob", label="E_KBT[M_B]")
-            raise ProtocolError("missing:M_B")
-        ct_b = self.otp_bt.encrypt(m_b)
-        self._classical("bob", "trent", "E_KBT[M_B]", ct_b, counted=True)
-
-        # Step 5: Trent decrypts and triggers the proxy signature.
-        self.m_b = self.otp_bt.decrypt(ct_b)
+        self.m_b = self._report(self.bob, "M_B", "Z", m_b)
         self._notice("trent", "david", "sign-request")
 
         # Step 6: David clears w2, Bell-measures each (message, carrier-2) pair.
-        self._decoy_check(self.w2_seq, self.david)
-        w2_payload = self.w2_seq.payload()
-        xi_payload = self.xi_seq.payload()
-        m_d_bits: list[int] = []
-        for xi_q, w2_q in zip(xi_payload, w2_payload):
-            outcome = self.david.measure_bell(xi_q, w2_q, rng)
-            m_d_bits.extend(outcome.bits)
-        m_d = Bits(m_d_bits)
-        self.transcript.add("measurement_record", party="david", label="M_D", basis="Bell", bits=m_d)
-        self.transcript.count("signature_bits", 2 * n)
-        if attack.kind == "withhold" and attack.record == "M_D":
-            self.transcript.add("withheld", party="david", label="E_KDT[M_D]")
-            raise ProtocolError("missing:M_D")
-        ct_d = self.otp_dt.encrypt(m_d)
-        self._classical("david", "trent", "E_KDT[M_D]", ct_d, counted=True)
-        received_ct_d = ct_d
-        if attack.kind == "forge-md":
-            received_ct_d = Bits.random(2 * n, rng)
-            self.transcript.add("message_tampered", label="E_KDT[M_D]", kind="forge-md", bits=received_ct_d)
-        elif attack.kind == "tamper-md":
-            received_ct_d = ct_d.flip(attack.bit_index % (2 * n))
-            self.transcript.add("message_tampered", label="E_KDT[M_D]", kind="tamper-md", bits=received_ct_d)
-
         # Step 7: Trent decrypts the signature and asks Charlie to measure.
-        self.m_d = self.otp_dt.decrypt(received_ct_d)
+        self._check(self.w2_seq)
+        m_d_bits: list[int] = []
+        for xi_q, w2_q in zip(self.xi_seq.payload(), self.w2_seq.payload()):
+            m_d_bits.extend(self.david.measure_bell(xi_q, w2_q, rng).bits)
+        self.transcript.count("signature_bits", 2 * n)
+        self.m_d = self._report(self.david, "M_D", "Bell", Bits(m_d_bits))
         self._notice("trent", "charlie", "measure-request")
 
         # Step 8: Charlie clears w4 with the return check and measures in Z.
-        self._return_check(self.w4_seq, self.charlie)
+        self._check(self.w4_seq)
         m_c = Bits(self.charlie.measure_qubit(q, Basis.Z, rng) for q in self.w4_seq.payload())
-        self.transcript.add("measurement_record", party="charlie", label="M_C", basis="Z", bits=m_c)
-        if attack.kind == "withhold" and attack.record == "M_C":
-            self.transcript.add("withheld", party="charlie", label="E_KCT[M_C]")
-            raise ProtocolError("missing:M_C")
-        ct_c = self.otp_ct.encrypt(m_c)
-        self._classical("charlie", "trent", "E_KCT[M_C]", ct_c, counted=True)
-        self.m_c = self.otp_ct.decrypt(ct_c)
+        self.m_c = self._report(self.charlie, "M_C", "Z", m_c)
 
         # Step 9: Trent corrects each particle 3, reads it out in X, and
         # re-encodes the result as Z states for Charlie.
@@ -355,13 +337,13 @@ class ProtocolRun:
         )
         g_prime_qubits = [self.trent.prepare_z(bit) for bit in self.g_prime_trent]
         self.transcript.count("g_prime_qubits", n)
-        self.g_seq = self._dispatch("g_prime", g_prime_qubits, "trent", "charlie")
+        self.g_seq = self._dispatch("g_prime", g_prime_qubits)
         self.phase = "verifying"
 
     # -- phase 4: verifying ---------------------------------------------------------
 
     def phase_verify(self) -> str:
-        self._return_check(self.g_seq, self.charlie)
+        self._check(self.g_seq)
         g_prime = Bits(
             self.charlie.measure_qubit(q, Basis.Z, self.rng) for q in self.g_seq.payload()
         )

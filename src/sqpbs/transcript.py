@@ -31,7 +31,21 @@ TOOL_VERSION = "0.2.0"
 TRANSCRIPT_FORMAT = "sqpbs-transcript"
 
 ATTACK_KINDS = ("none", "intercept-resend", "entangle-measure", "forge-md", "tamper-md", "withhold")
-QUANTUM_CHANNELS = ("xi_m", "w1", "w2", "w4", "g_prime", "bb84_dt", "sqkd_bt", "sqkd_ct")
+# Every quantum transmission: sender, receiver, and the guard its receiver
+# runs.  David is quantum and checks decoys in announced bases ("decoy");
+# Bob and Charlie are semiquantum and run the SIFT/CTRL return check
+# ("return"); the key channels are guarded by their own agreement.
+CHANNELS = {
+    "xi_m": ("alice", "david", "decoy"),
+    "w1": ("trent", "bob", "return"),
+    "w2": ("trent", "david", "decoy"),
+    "w4": ("trent", "charlie", "return"),
+    "g_prime": ("trent", "charlie", "return"),
+    "bb84_dt": ("trent", "david", "bb84"),
+    "sqkd_bt": ("trent", "bob", "sqkd"),
+    "sqkd_ct": ("trent", "charlie", "sqkd"),
+}
+QUANTUM_CHANNELS = tuple(CHANNELS)
 WITHHOLDABLE = ("M_B", "M_D", "M_C")
 KEY_MODES = ("simulated", "stubbed")
 

@@ -199,15 +199,3 @@ class TestSemiquantumReturnCheck:
             for _ in range(20):  # Z tap throws on the first batch with an X-CTRL decoy
                 seq = send_with_decoys(_plus_payload(1), 20, rng, InterceptResend("z"))
                 semiquantum_return_check(seq, rng, threshold=0.0)
-
-    def test_custom_z_measure_hook_used(self):
-        calls = []
-
-        def spy(qubit, rng_):
-            calls.append(qubit)
-            return measure_qubit(qubit, Basis.Z, rng_)
-
-        rng = new_rng(17)
-        seq = send_with_decoys(_plus_payload(1), 12, rng)
-        result = semiquantum_return_check(seq, rng, z_measure=spy)
-        assert len(calls) == result.sifted_count

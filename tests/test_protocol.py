@@ -9,7 +9,7 @@ from sqpbs.errors import ConfigError, SemiquantumCapabilityError
 from sqpbs.protocol import Party, ProtocolRun, replay_matches, run_full
 from sqpbs.registers import new_qubit, new_z_qubit
 from sqpbs.statevec import Basis, ket_plus, new_rng
-from sqpbs.transcript import AttackSpec, RunConfig
+from sqpbs.transcript import CHANNELS, AttackSpec, RunConfig
 
 
 def honest(n, seed, **kwargs):
@@ -145,6 +145,12 @@ class TestSemiquantumEnforcement:
             assert event["by"] not in ("bob", "charlie")  # announced-basis checks need X
         for event in transcript.events_of("return_check"):
             assert event["by"] in ("bob", "charlie")
+
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    def test_channel_guard_follows_the_receivers_capability(self, channel):
+        _, receiver, guard = CHANNELS[channel]
+        run = ProtocolRun(honest(1, 0))
+        assert (guard in ("return", "sqkd")) == (not getattr(run, receiver).quantum)
 
 
 class TestAttacks:

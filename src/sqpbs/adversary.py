@@ -138,8 +138,9 @@ class EveParams:
                 break
             cand = np.zeros(total, dtype=complex)
             cand[cand_index] = 1.0
-            for c in columns:
-                cand = cand - np.vdot(c, cand) * c
+            for _ in range(2):  # a second pass restores orthogonality lost to cancellation
+                for c in columns:
+                    cand = cand - np.vdot(c, cand) * c
             norm = float(np.linalg.norm(cand))
             if norm > 1e-8:
                 columns.append(cand / norm)

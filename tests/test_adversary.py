@@ -103,6 +103,13 @@ class TestEveParamsValidation:
             u = params.coupling_unitary()
             np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-10)
 
+    @pytest.mark.parametrize("phi", [2.1998148529878888e-08, -3e-8, 1e-12])
+    def test_nearly_trivial_marking_completes_to_a_unitary(self, phi):
+        # The complement of a coupling this close to the identity comes from
+        # a tiny Gram-Schmidt residual, which one projection pass leaves skewed.
+        u = EveParams.probe_marking(phi).coupling_unitary()
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-10)
+
     def test_json_round_trip(self):
         params = EveParams.probe_marking(0.6)
         clone = EveParams.from_json_dict(params.to_json_dict())

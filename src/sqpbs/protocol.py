@@ -167,14 +167,16 @@ class ProtocolRun:
         self.k_a = cfg.k_a if cfg.k_a is not None else Bits.random(n, rng)
         hash_secret = Bits.random(HASH_SECRET_BITS, rng)
 
-        # Each agreed key pads the record its receiver sends to Trent.
-        self.pads: dict[str, OtpKey] = {}
+        # Each agreed key pads the record its receiver sends to Trent: the
+        # receiver encrypts with its own copy, Trent decrypts with his.
+        self.pads: dict[str, tuple[OtpKey, OtpKey]] = {}
         for channel, bits in (("bb84_dt", 2 * n), ("sqkd_bt", n), ("sqkd_ct", n)):
             sender, receiver, _ = CHANNELS[channel]
-            self.pads[receiver] = OtpKey(self._establish(channel, bits), f"K{receiver[0]}{sender[0]}".upper())
+            label = f"K{receiver[0]}{sender[0]}".upper()
+            self.pads[receiver] = tuple(OtpKey(copy, label) for copy in self._establish(channel, bits))
         self.keys = KeyRing(
-            n=n, k_a=self.k_a, k_bt=self.pads["bob"].key, k_ct=self.pads["charlie"].key,
-            k_dt=self.pads["david"].key, hash_secret=hash_secret,
+            n=n, k_a=self.k_a, k_bt=self.pads["bob"][0].key, k_ct=self.pads["charlie"][0].key,
+            k_dt=self.pads["david"][0].key, hash_secret=hash_secret,
         )
 
         # Particles 1..4 of each carrier; the handles stay valid when the
@@ -192,12 +194,12 @@ class ProtocolRun:
         self._classical("alice", "charlie", "H(g)", self.h_g, counted=True)
         self.phase = "blindness"
 
-    def _establish(self, channel: str, bits: int) -> Bits:
-        """One key agreement, simulated or, in stubbed mode, drawn as a pre-shared key."""
+    def _establish(self, channel: str, bits: int) -> tuple[Bits, Bits]:
+        """One key agreement (a pre-shared key when stubbed): the sender's and the receiver's copy."""
         sender, receiver, kind = CHANNELS[channel]
         parties = [sender, receiver]
         if self.config.key_mode == "stubbed":
-            key = Bits.random(bits, self.rng)
+            copies = (Bits.random(bits, self.rng),) * 2
             self.transcript.add(
                 "key_established", kind="preshared", simulates=kind,
                 parties=parties, bits=bits, error_rate=0.0,
@@ -207,14 +209,14 @@ class ProtocolRun:
             result = establish(
                 bits, self.rng, self.config.attack.adversary(channel), error_threshold=self.threshold
             )
-            key = result.sender_key
+            copies = result.sender_key, result.receiver_key
             self.transcript.add(
                 "key_established", kind=kind, parties=parties, bits=bits,
                 error_rate=result.error_rate, raw_qubits=result.raw_count,
             )
             self.transcript.count(f"{kind}_raw_qubits", result.raw_count)
         self.transcript.count(f"{kind}_key_bits", bits)
-        return key
+        return copies
 
     def _dispatch(self, channel: str, payload: list[Qubit]) -> TransmittedSequence:
         sender, receiver, _ = CHANNELS[channel]
@@ -270,19 +272,19 @@ class ProtocolRun:
         swapped for the attacker's ciphertext on the way to Trent.
         """
         self.transcript.add("measurement_record", party=party.name, label=label, basis=basis, bits=bits)
-        pad = self.pads[party.name]
-        sent = f"E_{pad.label}[{label}]"
+        trent_pad, own_pad = self.pads[party.name]
+        sent = f"E_{own_pad.label}[{label}]"
         attack = self.config.attack
         if attack.kind == "withhold" and attack.record == label:
             self.transcript.add("withheld", party=party.name, label=sent)
             raise ProtocolError(f"missing:{label}")
-        ct = pad.encrypt(bits)
+        ct = own_pad.encrypt(bits)
         self._classical(party.name, "trent", sent, ct, counted=True)
         if label == "M_D" and attack.kind in ("forge-md", "tamper-md"):
             forged = attack.kind == "forge-md"
             ct = Bits.random(len(ct), self.rng) if forged else ct.flip(attack.bit_index % len(ct))
             self.transcript.add("message_tampered", label=sent, kind=attack.kind, bits=ct)
-        return pad.decrypt(ct)
+        return trent_pad.decrypt(ct)
 
     def phase_sign(self) -> None:
         rng = self.rng

@@ -177,6 +177,21 @@ class TestAttacks:
             transcript = run_full(honest(16, 7, attack=AttackSpec("intercept-resend", channel)))
             assert transcript.verdict == "aborted:key-establishment", channel
 
+    def test_each_party_pads_with_its_own_key_copy(self):
+        # A tapped BB84 exchange under a lax threshold leaves David's key copy
+        # unlike Trent's; Trent then reads another M_D than David recorded.
+        verdicts = []
+        for seed in range(10):
+            run = ProtocolRun(
+                honest(8, seed, error_threshold=0.5, attack=AttackSpec("intercept-resend", "bb84_dt"))
+            )
+            transcript = run.run()
+            trent_pad, david_pad = run.pads["david"]
+            (record,) = [e for e in transcript.events_of("measurement_record") if e["label"] == "M_D"]
+            assert (run.m_d == Bits(record["bits"])) == (trent_pad.key == david_pad.key)
+            verdicts.append(transcript.verdict)
+        assert verdicts.count("invalid") >= 8
+
     def test_forged_signature_record_rejected(self):
         rejected = 0
         for seed in range(30):

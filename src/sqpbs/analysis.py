@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from .bits import Bits
-from .channels import check_decoys, send_with_decoys
+from .channels import check_decoys, semiquantum_return_check, send_with_decoys
 from .errors import ConfigError, EavesdroppingDetected
 from .protocol import run_full
 from .registers import new_qubit
@@ -37,7 +37,7 @@ from .teleport import (
     correction_for,
     forced_branch_particle3,
 )
-from .transcript import AttackSpec, RunConfig, Transcript
+from .transcript import CHANNELS, KEY_GUARDS, AttackSpec, RunConfig, Transcript
 
 # Per-key-bit qubit overheads used by the accounting convention: a BB84
 # key costs 4 transmitted qubits per sifted bit, a semiquantum key 8.
@@ -271,34 +271,42 @@ def experiment_detection(
     threshold: float = 0.0,
     scope: str = "channel",
 ) -> ExperimentResult:
-    """Fraction of runs aborted by the decoy check under an attack.
+    """Fraction of runs aborted under an attack.
 
-    ``scope="channel"`` replays just the attacked message transfer and
-    its decoy check (the event that decides abortion); ``scope="full"``
-    runs the entire protocol and counts eavesdropping-abort verdicts.
-    A random-basis intercept-resend attacker disturbs each decoy with
-    probability 1/4, so detection approaches 1 - (3/4)^d.
+    ``scope="channel"`` replays just the attacked transfer and the guard
+    its receiver runs (decoy or return check; not for key channels);
+    ``scope="full"`` runs the entire protocol and counts eavesdropping
+    and key-agreement aborts.  A random-basis intercept-resend attacker
+    disturbs each decoy of a decoy check with probability 1/4, so there
+    detection approaches 1 - (3/4)^d, reported as a detail.
     """
     _require_trials(trials)
     if scope not in DETECTION_SCOPES:
         raise ValueError(f"scope must be one of {DETECTION_SCOPES}, got {scope!r}")
     base = RunConfig(n=n, seed=seed, decoy_count=decoy_count, error_threshold=threshold, attack=attack)
     base.validate()
+    _, _, guard = CHANNELS[attack.channel]
     detections = 0
     if scope == "channel":
+        if guard in KEY_GUARDS:
+            raise ConfigError(f"channel scope cannot replay key channel {attack.channel!r}; use full scope")
+        check = check_decoys if guard == "decoy" else semiquantum_return_check
         master = new_rng(seed)
         for _ in range(trials):
             adversary = attack.adversary(attack.channel)
             payload = [new_qubit(ket_plus()) for _ in range(n)]
             seq = send_with_decoys(payload, decoy_count, master, adversary, channel=attack.channel)
             try:
-                check_decoys(seq, master, threshold=threshold)
+                check(seq, master, threshold=threshold)
             except EavesdroppingDetected:
                 detections += 1
     else:
         for trial_seed in _trial_seeds(seed, trials):
             transcript = run_full(replace(base, seed=trial_seed))
-            detections += transcript.verdict == "aborted:eavesdropping"
+            detections += transcript.verdict in ("aborted:eavesdropping", "aborted:key-establishment")
+    detail = {}
+    if attack.kind == "intercept-resend" and guard == "decoy" and threshold == 0:
+        detail["expected_intercept_resend"] = 1.0 - 0.75**decoy_count
     return ExperimentResult(
         kind="detection",
         trials=trials,
@@ -307,7 +315,7 @@ def experiment_detection(
             "attack": attack.to_json_dict(), "n": n, "decoy_count": decoy_count,
             "threshold": threshold, "seed": seed, "scope": scope,
         },
-        detail={"expected_intercept_resend": 1.0 - 0.75**decoy_count},
+        detail=detail,
     )
 
 

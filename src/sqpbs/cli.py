@@ -225,7 +225,9 @@ def _cmd_verify_corrections(args: argparse.Namespace) -> int:
     table = None
     if args.corrupt_branch is not None:
         keys = list(_TABLE)
-        key = keys[args.corrupt_branch % len(keys)]
+        if not 0 <= args.corrupt_branch < len(keys):
+            raise ConfigError(f"--corrupt-branch must be in 0..{len(keys) - 1}, got {args.corrupt_branch}")
+        key = keys[args.corrupt_branch]
         table = dict(_TABLE)
         coeffs, corr = table[key]
         wrong = next(p for p in type(corr) if p is not corr)

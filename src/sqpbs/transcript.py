@@ -16,6 +16,7 @@ the config next to the transcript so any file can be replayed.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any
@@ -31,6 +32,7 @@ TOOL_VERSION = "0.2.0"
 TRANSCRIPT_FORMAT = "sqpbs-transcript"
 
 ATTACK_KINDS = ("none", "intercept-resend", "entangle-measure", "forge-md", "tamper-md", "withhold")
+
 # Every quantum transmission: sender, receiver, and the guard its receiver
 # runs.  David is quantum and checks decoys in announced bases ("decoy");
 # Bob and Charlie are semiquantum and run the SIFT/CTRL return check
@@ -46,6 +48,8 @@ CHANNELS = {
     "sqkd_ct": ("trent", "charlie", "sqkd"),
 }
 QUANTUM_CHANNELS = tuple(CHANNELS)
+KEY_GUARDS = ("bb84", "sqkd")
+QUANTUM_ATTACKS = ("intercept-resend", "entangle-measure")
 WITHHOLDABLE = ("M_B", "M_D", "M_C")
 KEY_MODES = ("simulated", "stubbed")
 
@@ -64,7 +68,7 @@ class AttackSpec:
     def validate(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ConfigError(f"unknown attack kind {self.kind!r} (choose from {ATTACK_KINDS})")
-        if self.kind in ("intercept-resend", "entangle-measure") and self.channel not in QUANTUM_CHANNELS:
+        if self.kind in QUANTUM_ATTACKS and self.channel not in QUANTUM_CHANNELS:
             raise ConfigError(f"unknown channel {self.channel!r} (choose from {QUANTUM_CHANNELS})")
         if self.kind == "entangle-measure" and self.eve is None:
             raise ConfigError("entangle-measure attack requires eve parameters")
@@ -86,7 +90,7 @@ class AttackSpec:
 
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {"kind": self.kind}
-        if self.kind in ("intercept-resend", "entangle-measure"):
+        if self.kind in QUANTUM_ATTACKS:
             out["channel"] = self.channel
         if self.kind == "intercept-resend":
             out["basis"] = self.basis
@@ -122,6 +126,11 @@ class RunConfig:
     attack: AttackSpec = field(default_factory=AttackSpec)
 
     def validate(self) -> None:
+        ints = {"n": self.n, "seed": self.seed, "decoy_count": self.resolved_decoy_count,
+                "hash_bits": self.hash_bits, "attack.bit_index": self.attack.bit_index}
+        for name, value in ints.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:
@@ -138,6 +147,9 @@ class RunConfig:
         if self.key_mode not in KEY_MODES:
             raise ConfigError(f"key_mode must be one of {KEY_MODES}, got {self.key_mode!r}")
         self.attack.validate()
+        tapped = CHANNELS[self.attack.channel][2] if self.attack.kind in QUANTUM_ATTACKS else None
+        if self.key_mode == "stubbed" and tapped in KEY_GUARDS:
+            raise ConfigError(f"stubbed keys skip key agreement, so {self.attack.channel!r} cannot be attacked")
 
     @property
     def resolved_decoy_count(self) -> int:

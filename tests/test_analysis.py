@@ -20,6 +20,7 @@ from sqpbs.analysis import (
     instrumented_accounting,
     qubit_efficiency,
 )
+from sqpbs.errors import ConfigError
 from sqpbs.protocol import run_full
 from sqpbs.transcript import AttackSpec, RunConfig
 
@@ -144,6 +145,31 @@ class TestExperiments:
             decoy_count=20, scope="full",
         )
         assert result.rate > 0.9
+
+    def test_detection_channel_scope_runs_the_return_check_on_semiquantum_channels(self):
+        # The return check catches a random-basis intercept-resend on a decoy
+        # with probability 1/2 * 1/4 (CTRL) + 1/2 * 1/2 * 1/4 (SIFT of a Z decoy).
+        result = experiment_detection(
+            AttackSpec("intercept-resend", "w1"), trials=800, seed=9, decoy_count=4
+        )
+        p = 1 - (13 / 16) ** 4
+        sigma = math.sqrt(p * (1 - p) / result.trials)
+        assert abs(result.rate - p) < 3 * sigma
+        assert "expected_intercept_resend" not in result.detail
+
+    def test_detection_channel_scope_reports_the_decoy_formula(self):
+        result = experiment_detection(AttackSpec("intercept-resend", "w2"), trials=5, seed=9, decoy_count=4)
+        assert result.detail == {"expected_intercept_resend": 1 - 0.75**4}
+
+    def test_detection_channel_scope_rejects_key_channels(self):
+        with pytest.raises(ConfigError, match="key channel"):
+            experiment_detection(AttackSpec("intercept-resend", "bb84_dt"), trials=5, seed=9)
+
+    def test_detection_full_scope_counts_key_agreement_aborts(self):
+        result = experiment_detection(
+            AttackSpec("intercept-resend", "bb84_dt"), trials=10, seed=1, scope="full"
+        )
+        assert result.successes > 0
 
     def test_forgery_outsider_matches_oracle(self):
         result = experiment_forgery(n=8, trials=800, seed=4)

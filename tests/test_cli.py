@@ -38,6 +38,12 @@ def run_cli(*argv):
         ("experiment", "detection", "--n", "0", "--trials", "2", "--seed", "1"),
         ("experiment", "detection", "--threshold", "2", "--trials", "2", "--seed", "1"),
         ("experiment", "detection", "--threshold", "-0.5", "--trials", "2", "--seed", "1"),
+        ("run", "--n", "2", "--seed", "1", "--key-mode", "stubbed", "--attack", "intercept-resend",
+         "--attack-channel", "bb84_dt"),
+        ("experiment", "detection", "--attack", "intercept-resend", "--attack-channel", "sqkd_ct",
+         "--trials", "2", "--seed", "1"),
+        ("verify-corrections", "--corrupt-branch", "99", "--trials", "1", "--seed", "1"),
+        ("verify-corrections", "--corrupt-branch", "-1", "--trials", "1", "--seed", "1"),
         ("bogus-command",),
         (),
     ],
@@ -155,8 +161,21 @@ class TestReplay:
             ["sqpbs-transcript"],
             {"format": "sqpbs-transcript", "config": {"n": 3, "seed": -1}, "transcript": {}},
             {"format": "sqpbs-transcript", "config": {"n": 3, "seed": 1, "decoys": 5}, "transcript": {}},
+            {"format": "sqpbs-transcript", "config": {"n": 2.5, "seed": 1}, "transcript": {}},
+            {"format": "sqpbs-transcript", "config": {"n": True, "seed": 1}, "transcript": {}},
+            {"format": "sqpbs-transcript", "config": {"n": 2, "seed": 1.5}, "transcript": {}},
+            {"format": "sqpbs-transcript", "config": {"n": 2, "seed": 1, "decoy_count": "a"}, "transcript": {}},
+            {"format": "sqpbs-transcript", "config": {"n": 2, "seed": 1, "hash_bits": 2.5}, "transcript": {}},
+            {
+                "format": "sqpbs-transcript",
+                "config": {"n": 2, "seed": 1, "attack": {"kind": "tamper-md", "bit_index": "a"}},
+                "transcript": {},
+            },
         ],
-        ids=["missing-config", "bad-bits", "top-level-array", "negative-seed", "unknown-config-key"],
+        ids=[
+            "missing-config", "bad-bits", "top-level-array", "negative-seed", "unknown-config-key",
+            "float-n", "bool-n", "float-seed", "string-decoy-count", "float-hash-bits", "string-bit-index",
+        ],
     )
     def test_replay_of_malformed_file_is_config_error(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"

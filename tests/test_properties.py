@@ -1,17 +1,24 @@
 """Property-based tests: invariants checked on generated inputs, not fixed seeds."""
 
+import contextlib
+import io
 import json
+import os
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqpbs.adversary import EveParams
+from sqpbs.adversary import INTERCEPT_BASES, EveParams
+from sqpbs.analysis import DETECTION_SCOPES, FORGERY_MODELS
 from sqpbs.bits import Bits
+from sqpbs.cli import main
 from sqpbs.keys import otp_decrypt, otp_encrypt
 from sqpbs.protocol import run_full
 from sqpbs.statevec import Basis, apply_unitary, measure, new_rng, num_qubits, postselect
-from sqpbs.transcript import RunConfig
+from sqpbs.transcript import ATTACK_KINDS, KEY_MODES, QUANTUM_CHANNELS, WITHHOLDABLE, RunConfig
 
 FAST = settings(max_examples=60, deadline=None)
 SLOW = settings(max_examples=15, deadline=None)
@@ -115,3 +122,75 @@ def test_paired_flip_blindness(inputs, seed):
     base = run_full(RunConfig(n=n, seed=seed, g_a=g_a, k_a=k_a, key_mode="stubbed"))
     flipped = run_full(RunConfig(n=n, seed=seed, g_a=g_a ^ delta, k_a=k_a ^ delta, key_mode="stubbed"))
     assert base.canonical_json() == flipped.canonical_json()
+
+
+# Fuzzed command lines: every subcommand with a random subset of its real
+# flags and junk tokens spliced in anywhere.  Each flag takes valid values
+# or, one time in four, an invalid one; all are small enough to run in
+# milliseconds.
+GOLDEN_FILE = str(Path(__file__).resolve().parent / "data" / "golden_run.json")
+TRIALS = {"--trials": (("1", "3"), ("0", "-2"))}
+SHARED_FLAGS = {  # flag: (valid values, invalid values)
+    "--n": (("1", "2", "4"), ("0", "x")),
+    "--seed": (("0", "7"), ("-1", "x")),
+    "--decoys": (("1", "4"), ("0",)),
+    "--threshold": (("0", "0.3"), ("1", "-0.5", "nan")),
+    "--hash-bits": (("1", "64"), ("0", "x")),
+    "--key-mode": (KEY_MODES, ("bogus",)),
+    "--attack": (ATTACK_KINDS, ("bogus",)),
+    "--attack-channel": (QUANTUM_CHANNELS, ("nowhere",)),
+    "--attack-basis": (INTERCEPT_BASES, ("y",)),
+    "--eve-params": ((), ("absent.json",)),
+    "--tamper-bit": (("0", "3", "-1"), ("x",)),
+    "--withhold-record": (WITHHOLDABLE, ("M_X",)),
+}
+RUN_FLAGS = {
+    **SHARED_FLAGS,
+    "--message": (("1", "0110"), ("2",)),
+    "--blinding-key": (("0", "1001"), ()),
+    "--hash-algorithm": (("sha256", "sha512"), ("shake_128", "nope")),
+}
+EXPERIMENT_FLAGS = {
+    **SHARED_FLAGS, **TRIALS, "--scope": (DETECTION_SCOPES, ("x",)), "--model": (FORGERY_MODELS, ("x",)),
+}
+VERIFY_FLAGS = {**TRIALS, "--seed": SHARED_FLAGS["--seed"], "--corrupt-branch": (("0", "15"), ("16", "99", "-1"))}
+# (subcommand, its positional arguments, flags always given so that defaults stay small, flags)
+COMMANDS = [
+    ("run", (), ("--n",), RUN_FLAGS),
+    ("verify-corrections", (), ("--trials",), VERIFY_FLAGS),
+    ("experiment", ("detection", "forgery", "blindness", "efficiency", "bogus"), ("--n", "--trials"),
+     EXPERIMENT_FLAGS),
+    ("replay", (GOLDEN_FILE, "absent.json"), (), {}),
+]
+JUNK = ("--bogus", "", "-", "--", "x", "--n=", "--trials=-1", "--help", "--version")
+
+
+@st.composite
+def command_lines(draw):
+    command, positionals, required, flags = draw(st.sampled_from(COMMANDS))
+    command = [command, draw(st.sampled_from(positionals))] if positionals else [command]
+    optional = sorted(set(flags) - set(required))
+    chosen = [*required, *draw(st.lists(st.sampled_from(optional), unique=True, max_size=4))] if flags else []
+    pairs = []
+    for flag in chosen:
+        valid, invalid = flags[flag]
+        values = invalid if not valid or (invalid and draw(st.integers(0, 3)) == 3) else valid
+        pairs.append((flag, draw(st.sampled_from(values))))
+    tokens = [token for pair in draw(st.permutations(pairs)) for token in pair]
+    for junk in draw(st.lists(st.sampled_from(JUNK), max_size=1)):
+        tokens.insert(draw(st.integers(0, len(tokens))), junk)
+    return [*command, *tokens]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command_lines())
+def test_fuzzed_command_lines_exit_0_to_4_without_traceback(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"SQPBS_SEED": "5"}):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and --version
+            code = exc.code
+    assert code in range(5), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

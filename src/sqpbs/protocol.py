@@ -77,7 +77,7 @@ from .statevec import (
     new_rng,
 )
 from .teleport import TeleportOutcomes, correction_for, prepare_chi
-from .transcript import CHANNELS, RunConfig, TOOL_VERSION, Transcript
+from .transcript import CHANNELS, PRIVATE_FIELDS, RunConfig, TOOL_VERSION, Transcript
 
 HASH_SECRET_BITS = 128
 
@@ -142,19 +142,8 @@ class ProtocolRun:
         self.charlie = Party("charlie", quantum=False)
         self.david = Party("david", quantum=True)
         self.trent = Party("trent", quantum=True)
-        self.transcript = Transcript(
-            meta={
-                "format": "sqpbs-run",
-                "version": TOOL_VERSION,
-                "n": config.n,
-                "seed": config.seed,
-                "decoy_count": self.d,
-                "error_threshold": config.error_threshold,
-                "hash": {"algorithm": config.hash_algorithm, "output_bits": config.hash_bits},
-                "key_mode": config.key_mode,
-                "attack": config.attack.to_json_dict(),
-            }
-        )
+        public = {k: v for k, v in config.to_json_dict().items() if k not in PRIVATE_FIELDS}
+        self.transcript = Transcript(meta={"format": "sqpbs-run", "version": TOOL_VERSION, **public})
         self.phase = "initializing"
 
     # -- phase 1: initializing -------------------------------------------------

@@ -28,7 +28,7 @@ from .bits import Bits
 from .errors import ConfigError
 from .keys import HashConfig
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 TRANSCRIPT_FORMAT = "sqpbs-transcript"
 
 ATTACK_KINDS = ("none", "intercept-resend", "entangle-measure", "forge-md", "tamper-md", "withhold")
@@ -110,6 +110,10 @@ class AttackSpec:
         return cls(**data)
 
 
+# The owner's private inputs: RunConfig fields that never enter a transcript.
+PRIVATE_FIELDS = ("g_a", "k_a")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything needed to reproduce one protocol run bit-for-bit."""
@@ -163,7 +167,7 @@ class RunConfig:
     def from_json_dict(cls, data: dict) -> "RunConfig":
         """Inverse of :meth:`to_json_dict`; absent keys take the field defaults."""
         data = dict(data)
-        for name in ("g_a", "k_a"):
+        for name in PRIVATE_FIELDS:
             if data.get(name) is not None:
                 data[name] = Bits(data[name])
         if "attack" in data:

@@ -69,19 +69,19 @@ CONFIGS = {
 }
 
 PINS = {
-    "honest-sim-n4": "aa2d18dd69a7c57d08a415b808e1bd6a92ebe135f2a5d2e82f3b13ac1a02ee6b",
-    "honest-stubbed-n8": "1a0bf5e47f4faaff85e33f8482ecc6ae9b2ef1eeb8c06f9f1522751109a58f3a",
-    "honest-explicit-inputs": "eea7a7c70f49fd42eeb94d17190b89362c5c45b66355ef484fc889a7b4819564",
-    "ir-random-xi_m": "0e428d9968b5013a045d0137ec60f9ca08be2140db26ddb16450272eb5fcce07",
-    "ir-z-bb84_dt": "8f300bafe3ac15659d95d5c81a7891cceace98ef435882d76d5c99fa7d1f61cf",
-    "ir-x-sqkd_bt-threshold": "37aa88f3da70ed9b26481534d8f0b7d9bdc24d4f76c1fb892d4cc1018efb74b8",
-    "em-rotation-w1": "6651fe2d33a521ce367bfaf188450af2a4510686bf8cbeffc09ac5f19c2f337b",
-    "em-undetectable-sqkd_ct": "e48832ed87f29ad1f156128006a11044ed59bb88af2a9c6a313e4404da267ff8",
-    "em-marking-g_prime": "7d5d70bc4a5a8d48d49022ddfb8e1325aea80e1e7f32b87ed87b34eb4ce88ce0",
-    "forge-md-stubbed": "e1bdcf3651eed9cfc678ff7fdc1bd0c3ad024d99d5231050a18ad04f479bdd8d",
-    "tamper-md-bit7": "6b51f41e21cb3160f09a12a6265f51a8b385bf4b0aef546a447f0d844e989ba6",
-    "withhold-M_B": "5824b40a5c1c00d3b3d1a83a5f4adaab552d64095e00a07459dcba4c48c082e7",
-    "withhold-M_C-stubbed": "8139d4b580dd39c770fbac91456a612a66365a331e275862cdeb9deae9e0c624",
+    "honest-sim-n4": "828ed6efdeff54049fd11e2663b571f055cd1796d7636290f781dff0f6d5de26",
+    "honest-stubbed-n8": "915178828703c61f782742551a498d915ca78d81768782c7d0ab162c96f7a9e3",
+    "honest-explicit-inputs": "cda24d5aeaef695c6fb91b622fc25e346c712406ea1c11f4332a7aeadfb6a4d1",
+    "ir-random-xi_m": "01188f34b62f2c3dd1b7ab7e41020edb3d749756fa09670507fdfae810af3f3d",
+    "ir-z-bb84_dt": "0170b7dfb72a4fcf7eabb0c0c1c85193fa9beda7c63846b4f8ce25cb2d2c19b7",
+    "ir-x-sqkd_bt-threshold": "f7f6b829051c39f4897775816ca159accf51dce44c364dd9d5d00048a286d159",
+    "em-rotation-w1": "6481258665ce13e29d0035fc00079ded4d663d847c87d134429336c358719f7b",
+    "em-undetectable-sqkd_ct": "56e28487e4770a7a5bf2ea5f0a67fe632ff3c5e78ab5a427efa55be7722a18d6",
+    "em-marking-g_prime": "06e572aa87059f404ac7161dcc2f5928a3266683255da456e57b6f85e392d922",
+    "forge-md-stubbed": "2496842f4e6e11610694506ae114e7c9495a4b6b5fe1f5fb484108735cb5b6e1",
+    "tamper-md-bit7": "fa2eb346b98923518bdfa064fce3550a7e3af0699600e8e77b52c130694641e2",
+    "withhold-M_B": "bcac6dc1b20ca34f4ae565ac519c9e49af90eb18ed87aeb2e71690a7ff48d1ba",
+    "withhold-M_C-stubbed": "11cc1082a779e2545fc2de19c6d1b1300aa659afd9856f30158e9e33b2c52cdc",
 }
 
 # `--out` JSON of experiments, parsed and without its "version" key.
@@ -111,7 +111,7 @@ def out_sha256(argv: tuple[str, ...], path: Path) -> str:
 
 
 def test_tool_version_matches_the_pins():
-    assert TOOL_VERSION == "0.2.0"
+    assert TOOL_VERSION == "0.3.0"
 
 
 def test_pyproject_version_is_the_tool_version():

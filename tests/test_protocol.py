@@ -269,7 +269,7 @@ class TestTranscriptRecord:
         transcript = run_full(honest(3, 61, hash_bits=64, key_mode="stubbed"))
         meta = transcript.meta
         assert meta["version"]
-        assert meta["hash"] == {"algorithm": "sha256", "output_bits": 64}
+        assert (meta["hash_algorithm"], meta["hash_bits"]) == ("sha256", 64)
         assert meta["key_mode"] == "stubbed"
         assert meta["attack"] == {"kind": "none"}
 

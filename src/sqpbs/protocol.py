@@ -5,8 +5,10 @@ delegates signing; David is the proxy signer; Charlie verifies; Trent
 is the third party who prepares the entangled carriers and restores the
 blinded states.  Alice, David and Trent are fully quantum; Bob and
 Charlie are semiquantum (Z-basis preparation/measurement, reflection
-and reordering only), which :class:`Party` enforces on every quantum
-operation they perform.
+and reordering only), which :class:`Party` enforces on their record
+measurements.  Which check each receiver runs comes from
+``transcript.CHANNELS``: Bob and Charlie run the return check, whose only
+receiver-side operation is a Z measurement.
 
 A run walks four phases:
 

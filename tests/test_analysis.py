@@ -20,7 +20,6 @@ from sqpbs.analysis import (
     instrumented_accounting,
     qubit_efficiency,
 )
-from sqpbs.errors import ConfigError
 from sqpbs.protocol import run_full
 from sqpbs.transcript import AttackSpec, RunConfig
 
@@ -156,14 +155,6 @@ class TestExperiments:
         sigma = math.sqrt(p * (1 - p) / result.trials)
         assert abs(result.rate - p) < 3 * sigma
         assert "expected_intercept_resend" not in result.detail
-
-    def test_detection_channel_scope_reports_the_decoy_formula(self):
-        result = experiment_detection(AttackSpec("intercept-resend", "w2"), trials=5, seed=9, decoy_count=4)
-        assert result.detail == {"expected_intercept_resend": 1 - 0.75**4}
-
-    def test_detection_channel_scope_rejects_key_channels(self):
-        with pytest.raises(ConfigError, match="key channel"):
-            experiment_detection(AttackSpec("intercept-resend", "bb84_dt"), trials=5, seed=9)
 
     def test_detection_full_scope_counts_key_agreement_aborts(self):
         result = experiment_detection(

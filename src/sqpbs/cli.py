@@ -85,7 +85,7 @@ def _load_eve_params(path: str | None) -> EveParams | None:
     try:
         data = json.loads(Path(path).read_text())
         return EveParams.from_json_dict(data)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load attack parameters from {path}: {exc}") from exc
 
 

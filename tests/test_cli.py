@@ -122,6 +122,31 @@ class TestRun:
     def test_missing_eve_params_is_config_error(self):
         assert run_cli("run", "--n", "3", "--seed", "1", "--attack", "entangle-measure") == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command",
+        [("run", "--n", "2"), ("experiment", "detection", "--trials", "2")],
+        ids=["run", "experiment-detection"],
+    )
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {"alpha": [[1, 0]], "eps": [[[1, 0]]] * 4},
+            {"alpha": [["0.6", "0"], [0, 0], [0, 0], [0.8, 0]], "eps": [[[1, 0]]] * 4},
+            {"alpha": [1, 0, 0, 1], "eps": [1, 1, 1, 1]},
+        ],
+        ids=["empty-array", "one-alpha", "string-amplitude", "flat-numbers"],
+    )
+    def test_malformed_eve_params_is_config_error(self, tmp_path, capsys, command, payload):
+        bad = tmp_path / "eve.json"
+        bad.write_text(json.dumps(payload))
+        code = run_cli(
+            *command, "--seed", "1", "--attack", "entangle-measure", "--eve-params", str(bad)
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
 
 class TestReplay:
     def test_replay_matches(self, tmp_path):

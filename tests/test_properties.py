@@ -20,8 +20,8 @@ from sqpbs.protocol import run_full
 from sqpbs.statevec import Basis, apply_unitary, measure, new_rng, num_qubits, postselect
 from sqpbs.transcript import ATTACK_KINDS, KEY_MODES, QUANTUM_CHANNELS, WITHHOLDABLE, RunConfig
 
-FAST = settings(max_examples=60, deadline=None)
-SLOW = settings(max_examples=15, deadline=None)
+FAST = settings(max_examples=60, deadline=None, derandomize=True)
+SLOW = settings(max_examples=15, deadline=None, derandomize=True)
 
 bit_lists = st.lists(st.integers(0, 1), max_size=80)
 

@@ -39,7 +39,6 @@ from .errors import (
 )
 from .keys import (
     HashConfig,
-    KeyRing,
     establish_key_bb84,
     establish_key_sqkd,
     keyed_hash,

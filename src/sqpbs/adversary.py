@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import DecoyState
-from .registers import Qubit, Register, apply_to_qubits, measure_qubit
+from .registers import Qubit, apply_to_qubits, measure_qubit, new_qubits
 from .statevec import (
     Basis,
     Rng,
@@ -160,10 +160,6 @@ class EveParams:
     def probe_dim(self) -> int:
         return len(self.eps_00)
 
-    @property
-    def probe_qubits(self) -> int:
-        return int(math.log2(self.probe_dim))
-
     def initial_probe(self) -> np.ndarray:
         """Probe reference state |e> = first basis vector of the probe space."""
         amps = np.zeros(self.probe_dim, dtype=complex)
@@ -288,7 +284,7 @@ class EntangleMeasure:
 
     def intercept(self, qubit: Qubit, rng: Rng) -> None:
         # apply_to_qubits merges the probe's register into the qubit's.
-        probe_qubits = Register(self.params.initial_probe()).qubits
+        probe_qubits = new_qubits(self.params.initial_probe())
         apply_to_qubits([qubit, *probe_qubits], self.params.coupling_unitary())
         self.probes.append(probe_qubits)
 

@@ -30,7 +30,6 @@ from .statevec import Basis, Rng
 
 __all__ = [
     "HashConfig",
-    "KeyRing",
     "KeyExchangeResult",
     "OtpKey",
     "establish_key_bb84",
@@ -121,30 +120,6 @@ def keyed_hash(config: HashConfig, secret: Bits, message: Bits) -> Bits:
         out.extend(h.digest())
         counter += 1
     return Bits.from_bytes(bytes(out), config.output_bits)
-
-
-@dataclass(frozen=True)
-class KeyRing:
-    """All key material for one protocol run of message length ``n``.
-
-    Lengths are fixed by the protocol: the owner's blinding key and the
-    two semiquantum keys are n bits, the proxy's key is 2n bits (it must
-    pad a 2n-bit record of Bell outcomes).
-    """
-
-    n: int
-    k_a: Bits      # owner's private blinding key, never transmitted
-    k_bt: Bits     # original signer <-> arbiter
-    k_ct: Bits     # verifier <-> arbiter
-    k_dt: Bits     # proxy signer <-> arbiter
-    hash_secret: Bits
-
-    def __post_init__(self):
-        expected = {"k_a": self.n, "k_bt": self.n, "k_ct": self.n, "k_dt": 2 * self.n}
-        for name, want in expected.items():
-            got = len(getattr(self, name))
-            if got != want:
-                raise ValueError(f"{name} must be {want} bits for n={self.n}, got {got}")
 
 
 @dataclass

@@ -53,7 +53,6 @@ from .errors import (
 )
 from .keys import (
     HashConfig,
-    KeyRing,
     OtpKey,
     establish_key_bb84,
     establish_key_sqkd,
@@ -62,11 +61,11 @@ from .keys import (
 )
 from .registers import (
     Qubit,
-    Register,
     apply_to_qubits,
     measure_qubit,
     measure_qubits_bell,
     new_qubit,
+    new_qubits,
     new_z_qubit,
     qubit_fidelity_to,
 )
@@ -156,7 +155,7 @@ class ProtocolRun:
         n = self.n
         self.g_a = cfg.g_a if cfg.g_a is not None else Bits.random(n, rng)
         self.k_a = cfg.k_a if cfg.k_a is not None else Bits.random(n, rng)
-        hash_secret = Bits.random(HASH_SECRET_BITS, rng)
+        self.hash_secret = Bits.random(HASH_SECRET_BITS, rng)
 
         # Each agreed key pads the record its receiver sends to Trent: the
         # receiver encrypts with its own copy, Trent decrypts with his.
@@ -165,14 +164,10 @@ class ProtocolRun:
             sender, receiver, _ = CHANNELS[channel]
             label = f"K{receiver[0]}{sender[0]}".upper()
             self.pads[receiver] = tuple(OtpKey(copy, label) for copy in self._establish(channel, bits))
-        self.keys = KeyRing(
-            n=n, k_a=self.k_a, k_bt=self.pads["bob"][0].key, k_ct=self.pads["charlie"][0].key,
-            k_dt=self.pads["david"][0].key, hash_secret=hash_secret,
-        )
 
-        # Particles 1..4 of each carrier; the handles stay valid when the
-        # register later absorbs the message qubit at the Bell measurement.
-        self.chi = [tuple(Register(prepare_chi()).qubits) for _ in range(n)]
+        # Particles 1..4 of each carrier; the handles follow the carrier
+        # into the message qubit's register at the Bell measurement.
+        self.chi = [tuple(new_qubits(prepare_chi())) for _ in range(n)]
         self.transcript.add("chi_prepared", party="trent", instances=n, qubits=4 * n)
         self.transcript.count("chi_qubits", 4 * n)
 
@@ -181,7 +176,7 @@ class ProtocolRun:
         self.w4_seq = self._dispatch("w4", [p4 for _, _, _, p4 in self.chi])
 
         self.g = xor_blind(self.g_a, self.k_a)
-        self.h_g = keyed_hash(self.hash_config, hash_secret, self.g)
+        self.h_g = keyed_hash(self.hash_config, self.hash_secret, self.g)
         self._classical("alice", "charlie", "H(g)", self.h_g, counted=True)
         self.phase = "blindness"
 
@@ -342,7 +337,7 @@ class ProtocolRun:
         )
         self.g_prime = g_prime
         self.transcript.add("measurement_record", party="charlie", label="g_prime", basis="Z", bits=g_prime)
-        h_g_prime = keyed_hash(self.hash_config, self.keys.hash_secret, g_prime)
+        h_g_prime = keyed_hash(self.hash_config, self.hash_secret, g_prime)
         match = h_g_prime == self.h_g
         self.transcript.add(
             "verdict_check", by="charlie", hash_g=self.h_g, hash_g_prime=h_g_prime, match=match

@@ -1,13 +1,18 @@
 """Mutable register arena on top of the statevector core.
 
-A ``Register`` owns one state array and hands out ``Qubit`` handles;
-operations replace that array with the new one the core returns.
-Handles stay valid across register merges: a joint operation on qubits
-living in different registers first absorbs one register into the other
-(tensor product) and re-points the handles.  This keeps every simulated
-system in the smallest register that physics requires — decoy qubits are
-born in their own 1-qubit registers and only ever grow when an attacker
-entangles a probe with them.
+A ``Register`` owns one state array; ``Qubit`` handles name a register
+and a position in it.  Membership is stored one way only: handles point
+at registers, never the reverse, so a finished register is freed by
+reference counting as soon as its last handle goes.  Operations replace
+a register's array with the new one the core returns.
+
+A joint operation on qubits living in different registers first absorbs
+one register into the other (tensor product).  The absorbed register is
+left as a forward to its absorber, recording how far its qubits moved;
+each handle follows the forward the first time it is used afterwards.
+This keeps every simulated system in the smallest register that physics
+requires — decoy qubits are born in their own 1-qubit registers and only
+ever grow when an attacker entangles a probe with them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import numpy as np
 from .statevec import (
     Basis,
     BellState,
-    MAX_QUBITS,
     Rng,
     apply_unitary,
     basis_state,
@@ -29,26 +33,49 @@ from .statevec import (
 
 
 class Qubit:
-    """Handle to one qubit; tracks its current register and position."""
+    """Handle to one qubit: its register and its position there."""
 
-    __slots__ = ("register", "index")
+    __slots__ = ("_register", "_index")
 
     def __init__(self, register: "Register", index: int):
-        self.register = register
-        self.index = index
+        self._register = register
+        self._index = index
+
+    def _follow(self) -> None:
+        """Move past the forwards that merges left, to the live register."""
+        reg = self._register
+        while reg.absorber is not None:
+            self._index += reg.shift
+            reg = reg.absorber
+        self._register = reg
+
+    @property
+    def register(self) -> "Register":
+        self._follow()
+        return self._register
+
+    @property
+    def index(self) -> int:
+        self._follow()
+        return self._index
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Qubit(register={id(self.register):#x}, index={self.index})"
 
 
 class Register:
-    """A simulated quantum register; mutated in place by operations."""
+    """A simulated quantum register; mutated in place by operations.
 
-    __slots__ = ("state", "qubits")
+    After a merge absorbs it, ``absorber`` names the register that holds
+    its qubits now and ``shift`` how far their positions moved.
+    """
+
+    __slots__ = ("state", "absorber", "shift")
 
     def __init__(self, state: np.ndarray):
         self.state = state
-        self.qubits = [Qubit(self, i) for i in range(num_qubits(state))]
+        self.absorber = None
+        self.shift = 0
 
     @property
     def num_qubits(self) -> int:
@@ -59,7 +86,13 @@ def new_qubit(state: np.ndarray) -> Qubit:
     """A fresh single-qubit register around ``state``."""
     if state.shape != (2,):
         raise ValueError(f"expected a 1-qubit state, got shape {state.shape}")
-    return Register(state).qubits[0]
+    return Qubit(Register(state), 0)
+
+
+def new_qubits(state: np.ndarray) -> list[Qubit]:
+    """Handles to every qubit of a fresh register around ``state``."""
+    reg = Register(state)
+    return [Qubit(reg, i) for i in range(num_qubits(state))]
 
 
 def new_z_qubit(bit: int) -> Qubit:
@@ -67,24 +100,16 @@ def new_z_qubit(bit: int) -> Qubit:
 
 
 def merge(a: Register, b: Register) -> Register:
-    """Absorb register ``b`` into ``a`` (no-op when identical).
+    """Absorb live register ``b`` into live ``a`` (no-op when identical).
 
-    Handles into ``a`` keep their indices; handles into ``b`` are
-    re-pointed at ``a`` with shifted indices.
+    Handles into ``a`` keep their indices; handles into ``b`` reach ``a``
+    through ``b``'s forward, their indices shifted by ``a``'s size.
     """
     if a is b:
         return a
-    if a.num_qubits + b.num_qubits > MAX_QUBITS:
-        raise ValueError(
-            f"merge would create a {a.num_qubits + b.num_qubits}-qubit register (max {MAX_QUBITS})"
-        )
     shift = a.num_qubits
     a.state = tensor(a.state, b.state)
-    for q in b.qubits:
-        q.register = a
-        q.index += shift
-        a.qubits.append(q)
-    b.qubits = []
+    b.state, b.absorber, b.shift = None, a, shift
     return a
 
 

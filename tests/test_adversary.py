@@ -193,7 +193,7 @@ class TestEntangleMeasureHook:
         rng = new_rng(4)
         qubit = new_qubit(ket_plus())
         attacker.intercept(qubit, rng)
-        assert qubit.register.num_qubits == 1 + params.probe_qubits
+        assert qubit.register.num_qubits == 1 + int(math.log2(params.probe_dim))
         assert len(attacker.probes) == 1
 
     def test_undetectable_attack_never_disturbs_decoys(self):

@@ -9,7 +9,6 @@ from sqpbs.bits import Bits
 from sqpbs.errors import KeyEstablishmentError
 from sqpbs.keys import (
     HashConfig,
-    KeyRing,
     OtpKey,
     establish_key_bb84,
     establish_key_sqkd,
@@ -158,29 +157,6 @@ class TestKeyedHash:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             HashConfig(128, "not-a-hash")
-
-
-class TestKeyRing:
-    def test_lengths_enforced(self):
-        rng = new_rng(12)
-        ring = KeyRing(
-            n=4,
-            k_a=Bits.random(4, rng),
-            k_bt=Bits.random(4, rng),
-            k_ct=Bits.random(4, rng),
-            k_dt=Bits.random(8, rng),
-            hash_secret=Bits.random(16, rng),
-        )
-        assert len(ring.k_dt) == 2 * ring.n
-        with pytest.raises(ValueError, match="k_dt"):
-            KeyRing(
-                n=4,
-                k_a=Bits.random(4, rng),
-                k_bt=Bits.random(4, rng),
-                k_ct=Bits.random(4, rng),
-                k_dt=Bits.random(4, rng),
-                hash_secret=Bits.random(16, rng),
-            )
 
 
 class TestBB84:

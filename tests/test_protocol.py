@@ -1,9 +1,11 @@
 """Five-party orchestration: phases, verdicts, attacks, determinism."""
 
+import gc
 import json
 
 import pytest
 
+from sqpbs.adversary import EveParams
 from sqpbs.bits import Bits
 from sqpbs.errors import ConfigError, SemiquantumCapabilityError
 from sqpbs.protocol import Party, ProtocolRun, replay_matches, run_full
@@ -34,10 +36,9 @@ class TestHonestRuns:
     def test_key_lengths(self):
         run = ProtocolRun(honest(6, 3))
         run.run()
-        assert len(run.keys.k_a) == 6
-        assert len(run.keys.k_bt) == 6
-        assert len(run.keys.k_ct) == 6
-        assert len(run.keys.k_dt) == 12
+        assert len(run.k_a) == 6
+        for party, bits in (("bob", 6), ("charlie", 6), ("david", 12)):
+            assert [len(pad.key) for pad in run.pads[party]] == [bits, bits]
 
     def test_explicit_message_and_key(self):
         g_a, k_a = Bits("1010"), Bits("0111")
@@ -223,8 +224,6 @@ class TestAttacks:
         assert record in transcript.events_of("withheld")[0]["label"]
 
     def test_undetectable_entangle_measure_passes(self):
-        from sqpbs.adversary import EveParams
-
         transcript = run_full(
             honest(3, 13, decoy_count=16,
                    attack=AttackSpec("entangle-measure", "xi_m", eve=EveParams.undetectable((0.6, 0.8))))
@@ -232,13 +231,42 @@ class TestAttacks:
         assert transcript.verdict == "valid"
 
     def test_detectable_entangle_measure_aborts(self):
-        from sqpbs.adversary import EveParams
-
         transcript = run_full(
             honest(3, 13, decoy_count=24,
                    attack=AttackSpec("entangle-measure", "xi_m", eve=EveParams.rotation(0.8)))
         )
         assert transcript.verdict == "aborted:eavesdropping"
+
+
+UNDETECTABLE = EveParams.undetectable((0.6, 0.8))
+
+
+@pytest.mark.parametrize(
+    ("config", "verdict"),
+    [
+        (honest(8, 1), "valid"),
+        (honest(8, 2, key_mode="stubbed", attack=AttackSpec("forge-md")), "invalid"),
+        (honest(2, 1, decoy_count=20, attack=AttackSpec("intercept-resend", "xi_m")), "aborted:eavesdropping"),
+        (honest(3, 13, attack=AttackSpec("entangle-measure", "xi_m", eve=UNDETECTABLE)), "valid"),
+        (honest(3, 13, attack=AttackSpec("entangle-measure", "w4", eve=UNDETECTABLE)), "valid"),
+        (honest(16, 7, attack=AttackSpec("intercept-resend", "bb84_dt")), "aborted:key-establishment"),
+        (honest(2, 11, attack=AttackSpec("withhold", record="M_D")), "aborted:missing:M_D"),
+        (honest(4, 3, attack=AttackSpec("tamper-md", bit_index=1)), "invalid"),
+    ],
+    ids=["honest", "forge-stubbed", "intercept-abort", "entangle-xi_m", "entangle-w4",
+         "intercept-bb84_dt", "withhold", "tamper"],
+)
+def test_runs_leave_no_reference_cycles(config, verdict):
+    # Handles point at registers, never the reverse, so a finished run is
+    # freed by reference counting alone.  The first run warms up imports.
+    run_full(config)
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_full(config).verdict == verdict
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestTranscriptRecord:

@@ -103,11 +103,10 @@ class EveParams:
             raise ValueError(f"probe vectors of dimension {dim} > 4 are not supported")
         dim = 2 if dim <= 2 else 4
         vecs = [_as_probe_vector(e, dim) for e in raw]
-        for label, vec, amp in zip(
-            ("eps_00", "eps_01", "eps_10", "eps_11"),
-            vecs,
-            (self.alpha_00, self.alpha_01, self.alpha_10, self.alpha_11),
-        ):
+        amps = (self.alpha_00, self.alpha_01, self.alpha_10, self.alpha_11)
+        if not np.all(np.isfinite([*amps, *np.concatenate(vecs)])):
+            raise ValueError("coupling amplitudes and probe vectors must be finite")
+        for label, vec, amp in zip(("eps_00", "eps_01", "eps_10", "eps_11"), vecs, amps):
             norm = float(np.linalg.norm(vec))
             if abs(amp) > 1e-12 and abs(norm - 1.0) > 1e-10:
                 raise ValueError(f"{label} must be normalized (|{label}| = {norm})")
@@ -264,7 +263,16 @@ class EveParams:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EveParams":
+        """Inverse of :meth:`to_json_dict`; anything but its exact layout is a ValueError."""
+        if set(data) != {"alpha", "eps"}:
+            raise ValueError(f"attack parameters need exactly the keys 'alpha' and 'eps', got {sorted(data)}")
+        for key in ("alpha", "eps"):
+            if len(data[key]) != 4:
+                raise ValueError(f"{key!r} needs exactly 4 entries, got {len(data[key])}")
+
         def c1(pair) -> complex:
+            if len(pair) != 2:
+                raise ValueError(f"a complex number is a [re, im] pair, got {pair!r}")
             return complex(pair[0], pair[1])
 
         def v1(vec) -> tuple[complex, ...]:

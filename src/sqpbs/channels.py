@@ -54,10 +54,6 @@ class DecoyState(Enum):
             return basis_state(1, self.bit)
         return ket_minus() if self.bit else ket_plus()
 
-    @classmethod
-    def sample(cls, rng: Rng) -> "DecoyState":
-        return _DECOY_ORDER[int(rng.integers(0, 4))]
-
 
 _DECOY_ORDER = tuple(DecoyState)
 
@@ -108,6 +104,7 @@ def send_with_decoys(
         raise ValueError(f"decoy_count must be >= 1, got {decoy_count}")
     total = len(payload) + decoy_count
     decoy_positions = sorted(int(p) for p in rng.choice(total, size=decoy_count, replace=False))
+    decoy_states = iter(rng.integers(0, 4, size=decoy_count).tolist())
     decoy_set = set(decoy_positions)
     slots: list[Qubit] = []
     decoys: list[DecoyRecord] = []
@@ -115,7 +112,7 @@ def send_with_decoys(
     payload_positions: list[int] = []
     for pos in range(total):
         if pos in decoy_set:
-            state = DecoyState.sample(rng)
+            state = _DECOY_ORDER[next(decoy_states)]
             decoys.append(DecoyRecord(position=pos, state=state, qubit=new_qubit(state.make_state())))
             slots.append(decoys[-1].qubit)
         else:

@@ -7,10 +7,14 @@ blinding key), the one-time-pad encryption of measurement records, and
 the keyed hash shared between the message owner and the verifier.
 
 Key establishment is simulated honestly at the single-qubit level.
-Every transmitted qubit is a fresh one-qubit register
-(``registers.new_qubit``); an optional adversary hook acts on it in
-transit, and the receiver reads it with ``registers.measure_qubit`` —
-the same path the decoy-protected channels use.
+Only an attacked channel builds registers: each transmitted qubit is
+then a fresh one-qubit register (``registers.new_qubit``) that the
+adversary hook acts on in transit and the receiver reads with
+``registers.measure_qubit``, the same path the decoy-protected channels
+use.  On an untouched channel each reading is one uniform draw against
+the qubit's Born probabilities, taken from a table of the four
+preparations; it consumes the random stream exactly as the register
+path would.
 Runs that do not care about the key-agreement channel may skip it
 entirely and draw pre-shared keys ("stubbed" mode in the protocol
 layer), since the agreed keys of an honest noiseless exchange are
@@ -22,11 +26,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bits import Bits
 from .channels import DecoyState
 from .errors import ConfigError, KeyEstablishmentError
-from .registers import Qubit, measure_qubit, new_qubit
-from .statevec import Basis, Rng
+from .registers import measure_qubit, new_qubit
+from .statevec import Basis, Rng, born_1q, born_outcome
 
 __all__ = [
     "HashConfig",
@@ -139,15 +145,36 @@ class KeyExchangeResult:
         return self.sender_key == self.receiver_key
 
 
-_BB84_STATES = {(d.basis, d.bit): d.make_state() for d in DecoyState}
+_BASES = (Basis.Z, Basis.X)  # indexed by the basis coins the key loops draw
+_STATES = {(_BASES.index(d.basis), d.bit): d.make_state() for d in DecoyState}
+# (preparation basis, value, measurement basis) -> Born (p0, p1)
+_BORN = {(pb, pv, mb): born_1q(state, _BASES[mb])[1] for (pb, pv), state in _STATES.items() for mb in (0, 1)}
 
 
-def _send(state, adversary, rng: Rng) -> Qubit:
-    """One forward-leg transmission; the adversary, if any, acts in transit."""
-    qubit = new_qubit(state)
-    if adversary is not None:
-        adversary.intercept(qubit, rng)
-    return qubit
+def _receive(prep_bases, prep_values, meas_bases, adversary, rng: Rng) -> np.ndarray:
+    """Receiver's outcomes for prepared qubits measured after one forward leg.
+
+    Arguments are equal-length 0/1 arrays (basis 0 = Z, 1 = X).  An
+    untouched channel needs no registers: the outcomes come from one
+    block of uniform draws, the same draws as one per qubit.  Otherwise
+    each qubit crosses in its own register and the adversary acts on it
+    before the receiver measures, in transmission order.
+    """
+    triples = zip(prep_bases.tolist(), prep_values.tolist(), meas_bases.tolist())
+    if adversary is None:
+        draws = rng.random(len(prep_bases)).tolist()
+        return np.array([born_outcome(_BORN[t], u) for t, u in zip(triples, draws)], dtype=int)
+    outcomes = []
+    for pb, pv, mb in triples:
+        carrier = new_qubit(_STATES[(pb, pv)])
+        adversary.intercept(carrier, rng)
+        outcomes.append(measure_qubit(carrier, _BASES[mb], rng))
+    return np.array(outcomes, dtype=int)
+
+
+def _raw_used(key_positions: np.ndarray, missing: int, batch: int) -> int:
+    """Raw qubits a batch spends: up to its ``missing``-th key position, else all."""
+    return int(key_positions[missing - 1]) + 1 if key_positions.size >= missing else batch
 
 
 def establish_key_bb84(
@@ -176,21 +203,18 @@ def establish_key_bb84(
     receiver_bits: list[int] = []
     raw = 0
     while len(sender_bits) < needed:
-        batch = max(16, 2 * (needed - len(sender_bits)) + 8)
+        missing = needed - len(sender_bits)
+        batch = max(16, 2 * missing + 8)
         send_bases = rng.integers(0, 2, size=batch)
         send_values = rng.integers(0, 2, size=batch)
         recv_bases = rng.integers(0, 2, size=batch)
-        for sb, sv, rb in zip(send_bases, send_values, recv_bases):
-            raw += 1
-            basis_s = Basis.X if sb else Basis.Z
-            basis_r = Basis.X if rb else Basis.Z
-            carrier = _send(_BB84_STATES[(basis_s, int(sv))], adversary, rng)
-            outcome = measure_qubit(carrier, basis_r, rng)
-            if basis_s is basis_r:
-                sender_bits.append(int(sv))
-                receiver_bits.append(outcome)
-            if len(sender_bits) >= needed:
-                break
+        sifted = np.flatnonzero(send_bases == recv_bases)
+        used = _raw_used(sifted, missing, batch)
+        sifted = sifted[:missing]
+        outcomes = _receive(send_bases[:used], send_values[:used], recv_bases[:used], adversary, rng)
+        raw += used
+        sender_bits += send_values[sifted].tolist()
+        receiver_bits += outcomes[sifted].tolist()
     errors = 0
     check_positions: set[int] = set()
     if check_bits:
@@ -242,29 +266,29 @@ def establish_key_sqkd(
     ctrl_x_errors = 0
     ctrl_x_total = 0
     while len(sender_key) < length:
-        batch = max(16, 4 * (length - len(sender_key)) + 8)
+        missing = length - len(sender_key)
+        batch = max(16, 4 * missing + 8)
         prep_bases = rng.integers(0, 2, size=batch)
         prep_values = rng.integers(0, 2, size=batch)
         sift_coins = rng.integers(0, 2, size=batch)
-        for pb, pv, coin in zip(prep_bases, prep_values, sift_coins):
-            raw += 1
-            basis = Basis.X if pb else Basis.Z
-            carrier = _send(_BB84_STATES[(basis, int(pv))], adversary, rng)
-            if coin:  # SIFT: classical party measures in Z and resends the result
-                measured = measure_qubit(carrier, Basis.Z, rng)
-                if basis is Basis.Z:
-                    sender_key.append(int(pv))
-                    receiver_key.append(measured)
-                    if len(sender_key) >= length:
-                        break
-            else:  # CTRL: reflected untouched; checked in the preparation basis
-                echoed = measure_qubit(carrier, basis, rng)
-                ctrl_total += 1
-                mismatch = echoed != int(pv)
-                ctrl_errors += mismatch
-                if basis is Basis.X:
-                    ctrl_x_total += 1
-                    ctrl_x_errors += mismatch
+        keyed = np.flatnonzero((sift_coins == 1) & (prep_bases == 0))  # SIFT of a Z preparation
+        used = _raw_used(keyed, missing, batch)
+        keyed = keyed[:missing]
+        prep_bases, prep_values, sift_coins = prep_bases[:used], prep_values[:used], sift_coins[:used]
+        # SIFT: the classical party measures in Z; CTRL: the reflection is
+        # read in the preparation basis.
+        meas_bases = np.where(sift_coins == 1, 0, prep_bases)
+        outcomes = _receive(prep_bases, prep_values, meas_bases, adversary, rng)
+        raw += used
+        sender_key += prep_values[keyed].tolist()
+        receiver_key += outcomes[keyed].tolist()
+        ctrl = sift_coins == 0
+        mismatch = outcomes[ctrl] != prep_values[ctrl]
+        on_x = prep_bases[ctrl] == 1
+        ctrl_total += int(ctrl.sum())
+        ctrl_errors += int(mismatch.sum())
+        ctrl_x_total += int(on_x.sum())
+        ctrl_x_errors += int(mismatch[on_x].sum())
     error_rate = ctrl_errors / ctrl_total if ctrl_total else 0.0
     if error_rate > error_threshold:
         raise KeyEstablishmentError("sqkd", error_rate, error_threshold)

@@ -31,16 +31,6 @@ class TestDecoyStates:
         assert DecoyState.PLUS.basis is Basis.X and DecoyState.PLUS.bit == 0
         assert DecoyState.MINUS.basis is Basis.X and DecoyState.MINUS.bit == 1
 
-    def test_sampling_uniform(self):
-        rng = new_rng(1)
-        trials = 10_000
-        counts = {s: 0 for s in DecoyState}
-        for _ in range(trials):
-            counts[DecoyState.sample(rng)] += 1
-        sigma = math.sqrt(trials * 0.25 * 0.75)
-        for state, count in counts.items():
-            assert abs(count - trials / 4) < 4 * sigma, state
-
     def test_prepared_state_measures_to_its_bit(self):
         rng = new_rng(2)
         for state in DecoyState:
@@ -60,6 +50,18 @@ class TestSendWithDecoys:
         assert seq.payload() == payload
         assert len(seq.slots) == 8
         assert seq.decoy_count == 3
+
+    def test_recorded_decoy_states_uniform(self):
+        rng = new_rng(1)
+        trials = 10_000
+        counts = {s: 0 for s in DecoyState}
+        payload = _plus_payload(1)  # slot occupancy only; never measured
+        for _ in range(trials // 10):
+            for record in send_with_decoys(payload, 10, rng).decoys:
+                counts[record.state] += 1
+        sigma = math.sqrt(trials * 0.25 * 0.75)
+        for state, count in counts.items():
+            assert abs(count - trials / 4) < 4 * sigma, state
 
     def test_honest_channel_leaves_decoys_intact(self):
         rng = new_rng(5)

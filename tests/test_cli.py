@@ -19,6 +19,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# A valid attack-parameter file, and three ways to over-fill it.
+GOOD_EVE = EveParams.undetectable((0.6, 0.8)).to_json_dict()
+FIVE_ENTRY_EVE = {"alpha": GOOD_EVE["alpha"] * 2, "eps": GOOD_EVE["eps"][:1] * 5}
+EXTRA_KEY_EVE = {**GOOD_EVE, "extra": 1}
+THREE_PART_COMPLEX_EVE = {**GOOD_EVE, "alpha": [[*p, 0.0] for p in GOOD_EVE["alpha"]]}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -134,8 +141,15 @@ class TestRun:
             {"alpha": [[1, 0]], "eps": [[[1, 0]]] * 4},
             {"alpha": [["0.6", "0"], [0, 0], [0, 0], [0.8, 0]], "eps": [[[1, 0]]] * 4},
             {"alpha": [1, 0, 0, 1], "eps": [1, 1, 1, 1]},
+            FIVE_ENTRY_EVE,
+            EXTRA_KEY_EVE,
+            THREE_PART_COMPLEX_EVE,
+            {"alpha": [[float("nan"), 0], [0, 0], [0, 0], [1, 0]], "eps": [[[1, 0]]] * 4},
         ],
-        ids=["empty-array", "one-alpha", "string-amplitude", "flat-numbers"],
+        ids=[
+            "empty-array", "one-alpha", "string-amplitude", "flat-numbers",
+            "five-entries", "extra-key", "three-part-complex", "nan-amplitude",
+        ],
     )
     def test_malformed_eve_params_is_config_error(self, tmp_path, capsys, command, payload):
         bad = tmp_path / "eve.json"
@@ -196,10 +210,19 @@ class TestReplay:
                 "config": {"n": 2, "seed": 1, "attack": {"kind": "tamper-md", "bit_index": "a"}},
                 "transcript": {},
             },
+            *(
+                {
+                    "format": "sqpbs-transcript",
+                    "config": {"n": 2, "seed": 1, "attack": {"kind": "entangle-measure", "eve": eve}},
+                    "transcript": {},
+                }
+                for eve in (FIVE_ENTRY_EVE, EXTRA_KEY_EVE)
+            ),
         ],
         ids=[
             "missing-config", "bad-bits", "top-level-array", "negative-seed", "unknown-config-key",
             "float-n", "bool-n", "float-seed", "string-decoy-count", "float-hash-bits", "string-bit-index",
+            "eve-five-entries", "eve-extra-key",
         ],
     )
     def test_replay_of_malformed_file_is_config_error(self, tmp_path, capsys, payload):

@@ -224,3 +224,23 @@ class TestSQKD:
         b = establish_key_sqkd(64, new_rng(22))
         assert a.sender_key == b.sender_key
         assert a.detail == b.detail
+
+
+class PassThrough:
+    """Adversary that leaves every qubit alone; its presence forces the register path."""
+
+    def intercept(self, qubit, rng):
+        pass
+
+
+@pytest.mark.parametrize("establish", [establish_key_bb84, establish_key_sqkd], ids=["bb84", "sqkd"])
+@pytest.mark.parametrize("length", [1, 2, 64, 200])
+def test_untouched_channel_matches_the_register_path(establish, length):
+    """Table-drawn outcomes equal per-qubit register reads, draw for draw."""
+    for seed in range(10):
+        rng_table, rng_registers = new_rng(seed), new_rng(seed)
+        table = establish(length, rng_table)
+        registers = establish(length, rng_registers, PassThrough())
+        for name in ("sender_key", "receiver_key", "raw_count", "sifted_count", "error_rate", "detail"):
+            assert getattr(table, name) == getattr(registers, name), (seed, name)
+        assert rng_table.random() == rng_registers.random(), seed

@@ -8,16 +8,27 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqpbs.adversary import INTERCEPT_BASES, EveParams
 from sqpbs.analysis import DETECTION_SCOPES, FORGERY_MODELS
 from sqpbs.bits import Bits
+from sqpbs.channels import DecoyState
 from sqpbs.cli import main
 from sqpbs.keys import otp_decrypt, otp_encrypt
 from sqpbs.protocol import run_full
-from sqpbs.statevec import Basis, apply_unitary, measure, new_rng, num_qubits, postselect
+from sqpbs.statevec import (
+    Basis,
+    apply_unitary,
+    basis_state,
+    measure,
+    new_rng,
+    num_qubits,
+    postselect,
+    tensor,
+)
 from sqpbs.transcript import ATTACK_KINDS, KEY_MODES, QUANTUM_CHANNELS, WITHHOLDABLE, RunConfig
 
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
@@ -80,6 +91,40 @@ def test_postselect_returns_unit_norm_and_keeps_input(state, data, basis, outcom
     if post is not None:
         assert abs(norm_squared(post) - 1.0) <= 1e-12
     np.testing.assert_array_equal(state, before)
+
+
+class LastDraw:
+    """Generator stub drawing the largest double below 1: it lands past a total
+    that rounded below 1, so |+> read in X takes the zero-weight flip."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+def assert_one_qubit_path_matches_array_path(state, basis, seed):
+    """Scalar one-qubit ``measure`` equals the array path run on the state joined with |0>.
+
+    ``seed`` None draws with ``LastDraw``; otherwise both sides get equally
+    seeded generators.
+    """
+    rng, joined_rng = (LastDraw(), LastDraw()) if seed is None else (new_rng(seed), new_rng(seed))
+    bit, post = measure(state, 0, basis, rng)
+    joined_bit, joined_post = measure(tensor(state, basis_state(1, 0)), 0, basis, joined_rng)
+    assert bit == joined_bit
+    assert post.tobytes() == joined_post.reshape(2, 2)[:, 0].tobytes()
+
+
+@FAST
+@given(states(max_qubits=1), st.sampled_from(Basis), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_one_qubit_measure_matches_the_array_path(state, basis, seed):
+    assert_one_qubit_path_matches_array_path(state, basis, seed)
+
+
+@pytest.mark.parametrize("seed", [None, *range(8)])
+@pytest.mark.parametrize("basis", list(Basis))
+@pytest.mark.parametrize("decoy", list(DecoyState))
+def test_decoy_state_measure_matches_the_array_path(decoy, basis, seed):
+    assert_one_qubit_path_matches_array_path(decoy.make_state(), basis, seed)
 
 
 @FAST

@@ -13,10 +13,11 @@ Two check styles, matching who sits at the receiving end:
   reflected particles in their preparation bases and separately checks
   the published Z outcomes on decoys it prepared in Z.
 
-Decoy qubits live in their own 1-qubit registers; payload qubits stay
-inside whatever register they already inhabit.  Honest operations never
-entangle the two, so the factorization is exact.  Adversary hooks act on
-the forward leg of each transmission; return legs are modeled clean.
+A decoy (or a key qubit in ``keys``) gets a register only when an
+adversary acts on it (``transmit``); payload qubits stay inside whatever
+register they already inhabit.  Honest operations never entangle the
+two, so the factorization is exact.  Adversary hooks act on the forward
+leg of each transmission; return legs are modeled clean.
 """
 
 from __future__ import annotations
@@ -29,14 +30,15 @@ import numpy as np
 
 from .errors import EavesdroppingDetected
 from .registers import Qubit, measure_qubit, new_qubit
-from .statevec import Basis, Rng, basis_state, ket_minus, ket_plus
+from .statevec import Basis, Rng, basis_state, born_1q, born_outcome, ket_minus, ket_plus
 
 
 class DecoyState(Enum):
     """The four BB84/decoy preparations: label, basis and encoded bit.
 
-    This table is the single definition of the four states; key
-    agreement and the entangle-measure analysis derive theirs from it.
+    This table is the single definition of the four states and their
+    Born probabilities; key agreement and the entangle-measure analysis
+    use it too.
     """
 
     ZERO = ("0", Basis.Z, 0)
@@ -54,17 +56,38 @@ class DecoyState(Enum):
             return basis_state(1, self.bit)
         return ket_minus() if self.bit else ket_plus()
 
+    def read(self, qubit: Qubit | None, basis: Basis, rng: Rng) -> int:
+        """Measure in ``basis`` after crossing as ``qubit`` (``None``: untouched).
+
+        Untouched, the outcome comes from the Born table, with the one
+        uniform draw a register measurement takes.
+        """
+        if qubit is None:
+            return born_outcome(_BORN[self, basis], rng.random())
+        return measure_qubit(qubit, basis, rng)
+
 
 _DECOY_ORDER = tuple(DecoyState)
+# (preparation, measurement basis) -> Born (p0, p1)
+_BORN = {(d, b): born_1q(d.make_state(), b)[1] for d in DecoyState for b in Basis}
+
+
+def transmit(state: DecoyState, adversary, rng: Rng) -> Qubit | None:
+    """Send ``state`` over one forward leg: a register the adversary acted on, or ``None``."""
+    if adversary is None:
+        return None
+    qubit = new_qubit(state.make_state())
+    adversary.intercept(qubit, rng)
+    return qubit
 
 
 @dataclass
 class DecoyRecord:
-    """Preparer-side record of one inserted decoy."""
+    """Preparer-side record of one inserted decoy; ``qubit`` is None when untouched."""
 
     position: int
     state: DecoyState
-    qubit: Qubit
+    qubit: Qubit | None
 
 
 @dataclass
@@ -72,17 +95,12 @@ class TransmittedSequence:
     """A payload interleaved with decoys, as it crossed the channel."""
 
     channel: str
-    slots: list[Qubit]
-    payload_positions: list[int]
+    payload: list[Qubit]  # in its original order
     decoys: list[DecoyRecord]
 
     @property
     def decoy_count(self) -> int:
         return len(self.decoys)
-
-    def payload(self) -> list[Qubit]:
-        """Payload qubits back in their original order."""
-        return [self.slots[p] for p in self.payload_positions]
 
 
 def send_with_decoys(
@@ -103,27 +121,17 @@ def send_with_decoys(
     if decoy_count < 1:
         raise ValueError(f"decoy_count must be >= 1, got {decoy_count}")
     total = len(payload) + decoy_count
-    decoy_positions = sorted(int(p) for p in rng.choice(total, size=decoy_count, replace=False))
+    decoy_positions = {int(p) for p in rng.choice(total, size=decoy_count, replace=False)}
     decoy_states = iter(rng.integers(0, 4, size=decoy_count).tolist())
-    decoy_set = set(decoy_positions)
-    slots: list[Qubit] = []
     decoys: list[DecoyRecord] = []
     payload_iter = iter(payload)
-    payload_positions: list[int] = []
     for pos in range(total):
-        if pos in decoy_set:
+        if pos in decoy_positions:
             state = _DECOY_ORDER[next(decoy_states)]
-            decoys.append(DecoyRecord(position=pos, state=state, qubit=new_qubit(state.make_state())))
-            slots.append(decoys[-1].qubit)
-        else:
-            slots.append(next(payload_iter))
-            payload_positions.append(pos)
-    if adversary is not None:
-        for q in slots:
-            adversary.intercept(q, rng)
-    return TransmittedSequence(
-        channel=channel, slots=slots, payload_positions=payload_positions, decoys=decoys
-    )
+            decoys.append(DecoyRecord(position=pos, state=state, qubit=transmit(state, adversary, rng)))
+        elif adversary is not None:
+            adversary.intercept(next(payload_iter), rng)
+    return TransmittedSequence(channel=channel, payload=list(payload), decoys=decoys)
 
 
 @dataclass
@@ -148,7 +156,7 @@ def check_decoys(
     """
     errors = 0
     for record in seq.decoys:
-        outcome = measure_qubit(record.qubit, record.state.basis, rng)
+        outcome = record.state.read(record.qubit, record.state.basis, rng)
         errors += outcome != record.state.bit
     rate = errors / len(seq.decoys)
     result = DecoyCheckResult(
@@ -198,7 +206,7 @@ def semiquantum_return_check(
     reflected: list[DecoyRecord] = []
     for record in seq.decoys:
         if rng.integers(0, 2):  # SIFT
-            sifted.append((record, measure_qubit(record.qubit, Basis.Z, rng)))
+            sifted.append((record, record.state.read(record.qubit, Basis.Z, rng)))
         else:  # CTRL
             reflected.append(record)
     # Reflected particles travel back shuffled; once the receiver reveals
@@ -210,7 +218,7 @@ def semiquantum_return_check(
     reflected_errors = 0
     subset = {Basis.Z: [0, 0], Basis.X: [0, 0]}  # basis -> [count, errors]
     for rec in returned:
-        outcome = measure_qubit(rec.qubit, rec.state.basis, rng)
+        outcome = rec.state.read(rec.qubit, rec.state.basis, rng)
         mismatch = outcome != rec.state.bit
         reflected_errors += mismatch
         subset[rec.state.basis][0] += 1

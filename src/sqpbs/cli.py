@@ -35,6 +35,7 @@ from .teleport import MessageQubit, verify_correction_table, _TABLE
 from .transcript import (
     ATTACK_KINDS,
     KEY_MODES,
+    QUANTUM_CHANNELS,
     TOOL_VERSION,
     TRANSCRIPT_FORMAT,
     WITHHOLDABLE,
@@ -114,7 +115,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--attack", default=AttackSpec.kind, choices=ATTACK_KINDS,
                         help="adversary model to inject")
-    parser.add_argument("--attack-channel", default=AttackSpec.channel, help="which transmission is tapped")
+    parser.add_argument("--attack-channel", default=AttackSpec.channel, choices=QUANTUM_CHANNELS,
+                        help="which transmission is tapped")
     parser.add_argument("--attack-basis", default=AttackSpec.basis, choices=INTERCEPT_BASES,
                         help="intercept-resend measurement basis")
     parser.add_argument("--eve-params", metavar="FILE",

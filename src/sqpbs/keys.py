@@ -7,14 +7,9 @@ blinding key), the one-time-pad encryption of measurement records, and
 the keyed hash shared between the message owner and the verifier.
 
 Key establishment is simulated honestly at the single-qubit level.
-Only an attacked channel builds registers: each transmitted qubit is
-then a fresh one-qubit register (``registers.new_qubit``) that the
-adversary hook acts on in transit and the receiver reads with
-``registers.measure_qubit``, the same path the decoy-protected channels
-use.  On an untouched channel each reading is one uniform draw against
-the qubit's Born probabilities, taken from a table of the four
-preparations; it consumes the random stream exactly as the register
-path would.
+Each key qubit is a ``channels.DecoyState`` preparation that crosses
+like a decoy: ``channels.transmit`` gives it a register only under
+attack, and ``DecoyState.read`` measures it with one uniform draw.
 Runs that do not care about the key-agreement channel may skip it
 entirely and draw pre-shared keys ("stubbed" mode in the protocol
 layer), since the agreed keys of an honest noiseless exchange are
@@ -29,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import Bits
-from .channels import DecoyState
+from .channels import DecoyState, transmit
 from .errors import ConfigError, KeyEstablishmentError
-from .registers import measure_qubit, new_qubit
-from .statevec import Basis, Rng, born_1q, born_outcome
+from .statevec import Basis, Rng
 
 __all__ = [
     "HashConfig",
@@ -146,29 +140,19 @@ class KeyExchangeResult:
 
 
 _BASES = (Basis.Z, Basis.X)  # indexed by the basis coins the key loops draw
-_STATES = {(_BASES.index(d.basis), d.bit): d.make_state() for d in DecoyState}
-# (preparation basis, value, measurement basis) -> Born (p0, p1)
-_BORN = {(pb, pv, mb): born_1q(state, _BASES[mb])[1] for (pb, pv), state in _STATES.items() for mb in (0, 1)}
+_PREPARED = tuple(DecoyState)  # indexed by 2 * basis coin + value coin
 
 
 def _receive(prep_bases, prep_values, meas_bases, adversary, rng: Rng) -> np.ndarray:
     """Receiver's outcomes for prepared qubits measured after one forward leg.
 
-    Arguments are equal-length 0/1 arrays (basis 0 = Z, 1 = X).  An
-    untouched channel needs no registers: the outcomes come from one
-    block of uniform draws, the same draws as one per qubit.  Otherwise
-    each qubit crosses in its own register and the adversary acts on it
-    before the receiver measures, in transmission order.
+    Arguments are equal-length 0/1 arrays (basis 0 = Z, 1 = X); each
+    qubit is sent and measured before the next.
     """
-    triples = zip(prep_bases.tolist(), prep_values.tolist(), meas_bases.tolist())
-    if adversary is None:
-        draws = rng.random(len(prep_bases)).tolist()
-        return np.array([born_outcome(_BORN[t], u) for t, u in zip(triples, draws)], dtype=int)
     outcomes = []
-    for pb, pv, mb in triples:
-        carrier = new_qubit(_STATES[(pb, pv)])
-        adversary.intercept(carrier, rng)
-        outcomes.append(measure_qubit(carrier, _BASES[mb], rng))
+    for pb, pv, mb in zip(prep_bases.tolist(), prep_values.tolist(), meas_bases.tolist()):
+        state = _PREPARED[2 * pb + pv]
+        outcomes.append(state.read(transmit(state, adversary, rng), _BASES[mb], rng))
     return np.array(outcomes, dtype=int)
 
 

@@ -287,7 +287,7 @@ class ProtocolRun:
         # Step 4: Bob authorizes by measuring his particle sequence in Z.
         # Step 5: Trent decrypts and triggers the proxy signature.
         self._notice("bob", "david", "signing-approved")
-        m_b = Bits(self.bob.measure_qubit(q, Basis.Z, rng) for q in self.w1_seq.payload())
+        m_b = Bits(self.bob.measure_qubit(q, Basis.Z, rng) for q in self.w1_seq.payload)
         self.m_b = self._report(self.bob, "M_B", "Z", m_b)
         self._notice("trent", "david", "sign-request")
 
@@ -295,7 +295,7 @@ class ProtocolRun:
         # Step 7: Trent decrypts the signature and asks Charlie to measure.
         self._check(self.w2_seq)
         m_d_bits: list[int] = []
-        for xi_q, w2_q in zip(self.xi_seq.payload(), self.w2_seq.payload()):
+        for xi_q, w2_q in zip(self.xi_seq.payload, self.w2_seq.payload):
             m_d_bits.extend(self.david.measure_bell(xi_q, w2_q, rng).bits)
         self.transcript.count("signature_bits", 2 * n)
         self.m_d = self._report(self.david, "M_D", "Bell", Bits(m_d_bits))
@@ -303,7 +303,7 @@ class ProtocolRun:
 
         # Step 8: Charlie clears w4 with the return check and measures in Z.
         self._check(self.w4_seq)
-        m_c = Bits(self.charlie.measure_qubit(q, Basis.Z, rng) for q in self.w4_seq.payload())
+        m_c = Bits(self.charlie.measure_qubit(q, Basis.Z, rng) for q in self.w4_seq.payload)
         self.m_c = self._report(self.charlie, "M_C", "Z", m_c)
 
         # Step 9: Trent corrects each particle 3, reads it out in X, and
@@ -333,7 +333,7 @@ class ProtocolRun:
     def phase_verify(self) -> str:
         self._check(self.g_seq)
         g_prime = Bits(
-            self.charlie.measure_qubit(q, Basis.Z, self.rng) for q in self.g_seq.payload()
+            self.charlie.measure_qubit(q, Basis.Z, self.rng) for q in self.g_seq.payload
         )
         self.g_prime = g_prime
         self.transcript.add("measurement_record", party="charlie", label="g_prime", basis="Z", bits=g_prime)

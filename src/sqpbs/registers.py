@@ -11,8 +11,8 @@ one register into the other (tensor product).  The absorbed register is
 left as a forward to its absorber, recording how far its qubits moved;
 each handle follows the forward the first time it is used afterwards.
 This keeps every simulated system in the smallest register that physics
-requires — decoy qubits are born in their own 1-qubit registers and only
-ever grow when an attacker entangles a probe with them.
+requires; decoys and key qubits get one only when an attacker acts on
+them (``channels.transmit``).
 """
 
 from __future__ import annotations

@@ -244,14 +244,6 @@ def apply_unitary(
     return np.ascontiguousarray(t).reshape(-1)
 
 
-def z_probabilities(state: np.ndarray, qubit: int) -> tuple[float, float]:
-    """Born probabilities (p0, p1) for a Z measurement of one qubit."""
-    t = _qubit_view(state, qubit)
-    p0 = float(np.sum(t[:, 0, :].real ** 2 + t[:, 0, :].imag ** 2))
-    p1 = float(np.sum(t[:, 1, :].real ** 2 + t[:, 1, :].imag ** 2))
-    return p0, p1
-
-
 def _sumsq(block: np.ndarray) -> float:
     return float(np.sum(block.real**2 + block.imag**2))
 
@@ -377,11 +369,14 @@ def _bell_collapse(
     return np.ascontiguousarray(t).reshape(-1)
 
 
+def _bell_born(components: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(components) ** 2, axis=1)
+
+
 def bell_probabilities(state: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on a qubit pair."""
     _check_targets(num_qubits(state), [qubit_a, qubit_b])
-    comp = _bell_components(state, qubit_a, qubit_b)
-    return np.sum(np.abs(comp) ** 2, axis=1)
+    return _bell_born(_bell_components(state, qubit_a, qubit_b))
 
 
 def postselect_bell(
@@ -390,7 +385,7 @@ def postselect_bell(
     """Probability of a Bell outcome on (a, b) and the projected state."""
     _check_targets(num_qubits(state), [qubit_a, qubit_b])
     comp = _bell_components(state, qubit_a, qubit_b)
-    probs = np.sum(np.abs(comp) ** 2, axis=1)
+    probs = _bell_born(comp)
     prob = float(probs[outcome.index])
     if prob < ZERO_PROB:
         return prob, None
@@ -407,7 +402,7 @@ def measure_bell(state: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tup
     """
     _check_targets(num_qubits(state), [qubit_a, qubit_b])
     comp = _bell_components(state, qubit_a, qubit_b)
-    probs = np.sum(np.abs(comp) ** 2, axis=1)
+    probs = _bell_born(comp)
     u = rng.random()
     acc = 0.0
     for index in range(4):

@@ -68,7 +68,7 @@ class AttackSpec:
     def validate(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ConfigError(f"unknown attack kind {self.kind!r} (choose from {ATTACK_KINDS})")
-        if self.kind in QUANTUM_ATTACKS and self.channel not in QUANTUM_CHANNELS:
+        if self.channel not in QUANTUM_CHANNELS:
             raise ConfigError(f"unknown channel {self.channel!r} (choose from {QUANTUM_CHANNELS})")
         if self.kind == "entangle-measure" and self.eve is None:
             raise ConfigError("entangle-measure attack requires eve parameters")

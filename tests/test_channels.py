@@ -47,9 +47,9 @@ class TestSendWithDecoys:
         rng = new_rng(4)
         payload = [new_z_qubit(0) for _ in range(5)]
         seq = send_with_decoys(payload, 3, rng)
-        assert seq.payload() == payload
-        assert len(seq.slots) == 8
+        assert seq.payload == payload
         assert seq.decoy_count == 3
+        assert all(0 <= r.position < 8 for r in seq.decoys)
 
     def test_recorded_decoy_states_uniform(self):
         rng = new_rng(1)
@@ -201,3 +201,24 @@ class TestSemiquantumReturnCheck:
             for _ in range(20):  # Z tap throws on the first batch with an X-CTRL decoy
                 seq = send_with_decoys(_plus_payload(1), 20, rng, InterceptResend("z"))
                 semiquantum_return_check(seq, rng, threshold=0.0)
+
+
+class PassThrough:
+    """Adversary that leaves every qubit alone; its presence forces registers."""
+
+    def intercept(self, qubit, rng):
+        pass
+
+
+@pytest.mark.parametrize("check", [check_decoys, semiquantum_return_check])
+@pytest.mark.parametrize("decoy_count", [1, 4, 20])
+def test_untouched_decoys_match_the_register_path(check, decoy_count):
+    """Table-read decoys equal register reads, draw for draw."""
+    for seed in range(10):
+        rng_table, rng_registers = new_rng(seed), new_rng(seed)
+        table = send_with_decoys(_plus_payload(3), decoy_count, rng_table)
+        registers = send_with_decoys(_plus_payload(3), decoy_count, rng_registers, PassThrough())
+        for t, r in zip(table.decoys, registers.decoys, strict=True):
+            assert (t.position, t.state, t.qubit) == (r.position, r.state, None) and r.qubit is not None
+        assert check(table, rng_table) == check(registers, rng_registers), seed
+        assert rng_table.random() == rng_registers.random(), seed

@@ -49,6 +49,9 @@ THREE_PART_COMPLEX_EVE = {**GOOD_EVE, "alpha": [[*p, 0.0] for p in GOOD_EVE["alp
          "--attack-channel", "bb84_dt"),
         ("experiment", "detection", "--attack", "intercept-resend", "--attack-channel", "sqkd_ct",
          "--trials", "2", "--seed", "1"),
+        ("experiment", "detection", "--attack", "none", "--attack-channel", "bogus",
+         "--trials", "2", "--seed", "1"),
+        ("run", "--n", "2", "--seed", "1", "--attack", "forge-md", "--attack-channel", "bogus"),
         ("verify-corrections", "--corrupt-branch", "99", "--trials", "1", "--seed", "1"),
         ("verify-corrections", "--corrupt-branch", "-1", "--trials", "1", "--seed", "1"),
         ("bogus-command",),
@@ -210,6 +213,11 @@ class TestReplay:
                 "config": {"n": 2, "seed": 1, "attack": {"kind": "tamper-md", "bit_index": "a"}},
                 "transcript": {},
             },
+            {
+                "format": "sqpbs-transcript",
+                "config": {"n": 2, "seed": 1, "attack": {"kind": "none", "channel": "bogus"}},
+                "transcript": {},
+            },
             *(
                 {
                     "format": "sqpbs-transcript",
@@ -222,7 +230,7 @@ class TestReplay:
         ids=[
             "missing-config", "bad-bits", "top-level-array", "negative-seed", "unknown-config-key",
             "float-n", "bool-n", "float-seed", "string-decoy-count", "float-hash-bits", "string-bit-index",
-            "eve-five-entries", "eve-extra-key",
+            "unknown-channel-without-attack", "eve-five-entries", "eve-extra-key",
         ],
     )
     def test_replay_of_malformed_file_is_config_error(self, tmp_path, capsys, payload):

@@ -19,6 +19,7 @@ from sqpbs.channels import DecoyState
 from sqpbs.cli import main
 from sqpbs.keys import otp_decrypt, otp_encrypt
 from sqpbs.protocol import run_full
+from sqpbs.registers import measure_qubit, new_qubit
 from sqpbs.statevec import (
     Basis,
     apply_unitary,
@@ -125,6 +126,10 @@ def test_one_qubit_measure_matches_the_array_path(state, basis, seed):
 @pytest.mark.parametrize("decoy", list(DecoyState))
 def test_decoy_state_measure_matches_the_array_path(decoy, basis, seed):
     assert_one_qubit_path_matches_array_path(decoy.make_state(), basis, seed)
+    # An untouched decoy read from the Born table equals its register measurement.
+    rng, register_rng = (LastDraw(), LastDraw()) if seed is None else (new_rng(seed), new_rng(seed))
+    assert decoy.read(None, basis, rng) == measure_qubit(new_qubit(decoy.make_state()), basis, register_rng)
+    assert rng.random() == register_rng.random()
 
 
 @FAST

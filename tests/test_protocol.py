@@ -172,6 +172,17 @@ class TestAttacks:
         assert transcript.verdict == "aborted:eavesdropping"
         assert transcript.events_of("abort")[0]["channel"] == channel
 
+    def test_only_tapped_decoys_get_registers(self):
+        run = ProtocolRun(honest(2, 5))
+        run.run()
+        for seq in (run.xi_seq, run.w1_seq, run.w2_seq, run.w4_seq, run.g_seq):
+            assert all(record.qubit is None for record in seq.decoys), seq.channel
+        run = ProtocolRun(honest(2, 5, attack=AttackSpec("intercept-resend", "w1")))
+        run.run()
+        assert all(record.qubit is not None for record in run.w1_seq.decoys)
+        for seq in (run.w2_seq, run.w4_seq):
+            assert all(record.qubit is None for record in seq.decoys), seq.channel
+
     def test_intercept_resend_on_key_channels_aborts(self):
         # n large enough that the tapped exchange checks a real sample
         for channel in ("bb84_dt", "sqkd_bt", "sqkd_ct"):

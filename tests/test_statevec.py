@@ -25,7 +25,6 @@ from sqpbs.statevec import (
     postselect,
     postselect_bell,
     tensor,
-    z_probabilities,
 )
 from sqpbs.teleport import prepare_chi
 
@@ -53,9 +52,9 @@ class TestBasisStates:
         # |0101> = index 5 on 4 qubits
         s = basis_state(4, 5)
         assert abs(s[0b0101]) ** 2 == 1.0
-        p0, _ = z_probabilities(s, 0)
+        p0 = postselect(s, 0, Basis.Z, 0)[0]
         assert p0 == 1.0  # qubit 0 reads 0
-        _, p1 = z_probabilities(s, 1)
+        p1 = postselect(s, 1, Basis.Z, 1)[0]
         assert p1 == 1.0  # qubit 1 reads 1
 
     def test_index_out_of_range(self):
@@ -210,7 +209,7 @@ class TestMeasure:
             abs(chi[k]) ** 2 for k in range(16) if not (k >> 2) & 1
         )
         assert expected_p0 == pytest.approx(0.5, abs=1e-12)
-        p0, p1 = z_probabilities(chi, 1)
+        p0, p1 = (postselect(chi, 1, Basis.Z, bit)[0] for bit in (0, 1))
         assert p0 == pytest.approx(0.5, abs=1e-12)
         assert p1 == pytest.approx(0.5, abs=1e-12)
 

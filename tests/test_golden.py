@@ -17,6 +17,7 @@ from the repository root, with::
 
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -68,6 +69,33 @@ CONFIGS = {
     ),
 }
 
+# Attacked payload rows that reach Trent's recovery: probes and
+# intercept-collapsed qubits inside the carriers and message qubits.  One
+# decoy per channel and a high threshold let most runs pass the checks;
+# each seed is the first from 100 whose run reaches the recovery record.
+_C, _S = math.cos(1.2), math.sin(1.2)
+FOUR_DIM_EVE = EveParams(
+    _C, _S, -_S, _C, eps_00=(1, 0, 0, 0), eps_01=(0, 1, 0, 0), eps_10=(0, 0, 1, 0), eps_11=(0, 0, 0, 1),
+)
+ROW_ATTACKS = {
+    "em2": lambda channel: AttackSpec("entangle-measure", channel, eve=EveParams.probe_marking(1.2)),
+    "em4": lambda channel: AttackSpec("entangle-measure", channel, eve=FOUR_DIM_EVE),
+    "ir": lambda channel: AttackSpec("intercept-resend", channel),
+}
+ROW_SEEDS = {
+    ("em2", "xi_m"): 100, ("em2", "w1"): 100, ("em2", "w2"): 100, ("em2", "w4"): 100,
+    ("em4", "xi_m"): 100, ("em4", "w1"): 101, ("em4", "w2"): 105, ("em4", "w4"): 100,
+    ("ir", "xi_m"): 100, ("ir", "w1"): 102, ("ir", "w2"): 100, ("ir", "w4"): 100,
+}
+ROW_CONFIGS = {
+    f"rows-{attack}-{channel}": RunConfig(
+        n=6, seed=seed, key_mode="stubbed", decoy_count=1, error_threshold=0.99,
+        attack=ROW_ATTACKS[attack](channel),
+    )
+    for (attack, channel), seed in ROW_SEEDS.items()
+}
+CONFIGS.update(ROW_CONFIGS)
+
 PINS = {
     "honest-sim-n4": "828ed6efdeff54049fd11e2663b571f055cd1796d7636290f781dff0f6d5de26",
     "honest-stubbed-n8": "915178828703c61f782742551a498d915ca78d81768782c7d0ab162c96f7a9e3",
@@ -82,6 +110,18 @@ PINS = {
     "tamper-md-bit7": "fa2eb346b98923518bdfa064fce3550a7e3af0699600e8e77b52c130694641e2",
     "withhold-M_B": "bcac6dc1b20ca34f4ae565ac519c9e49af90eb18ed87aeb2e71690a7ff48d1ba",
     "withhold-M_C-stubbed": "11cc1082a779e2545fc2de19c6d1b1300aa659afd9856f30158e9e33b2c52cdc",
+    "rows-em2-xi_m": "1b7c484003d0add6a22a8736c5e5ba55c21b6a4ae019007d7d52fc89f522d942",
+    "rows-em2-w1": "e23c0e441197838707226a0d4cb498b0129c585825092117a560b4cbf6db1949",
+    "rows-em2-w2": "3a5b50928bf617efe648ecb26f86e93b71f1180028dd4cc328a6525a31c24286",
+    "rows-em2-w4": "3caa0d9f1250eed784583cceef434544141780ca8a11da1c201a55ce9e408804",
+    "rows-em4-xi_m": "1dcf4118ffa42a3f0d53b2fb54d9788c2d2486a85e29bd22bf0d54366eb21edf",
+    "rows-em4-w1": "bfa62ce5bd1c9e22d38ae36b14cee3762e5e214addff23bbb656bcf8275ec4b1",
+    "rows-em4-w2": "89c50accfd36cb9cf0cc78f377e6116d62eca30a9861e61ac56672377f682b48",
+    "rows-em4-w4": "9b8edeab7d787d03002b437c05e9b2650f3c3cbbb8c6f1620f1ff00ea3be5d2f",
+    "rows-ir-xi_m": "a96a1d4a634f1207ba8dbf22232a6f9bf4a04444541a15b57952e84ed408919c",
+    "rows-ir-w1": "23f757ed320d079869e7d389999836f4a96f789f203f9f1e80b47546591699f9",
+    "rows-ir-w2": "a6c132d2fcb2b29d7569545d7793b33f3a417856c8b83707a2234e09cd0323c6",
+    "rows-ir-w4": "073ead6e3391c2b24c5cd3366ae284c0e23dc6596e9c88f3e50e77fe4cf971f4",
 }
 
 # `--out` JSON of experiments, parsed and without its "version" key.
@@ -132,6 +172,11 @@ def test_transcript_bytes_are_pinned(name):
 def test_config_json_round_trip(name):
     config = CONFIGS[name]
     assert RunConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict()))) == config
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CONFIGS))
+def test_attacked_rows_reach_the_recovery(name):
+    assert run_full(ROW_CONFIGS[name]).events_of("recovery_record")
 
 
 @pytest.mark.parametrize("name", sorted(OUT_ARGV))

@@ -84,12 +84,6 @@ class Bits:
         values[index] ^= 1
         return Bits(values)
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """Consecutive bit pairs (high, low); length must be even."""
-        if len(self) % 2 != 0:
-            raise ValueError(f"cannot pair a bit string of odd length {len(self)}")
-        return [(self._bits[i], self._bits[i + 1]) for i in range(0, len(self), 2)]
-
     def to_bytes(self) -> bytes:
         """Pack into bytes, MSB first, zero-padded to a whole byte."""
         out = bytearray()

@@ -28,8 +28,12 @@ A run walks four phases:
 Determinism: a run consumes randomness exclusively from one generator
 seeded by ``config.seed``, in a fixed order (private inputs if not
 supplied, hash secret, key agreement, then per-channel decoy and
-measurement draws in protocol order).  Two runs with the same config
-are therefore bit-identical, which is the replay contract.
+measurement draws in protocol order).  Where the instances draw one
+after the other with nothing between (M_B, M_D, M_C, Trent's X reads,
+Charlie's read of G'), their draws come from one ``rng.random(n)``
+vector, which yields the same numbers as n scalar draws.  Two runs with
+the same config are therefore bit-identical, which is the replay
+contract.
 """
 
 from __future__ import annotations
@@ -61,13 +65,13 @@ from .keys import (
 )
 from .registers import (
     Qubit,
-    apply_to_qubits,
-    measure_qubit,
-    measure_qubits_bell,
+    apply_to_each,
+    fidelities_to,
+    measure_bell_pairs,
+    measure_qubits,
     new_qubit,
     new_qubits,
     new_z_qubit,
-    qubit_fidelity_to,
 )
 from .statevec import (
     Basis,
@@ -77,7 +81,7 @@ from .statevec import (
     ket_plus,
     new_rng,
 )
-from .teleport import TeleportOutcomes, correction_for, prepare_chi
+from .teleport import correction_matrices, prepare_chi
 from .transcript import CHANNELS, PRIVATE_FIELDS, RunConfig, TOOL_VERSION, Transcript
 
 HASH_SECRET_BITS = 128
@@ -96,14 +100,14 @@ class Party:
                 f"{self.name} is semiquantum and cannot perform {operation}"
             )
 
-    def measure_qubit(self, qubit: Qubit, basis: Basis, rng: Rng) -> int:
+    def measure_qubits(self, qubits: list[Qubit], basis: Basis, rng: Rng) -> list[int]:
         if basis is not Basis.Z:
             self._require_quantum(f"a {basis.value}-basis measurement")
-        return measure_qubit(qubit, basis, rng)
+        return measure_qubits(qubits, basis, rng)
 
-    def measure_bell(self, qubit_a: Qubit, qubit_b: Qubit, rng: Rng) -> BellState:
+    def measure_bell_pairs(self, qubits_a: list[Qubit], qubits_b: list[Qubit], rng: Rng) -> list[BellState]:
         self._require_quantum("a Bell-basis measurement")
-        return measure_qubits_bell(qubit_a, qubit_b, rng)
+        return measure_bell_pairs(qubits_a, qubits_b, rng)
 
     def prepare_z(self, bit: int) -> Qubit:
         return new_z_qubit(bit)
@@ -112,9 +116,9 @@ class Party:
         self._require_quantum("arbitrary state preparation")
         return new_qubit(state)
 
-    def apply_gate(self, qubit: Qubit, matrix: np.ndarray) -> None:
+    def apply_gates(self, qubits: list[Qubit], matrices: np.ndarray) -> None:
         self._require_quantum("a unitary operation")
-        apply_to_qubits([qubit], matrix)
+        apply_to_each(qubits, matrices)
 
 
 VERDICT_VALID = "valid"
@@ -287,39 +291,29 @@ class ProtocolRun:
         # Step 4: Bob authorizes by measuring his particle sequence in Z.
         # Step 5: Trent decrypts and triggers the proxy signature.
         self._notice("bob", "david", "signing-approved")
-        m_b = Bits(self.bob.measure_qubit(q, Basis.Z, rng) for q in self.w1_seq.payload)
+        m_b = Bits(self.bob.measure_qubits(self.w1_seq.payload, Basis.Z, rng))
         self.m_b = self._report(self.bob, "M_B", "Z", m_b)
         self._notice("trent", "david", "sign-request")
 
         # Step 6: David clears w2, Bell-measures each (message, carrier-2) pair.
         # Step 7: Trent decrypts the signature and asks Charlie to measure.
         self._check(self.w2_seq)
-        m_d_bits: list[int] = []
-        for xi_q, w2_q in zip(self.xi_seq.payload, self.w2_seq.payload):
-            m_d_bits.extend(self.david.measure_bell(xi_q, w2_q, rng).bits)
+        bells = self.david.measure_bell_pairs(self.xi_seq.payload, self.w2_seq.payload, rng)
         self.transcript.count("signature_bits", 2 * n)
-        self.m_d = self._report(self.david, "M_D", "Bell", Bits(m_d_bits))
+        self.m_d = self._report(self.david, "M_D", "Bell", Bits(bit for b in bells for bit in b.bits))
         self._notice("trent", "charlie", "measure-request")
 
         # Step 8: Charlie clears w4 with the return check and measures in Z.
         self._check(self.w4_seq)
-        m_c = Bits(self.charlie.measure_qubit(q, Basis.Z, rng) for q in self.w4_seq.payload)
+        m_c = Bits(self.charlie.measure_qubits(self.w4_seq.payload, Basis.Z, rng))
         self.m_c = self._report(self.charlie, "M_C", "Z", m_c)
 
         # Step 9: Trent corrects each particle 3, reads it out in X, and
         # re-encodes the result as Z states for Charlie.
-        pairs = self.m_d.pairs()
-        g_prime_bits: list[int] = []
-        fidelities: list[float] = []
-        for i, (_, _, particle3, _) in enumerate(self.chi):
-            outcomes = TeleportOutcomes(
-                z1=self.m_b[i], bell_m2=BellState.from_bits(*pairs[i]), z4=self.m_c[i]
-            )
-            self.trent.apply_gate(particle3, correction_for(outcomes).matrix)
-            expected = ket_plus() if self.g[i] == 0 else ket_minus()
-            fidelities.append(qubit_fidelity_to(particle3, expected))
-            g_prime_bits.append(self.trent.measure_qubit(particle3, Basis.X, rng))
-        self.g_prime_trent = Bits(g_prime_bits)
+        particles3 = [p3 for _, _, p3, _ in self.chi]
+        self.trent.apply_gates(particles3, correction_matrices(self.m_b, self.m_d, self.m_c))
+        fidelities = fidelities_to(particles3, np.array([ket_plus(), ket_minus()])[list(self.g)])
+        self.g_prime_trent = Bits(self.trent.measure_qubits(particles3, Basis.X, rng))
         self.transcript.add(
             "recovery_record", party="trent", g_prime=self.g_prime_trent, fidelities=fidelities
         )
@@ -332,9 +326,7 @@ class ProtocolRun:
 
     def phase_verify(self) -> str:
         self._check(self.g_seq)
-        g_prime = Bits(
-            self.charlie.measure_qubit(q, Basis.Z, self.rng) for q in self.g_seq.payload
-        )
+        g_prime = Bits(self.charlie.measure_qubits(self.g_seq.payload, Basis.Z, self.rng))
         self.g_prime = g_prime
         self.transcript.add("measurement_record", party="charlie", label="g_prime", basis="Z", bits=g_prime)
         h_g_prime = keyed_hash(self.hash_config, self.hash_secret, g_prime)

@@ -17,16 +17,23 @@ them (``channels.transmit``).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .statevec import (
+    MAX_QUBITS,
     Basis,
     BellState,
     Rng,
+    apply_1q_rows,
     apply_unitary,
     basis_state,
+    fidelity_1q_rows,
     measure,
     measure_bell,
+    measure_bell_rows,
+    measure_rows,
     num_qubits,
     tensor,
 )
@@ -133,9 +140,85 @@ def apply_to_qubits(qubits: list[Qubit], matrix: np.ndarray) -> None:
     reg.state = apply_unitary(reg.state, [q.index for q in qubits], matrix, validate=False)
 
 
-def qubit_fidelity_to(qubit: Qubit, target: np.ndarray) -> float:
-    """<target| rho |target> for one qubit; equals |<target|psi>|^2 when pure."""
-    t = qubit.register.state.reshape(1 << qubit.index, 2, -1)
-    block = np.swapaxes(t, 0, 1).reshape(2, -1)
-    rho = block @ block.conj().T  # the qubit's 2x2 reduced density matrix
-    return float(np.real(target.conj() @ rho @ target))
+# -- list forms: one qubit in each of many like registers ------------------------
+#
+# Each list form reads the live register of every handle, stacks their
+# states as the rows of one array, runs the stacked ``statevec`` kernel
+# and writes each row back.  The registers must be distinct and of one
+# size, and every handle must sit at the same index in its register.
+
+
+def _live(qubits: Sequence[Qubit]) -> tuple[list[Register], int]:
+    """The distinct live registers of ``qubits`` and their common qubit index."""
+    regs = [q.register for q in qubits]
+    index = qubits[0].index
+    size = regs[0].state.size
+    if any(q.index != index for q in qubits) or any(r.state.size != size for r in regs):
+        raise ValueError("list forms need registers of one size, with the qubit at one index in each")
+    if len({id(r) for r in regs}) != len(regs):
+        raise ValueError("list forms need each qubit in a register of its own")
+    return regs, index
+
+
+def _write_back(regs: list[Register], stack: np.ndarray) -> None:
+    for reg, row in zip(regs, stack):
+        reg.state = row
+
+
+def measure_qubits(qubits: Sequence[Qubit], basis: Basis | Sequence[Basis], rng: Rng) -> list[int]:
+    """``measure_qubit`` of each qubit in turn, in one basis or one basis per qubit.
+
+    Draws the uniforms of all the measurements with one ``rng.random``.
+    """
+    regs, index = _live(qubits)
+    stack = np.stack([r.state for r in regs])
+    u = rng.random(len(regs))
+    if isinstance(basis, Basis):
+        outcomes, stack = measure_rows(stack, index, basis, u)
+    else:
+        outcomes = np.empty(len(regs), dtype=np.intp)
+        for b in Basis:
+            rows = [i for i, x in enumerate(basis) if x is b]
+            if rows:
+                outcomes[rows], stack[rows] = measure_rows(stack[rows], index, b, u[rows])
+    _write_back(regs, stack)
+    return outcomes.tolist()
+
+
+def measure_bell_pairs(qubits_a: Sequence[Qubit], qubits_b: Sequence[Qubit], rng: Rng) -> list[BellState]:
+    """``measure_qubits_bell`` of each pair ``(qubits_a[i], qubits_b[i])`` in turn.
+
+    Pairs in two registers are merged first, as ``merge`` does: row by
+    row the tensor product, ``a``'s register absorbing ``b``'s.
+    """
+    regs_a, index_a = _live(qubits_a)
+    regs_b, index_b = _live(qubits_b)
+    stack = np.stack([r.state for r in regs_a])
+    same = [a is b for a, b in zip(regs_a, regs_b)]
+    shift = 0
+    if not any(same):
+        b = np.stack([r.state for r in regs_b])
+        shift = num_qubits(stack[0])
+        if shift + num_qubits(b[0]) > MAX_QUBITS:
+            raise ValueError(f"tensor product would need {shift + num_qubits(b[0])} qubits (max {MAX_QUBITS})")
+        stack = (stack[:, :, None] * b[:, None, :]).reshape(len(regs_a), -1)
+    elif not all(same):
+        raise ValueError("list forms need every pair in one register, or every pair in two")
+    indices, stack = measure_bell_rows(stack, index_a, index_b + shift, rng.random(len(regs_a)))
+    _write_back(regs_a, stack)
+    if shift:
+        for ra, rb in zip(regs_a, regs_b):
+            rb.state, rb.absorber, rb.shift = None, ra, shift
+    return [BellState.from_index(i) for i in indices.tolist()]
+
+
+def apply_to_each(qubits: Sequence[Qubit], matrices: np.ndarray) -> None:
+    """Apply the trusted one-qubit unitary ``matrices[i]`` to ``qubits[i]``."""
+    regs, index = _live(qubits)
+    _write_back(regs, apply_1q_rows(np.stack([r.state for r in regs]), index, matrices))
+
+
+def fidelities_to(qubits: Sequence[Qubit], targets: np.ndarray) -> list[float]:
+    """<targets[i]| rho_i |targets[i]> for each qubit; equals |<target|psi>|^2 when pure."""
+    regs, index = _live(qubits)
+    return fidelity_1q_rows(np.stack([r.state for r in regs]), index, targets).tolist()

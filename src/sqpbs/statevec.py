@@ -415,6 +415,90 @@ def measure_bell(state: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tup
     return outcome, _bell_collapse(state, qubit_a, qubit_b, comp, index, float(probs[index]))
 
 
+# -- row stacks ----------------------------------------------------------------
+#
+# A stack holds one state per row, shape ``(rows, 2**k)``: the same
+# system in ``rows`` independent protocol instances.  Each stacked kernel
+# runs its one-state counterpart's operations, in the same order and
+# summed along the same contiguous axis, on every row at once, so a row's
+# result is bitwise equal to the one-state result.  Measurements take one
+# uniform draw per row, ``u``, as one ``rng.random(rows)`` vector gives it.
+
+
+def _check_rows(stack: np.ndarray, targets: Sequence[int]) -> None:
+    if stack.ndim != 2:
+        raise ValueError(f"expected a (rows, 2**k) stack, got shape {stack.shape}")
+    _check_targets(num_qubits(stack[0]), targets)
+
+
+def _row_sumsq(block: np.ndarray) -> np.ndarray:
+    """Per-row ``_sumsq`` of a ``(rows, ...)`` block."""
+    sq = block.real**2 + block.imag**2
+    return np.sum(sq.reshape(sq.shape[0], -1), axis=1)
+
+
+def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``measure`` of ``qubit`` in every row: outcome bits and the collapsed stack."""
+    _check_rows(stack, [qubit])
+    rows = stack.shape[0]
+    t = stack.reshape(rows, 1 << qubit, 2, -1)
+    a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
+    c0, c1 = (a0, a1) if basis is Basis.Z else ((a0 + a1) * SQRT1_2, (a0 - a1) * SQRT1_2)
+    p0, p1 = _row_sumsq(c0), _row_sumsq(c1)
+    outcome = (u >= p0).astype(np.intp)
+    outcome ^= np.where(outcome == 0, p0, p1) < ZERO_PROB
+    prob = np.where(outcome == 0, p0, p1)
+    v = np.where((outcome == 0)[:, None, None], c0, c1) * (1.0 / np.sqrt(prob))[:, None, None]
+    out = np.zeros_like(t)
+    if basis is Basis.Z:
+        out[np.arange(rows), :, outcome, :] = v
+    else:
+        out[:, :, 0, :] = v * SQRT1_2
+        out[:, :, 1, :] = v * np.where(outcome == 0, SQRT1_2, -SQRT1_2)[:, None, None]
+    return outcome, out.reshape(rows, -1)
+
+
+def measure_bell_rows(
+    stack: np.ndarray, qubit_a: int, qubit_b: int, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``measure_bell`` of the pair (a, b) in every row: Bell indices and the collapsed stack."""
+    _check_rows(stack, [qubit_a, qubit_b])
+    rows = stack.shape[0]
+    (da, db, dc), forward, inverse = _pair_shape(num_qubits(stack[0]), qubit_a, qubit_b)
+    t = stack.reshape(rows, da, 2, db, 2, dc).transpose(0, *(1 + i for i in forward))
+    comp = BELL_MATRIX.conj().T @ t.reshape(rows, 4, -1)
+    probs = np.sum(np.abs(comp) ** 2, axis=2)
+    weighted = probs >= ZERO_PROB
+    hit = (u[:, None] < np.cumsum(probs, axis=1)) & weighted
+    index = np.where(hit.any(axis=1), hit.argmax(axis=1), 3 - weighted[:, ::-1].argmax(axis=1))
+    picked = np.arange(rows), index
+    block = BELL_MATRIX.T[index][:, :, None] * (comp[picked] / np.sqrt(probs[picked])[:, None])[:, None, :]
+    out = block.reshape(rows, 2, 2, da, db, dc).transpose(0, *(1 + i for i in inverse))
+    return index, np.ascontiguousarray(out).reshape(rows, -1)
+
+
+def apply_1q_rows(stack: np.ndarray, qubit: int, matrices: np.ndarray) -> np.ndarray:
+    """Apply row ``r``'s trusted 2x2 ``matrices[r]`` to ``qubit`` of row ``r``."""
+    _check_rows(stack, [qubit])
+    rows = stack.shape[0]
+    t = stack.reshape(rows, 1 << qubit, 2, -1)
+    a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
+    m = matrices[:, :, :, None, None]
+    out = np.empty_like(t)
+    out[:, :, 0, :] = m[:, 0, 0] * a0 + m[:, 0, 1] * a1
+    out[:, :, 1, :] = m[:, 1, 0] * a0 + m[:, 1, 1] * a1
+    return out.reshape(rows, -1)
+
+
+def fidelity_1q_rows(stack: np.ndarray, qubit: int, targets: np.ndarray) -> np.ndarray:
+    """<target_r| rho_r |target_r> for ``qubit`` of each row ``r`` (``rho_r`` its reduced state)."""
+    _check_rows(stack, [qubit])
+    rows = stack.shape[0]
+    block = np.swapaxes(stack.reshape(rows, 1 << qubit, 2, -1), 1, 2).reshape(rows, 2, -1)
+    rho = block @ np.swapaxes(block.conj(), 1, 2)
+    return np.real(targets.conj()[:, None, :] @ rho @ targets[:, :, None]).reshape(rows)
+
+
 def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 — equality predicate that ignores global phase."""
     if num_qubits(a) != num_qubits(b):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -144,6 +145,20 @@ _TABLE: dict[tuple[int, BellState, int], tuple[tuple[int, int, int, int], PauliC
 def correction_for(outcomes: TeleportOutcomes) -> PauliCorrection:
     """Receiver's recovery operation for a measurement triple."""
     return _TABLE[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][1]
+
+
+# The table's corrections as matrices, in ``all_outcomes`` order.
+_CORRECTION_MATRICES = np.array([_TABLE[(o.z1, o.bell_m2, o.z4)][1].matrix for o in all_outcomes()])
+
+
+def correction_matrices(z1: Sequence[int], bell_bits: Sequence[int], z4: Sequence[int]) -> np.ndarray:
+    """``correction_for`` of n instances at once, as an (n, 2, 2) stack of matrices.
+
+    ``z1`` and ``z4`` hold one Z outcome per instance, ``bell_bits`` the
+    two bits of each Bell outcome in turn.
+    """
+    bell = np.asarray(bell_bits).reshape(-1, 2)
+    return _CORRECTION_MATRICES[8 * np.asarray(z1) + 4 * bell[:, 0] + 2 * bell[:, 1] + np.asarray(z4)]
 
 
 def _table_collapsed(table: dict, outcomes: TeleportOutcomes, m: MessageQubit) -> np.ndarray:

@@ -46,11 +46,6 @@ class TestBits:
         assert b[1:4] == Bits("010")
         assert b.flip(0) == Bits("001001")
 
-    def test_pairs(self):
-        assert Bits("0111").pairs() == [(0, 1), (1, 1)]
-        with pytest.raises(ValueError):
-            Bits("011").pairs()
-
     def test_bytes_round_trip(self):
         for text in ("1", "10110100", "1011010", "000000001111"):
             b = Bits(text)

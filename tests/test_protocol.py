@@ -10,7 +10,7 @@ from sqpbs.bits import Bits
 from sqpbs.errors import ConfigError, SemiquantumCapabilityError
 from sqpbs.protocol import Party, ProtocolRun, replay_matches, run_full
 from sqpbs.registers import new_qubit, new_z_qubit
-from sqpbs.statevec import Basis, ket_plus, new_rng
+from sqpbs.statevec import HADAMARD, Basis, BellState, ket_plus, new_rng
 from sqpbs.transcript import CHANNELS, AttackSpec, RunConfig
 
 
@@ -118,23 +118,26 @@ class TestBlindness:
 
 class TestSemiquantumEnforcement:
     def test_party_capability_errors(self):
-        bob = Party("bob", quantum=False)
-        rng = new_rng(0)
-        q1, q2 = new_qubit(ket_plus()), new_z_qubit(0)
-        with pytest.raises(SemiquantumCapabilityError):
-            bob.measure_bell(q1, q2, rng)
-        with pytest.raises(SemiquantumCapabilityError):
-            bob.measure_qubit(q1, Basis.X, rng)
-        with pytest.raises(SemiquantumCapabilityError):
-            bob.prepare_state(ket_plus())
-        assert bob.measure_qubit(q2, Basis.Z, rng) == 0
-        assert abs(bob.prepare_z(1).register.state[1]) ** 2 == 1.0
+        for name in ("bob", "charlie"):
+            party = Party(name, quantum=False)
+            rng = new_rng(0)
+            q1, q2 = new_qubit(ket_plus()), new_z_qubit(0)
+            with pytest.raises(SemiquantumCapabilityError):
+                party.measure_bell_pairs([q1], [q2], rng)
+            with pytest.raises(SemiquantumCapabilityError):
+                party.measure_qubits([q1], Basis.X, rng)
+            with pytest.raises(SemiquantumCapabilityError):
+                party.apply_gates([q1], HADAMARD[None])
+            with pytest.raises(SemiquantumCapabilityError):
+                party.prepare_state(ket_plus())
+            assert party.measure_qubits([q2, new_z_qubit(1)], Basis.Z, rng) == [0, 1]
+            assert abs(party.prepare_z(1).register.state[1]) ** 2 == 1.0
 
     def test_quantum_party_allowed(self):
         david = Party("david", quantum=True)
         rng = new_rng(0)
-        assert david.measure_qubit(new_qubit(ket_plus()), Basis.X, rng) in (0, 1)
-        david.measure_bell(new_z_qubit(0), new_z_qubit(0), rng)
+        assert david.measure_qubits([new_qubit(ket_plus())], Basis.X, rng) == [0]
+        assert david.measure_bell_pairs([new_z_qubit(0)], [new_z_qubit(0)], rng) == [BellState.PHI_PLUS]
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_transcript_attributes_only_z_to_semiquantum_parties(self, n):

@@ -18,6 +18,7 @@ from sqpbs.teleport import (
     all_outcomes,
     collapsed_state_for,
     correction_for,
+    correction_matrices,
     forced_branch_particle3,
     prepare_chi,
     run_teleportation,
@@ -76,6 +77,15 @@ class TestCorrectionLookup:
         assert len(all_outcomes()) == 16
         for outcomes in all_outcomes():
             assert correction_for(outcomes) in PauliCorrection
+
+    def test_correction_matrices_stack_the_lookup(self):
+        outcomes = all_outcomes()
+        got = correction_matrices(
+            [o.z1 for o in outcomes], [bit for o in outcomes for bit in o.bell_m2.bits], [o.z4 for o in outcomes]
+        )
+        assert got.shape == (16, 2, 2)
+        for o, matrix in zip(outcomes, got):
+            assert np.array_equal(matrix, correction_for(o).matrix)
 
     def test_each_fixed_z_pair_uses_all_four_corrections(self):
         for z1 in (0, 1):

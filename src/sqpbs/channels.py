@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EavesdroppingDetected
-from .registers import Qubit, measure_qubit, new_qubit
+from .registers import Qubit, measure_qubit, measure_qubits, new_qubit
 from .statevec import Basis, Rng, basis_state, born_1q, born_outcome, ket_minus, ket_plus
 
 
@@ -154,10 +154,9 @@ def check_decoys(
     Raises :class:`EavesdroppingDetected` when the error rate exceeds
     ``threshold``.
     """
-    errors = 0
-    for record in seq.decoys:
-        outcome = record.state.read(record.qubit, record.state.basis, rng)
-        errors += outcome != record.state.bit
+    errors = sum(
+        outcome != record.state.bit for outcome, record in zip(_read_in_own_bases(seq.decoys, rng), seq.decoys)
+    )
     rate = errors / len(seq.decoys)
     result = DecoyCheckResult(
         channel=seq.channel,
@@ -169,6 +168,20 @@ def check_decoys(
     if not result.passed:
         raise EavesdroppingDetected(seq.channel, "decoy", rate, threshold)
     return result
+
+
+def _read_in_own_bases(decoys: list[DecoyRecord], rng: Rng) -> list[int]:
+    """``DecoyState.read`` of every decoy in its preparation basis, in one stacked read.
+
+    One adversary taps all of a sequence's decoys or none, so the decoys
+    are all untouched (one Born-table lookup each) or all registers of
+    one shape (one stacked measurement); either way their uniform draws
+    come from one ``rng.random``.
+    """
+    if decoys[0].qubit is not None:
+        return measure_qubits([r.qubit for r in decoys], [r.state.basis for r in decoys], rng)
+    u = rng.random(len(decoys)).tolist()
+    return [born_outcome(_BORN[r.state, r.state.basis], x) for r, x in zip(decoys, u)]
 
 
 @dataclass

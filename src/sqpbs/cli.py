@@ -33,6 +33,7 @@ from .protocol import replay_matches, run_full
 from .statevec import new_rng
 from .teleport import MessageQubit, verify_correction_table, _TABLE
 from .transcript import (
+    ATTACK_FIELDS,
     ATTACK_KINDS,
     KEY_MODES,
     QUANTUM_CHANNELS,
@@ -80,9 +81,7 @@ def _parse_bits(text: str | None, label: str) -> Bits | None:
         raise ConfigError(f"{label} must be a 0/1 string: {exc}") from exc
 
 
-def _load_eve_params(path: str | None) -> EveParams | None:
-    if path is None:
-        return None
+def _load_eve_params(path: str) -> EveParams:
     try:
         data = json.loads(Path(path).read_text())
         return EveParams.from_json_dict(data)
@@ -90,15 +89,29 @@ def _load_eve_params(path: str | None) -> EveParams | None:
         raise ConfigError(f"cannot load attack parameters from {path}: {exc}") from exc
 
 
-def _attack_from_args(args: argparse.Namespace) -> AttackSpec:
-    return AttackSpec(
-        kind=args.attack,
-        channel=args.attack_channel,
-        basis=args.attack_basis,
-        eve=_load_eve_params(args.eve_params),
-        bit_index=args.tamper_bit,
-        record=args.withhold_record,
-    )
+# Each attack flag and the AttackSpec field it sets.
+ATTACK_FLAGS = {
+    "--attack-channel": "channel",
+    "--attack-basis": "basis",
+    "--eve-params": "eve",
+    "--tamper-bit": "bit_index",
+    "--withhold-record": "record",
+}
+
+
+def _attack_from_args(args: argparse.Namespace, *, only_read: bool) -> AttackSpec:
+    """The attack the flags describe; flags left out keep the field defaults.
+
+    With ``only_read``, a flag that the ``--attack`` kind does not read is
+    a configuration error.
+    """
+    given = {name: getattr(args, name) for name in ATTACK_FLAGS.values() if getattr(args, name) is not None}
+    unread = [flag for flag, name in ATTACK_FLAGS.items() if name in given and name not in ATTACK_FIELDS[args.attack]]
+    if only_read and unread:
+        raise ConfigError(f"--attack {args.attack} does not read {', '.join(unread)}")
+    if "eve" in given:
+        given["eve"] = _load_eve_params(given["eve"])
+    return AttackSpec(kind=args.attack, **given)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -115,16 +128,16 @@ class _Parser(argparse.ArgumentParser):
 def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--attack", default=AttackSpec.kind, choices=ATTACK_KINDS,
                         help="adversary model to inject")
-    parser.add_argument("--attack-channel", default=AttackSpec.channel, choices=QUANTUM_CHANNELS,
-                        help="which transmission is tapped")
-    parser.add_argument("--attack-basis", default=AttackSpec.basis, choices=INTERCEPT_BASES,
-                        help="intercept-resend measurement basis")
-    parser.add_argument("--eve-params", metavar="FILE",
+    parser.add_argument("--attack-channel", dest="channel", choices=QUANTUM_CHANNELS,
+                        help=f"which transmission is tapped (default {AttackSpec.channel})")
+    parser.add_argument("--attack-basis", dest="basis", choices=INTERCEPT_BASES,
+                        help=f"intercept-resend measurement basis (default {AttackSpec.basis})")
+    parser.add_argument("--eve-params", dest="eve", metavar="FILE",
                         help="JSON file with entangle-measure parameters (alpha/eps)")
-    parser.add_argument("--tamper-bit", type=int, default=AttackSpec.bit_index,
-                        help="tamper-md: ciphertext bit to flip")
-    parser.add_argument("--withhold-record", default=AttackSpec.record, choices=WITHHOLDABLE,
-                        help="withhold: record that never reaches the arbiter")
+    parser.add_argument("--tamper-bit", dest="bit_index", type=int,
+                        help=f"tamper-md: ciphertext bit to flip (default {AttackSpec.bit_index})")
+    parser.add_argument("--withhold-record", dest="record", choices=WITHHOLDABLE,
+                        help=f"withhold: record that never reaches the arbiter (default {AttackSpec.record})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,7 +205,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         hash_bits=args.hash_bits,
         hash_algorithm=args.hash_algorithm,
         key_mode=args.key_mode,
-        attack=_attack_from_args(args),
+        attack=_attack_from_args(args, only_read=True),
     )
     config.validate()
     transcript = run_full(config)
@@ -286,7 +299,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     if args.kind == "detection":
         result = analysis.experiment_detection(
-            _attack_from_args(args),
+            _attack_from_args(args, only_read=False),
             trials=args.trials,
             seed=seed,
             n=args.n,

@@ -31,7 +31,17 @@ from .keys import HashConfig
 TOOL_VERSION = "0.3.0"
 TRANSCRIPT_FORMAT = "sqpbs-transcript"
 
-ATTACK_KINDS = ("none", "intercept-resend", "entangle-measure", "forge-md", "tamper-md", "withhold")
+# The AttackSpec fields each attack kind reads besides ``kind``; the
+# others keep their defaults and stay out of the JSON form.
+ATTACK_FIELDS = {
+    "none": (),
+    "intercept-resend": ("channel", "basis"),
+    "entangle-measure": ("channel", "eve"),
+    "forge-md": (),
+    "tamper-md": ("bit_index",),
+    "withhold": ("record",),
+}
+ATTACK_KINDS = tuple(ATTACK_FIELDS)
 
 # Every quantum transmission: sender, receiver, and the guard its receiver
 # runs.  David is quantum and checks decoys in announced bases ("decoy");
@@ -49,7 +59,7 @@ CHANNELS = {
 }
 QUANTUM_CHANNELS = tuple(CHANNELS)
 KEY_GUARDS = ("bb84", "sqkd")
-QUANTUM_ATTACKS = ("intercept-resend", "entangle-measure")
+QUANTUM_ATTACKS = tuple(kind for kind, names in ATTACK_FIELDS.items() if "channel" in names)
 WITHHOLDABLE = ("M_B", "M_D", "M_C")
 KEY_MODES = ("simulated", "stubbed")
 
@@ -90,21 +100,21 @@ class AttackSpec:
 
     def to_json_dict(self) -> dict:
         out: dict[str, Any] = {"kind": self.kind}
-        if self.kind in QUANTUM_ATTACKS:
-            out["channel"] = self.channel
-        if self.kind == "intercept-resend":
-            out["basis"] = self.basis
-        if self.kind == "entangle-measure" and self.eve is not None:
-            out["eve"] = self.eve.to_json_dict()
-        if self.kind == "tamper-md":
-            out["bit_index"] = self.bit_index
-        if self.kind == "withhold":
-            out["record"] = self.record
+        for name in ATTACK_FIELDS[self.kind]:
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = value.to_json_dict() if name == "eve" else value
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AttackSpec":
-        """Inverse of :meth:`to_json_dict`; absent keys take the field defaults."""
+        """Inverse of :meth:`to_json_dict`; absent keys take the field defaults.
+
+        A key that the attack kind does not read is a ValueError.
+        """
+        unread = set(data) - {"kind", *ATTACK_FIELDS.get(data.get("kind", cls.kind), ())}
+        if unread:
+            raise ValueError(f"attack kind {data.get('kind', cls.kind)!r} does not read {sorted(unread)}")
         if data.get("eve") is not None:
             data = {**data, "eve": EveParams.from_json_dict(data["eve"])}
         return cls(**data)

@@ -52,6 +52,15 @@ THREE_PART_COMPLEX_EVE = {**GOOD_EVE, "alpha": [[*p, 0.0] for p in GOOD_EVE["alp
         ("experiment", "detection", "--attack", "none", "--attack-channel", "bogus",
          "--trials", "2", "--seed", "1"),
         ("run", "--n", "2", "--seed", "1", "--attack", "forge-md", "--attack-channel", "bogus"),
+        ("run", "--n", "2", "--seed", "1", "--attack", "forge-md", "--attack-channel", "w1"),
+        ("run", "--n", "2", "--seed", "1", "--attack-channel", "xi_m"),
+        ("run", "--n", "2", "--seed", "1", "--attack-basis", "z"),
+        ("run", "--n", "2", "--seed", "1", "--attack", "entangle-measure", "--eve-params", "EVE_FILE",
+         "--attack-basis", "x"),
+        ("run", "--n", "2", "--seed", "1", "--attack", "intercept-resend", "--eve-params", "EVE_FILE"),
+        ("run", "--n", "2", "--seed", "1", "--attack", "intercept-resend", "--tamper-bit", "2"),
+        ("run", "--n", "2", "--seed", "1", "--attack", "withhold", "--tamper-bit", "2"),
+        ("run", "--n", "2", "--seed", "1", "--attack", "tamper-md", "--withhold-record", "M_B"),
         ("verify-corrections", "--corrupt-branch", "99", "--trials", "1", "--seed", "1"),
         ("verify-corrections", "--corrupt-branch", "-1", "--trials", "1", "--seed", "1"),
         ("bogus-command",),
@@ -59,8 +68,10 @@ THREE_PART_COMPLEX_EVE = {**GOOD_EVE, "alpha": [[*p, 0.0] for p in GOOD_EVE["alp
     ],
     ids=lambda argv: "_".join(argv) or "no-arguments",
 )
-def test_bad_input_exits_4_with_one_line(argv, capsys):
-    assert run_cli(*argv) == EXIT_CONFIG
+def test_bad_input_exits_4_with_one_line(argv, capsys, tmp_path):
+    eve_file = tmp_path / "eve.json"
+    eve_file.write_text(json.dumps(GOOD_EVE))
+    assert run_cli(*(str(eve_file) if a == "EVE_FILE" else a for a in argv)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
 
@@ -226,11 +237,23 @@ class TestReplay:
                 }
                 for eve in (FIVE_ENTRY_EVE, EXTRA_KEY_EVE)
             ),
+            *(
+                {"format": "sqpbs-transcript", "config": {"n": 2, "seed": 1, "attack": attack}, "transcript": {}}
+                for attack in (
+                    {"kind": "forge-md", "channel": "w1"},
+                    {"channel": "w2"},
+                    {"kind": "intercept-resend", "channel": "w1", "bit_index": 3},
+                    {"kind": "entangle-measure", "channel": "w1", "basis": "z", "eve": GOOD_EVE},
+                    {"kind": "withhold", "record": "M_B", "basis": "x"},
+                )
+            ),
         ],
         ids=[
             "missing-config", "bad-bits", "top-level-array", "negative-seed", "unknown-config-key",
             "float-n", "bool-n", "float-seed", "string-decoy-count", "float-hash-bits", "string-bit-index",
             "unknown-channel-without-attack", "eve-five-entries", "eve-extra-key",
+            "channel-with-forge-md", "channel-without-kind", "bit-index-with-intercept-resend",
+            "basis-with-entangle-measure", "basis-with-withhold",
         ],
     )
     def test_replay_of_malformed_file_is_config_error(self, tmp_path, capsys, payload):

@@ -18,6 +18,14 @@ adversary acts on it (``transmit``); payload qubits stay inside whatever
 register they already inhabit.  Honest operations never entangle the
 two, so the factorization is exact.  Adversary hooks act on the forward
 leg of each transmission; return legs are modeled clean.
+
+``read_prepared`` is the one read of prepared one-qubit states, and each
+step reads once.  ``send_with_decoys`` draws the decoy positions, the
+decoy states, then any adversary draws in transmission order;
+``check_decoys`` reads every decoy in its preparation basis;
+``semiquantum_return_check`` draws every SIFT/CTRL coin, reads the
+SIFTed decoys in Z, draws the return permutation, then reads the
+reflected decoys in arrival order.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EavesdroppingDetected
-from .registers import Qubit, measure_qubit, measure_qubits, new_qubit
-from .statevec import Basis, Rng, basis_state, born_1q, born_outcome, ket_minus, ket_plus
+from .registers import Qubit, measure_qubits, new_qubit
+from .statevec import Basis, Rng, basis_state, born_outcome, ket_minus, ket_plus, postselect
 
 
 class DecoyState(Enum):
@@ -56,20 +64,27 @@ class DecoyState(Enum):
             return basis_state(1, self.bit)
         return ket_minus() if self.bit else ket_plus()
 
-    def read(self, qubit: Qubit | None, basis: Basis, rng: Rng) -> int:
-        """Measure in ``basis`` after crossing as ``qubit`` (``None``: untouched).
-
-        Untouched, the outcome comes from the Born table, with the one
-        uniform draw a register measurement takes.
-        """
-        if qubit is None:
-            return born_outcome(_BORN[self, basis], rng.random())
-        return measure_qubit(qubit, basis, rng)
-
 
 _DECOY_ORDER = tuple(DecoyState)
-# (preparation, measurement basis) -> Born (p0, p1)
-_BORN = {(d, b): born_1q(d.make_state(), b)[1] for d in DecoyState for b in Basis}
+# (preparation, measurement basis) -> Born (p0, p1), by the register path's arithmetic
+_BORN = {(d, b): tuple(postselect(d.make_state(), 0, b, o)[0] for o in (0, 1)) for d in DecoyState for b in Basis}
+
+
+def read_prepared(
+    states: Sequence[DecoyState], qubits: Sequence[Qubit | None], bases: Sequence[Basis], rng: Rng
+) -> list[int]:
+    """Measure each prepared state in its basis after crossing as its qubit.
+
+    One adversary taps all of a channel's qubits or none: untouched (every
+    qubit ``None``) outcomes come from the Born table, tapped registers
+    from one stacked measurement, with one ``rng.random`` either way.
+    """
+    if not states:
+        return []
+    if all(q is None for q in qubits):
+        u = rng.random(len(states)).tolist()
+        return [born_outcome(_BORN[s, b], x) for s, b, x in zip(states, bases, u)]
+    return measure_qubits(qubits, bases, rng)
 
 
 def transmit(state: DecoyState, adversary, rng: Rng) -> Qubit | None:
@@ -154,9 +169,9 @@ def check_decoys(
     Raises :class:`EavesdroppingDetected` when the error rate exceeds
     ``threshold``.
     """
-    errors = sum(
-        outcome != record.state.bit for outcome, record in zip(_read_in_own_bases(seq.decoys, rng), seq.decoys)
-    )
+    states = [r.state for r in seq.decoys]
+    outcomes = read_prepared(states, [r.qubit for r in seq.decoys], [s.basis for s in states], rng)
+    errors = sum(outcome != state.bit for outcome, state in zip(outcomes, states))
     rate = errors / len(seq.decoys)
     result = DecoyCheckResult(
         channel=seq.channel,
@@ -168,20 +183,6 @@ def check_decoys(
     if not result.passed:
         raise EavesdroppingDetected(seq.channel, "decoy", rate, threshold)
     return result
-
-
-def _read_in_own_bases(decoys: list[DecoyRecord], rng: Rng) -> list[int]:
-    """``DecoyState.read`` of every decoy in its preparation basis, in one stacked read.
-
-    One adversary taps all of a sequence's decoys or none, so the decoys
-    are all untouched (one Born-table lookup each) or all registers of
-    one shape (one stacked measurement); either way their uniform draws
-    come from one ``rng.random``.
-    """
-    if decoys[0].qubit is not None:
-        return measure_qubits([r.qubit for r in decoys], [r.state.basis for r in decoys], rng)
-    u = rng.random(len(decoys)).tolist()
-    return [born_outcome(_BORN[r.state, r.state.basis], x) for r, x in zip(decoys, u)]
 
 
 @dataclass
@@ -215,28 +216,24 @@ def semiquantum_return_check(
     Z.  Raises :class:`EavesdroppingDetected` when either rate exceeds
     ``threshold``.
     """
-    sifted: list[tuple[DecoyRecord, int]] = []
-    reflected: list[DecoyRecord] = []
-    for record in seq.decoys:
-        if rng.integers(0, 2):  # SIFT
-            sifted.append((record, record.state.read(record.qubit, Basis.Z, rng)))
-        else:  # CTRL
-            reflected.append(record)
+    sift = rng.integers(0, 2, size=len(seq.decoys)).tolist()
+    sifted = [r for r, coin in zip(seq.decoys, sift) if coin]
+    reflected = [r for r, coin in zip(seq.decoys, sift) if not coin]
+    sift_bits = read_prepared([r.state for r in sifted], [r.qubit for r in sifted], [Basis.Z] * len(sifted), rng)
     # Reflected particles travel back shuffled; once the receiver reveals
     # the order, the preparer re-associates each particle with its
     # original slot, so measuring record-by-record in arrival order is
     # exact bookkeeping.
-    order = rng.permutation(len(reflected)) if reflected else []
-    returned = [reflected[int(i)] for i in order]
-    reflected_errors = 0
+    order = rng.permutation(len(reflected)).tolist() if reflected else []
+    returned = [reflected[i] for i in order]
+    states = [r.state for r in returned]
+    outcomes = read_prepared(states, [r.qubit for r in returned], [s.basis for s in states], rng)
     subset = {Basis.Z: [0, 0], Basis.X: [0, 0]}  # basis -> [count, errors]
-    for rec in returned:
-        outcome = rec.state.read(rec.qubit, rec.state.basis, rng)
-        mismatch = outcome != rec.state.bit
-        reflected_errors += mismatch
-        subset[rec.state.basis][0] += 1
-        subset[rec.state.basis][1] += mismatch
-    z_sift = [(rec, bit) for rec, bit in sifted if rec.state.basis is Basis.Z]
+    for state, outcome in zip(states, outcomes):
+        subset[state.basis][0] += 1
+        subset[state.basis][1] += outcome != state.bit
+    reflected_errors = subset[Basis.Z][1] + subset[Basis.X][1]
+    z_sift = [(rec, bit) for rec, bit in zip(sifted, sift_bits) if rec.state.basis is Basis.Z]
     z_sift_errors = sum(1 for rec, bit in z_sift if bit != rec.state.bit)
     reflected_rate = reflected_errors / len(returned) if returned else 0.0
     z_rate = z_sift_errors / len(z_sift) if z_sift else 0.0
@@ -252,7 +249,7 @@ def semiquantum_return_check(
         sifted_count=len(sifted),
         passed=passed,
         detail={
-            "permutation": [int(i) for i in order],
+            "permutation": order,
             "reflected_z_count": subset[Basis.Z][0],
             "reflected_z_errors": subset[Basis.Z][1],
             "reflected_x_count": subset[Basis.X][0],

@@ -99,15 +99,28 @@ ATTACK_FLAGS = {
 }
 
 
-def _attack_from_args(args: argparse.Namespace, *, only_read: bool) -> AttackSpec:
+# The flags each experiment kind reads besides --out, by destination, and
+# the value each takes when left out (None: the experiment function's own default).
+_RUNS = {"n": 8, "trials": 1000, "seed": None}
+EXPERIMENT_FLAGS = {
+    "detection": {**_RUNS, "decoys": 20, "threshold": RunConfig.error_threshold, "scope": "channel",
+                  "attack": AttackSpec.kind, **dict.fromkeys(ATTACK_FLAGS.values())},
+    "forgery": {**_RUNS, "model": analysis.FORGERY_MODELS[0], "key_mode": None},
+    "blindness": {**_RUNS, "key_mode": None},
+    "efficiency": {"n": 8, "hash_bits": RunConfig.hash_bits},
+}
+
+
+def _attack_from_args(args: argparse.Namespace, *, also_read: tuple[str, ...] = ()) -> AttackSpec:
     """The attack the flags describe; flags left out keep the field defaults.
 
-    With ``only_read``, a flag that the ``--attack`` kind does not read is
-    a configuration error.
+    A flag that neither the ``--attack`` kind nor ``also_read`` reads is a
+    configuration error.
     """
     given = {name: getattr(args, name) for name in ATTACK_FLAGS.values() if getattr(args, name) is not None}
-    unread = [flag for flag, name in ATTACK_FLAGS.items() if name in given and name not in ATTACK_FIELDS[args.attack]]
-    if only_read and unread:
+    reads = (*ATTACK_FIELDS[args.attack], *also_read)
+    unread = [flag for flag, name in ATTACK_FLAGS.items() if name in given and name not in reads]
+    if unread:
         raise ConfigError(f"--attack {args.attack} does not read {', '.join(unread)}")
     if "eve" in given:
         given["eve"] = _load_eve_params(given["eve"])
@@ -125,9 +138,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _experiment_args(args: argparse.Namespace) -> None:
+    """Fill in the flags left out; a flag that ``args.kind`` does not read is a configuration error."""
+    reads = EXPERIMENT_FLAGS[args.kind]
+    flags = {name: flag for flag, name in ATTACK_FLAGS.items()}
+    unread = [flags.get(name, "--" + name.replace("_", "-")) for name, value in vars(args).items()
+              if value is not None and name not in (*reads, "command", "kind", "out")]
+    if unread:
+        raise ConfigError(f"experiment {args.kind} does not read {', '.join(unread)}")
+    for name, value in reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--attack", default=AttackSpec.kind, choices=ATTACK_KINDS,
-                        help="adversary model to inject")
+    parser.add_argument("--attack", choices=ATTACK_KINDS,
+                        help=f"adversary model to inject (default {AttackSpec.kind})")
     parser.add_argument("--attack-channel", dest="channel", choices=QUANTUM_CHANNELS,
                         help=f"which transmission is tapped (default {AttackSpec.channel})")
     parser.add_argument("--attack-basis", dest="basis", choices=INTERCEPT_BASES,
@@ -162,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--key-mode", default=RunConfig.key_mode, choices=KEY_MODES)
     run_p.add_argument("--out", metavar="FILE", help="write the replayable transcript JSON here")
     _add_attack_flags(run_p)
+    run_p.set_defaults(attack=AttackSpec.kind)
 
     ver_p = sub.add_parser("verify-corrections", help="audit the correction lookup against the projection oracle")
     ver_p.add_argument("--trials", type=int, default=100, help="random message qubits to audit")
@@ -171,20 +198,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_p = sub.add_parser("experiment", help="batch experiment drivers")
     exp_p.add_argument("kind", choices=["detection", "forgery", "blindness", "efficiency"])
-    exp_p.add_argument("--n", type=int, default=8)
-    exp_p.add_argument("--trials", type=int, default=1000)
-    exp_p.add_argument("--seed", type=int, default=None)
-    exp_p.add_argument("--decoys", type=int, default=20)
-    exp_p.add_argument("--threshold", type=float, default=RunConfig.error_threshold)
-    exp_p.add_argument("--hash-bits", "--l", dest="hash_bits", type=int, default=RunConfig.hash_bits,
-                       help="hash output length l (efficiency accounting)")
-    exp_p.add_argument("--scope", default="channel", choices=analysis.DETECTION_SCOPES,
+    exp_p.add_argument("--n", type=int, help="message length in bits (default 8)")
+    exp_p.add_argument("--trials", type=int, help="runs (default 1000)")
+    exp_p.add_argument("--seed", type=int)
+    exp_p.add_argument("--decoys", type=int, help="detection: decoys per channel (default 20)")
+    exp_p.add_argument("--threshold", type=float, help="detection: tolerated check error rate")
+    exp_p.add_argument("--hash-bits", "--l", dest="hash_bits", type=int,
+                       help="efficiency: hash output length l")
+    exp_p.add_argument("--scope", choices=analysis.DETECTION_SCOPES,
                        help="detection: simulate the attacked channel only, or whole runs")
     exp_p.add_argument("--key-mode", choices=KEY_MODES,
                        help="forgery and blindness: key-agreement mode for the underlying runs "
                             "(default: stubbed for forgery, simulated for blindness)")
-    exp_p.add_argument("--model", default="outside-random-md", choices=analysis.FORGERY_MODELS,
-                       help="forgery model")
+    exp_p.add_argument("--model", choices=analysis.FORGERY_MODELS, help="forgery model")
     exp_p.add_argument("--out", metavar="FILE", help="write the result JSON here")
     _add_attack_flags(exp_p)
 
@@ -205,7 +231,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         hash_bits=args.hash_bits,
         hash_algorithm=args.hash_algorithm,
         key_mode=args.key_mode,
-        attack=_attack_from_args(args, only_read=True),
+        attack=_attack_from_args(args),
     )
     config.validate()
     transcript = run_full(config)
@@ -271,7 +297,7 @@ def _cmd_verify_corrections(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
+    _experiment_args(args)
     if args.kind == "efficiency":
         report = analysis.qubit_efficiency(args.n, args.hash_bits)
         rows = analysis.comparison_table(args.n, args.hash_bits)
@@ -297,9 +323,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             )
         return EXIT_VALID
 
+    seed = _resolve_seed(args.seed)
     if args.kind == "detection":
+        # Channel scope reads the channel even with --attack none.
         result = analysis.experiment_detection(
-            _attack_from_args(args, only_read=False),
+            _attack_from_args(args, also_read=("channel",)),
             trials=args.trials,
             seed=seed,
             n=args.n,

@@ -9,7 +9,11 @@ the keyed hash shared between the message owner and the verifier.
 Key establishment is simulated honestly at the single-qubit level.
 Each key qubit is a ``channels.DecoyState`` preparation that crosses
 like a decoy: ``channels.transmit`` gives it a register only under
-attack, and ``DecoyState.read`` measures it with one uniform draw.
+attack.  Each batch draws, in this order: its three coin arrays (one
+``rng.integers`` each), any adversary draws as each raw qubit it spends
+crosses, then one ``channels.read_prepared`` of all those qubits.  After
+the last batch, BB84 draws its check sample.
+
 Runs that do not care about the key-agreement channel may skip it
 entirely and draw pre-shared keys ("stubbed" mode in the protocol
 layer), since the agreed keys of an honest noiseless exchange are
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import Bits
-from .channels import DecoyState, transmit
+from .channels import DecoyState, read_prepared, transmit
 from .errors import ConfigError, KeyEstablishmentError
 from .statevec import Basis, Rng
 
@@ -146,14 +150,12 @@ _PREPARED = tuple(DecoyState)  # indexed by 2 * basis coin + value coin
 def _receive(prep_bases, prep_values, meas_bases, adversary, rng: Rng) -> np.ndarray:
     """Receiver's outcomes for prepared qubits measured after one forward leg.
 
-    Arguments are equal-length 0/1 arrays (basis 0 = Z, 1 = X); each
-    qubit is sent and measured before the next.
+    Arguments are equal-length 0/1 arrays (basis 0 = Z, 1 = X); every
+    qubit crosses before any is read.
     """
-    outcomes = []
-    for pb, pv, mb in zip(prep_bases.tolist(), prep_values.tolist(), meas_bases.tolist()):
-        state = _PREPARED[2 * pb + pv]
-        outcomes.append(state.read(transmit(state, adversary, rng), _BASES[mb], rng))
-    return np.array(outcomes, dtype=int)
+    states = [_PREPARED[2 * pb + pv] for pb, pv in zip(prep_bases.tolist(), prep_values.tolist())]
+    qubits = [transmit(state, adversary, rng) for state in states]
+    return np.array(read_prepared(states, qubits, [_BASES[mb] for mb in meas_bases.tolist()], rng), dtype=int)
 
 
 def _raw_used(key_positions: np.ndarray, missing: int, batch: int) -> int:

@@ -28,12 +28,13 @@ A run walks four phases:
 Determinism: a run consumes randomness exclusively from one generator
 seeded by ``config.seed``, in a fixed order (private inputs if not
 supplied, hash secret, key agreement, then per-channel decoy and
-measurement draws in protocol order).  Where the instances draw one
-after the other with nothing between (M_B, M_D, M_C, Trent's X reads,
-Charlie's read of G'), their draws come from one ``rng.random(n)``
-vector, which yields the same numbers as n scalar draws.  Two runs with
-the same config are therefore bit-identical, which is the replay
-contract.
+measurement draws in protocol order).  Each measurement step draws
+once: M_B, M_D, M_C, Trent's X reads and Charlie's read of G' take one
+``rng.random(n)`` each; key agreement reads all the raw qubits of a
+batch, and a decoy check all the decoys of a step, with one
+``channels.read_prepared`` call (the ``keys`` and ``channels``
+docstrings give the order of the steps).  Two runs with the same config
+are therefore bit-identical, which is the replay contract.
 """
 
 from __future__ import annotations

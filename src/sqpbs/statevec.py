@@ -287,36 +287,12 @@ def postselect(state: np.ndarray, qubit: int, basis: Basis, outcome: int) -> tup
     return prob, _compose_collapsed(basis, outcome, component, prob)
 
 
-def born_1q(state: np.ndarray, basis: Basis) -> tuple[tuple[complex, complex], tuple[float, float]]:
-    """Components ``(c0, c1)`` and Born probabilities ``(p0, p1)`` of a one-qubit state.
-
-    Python-scalar twin of ``_basis_components`` and ``_sumsq``: the same
-    operations in the same order, so the results are bitwise equal.
-    """
-    a0, a1 = state.tolist()
-    if basis is Basis.X:
-        a0, a1 = (a0 + a1) * SQRT1_2, (a0 - a1) * SQRT1_2
-    return (a0, a1), (a0.real * a0.real + a0.imag * a0.imag, a1.real * a1.real + a1.imag * a1.imag)
-
-
 def born_outcome(probs: tuple[float, float], u: float) -> int:
     """Outcome that uniform draw ``u`` selects; one without weight yields to the other."""
     outcome = 0 if u < probs[0] else 1
     if probs[outcome] < ZERO_PROB:
         outcome ^= 1
     return outcome
-
-
-def _measure_1q(state: np.ndarray, basis: Basis, rng: Rng) -> tuple[int, np.ndarray]:
-    """``measure`` of a one-qubit state on Python scalars, bitwise equal to the array path."""
-    components, probs = born_1q(state, basis)
-    outcome = born_outcome(probs, rng.random())
-    v = components[outcome] * (1.0 / math.sqrt(probs[outcome]))
-    if basis is Basis.Z:
-        amps = (v, 0j) if outcome == 0 else (0j, v)
-    else:
-        amps = (v * SQRT1_2, v * (SQRT1_2 if outcome == 0 else -SQRT1_2))
-    return outcome, np.array(amps, dtype=complex)
 
 
 def measure(state: np.ndarray, qubit: int, basis: Basis, rng: Rng) -> tuple[int, np.ndarray]:
@@ -327,20 +303,12 @@ def measure(state: np.ndarray, qubit: int, basis: Basis, rng: Rng) -> tuple[int,
     basis, bit 0 corresponds to ``|+>`` and bit 1 to ``|->``.  A draw
     that lands on an outcome without weight (possible when the
     probabilities sum to just under 1) takes the other outcome.
-    A one-qubit state takes a scalar path with the same arithmetic.
     """
     _check_targets(num_qubits(state), [qubit])
-    if state.size == 2:
-        return _measure_1q(state, basis, rng)
-    c0, c1 = _basis_components(state, qubit, basis)
-    p0 = _sumsq(c0)
-    outcome = 0 if rng.random() < p0 else 1
-    prob = p0 if outcome == 0 else _sumsq(c1)
-    if prob < ZERO_PROB:
-        outcome ^= 1
-        prob = _sumsq((c0, c1)[outcome])
-    component = (c0, c1)[outcome]
-    return outcome, _compose_collapsed(basis, outcome, component, prob)
+    components = _basis_components(state, qubit, basis)
+    probs = (_sumsq(components[0]), _sumsq(components[1]))
+    outcome = born_outcome(probs, rng.random())
+    return outcome, _compose_collapsed(basis, outcome, components[outcome], probs[outcome])
 
 
 def _pair_shape(n: int, qubit_a: int, qubit_b: int) -> tuple[tuple[int, int, int], tuple, tuple]:

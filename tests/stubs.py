@@ -1,0 +1,46 @@
+"""Stand-ins for a random generator and an adversary, shared by the tests."""
+
+import numpy as np
+
+
+class LastDraw:
+    """Generator stub whose uniform draws are all the largest double below 1.
+
+    They lie past any Born total that rounded below 1, so |+> read in X
+    takes the zero-weight flip.
+    """
+
+    def random(self, size=None):
+        u = 1.0 - 2.0**-53
+        return u if size is None else np.full(size, u)
+
+
+class PassThrough:
+    """Adversary that leaves every qubit alone; its presence forces registers."""
+
+    def intercept(self, qubit, rng):
+        pass
+
+
+class RecordingRng:
+    """A seeded generator that logs each draw as ``(method, size)``."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return self._rng.random(size)
+
+    def integers(self, low, high, size=None):
+        self.calls.append(("integers", size))
+        return self._rng.integers(low, high, size=size)
+
+    def permutation(self, n):
+        self.calls.append(("permutation", n))
+        return self._rng.permutation(n)
+
+    def choice(self, a, size=None, replace=True):
+        self.calls.append(("choice", size))
+        return self._rng.choice(a, size=size, replace=replace)

@@ -15,6 +15,7 @@ from sqpbs.channels import (
 from sqpbs.errors import EavesdroppingDetected
 from sqpbs.registers import measure_qubit, new_qubit, new_z_qubit
 from sqpbs.statevec import Basis, ket_plus, new_rng
+from stubs import PassThrough, RecordingRng
 
 # chi-square critical value, df = 69, p = 0.001
 CHI2_CRIT_DF69 = 111.06
@@ -203,13 +204,6 @@ class TestSemiquantumReturnCheck:
                 semiquantum_return_check(seq, rng, threshold=0.0)
 
 
-class PassThrough:
-    """Adversary that leaves every qubit alone; its presence forces registers."""
-
-    def intercept(self, qubit, rng):
-        pass
-
-
 @pytest.mark.parametrize("check", [check_decoys, semiquantum_return_check])
 @pytest.mark.parametrize("decoy_count", [1, 4, 20])
 def test_untouched_decoys_match_the_register_path(check, decoy_count):
@@ -222,3 +216,17 @@ def test_untouched_decoys_match_the_register_path(check, decoy_count):
             assert (t.position, t.state, t.qubit) == (r.position, r.state, None) and r.qubit is not None
         assert check(table, rng_table) == check(registers, rng_registers), seed
         assert rng_table.random() == rng_registers.random(), seed
+
+
+@pytest.mark.parametrize("adversary", [None, PassThrough()], ids=["untouched", "registers"])
+def test_each_check_reads_once_per_step(adversary):
+    """check_decoys reads once; the return check draws coins, SIFT read, permutation, CTRL read."""
+    d = 20
+    seq = send_with_decoys(_plus_payload(3), d, new_rng(0), adversary)
+    rng = RecordingRng(1)
+    check_decoys(seq, rng)
+    assert rng.calls == [("random", d)]
+    rng = RecordingRng(1)
+    k = semiquantum_return_check(seq, rng).sifted_count
+    assert 0 < k < d
+    assert rng.calls == [("integers", d), ("random", k), ("permutation", d - k), ("random", d - k)]

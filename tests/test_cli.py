@@ -61,6 +61,13 @@ THREE_PART_COMPLEX_EVE = {**GOOD_EVE, "alpha": [[*p, 0.0] for p in GOOD_EVE["alp
         ("run", "--n", "2", "--seed", "1", "--attack", "intercept-resend", "--tamper-bit", "2"),
         ("run", "--n", "2", "--seed", "1", "--attack", "withhold", "--tamper-bit", "2"),
         ("run", "--n", "2", "--seed", "1", "--attack", "tamper-md", "--withhold-record", "M_B"),
+        ("experiment", "forgery", "--n", "2", "--trials", "2", "--seed", "1", "--attack", "intercept-resend"),
+        ("experiment", "blindness", "--n", "2", "--trials", "1", "--seed", "1", "--tamper-bit", "3"),
+        ("experiment", "forgery", "--n", "2", "--trials", "2", "--seed", "1", "--scope", "full"),
+        ("experiment", "forgery", "--n", "2", "--trials", "2", "--seed", "1", "--decoys", "5", "--threshold", "0.5"),
+        ("experiment", "detection", "--n", "2", "--trials", "2", "--seed", "1", "--model", "honest-control"),
+        ("experiment", "detection", "--n", "2", "--trials", "2", "--seed", "1", "--key-mode", "stubbed"),
+        ("experiment", "efficiency", "--n", "2", "--attack", "intercept-resend"),
         ("verify-corrections", "--corrupt-branch", "99", "--trials", "1", "--seed", "1"),
         ("verify-corrections", "--corrupt-branch", "-1", "--trials", "1", "--seed", "1"),
         ("bogus-command",),
@@ -302,6 +309,11 @@ class TestExperiments:
         code = run_cli("experiment", "detection", "--attack", "none", "--trials", "30", "--seed", "2")
         assert code == EXIT_VALID
         assert "rate=0.000000" in capsys.readouterr().out
+
+    def test_detection_reads_the_channel_without_an_attack(self):
+        # Channel scope replays the named channel's guard with no adversary.
+        code = run_cli("experiment", "detection", "--attack-channel", "w1", "--trials", "2", "--seed", "2")
+        assert code == EXIT_VALID
 
     def test_blindness_reports_zero_violations(self, capsys):
         code = run_cli("experiment", "blindness", "--n", "4", "--trials", "5", "--seed", "2")

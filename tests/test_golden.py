@@ -1,18 +1,18 @@
 """Golden transcript pins: refactors must not move one transcript byte.
 
 Each config below is pinned to the sha256 of its run's canonical JSON.
+``data/golden_run.json`` is a transcript file written by ``sqpbs run``
+with ``GOLDEN_ARGV``; ``sqpbs replay`` must still reproduce it byte for
+byte.
+
 A change that alters the random stream or the transcript format on
 purpose bumps ``TOOL_VERSION`` (here and in ``pyproject.toml``) and
-regenerates these hashes, and the ``--out`` pins of two experiments,
-with::
+refreshes every pin with one command, from the repository root::
 
     PYTHONPATH=src python -m tests.test_golden
 
-``data/golden_run.json`` is a transcript file written by ``sqpbs run``;
-``sqpbs replay`` must still reproduce it byte for byte.  Rewrite it,
-from the repository root, with::
-
-    PYTHONPATH=src python -m sqpbs.cli run --n 4 --seed 21 --out tests/data/golden_run.json
+It prints the transcript hashes and the ``--out`` pins of two
+experiments, to paste below, and rewrites ``data/golden_run.json``.
 """
 
 import hashlib
@@ -32,6 +32,7 @@ from sqpbs.transcript import AttackSpec, RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_FILE = ROOT / "tests" / "data" / "golden_run.json"
+GOLDEN_ARGV = ("run", "--n", "4", "--seed", "21")
 
 CONFIGS = {
     "honest-sim-n4": RunConfig(n=4, seed=1),
@@ -97,31 +98,31 @@ ROW_CONFIGS = {
 CONFIGS.update(ROW_CONFIGS)
 
 PINS = {
-    "honest-sim-n4": "828ed6efdeff54049fd11e2663b571f055cd1796d7636290f781dff0f6d5de26",
-    "honest-stubbed-n8": "915178828703c61f782742551a498d915ca78d81768782c7d0ab162c96f7a9e3",
-    "honest-explicit-inputs": "cda24d5aeaef695c6fb91b622fc25e346c712406ea1c11f4332a7aeadfb6a4d1",
-    "ir-random-xi_m": "01188f34b62f2c3dd1b7ab7e41020edb3d749756fa09670507fdfae810af3f3d",
-    "ir-z-bb84_dt": "0170b7dfb72a4fcf7eabb0c0c1c85193fa9beda7c63846b4f8ce25cb2d2c19b7",
-    "ir-x-sqkd_bt-threshold": "f7f6b829051c39f4897775816ca159accf51dce44c364dd9d5d00048a286d159",
-    "em-rotation-w1": "6481258665ce13e29d0035fc00079ded4d663d847c87d134429336c358719f7b",
-    "em-undetectable-sqkd_ct": "56e28487e4770a7a5bf2ea5f0a67fe632ff3c5e78ab5a427efa55be7722a18d6",
-    "em-marking-g_prime": "06e572aa87059f404ac7161dcc2f5928a3266683255da456e57b6f85e392d922",
-    "forge-md-stubbed": "2496842f4e6e11610694506ae114e7c9495a4b6b5fe1f5fb484108735cb5b6e1",
-    "tamper-md-bit7": "fa2eb346b98923518bdfa064fce3550a7e3af0699600e8e77b52c130694641e2",
-    "withhold-M_B": "bcac6dc1b20ca34f4ae565ac519c9e49af90eb18ed87aeb2e71690a7ff48d1ba",
-    "withhold-M_C-stubbed": "11cc1082a779e2545fc2de19c6d1b1300aa659afd9856f30158e9e33b2c52cdc",
-    "rows-em2-xi_m": "1b7c484003d0add6a22a8736c5e5ba55c21b6a4ae019007d7d52fc89f522d942",
-    "rows-em2-w1": "e23c0e441197838707226a0d4cb498b0129c585825092117a560b4cbf6db1949",
-    "rows-em2-w2": "3a5b50928bf617efe648ecb26f86e93b71f1180028dd4cc328a6525a31c24286",
-    "rows-em2-w4": "3caa0d9f1250eed784583cceef434544141780ca8a11da1c201a55ce9e408804",
-    "rows-em4-xi_m": "1dcf4118ffa42a3f0d53b2fb54d9788c2d2486a85e29bd22bf0d54366eb21edf",
-    "rows-em4-w1": "bfa62ce5bd1c9e22d38ae36b14cee3762e5e214addff23bbb656bcf8275ec4b1",
-    "rows-em4-w2": "89c50accfd36cb9cf0cc78f377e6116d62eca30a9861e61ac56672377f682b48",
-    "rows-em4-w4": "9b8edeab7d787d03002b437c05e9b2650f3c3cbbb8c6f1620f1ff00ea3be5d2f",
-    "rows-ir-xi_m": "a96a1d4a634f1207ba8dbf22232a6f9bf4a04444541a15b57952e84ed408919c",
-    "rows-ir-w1": "23f757ed320d079869e7d389999836f4a96f789f203f9f1e80b47546591699f9",
-    "rows-ir-w2": "a6c132d2fcb2b29d7569545d7793b33f3a417856c8b83707a2234e09cd0323c6",
-    "rows-ir-w4": "073ead6e3391c2b24c5cd3366ae284c0e23dc6596e9c88f3e50e77fe4cf971f4",
+    "honest-sim-n4": "4b405810c72cd8830fdcb7dd81354059fe34b93e4f6c99ddfc87e0524ba1fa09",
+    "honest-stubbed-n8": "c103abbe6fbeebba46f6b6eef5142455ecce1844d13f32e2b8485ac3378fb331",
+    "honest-explicit-inputs": "be208616de7358c990df7473071c90e58906d29b5c5a62aeb782599a5a2d5008",
+    "ir-random-xi_m": "97c812f4771907028d3fcbd546974cad592a0084f4215d05faca62c72dc7910c",
+    "ir-z-bb84_dt": "e13811c47501e1381ba7f29fd11b52de5fcc5bae1d3804e72b5825c14207a4e9",
+    "ir-x-sqkd_bt-threshold": "9ed6c23288807daaf93d5ad84f71e6cc794d30f9028d024b2f265bea3ae6e51e",
+    "em-rotation-w1": "ecc5177292f9d1aa67092881045e5672bfa8d29d1f8e3b2065b15360cf5bf682",
+    "em-undetectable-sqkd_ct": "760be0b43a19eddabdfb5afe134feeba7cac6ca2687a6c7d51d8093b25946f36",
+    "em-marking-g_prime": "2c0fe3023315de6a29a59c3690b1587218caa34c6fbd7405963ff782d1a8b855",
+    "forge-md-stubbed": "e65720ebc620b721477f1d75aaf6490609cf88c7ad4eb4d1b4ea945f72de6e1d",
+    "tamper-md-bit7": "52a92a306de16f5536c97c96739b8350d281d72b1ba495eeca9038f94c8d8468",
+    "withhold-M_B": "a033e95453f22a871ff483d91bfdb6e501c003427f9abaa9015b8fb5b62a918f",
+    "withhold-M_C-stubbed": "998106a2e5049acfdcbb2d7b413aa574316a0424479874e4315f532bfc75ea2d",
+    "rows-em2-xi_m": "2ee0155a78f01b3bcbb417c5bbf7320231b9607b741b32fd49421973b0d76a4f",
+    "rows-em2-w1": "e122b21646a7dc2b5a65327e110765a01c7bfeb9a8b8318f487c612640a9cb14",
+    "rows-em2-w2": "e263d4bf03a698a13788c79be62e51826abc8ac28151f65e5f4d9fb6b0565f0b",
+    "rows-em2-w4": "4848f775e2df0f7b2537645c98b3548e0de94d0091501f1ff3f600f432c67c23",
+    "rows-em4-xi_m": "d9b142cb4afbf84ce47d325ba1fe68a9e12c8690b9e5b250875bf55bf0d3abbd",
+    "rows-em4-w1": "801dbf9654d4f2af92ee57c8e898cdeb05af8469d05fb7c941c247e76593f9f5",
+    "rows-em4-w2": "dec820e654ae70920025dda817bebdf14729dec203a366149f8e6618fa1bed9b",
+    "rows-em4-w4": "efd788b47530ddf6ee6fbe5c9ef228e51fc10624b291263e5a9303287d767e1f",
+    "rows-ir-xi_m": "5cf74165f35f5602b2171783e78a7bfd35b0a5c8a3dbdc5b32270b35eaacf7ac",
+    "rows-ir-w1": "22fbb0d9cbceb5a2a5a1120bf9a1539e3eeac4f89136b33f68c061b1ae39276a",
+    "rows-ir-w2": "d016fd91fbf518fdf8083a8dc5af07b02b10a71355b7c0074ffa427a11198f1a",
+    "rows-ir-w4": "a6163a7d281697f6edd46804fb0f77e92e35de0631362711656078c0bc5f3eed",
 }
 
 # `--out` JSON of experiments, parsed and without its "version" key.
@@ -151,7 +152,7 @@ def out_sha256(argv: tuple[str, ...], path: Path) -> str:
 
 
 def test_tool_version_matches_the_pins():
-    assert TOOL_VERSION == "0.3.0"
+    assert TOOL_VERSION == "0.4.0"
 
 
 def test_pyproject_version_is_the_tool_version():
@@ -203,3 +204,6 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(io.StringIO()):
                 digest = out_sha256(argv, Path(tmp) / "out.json")
             print(f'    "{key}": "{digest}",')
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*GOLDEN_ARGV, "--out", str(GOLDEN_FILE)]) == EXIT_VALID
+    print(f"rewrote {GOLDEN_FILE.relative_to(ROOT)}")

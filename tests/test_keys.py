@@ -18,6 +18,7 @@ from sqpbs.keys import (
     xor_blind,
 )
 from sqpbs.statevec import new_rng
+from stubs import PassThrough, RecordingRng
 
 
 class TestBits:
@@ -221,13 +222,6 @@ class TestSQKD:
         assert a.detail == b.detail
 
 
-class PassThrough:
-    """Adversary that leaves every qubit alone; its presence forces the register path."""
-
-    def intercept(self, qubit, rng):
-        pass
-
-
 @pytest.mark.parametrize("establish", [establish_key_bb84, establish_key_sqkd], ids=["bb84", "sqkd"])
 @pytest.mark.parametrize("length", [1, 2, 64, 200])
 def test_untouched_channel_matches_the_register_path(establish, length):
@@ -239,3 +233,19 @@ def test_untouched_channel_matches_the_register_path(establish, length):
         for name in ("sender_key", "receiver_key", "raw_count", "sifted_count", "error_rate", "detail"):
             assert getattr(table, name) == getattr(registers, name), (seed, name)
         assert rng_table.random() == rng_registers.random(), seed
+
+
+@pytest.mark.parametrize("establish", [establish_key_bb84, establish_key_sqkd], ids=["bb84", "sqkd"])
+@pytest.mark.parametrize("length", [1, 64, 200])
+def test_each_batch_reads_its_qubits_with_one_draw(establish, length):
+    """Every batch draws its three coin arrays, then one ``random`` for all its reads."""
+    rng = RecordingRng(3)
+    result = establish(length, rng)
+    calls = rng.calls
+    if establish is establish_key_bb84:
+        assert calls[-1][0] == "choice"
+        calls = calls[:-1]
+    batches = [calls[i : i + 4] for i in range(0, len(calls), 4)]
+    for batch in batches:
+        assert [method for method, _ in batch] == ["integers"] * 3 + ["random"], calls
+    assert sum(batch[3][1] for batch in batches) == result.raw_count

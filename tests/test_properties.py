@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from sqpbs.adversary import INTERCEPT_BASES, EveParams
 from sqpbs.analysis import DETECTION_SCOPES, FORGERY_MODELS
 from sqpbs.bits import Bits
-from sqpbs.channels import DecoyState
-from sqpbs.cli import main
+from sqpbs.channels import DecoyState, read_prepared
+from sqpbs.cli import ATTACK_FLAGS, EXPERIMENT_FLAGS, main
 from sqpbs.keys import otp_decrypt, otp_encrypt
 from sqpbs.protocol import run_full
 from sqpbs.registers import measure_qubit, new_qubit
@@ -31,6 +31,7 @@ from sqpbs.statevec import (
     tensor,
 )
 from sqpbs.transcript import ATTACK_KINDS, KEY_MODES, QUANTUM_CHANNELS, WITHHOLDABLE, RunConfig
+from stubs import LastDraw
 
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
 SLOW = settings(max_examples=15, deadline=None, derandomize=True)
@@ -94,16 +95,8 @@ def test_postselect_returns_unit_norm_and_keeps_input(state, data, basis, outcom
     np.testing.assert_array_equal(state, before)
 
 
-class LastDraw:
-    """Generator stub drawing the largest double below 1: it lands past a total
-    that rounded below 1, so |+> read in X takes the zero-weight flip."""
-
-    def random(self):
-        return 1.0 - 2.0**-53
-
-
 def assert_one_qubit_path_matches_array_path(state, basis, seed):
-    """Scalar one-qubit ``measure`` equals the array path run on the state joined with |0>.
+    """``measure`` of a one-qubit state equals that of the state joined with |0>.
 
     ``seed`` None draws with ``LastDraw``; otherwise both sides get equally
     seeded generators.
@@ -128,7 +121,8 @@ def test_decoy_state_measure_matches_the_array_path(decoy, basis, seed):
     assert_one_qubit_path_matches_array_path(decoy.make_state(), basis, seed)
     # An untouched decoy read from the Born table equals its register measurement.
     rng, register_rng = (LastDraw(), LastDraw()) if seed is None else (new_rng(seed), new_rng(seed))
-    assert decoy.read(None, basis, rng) == measure_qubit(new_qubit(decoy.make_state()), basis, register_rng)
+    register_bit = measure_qubit(new_qubit(decoy.make_state()), basis, register_rng)
+    assert read_prepared([decoy], [None], [basis], rng) == [register_bit]
     assert rng.random() == register_rng.random()
 
 
@@ -200,16 +194,26 @@ RUN_FLAGS = {
     "--blinding-key": (("0", "1001"), ()),
     "--hash-algorithm": (("sha256", "sha512"), ("shake_128", "nope")),
 }
-EXPERIMENT_FLAGS = {
+ALL_EXPERIMENT_FLAGS = {
     **SHARED_FLAGS, **TRIALS, "--scope": (DETECTION_SCOPES, ("x",)), "--model": (FORGERY_MODELS, ("x",)),
 }
+FLAG_OF = {name: flag for flag, name in ATTACK_FLAGS.items()}
+# The flags each experiment kind reads.
+KIND_FLAGS = {
+    kind: {flag: ALL_EXPERIMENT_FLAGS[flag] for flag in (FLAG_OF.get(n, "--" + n.replace("_", "-")) for n in names)}
+    for kind, names in EXPERIMENT_FLAGS.items()
+}
+
 VERIFY_FLAGS = {**TRIALS, "--seed": SHARED_FLAGS["--seed"], "--corrupt-branch": (("0", "15"), ("16", "99", "-1"))}
 # (subcommand, its positional arguments, flags always given so that defaults stay small, flags)
 COMMANDS = [
     ("run", (), ("--n",), RUN_FLAGS),
     ("verify-corrections", (), ("--trials",), VERIFY_FLAGS),
     ("experiment", ("detection", "forgery", "blindness", "efficiency", "bogus"), ("--n", "--trials"),
-     EXPERIMENT_FLAGS),
+     ALL_EXPERIMENT_FLAGS),
+    # Each kind with only the flags it reads, so that most lines reach its experiment function.
+    *(("experiment", (kind,), tuple(f for f in ("--n", "--trials") if f in flags), flags)
+      for kind, flags in KIND_FLAGS.items()),
     ("replay", (GOLDEN_FILE, "absent.json"), (), {}),
 ]
 JUNK = ("--bogus", "", "-", "--", "x", "--n=", "--trials=-1", "--help", "--version")

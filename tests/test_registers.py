@@ -29,6 +29,7 @@ from sqpbs.statevec import (
     postselect,
     tensor,
 )
+from stubs import LastDraw
 
 SIZES = (1, 2, 1)  # registers a, b, c
 
@@ -95,14 +96,6 @@ def test_handle_reads_the_live_register_after_absorption():
 # -- list forms against the one-qubit forms, row by row ------------------------
 
 ROWS = (1, 2, 8)
-
-
-class LastDraw:
-    """Generator stub whose uniform draws lie past any sum that rounded below 1."""
-
-    def random(self, size=None):
-        u = 1.0 - 2.0**-53
-        return u if size is None else np.full(size, u)
 
 
 def _twins(states):

@@ -27,17 +27,11 @@ from sqpbs.statevec import (
     tensor,
 )
 from sqpbs.teleport import prepare_chi
+from stubs import LastDraw
 
 SQRT1_2 = 1 / math.sqrt(2)
 # Largest double below 1: squared, it rounds to 1 - 2**-52.
 JUST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
-
-
-class LastDraw:
-    """Generator stub whose uniform draw lies past any sum that rounded below 1."""
-
-    def random(self):
-        return 1.0 - 2.0**-53
 
 
 class TestBasisStates:

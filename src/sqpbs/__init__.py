@@ -47,7 +47,6 @@ from .keys import (
     xor_blind,
 )
 from .protocol import Party, ProtocolRun, run_full
-from .registers import Qubit, Register
 from .statevec import (
     Basis,
     BellState,

@@ -1,7 +1,8 @@
 """Channel adversaries: intercept-resend and entangle-measure probes.
 
-Both adversaries expose ``intercept(qubit, rng)`` and are invoked once
-per qubit crossing an attacked channel (forward leg).
+Both adversaries expose ``intercept(crossings, rng)`` and are invoked
+once per transmission over an attacked channel (forward leg), with the
+``(stack, row, column)`` of every crossing qubit in transmission order.
 
 The entangle-measure attacker couples a private probe to each transiting
 qubit with a joint unitary E defined by its action on the computational
@@ -30,11 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import DecoyState
-from .registers import Qubit, apply_to_qubits, measure_qubit, new_qubits
+from .registers import Stack, measure_qubit, merge
 from .statevec import (
     Basis,
     Rng,
-    apply_unitary,
+    apply_rows,
     is_unitary,
     num_qubits,
     postselect,
@@ -57,12 +58,14 @@ class InterceptResend:
             raise ValueError(f"basis must be one of {INTERCEPT_BASES}, got {basis!r}")
         self.basis = basis
 
-    def intercept(self, qubit: Qubit, rng: Rng) -> None:
-        if self.basis == "random":
-            choice = Basis.X if rng.integers(0, 2) else Basis.Z
-        else:
-            choice = Basis.X if self.basis == "x" else Basis.Z
-        measure_qubit(qubit, choice, rng)  # collapse is the resend
+    def intercept(self, crossings: list[tuple[Stack, int, int]], rng: Rng) -> None:
+        """Per crossing, in order: the basis coin (random basis only), then the measurement."""
+        for stack, row, column in crossings:
+            if self.basis == "random":
+                choice = Basis.X if rng.integers(0, 2) else Basis.Z
+            else:
+                choice = Basis.X if self.basis == "x" else Basis.Z
+            measure_qubit(stack, row, column, choice, rng)  # collapse is the resend
 
 
 def _as_probe_vector(v, dim: int) -> np.ndarray:
@@ -174,8 +177,7 @@ class EveParams:
     def joint_state_after(self, qubit_state: np.ndarray) -> np.ndarray:
         """E (|qubit> x |e>) for an arbitrary single-qubit input."""
         joint = tensor(qubit_state, self.initial_probe())
-        targets = list(range(num_qubits(joint)))
-        return apply_unitary(joint, targets, self._unitary, validate=False)
+        return apply_rows(joint[None], list(range(num_qubits(joint))), self._unitary)[0]
 
     def expected_error_rates(self) -> dict[str, float]:
         """Exact disturbance probability for each of the four decoy states.
@@ -284,17 +286,26 @@ class EveParams:
 
 
 class EntangleMeasure:
-    """Attack hook that couples a fresh probe to every transiting qubit."""
+    """Attack hook that couples a fresh probe to every transiting qubit.
+
+    It draws nothing.  Each crossed stack is widened once by one probe
+    per row, as its least significant qubits, so no column moves; one
+    stacked apply then couples every crossed row to its probe.
+    """
 
     def __init__(self, params: EveParams):
         self.params = params
-        self.probes: list[list[Qubit]] = []
 
-    def intercept(self, qubit: Qubit, rng: Rng) -> None:
-        # apply_to_qubits merges the probe's register into the qubit's.
-        probe_qubits = new_qubits(self.params.initial_probe())
-        apply_to_qubits([qubit, *probe_qubits], self.params.coupling_unitary())
-        self.probes.append(probe_qubits)
+    def intercept(self, crossings: list[tuple[Stack, int, int]], rng: Rng) -> None:
+        crossed: dict[tuple[Stack, int], list[int]] = {}
+        for stack, row, column in crossings:
+            crossed.setdefault((stack, column), []).append(row)
+        probe, coupling = self.params.initial_probe(), self.params.coupling_unitary()
+        for (stack, column), rows in crossed.items():
+            width = stack.num_qubits
+            merge(stack, Stack(probe[None]))
+            targets = [column, *range(width, stack.num_qubits)]
+            stack.state[rows] = apply_rows(stack.state[rows], targets, coupling)
 
 
 def violation_grid(points_per_family: int = 10) -> list[EveParams]:

@@ -24,11 +24,13 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .bits import Bits
 from .channels import check_decoys, semiquantum_return_check, send_with_decoys
 from .errors import ConfigError, EavesdroppingDetected
 from .protocol import run_full
-from .registers import new_qubit
+from .registers import Stack
 from .statevec import BellState, ket_plus, new_rng
 from .teleport import (
     MessageQubit,
@@ -37,7 +39,7 @@ from .teleport import (
     correction_for,
     forced_branch_particle3,
 )
-from .transcript import CHANNELS, KEY_GUARDS, AttackSpec, RunConfig, Transcript
+from .transcript import CHANNELS, KEY_GUARDS, QUANTUM_ATTACKS, AttackSpec, RunConfig, Transcript
 
 # Per-key-bit qubit overheads used by the accounting convention: a BB84
 # key costs 4 transmitted qubits per sifted bit, a semiquantum key 8.
@@ -278,11 +280,15 @@ def experiment_detection(
     ``scope="full"`` runs the entire protocol and counts eavesdropping
     and key-agreement aborts.  A random-basis intercept-resend attacker
     disturbs each decoy of a decoy check with probability 1/4, so there
-    detection approaches 1 - (3/4)^d, reported as a detail.
+    detection approaches 1 - (3/4)^d, reported as a detail.  An attack
+    kind that taps no channel is a ConfigError; ``none`` is the
+    false-alarm control.
     """
     _require_trials(trials)
     if scope not in DETECTION_SCOPES:
         raise ValueError(f"scope must be one of {DETECTION_SCOPES}, got {scope!r}")
+    if attack.kind not in ("none", *QUANTUM_ATTACKS):
+        raise ConfigError(f"attack {attack.kind!r} taps no channel, so no check can detect it")
     base = RunConfig(n=n, seed=seed, decoy_count=decoy_count, error_threshold=threshold, attack=attack)
     base.validate()
     _, _, guard = CHANNELS[attack.channel]
@@ -294,8 +300,8 @@ def experiment_detection(
         master = new_rng(seed)
         for _ in range(trials):
             adversary = attack.adversary(attack.channel)
-            payload = [new_qubit(ket_plus()) for _ in range(n)]
-            seq = send_with_decoys(payload, decoy_count, master, adversary, channel=attack.channel)
+            payload = Stack(np.tile(ket_plus(), (n, 1)))
+            seq = send_with_decoys([payload], decoy_count, master, adversary, channel=attack.channel)
             try:
                 check(seq, master, threshold=threshold)
             except EavesdroppingDetected:

@@ -13,11 +13,15 @@ Two check styles, matching who sits at the receiving end:
   reflected particles in their preparation bases and separately checks
   the published Z outcomes on decoys it prepared in Z.
 
-A decoy (or a key qubit in ``keys``) gets a register only when an
-adversary acts on it (``transmit``); payload qubits stay inside whatever
-register they already inhabit.  Honest operations never entangle the
-two, so the factorization is exact.  Adversary hooks act on the forward
-leg of each transmission; return legs are modeled clean.
+Decoys (and a batch of key qubits in ``keys``) get a row stack only
+when an adversary acts on them: one ``tapped`` stack per sequence, row
+i for decoy i.  Payload qubits stay in the stacks they already inhabit.
+Honest operations never entangle the two, so the factorization is
+exact.  An adversary sees each transmission once, as one
+``intercept(crossings, rng)`` call: the ``(stack, row, column)`` of
+every qubit that crosses, decoys and payload interleaved in
+transmission order.  It acts on the forward leg; return legs are
+modeled clean.
 
 ``read_prepared`` is the one read of prepared one-qubit states, and each
 step reads once.  ``send_with_decoys`` draws the decoy positions, the
@@ -37,8 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EavesdroppingDetected
-from .registers import Qubit, measure_qubits, new_qubit
-from .statevec import Basis, Rng, basis_state, born_outcome, ket_minus, ket_plus, postselect
+from .registers import Stack
+from .statevec import Basis, Rng, basis_state, born_outcome, ket_minus, ket_plus, measure_rows, postselect
 
 
 class DecoyState(Enum):
@@ -66,87 +70,109 @@ class DecoyState(Enum):
 
 
 _DECOY_ORDER = tuple(DecoyState)
-# (preparation, measurement basis) -> Born (p0, p1), by the register path's arithmetic
+_KETS = np.array([d.make_state() for d in _DECOY_ORDER])
+# (preparation, measurement basis) -> Born (p0, p1), the sums a stacked read makes
 _BORN = {(d, b): tuple(postselect(d.make_state(), 0, b, o)[0] for o in (0, 1)) for d in DecoyState for b in Basis}
 
 
 def read_prepared(
-    states: Sequence[DecoyState], qubits: Sequence[Qubit | None], bases: Sequence[Basis], rng: Rng
+    states: Sequence[DecoyState], bases: Sequence[Basis], rng: Rng, tapped: np.ndarray | None = None
 ) -> list[int]:
-    """Measure each prepared state in its basis after crossing as its qubit.
+    """Measure each prepared state in its basis after crossing.
 
-    One adversary taps all of a channel's qubits or none: untouched (every
-    qubit ``None``) outcomes come from the Born table, tapped registers
-    from one stacked measurement, with one ``rng.random`` either way.
+    ``tapped`` holds the rows of ``states`` that an adversary acted on,
+    with the crossed qubit at column 0, or is None when none was: one
+    adversary taps all of a channel's qubits or none.  Untouched outcomes
+    come from the Born table, tapped rows from one stacked measurement
+    per basis, with one ``rng.random`` either way.
     """
     if not states:
         return []
-    if all(q is None for q in qubits):
-        u = rng.random(len(states)).tolist()
-        return [born_outcome(_BORN[s, b], x) for s, b, x in zip(states, bases, u)]
-    return measure_qubits(qubits, bases, rng)
+    u = rng.random(len(states))
+    if tapped is None:
+        return [born_outcome(_BORN[s, b], x) for s, b, x in zip(states, bases, u.tolist())]
+    outcomes = np.empty(len(states), dtype=np.intp)
+    for b in Basis:
+        rows = [i for i, x in enumerate(bases) if x is b]
+        if rows:
+            outcomes[rows], _ = measure_rows(tapped[rows], 0, b, u[rows])
+    return outcomes.tolist()
 
 
-def transmit(state: DecoyState, adversary, rng: Rng) -> Qubit | None:
-    """Send ``state`` over one forward leg: a register the adversary acted on, or ``None``."""
+def cross(codes: Sequence[int], adversary, rng: Rng) -> np.ndarray | None:
+    """Send the preparations ``_DECOY_ORDER[codes[i]]`` over one forward leg, in order.
+
+    Returns the rows the adversary acted on, as ``read_prepared`` takes
+    them, or None when there is no adversary.
+    """
     if adversary is None:
         return None
-    qubit = new_qubit(state.make_state())
-    adversary.intercept(qubit, rng)
-    return qubit
+    tapped = Stack(_KETS[codes])
+    adversary.intercept([(tapped, row, 0) for row in range(tapped.rows)], rng)
+    return tapped.state
 
 
 @dataclass
 class DecoyRecord:
-    """Preparer-side record of one inserted decoy; ``qubit`` is None when untouched."""
+    """Preparer-side record of one inserted decoy."""
 
     position: int
     state: DecoyState
-    qubit: Qubit | None
 
 
 @dataclass
 class TransmittedSequence:
-    """A payload interleaved with decoys, as it crossed the channel."""
+    """A payload interleaved with decoys, as it crossed the channel.
+
+    ``tapped`` is the stack of the decoys an adversary acted on (row i
+    for ``decoys[i]``), or None when the channel was not tapped.
+    """
 
     channel: str
-    payload: list[Qubit]  # in its original order
+    payload: list[Stack]  # in its original order
     decoys: list[DecoyRecord]
+    tapped: Stack | None
 
     @property
     def decoy_count(self) -> int:
         return len(self.decoys)
 
+    def tapped_rows(self, indices: Sequence[int]) -> np.ndarray | None:
+        """The tapped rows of ``decoys[i]`` for each i in ``indices``, or None when untapped."""
+        return None if self.tapped is None else self.tapped.state[list(indices)]
+
 
 def send_with_decoys(
-    payload: Sequence[Qubit],
+    payload: Sequence[Stack],
     decoy_count: int,
     rng: Rng,
     adversary=None,
     *,
     channel: str = "",
+    column: int = 0,
 ) -> TransmittedSequence:
     """Interleave fresh decoys into ``payload`` and push it through the channel.
 
-    Decoy positions are uniform over all interleavings; decoy states are
-    sampled independently and uniformly from the four preparations.  The
-    adversary, when present, acts once on every transmitted qubit (decoy
-    and payload alike) in transmission order.
+    The payload qubits are the qubit at ``column`` of every row of each
+    stack in turn.  Decoy positions are uniform over all interleavings;
+    decoy states are sampled independently and uniformly from the four
+    preparations.  The adversary, when present, acts once on every
+    transmitted qubit (decoy and payload alike) in transmission order.
     """
     if decoy_count < 1:
         raise ValueError(f"decoy_count must be >= 1, got {decoy_count}")
-    total = len(payload) + decoy_count
-    decoy_positions = {int(p) for p in rng.choice(total, size=decoy_count, replace=False)}
-    decoy_states = iter(rng.integers(0, 4, size=decoy_count).tolist())
-    decoys: list[DecoyRecord] = []
-    payload_iter = iter(payload)
-    for pos in range(total):
-        if pos in decoy_positions:
-            state = _DECOY_ORDER[next(decoy_states)]
-            decoys.append(DecoyRecord(position=pos, state=state, qubit=transmit(state, adversary, rng)))
-        elif adversary is not None:
-            adversary.intercept(next(payload_iter), rng)
-    return TransmittedSequence(channel=channel, payload=list(payload), decoys=decoys)
+    total = sum(stack.rows for stack in payload) + decoy_count
+    positions = sorted(int(p) for p in rng.choice(total, size=decoy_count, replace=False))
+    codes = rng.integers(0, 4, size=decoy_count)
+    decoys = [DecoyRecord(position=p, state=_DECOY_ORDER[c]) for p, c in zip(positions, codes.tolist())]
+    tapped = None
+    if adversary is not None:
+        tapped = Stack(_KETS[codes])
+        crossings = [(stack, row, column) for stack in payload for row in range(stack.rows)]
+        for row, pos in enumerate(positions):  # ascending, so each lands at its position
+            crossings.insert(pos, (tapped, row, 0))
+        adversary.intercept(crossings, rng)
+    return TransmittedSequence(channel=channel, payload=list(payload), decoys=decoys, tapped=tapped)
 
 
 @dataclass
@@ -170,7 +196,7 @@ def check_decoys(
     ``threshold``.
     """
     states = [r.state for r in seq.decoys]
-    outcomes = read_prepared(states, [r.qubit for r in seq.decoys], [s.basis for s in states], rng)
+    outcomes = read_prepared(states, [s.basis for s in states], rng, seq.tapped_rows(range(len(states))))
     errors = sum(outcome != state.bit for outcome, state in zip(outcomes, states))
     rate = errors / len(seq.decoys)
     result = DecoyCheckResult(
@@ -217,24 +243,25 @@ def semiquantum_return_check(
     ``threshold``.
     """
     sift = rng.integers(0, 2, size=len(seq.decoys)).tolist()
-    sifted = [r for r, coin in zip(seq.decoys, sift) if coin]
-    reflected = [r for r, coin in zip(seq.decoys, sift) if not coin]
-    sift_bits = read_prepared([r.state for r in sifted], [r.qubit for r in sifted], [Basis.Z] * len(sifted), rng)
+    sifted = [i for i, coin in enumerate(sift) if coin]
+    reflected = [i for i, coin in enumerate(sift) if not coin]
+    sift_states = [seq.decoys[i].state for i in sifted]
+    sift_bits = read_prepared(sift_states, [Basis.Z] * len(sifted), rng, seq.tapped_rows(sifted))
     # Reflected particles travel back shuffled; once the receiver reveals
     # the order, the preparer re-associates each particle with its
     # original slot, so measuring record-by-record in arrival order is
     # exact bookkeeping.
     order = rng.permutation(len(reflected)).tolist() if reflected else []
     returned = [reflected[i] for i in order]
-    states = [r.state for r in returned]
-    outcomes = read_prepared(states, [r.qubit for r in returned], [s.basis for s in states], rng)
+    states = [seq.decoys[i].state for i in returned]
+    outcomes = read_prepared(states, [s.basis for s in states], rng, seq.tapped_rows(returned))
     subset = {Basis.Z: [0, 0], Basis.X: [0, 0]}  # basis -> [count, errors]
     for state, outcome in zip(states, outcomes):
         subset[state.basis][0] += 1
         subset[state.basis][1] += outcome != state.bit
     reflected_errors = subset[Basis.Z][1] + subset[Basis.X][1]
-    z_sift = [(rec, bit) for rec, bit in zip(sifted, sift_bits) if rec.state.basis is Basis.Z]
-    z_sift_errors = sum(1 for rec, bit in z_sift if bit != rec.state.bit)
+    z_sift = [(state, bit) for state, bit in zip(sift_states, sift_bits) if state.basis is Basis.Z]
+    z_sift_errors = sum(1 for state, bit in z_sift if bit != state.bit)
     reflected_rate = reflected_errors / len(returned) if returned else 0.0
     z_rate = z_sift_errors / len(z_sift) if z_sift else 0.0
     passed = reflected_rate <= threshold and z_rate <= threshold

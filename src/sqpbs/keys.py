@@ -8,11 +8,11 @@ the keyed hash shared between the message owner and the verifier.
 
 Key establishment is simulated honestly at the single-qubit level.
 Each key qubit is a ``channels.DecoyState`` preparation that crosses
-like a decoy: ``channels.transmit`` gives it a register only under
-attack.  Each batch draws, in this order: its three coin arrays (one
-``rng.integers`` each), any adversary draws as each raw qubit it spends
-crosses, then one ``channels.read_prepared`` of all those qubits.  After
-the last batch, BB84 draws its check sample.
+like a decoy: ``channels.cross`` gives a batch's raw qubits one row
+stack only under attack.  Each batch draws, in this order: its three
+coin arrays (one ``rng.integers`` each), any adversary draws as the raw
+qubits it spends cross, then one ``channels.read_prepared`` of all those
+qubits.  After the last batch, BB84 draws its check sample.
 
 Runs that do not care about the key-agreement channel may skip it
 entirely and draw pre-shared keys ("stubbed" mode in the protocol
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import Bits
-from .channels import DecoyState, read_prepared, transmit
+from .channels import DecoyState, cross, read_prepared
 from .errors import ConfigError, KeyEstablishmentError
 from .statevec import Basis, Rng
 
@@ -153,9 +153,11 @@ def _receive(prep_bases, prep_values, meas_bases, adversary, rng: Rng) -> np.nda
     Arguments are equal-length 0/1 arrays (basis 0 = Z, 1 = X); every
     qubit crosses before any is read.
     """
-    states = [_PREPARED[2 * pb + pv] for pb, pv in zip(prep_bases.tolist(), prep_values.tolist())]
-    qubits = [transmit(state, adversary, rng) for state in states]
-    return np.array(read_prepared(states, qubits, [_BASES[mb] for mb in meas_bases.tolist()], rng), dtype=int)
+    codes = 2 * prep_bases + prep_values
+    tapped = cross(codes, adversary, rng)
+    states = [_PREPARED[c] for c in codes.tolist()]
+    bases = [_BASES[mb] for mb in meas_bases.tolist()]
+    return np.array(read_prepared(states, bases, rng, tapped), dtype=int)
 
 
 def _raw_used(key_positions: np.ndarray, missing: int, batch: int) -> int:

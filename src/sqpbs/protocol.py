@@ -64,22 +64,16 @@ from .keys import (
     keyed_hash,
     xor_blind,
 )
-from .registers import (
-    Qubit,
-    apply_to_each,
-    fidelities_to,
-    measure_bell_pairs,
-    measure_qubits,
-    new_qubit,
-    new_qubits,
-    new_z_qubit,
-)
+from .registers import Stack, measure_qubits_bell, merge
 from .statevec import (
     Basis,
     BellState,
     Rng,
+    apply_1q_rows,
+    fidelity_1q_rows,
     ket_minus,
     ket_plus,
+    measure_rows,
     new_rng,
 )
 from .teleport import correction_matrices, prepare_chi
@@ -101,25 +95,30 @@ class Party:
                 f"{self.name} is semiquantum and cannot perform {operation}"
             )
 
-    def measure_qubits(self, qubits: list[Qubit], basis: Basis, rng: Rng) -> list[int]:
+    def measure(self, stack: Stack, column: int, basis: Basis, rng: Rng) -> list[int]:
+        """Measure the qubit at ``column`` of every row, with one ``rng.random(rows)``."""
         if basis is not Basis.Z:
             self._require_quantum(f"a {basis.value}-basis measurement")
-        return measure_qubits(qubits, basis, rng)
+        outcomes, stack.state = measure_rows(stack.state, column, basis, rng.random(stack.rows))
+        return outcomes.tolist()
 
-    def measure_bell_pairs(self, qubits_a: list[Qubit], qubits_b: list[Qubit], rng: Rng) -> list[BellState]:
+    def measure_bell(self, stack: Stack, qubit_a: int, qubit_b: int, rng: Rng) -> list[BellState]:
         self._require_quantum("a Bell-basis measurement")
-        return measure_bell_pairs(qubits_a, qubits_b, rng)
+        return measure_qubits_bell(stack, qubit_a, qubit_b, rng)
 
-    def prepare_z(self, bit: int) -> Qubit:
-        return new_z_qubit(bit)
+    def prepare_z(self, bits: Bits) -> Stack:
+        """One row per bit: ``|bit>``."""
+        return Stack(np.eye(2, dtype=complex)[list(bits)])
 
-    def prepare_state(self, state: np.ndarray) -> Qubit:
+    def prepare_state(self, states: np.ndarray) -> Stack:
+        """One row per state of the ``(rows, 2**k)`` array ``states``."""
         self._require_quantum("arbitrary state preparation")
-        return new_qubit(state)
+        return Stack(np.array(states, dtype=complex))
 
-    def apply_gates(self, qubits: list[Qubit], matrices: np.ndarray) -> None:
+    def apply_gates(self, stack: Stack, column: int, matrices: np.ndarray) -> None:
+        """Apply ``matrices[r]`` to the qubit at ``column`` of row ``r``."""
         self._require_quantum("a unitary operation")
-        apply_to_each(qubits, matrices)
+        stack.state = apply_1q_rows(stack.state, column, matrices)
 
 
 VERDICT_VALID = "valid"
@@ -170,15 +169,14 @@ class ProtocolRun:
             label = f"K{receiver[0]}{sender[0]}".upper()
             self.pads[receiver] = tuple(OtpKey(copy, label) for copy in self._establish(channel, bits))
 
-        # Particles 1..4 of each carrier; the handles follow the carrier
-        # into the message qubit's register at the Bell measurement.
-        self.chi = [tuple(new_qubits(prepare_chi())) for _ in range(n)]
+        # One carrier per row, particles 1..4 at columns 0..3.
+        self.carriers = Stack(np.tile(prepare_chi(), (n, 1)))
         self.transcript.add("chi_prepared", party="trent", instances=n, qubits=4 * n)
         self.transcript.count("chi_qubits", 4 * n)
 
-        self.w1_seq = self._dispatch("w1", [p1 for p1, _, _, _ in self.chi])
-        self.w2_seq = self._dispatch("w2", [p2 for _, p2, _, _ in self.chi])
-        self.w4_seq = self._dispatch("w4", [p4 for _, _, _, p4 in self.chi])
+        self.w1_seq = self._dispatch("w1", self.carriers, 0)
+        self.w2_seq = self._dispatch("w2", self.carriers, 1)
+        self.w4_seq = self._dispatch("w4", self.carriers, 3)
 
         self.g = xor_blind(self.g_a, self.k_a)
         self.h_g = keyed_hash(self.hash_config, self.hash_secret, self.g)
@@ -209,14 +207,16 @@ class ProtocolRun:
         self.transcript.count(f"{kind}_key_bits", bits)
         return copies
 
-    def _dispatch(self, channel: str, payload: list[Qubit]) -> TransmittedSequence:
+    def _dispatch(self, channel: str, payload: Stack, column: int) -> TransmittedSequence:
+        """Send the qubit at ``column`` of every row of ``payload`` over ``channel``."""
         sender, receiver, _ = CHANNELS[channel]
         seq = send_with_decoys(
-            payload, self.d, self.rng, self.config.attack.adversary(channel), channel=channel
+            [payload], self.d, self.rng, self.config.attack.adversary(channel),
+            channel=channel, column=column,
         )
         self.transcript.add(
             "quantum_send", channel=channel, sender=sender, receiver=receiver,
-            payload_qubits=len(payload), decoy_qubits=seq.decoy_count,
+            payload_qubits=payload.rows, decoy_qubits=seq.decoy_count,
         )
         return seq
 
@@ -233,9 +233,7 @@ class ProtocolRun:
     # -- phase 2: blindness ------------------------------------------------------
 
     def phase_blind(self) -> None:
-        self.xi_qubits = [
-            self.alice.prepare_state(ket_plus() if bit == 0 else ket_minus()) for bit in self.g
-        ]
+        self.xi = self.alice.prepare_state(np.array([ket_plus(), ket_minus()])[list(self.g)])
         self.transcript.add("xi_prepared", party="alice", qubits=self.n)
         self.transcript.count("xi_qubits", self.n)
         self.phase = "signing"
@@ -282,7 +280,7 @@ class ProtocolRun:
         n = self.n
 
         # Step 1-2: Alice ships the blinded states to David; decoy check.
-        self.xi_seq = self._dispatch("xi_m", self.xi_qubits)
+        self.xi_seq = self._dispatch("xi_m", self.xi, 0)
         self._check(self.xi_seq)
         self._notice("david", "bob", "signing-approval-request")
 
@@ -292,42 +290,47 @@ class ProtocolRun:
         # Step 4: Bob authorizes by measuring his particle sequence in Z.
         # Step 5: Trent decrypts and triggers the proxy signature.
         self._notice("bob", "david", "signing-approved")
-        m_b = Bits(self.bob.measure_qubits(self.w1_seq.payload, Basis.Z, rng))
+        m_b = Bits(self.bob.measure(self.carriers, 0, Basis.Z, rng))
         self.m_b = self._report(self.bob, "M_B", "Z", m_b)
         self._notice("trent", "david", "sign-request")
 
         # Step 6: David clears w2, Bell-measures each (message, carrier-2) pair.
         # Step 7: Trent decrypts the signature and asks Charlie to measure.
+        # The Bell step joins each carrier to its message qubit, whose row
+        # may carry a probe; carrier particle c then sits at column shift + c.
         self._check(self.w2_seq)
-        bells = self.david.measure_bell_pairs(self.xi_seq.payload, self.w2_seq.payload, rng)
+        shift = self.xi.num_qubits
+        joint = merge(self.xi, self.carriers)
+        bells = self.david.measure_bell(joint, 0, shift + 1, rng)
         self.transcript.count("signature_bits", 2 * n)
         self.m_d = self._report(self.david, "M_D", "Bell", Bits(bit for b in bells for bit in b.bits))
         self._notice("trent", "charlie", "measure-request")
 
         # Step 8: Charlie clears w4 with the return check and measures in Z.
         self._check(self.w4_seq)
-        m_c = Bits(self.charlie.measure_qubits(self.w4_seq.payload, Basis.Z, rng))
+        m_c = Bits(self.charlie.measure(joint, shift + 3, Basis.Z, rng))
         self.m_c = self._report(self.charlie, "M_C", "Z", m_c)
 
         # Step 9: Trent corrects each particle 3, reads it out in X, and
         # re-encodes the result as Z states for Charlie.
-        particles3 = [p3 for _, _, p3, _ in self.chi]
-        self.trent.apply_gates(particles3, correction_matrices(self.m_b, self.m_d, self.m_c))
-        fidelities = fidelities_to(particles3, np.array([ket_plus(), ket_minus()])[list(self.g)])
-        self.g_prime_trent = Bits(self.trent.measure_qubits(particles3, Basis.X, rng))
+        particle3 = shift + 2
+        self.trent.apply_gates(joint, particle3, correction_matrices(self.m_b, self.m_d, self.m_c))
+        targets = np.array([ket_plus(), ket_minus()])[list(self.g)]
+        fidelities = fidelity_1q_rows(joint.state, particle3, targets).tolist()
+        self.g_prime_trent = Bits(self.trent.measure(joint, particle3, Basis.X, rng))
         self.transcript.add(
             "recovery_record", party="trent", g_prime=self.g_prime_trent, fidelities=fidelities
         )
-        g_prime_qubits = [self.trent.prepare_z(bit) for bit in self.g_prime_trent]
+        self.g_prime_qubits = self.trent.prepare_z(self.g_prime_trent)
         self.transcript.count("g_prime_qubits", n)
-        self.g_seq = self._dispatch("g_prime", g_prime_qubits)
+        self.g_seq = self._dispatch("g_prime", self.g_prime_qubits, 0)
         self.phase = "verifying"
 
     # -- phase 4: verifying ---------------------------------------------------------
 
     def phase_verify(self) -> str:
         self._check(self.g_seq)
-        g_prime = Bits(self.charlie.measure_qubits(self.g_seq.payload, Basis.Z, self.rng))
+        g_prime = Bits(self.charlie.measure(self.g_prime_qubits, 0, Basis.Z, self.rng))
         self.g_prime = g_prime
         self.transcript.add("measurement_record", party="charlie", label="g_prime", basis="Z", bits=g_prime)
         h_g_prime = keyed_hash(self.hash_config, self.hash_secret, g_prime)

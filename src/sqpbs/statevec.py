@@ -3,10 +3,12 @@
 Conventions, fixed across the package:
 
 * A state of ``n`` qubits is a plain 1-D complex numpy array of length
-  ``2**n``; ``num_qubits`` derives ``n`` from the length.  Operations
-  never write into their input arrays: they return new ones.  Only
-  ``apply_unitary`` with ``validate=True`` checks the length and norm
-  of the state it is given.
+  ``2**n``; ``num_qubits`` derives ``n`` from the length.  A row stack
+  holds one such state per row, shape ``(rows, 2**n)`` (see the row
+  kernels below).  Operations never write into their input arrays: they
+  return new ones.  Only ``apply_unitary``, whose input comes from
+  outside the package, checks the length and norm of the state it is
+  given; the package's own callers use the trusted ``apply_rows``.
 * Qubit 0 is the most significant bit of a basis-state index: in a
   register of ``n`` qubits, qubit ``q`` occupies bit ``n - 1 - q`` of
   the index, so ``basis_state(4, 5)`` is ``|0101>``.
@@ -189,59 +191,32 @@ def _qubit_view(amps: np.ndarray, qubit: int) -> np.ndarray:
     return amps.reshape(1 << qubit, 2, -1)
 
 
-def _apply_1q(amps: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
-    t = _qubit_view(amps, qubit)
-    a0 = t[:, 0, :]
-    a1 = t[:, 1, :]
-    out = np.empty_like(t)
-    out[:, 0, :] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    out[:, 1, :] = matrix[1, 0] * a0 + matrix[1, 1] * a1
-    return out.reshape(-1)
-
-
-def apply_unitary(
-    state: np.ndarray,
-    targets: Sequence[int],
-    matrix: np.ndarray,
-    *,
-    validate: bool = True,
-) -> np.ndarray:
+def apply_unitary(state: np.ndarray, targets: Sequence[int], matrix: np.ndarray) -> np.ndarray:
     """Apply ``matrix`` to the ordered ``targets``, identity elsewhere.
 
     ``targets[0]`` is the most significant bit of the matrix's index
-    space.  ``matrix`` must be unitary within 1e-10.  With
-    ``validate=True`` the state must also have length ``2**n`` for
-    ``1 <= n <= MAX_QUBITS`` and unit norm within 1e-9; internal callers
-    whose inputs are already checked pass ``validate=False``.
+    space.  ``state`` must have length ``2**n`` for ``1 <= n <=
+    MAX_QUBITS`` and unit norm within 1e-9, and ``matrix`` must be
+    unitary within 1e-10; a ValueError says which check failed.
     """
-    k = len(targets)
+    state = np.asarray(state, dtype=complex)
     matrix = np.asarray(matrix, dtype=complex)
-    if validate:
-        state = np.asarray(state, dtype=complex)
-        n = num_qubits(state)
-        if not 1 <= n <= MAX_QUBITS or state.shape != (1 << n,):
-            raise ValueError(
-                f"state must be a 1-D array of length 2**n with 1 <= n <= {MAX_QUBITS}, "
-                f"got shape {state.shape}"
-            )
-        norm = float(np.sum(np.abs(state) ** 2))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state is not normalized: |amps|^2 = {norm}")
-        _check_targets(n, targets)
-        if matrix.shape != (1 << k, 1 << k):
-            raise ValueError(f"matrix shape {matrix.shape} does not act on {k} qubits")
-        if not is_unitary(matrix):
-            raise ValueError("matrix is not unitary within 1e-10")
-    if k == 1:
-        return _apply_1q(state, targets[0], matrix)
     n = num_qubits(state)
-    t = state.reshape((2,) * n)
-    t = np.moveaxis(t, targets, range(k))
-    block = t.reshape(1 << k, -1)
-    block = matrix @ block
-    t = block.reshape((2,) * n)
-    t = np.moveaxis(t, range(k), targets)
-    return np.ascontiguousarray(t).reshape(-1)
+    if not 1 <= n <= MAX_QUBITS or state.shape != (1 << n,):
+        raise ValueError(
+            f"state must be a 1-D array of length 2**n with 1 <= n <= {MAX_QUBITS}, "
+            f"got shape {state.shape}"
+        )
+    norm = float(np.sum(np.abs(state) ** 2))
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"state is not normalized: |amps|^2 = {norm}")
+    _check_targets(n, targets)
+    k = len(targets)
+    if matrix.shape != (1 << k, 1 << k):
+        raise ValueError(f"matrix shape {matrix.shape} does not act on {k} qubits")
+    if not is_unitary(matrix):
+        raise ValueError("matrix is not unitary within 1e-10")
+    return apply_rows(state[None], targets, matrix)[0]
 
 
 def _sumsq(block: np.ndarray) -> float:
@@ -298,17 +273,12 @@ def born_outcome(probs: tuple[float, float], u: float) -> int:
 def measure(state: np.ndarray, qubit: int, basis: Basis, rng: Rng) -> tuple[int, np.ndarray]:
     """Projective single-qubit measurement in the Z or X basis.
 
-    Samples via a single uniform draw against the cumulative Born
-    probabilities and returns ``(bit, collapsed_state)``.  In the X
-    basis, bit 0 corresponds to ``|+>`` and bit 1 to ``|->``.  A draw
-    that lands on an outcome without weight (possible when the
-    probabilities sum to just under 1) takes the other outcome.
+    ``measure_rows`` on one row: one uniform draw against the cumulative
+    Born probabilities; returns ``(bit, collapsed_state)``.  In the X
+    basis, bit 0 corresponds to ``|+>`` and bit 1 to ``|->``.
     """
-    _check_targets(num_qubits(state), [qubit])
-    components = _basis_components(state, qubit, basis)
-    probs = (_sumsq(components[0]), _sumsq(components[1]))
-    outcome = born_outcome(probs, rng.random())
-    return outcome, _compose_collapsed(basis, outcome, components[outcome], probs[outcome])
+    outcome, out = measure_rows(state[None], qubit, basis, np.array([rng.random()]))
+    return int(outcome[0]), out[0]
 
 
 def _pair_shape(n: int, qubit_a: int, qubit_b: int) -> tuple[tuple[int, int, int], tuple, tuple]:
@@ -361,35 +331,19 @@ def postselect_bell(
 
 
 def measure_bell(state: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tuple[BellState, np.ndarray]:
-    """Projective measurement of a qubit pair in the Bell basis.
-
-    One uniform draw selects the first outcome with weight whose
-    cumulative probability exceeds it; a draw past the last cumulative
-    sum (which can round to just under 1) takes the last outcome with
-    weight.
-    """
-    _check_targets(num_qubits(state), [qubit_a, qubit_b])
-    comp = _bell_components(state, qubit_a, qubit_b)
-    probs = _bell_born(comp)
-    u = rng.random()
-    acc = 0.0
-    for index in range(4):
-        acc += probs[index]
-        if u < acc and probs[index] >= ZERO_PROB:
-            break
-    else:
-        index = max(i for i in range(4) if probs[i] >= ZERO_PROB)
-    outcome = BellState.from_index(index)
-    return outcome, _bell_collapse(state, qubit_a, qubit_b, comp, index, float(probs[index]))
+    """Projective measurement of a qubit pair in the Bell basis: ``measure_bell_rows`` on one row."""
+    index, out = measure_bell_rows(state[None], qubit_a, qubit_b, np.array([rng.random()]))
+    return BellState.from_index(int(index[0])), out[0]
 
 
 # -- row stacks ----------------------------------------------------------------
 #
 # A stack holds one state per row, shape ``(rows, 2**k)``: the same
-# system in ``rows`` independent protocol instances.  Each stacked kernel
-# runs its one-state counterpart's operations, in the same order and
+# system in ``rows`` independent protocol instances, or one channel's
+# decoys.  Each kernel runs the same operations, in the same order and
 # summed along the same contiguous axis, on every row at once, so a row's
-# result is bitwise equal to the one-state result.  Measurements take one
+# result does not depend on the other rows; ``measure``, ``measure_bell``
+# and ``apply_unitary`` are the kernels on one row.  Measurements take one
 # uniform draw per row, ``u``, as one ``rng.random(rows)`` vector gives it.
 
 
@@ -406,7 +360,12 @@ def _row_sumsq(block: np.ndarray) -> np.ndarray:
 
 
 def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``measure`` of ``qubit`` in every row: outcome bits and the collapsed stack."""
+    """Measure ``qubit`` of every row in ``basis``: outcome bits and the collapsed stack.
+
+    Row ``r`` takes outcome 0 when ``u[r]`` is below its Born probability
+    of 0, else 1; a draw that lands on an outcome without weight (possible
+    when the probabilities sum to just under 1) takes the other outcome.
+    """
     _check_rows(stack, [qubit])
     rows = stack.shape[0]
     t = stack.reshape(rows, 1 << qubit, 2, -1)
@@ -429,7 +388,12 @@ def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> 
 def measure_bell_rows(
     stack: np.ndarray, qubit_a: int, qubit_b: int, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``measure_bell`` of the pair (a, b) in every row: Bell indices and the collapsed stack."""
+    """Measure the pair (a, b) of every row in the Bell basis: Bell indices and the collapsed stack.
+
+    Row ``r`` takes the first outcome with weight whose cumulative
+    probability exceeds ``u[r]``; a draw past the last cumulative sum
+    (which can round to just under 1) takes the last outcome with weight.
+    """
     _check_rows(stack, [qubit_a, qubit_b])
     rows = stack.shape[0]
     (da, db, dc), forward, inverse = _pair_shape(num_qubits(stack[0]), qubit_a, qubit_b)
@@ -456,6 +420,25 @@ def apply_1q_rows(stack: np.ndarray, qubit: int, matrices: np.ndarray) -> np.nda
     out[:, :, 0, :] = m[:, 0, 0] * a0 + m[:, 0, 1] * a1
     out[:, :, 1, :] = m[:, 1, 0] * a0 + m[:, 1, 1] * a1
     return out.reshape(rows, -1)
+
+
+def apply_rows(stack: np.ndarray, targets: Sequence[int], matrix: np.ndarray) -> np.ndarray:
+    """Apply one trusted unitary to the ordered ``targets`` of every row.
+
+    ``targets[0]`` is the most significant bit of the matrix's index
+    space.  Each row's block goes through its own ``matrix @ block``.
+    """
+    _check_rows(stack, targets)
+    k = len(targets)
+    if k == 1:
+        return apply_1q_rows(stack, targets[0], matrix[None])
+    rows = stack.shape[0]
+    n = num_qubits(stack[0])
+    axes = [1 + q for q in targets]
+    t = np.moveaxis(stack.reshape((rows,) + (2,) * n), axes, range(1, k + 1))
+    block = matrix @ t.reshape(rows, 1 << k, -1)
+    t = np.moveaxis(block.reshape((rows,) + (2,) * n), range(1, k + 1), axes)
+    return np.ascontiguousarray(t).reshape(rows, -1)
 
 
 def fidelity_1q_rows(stack: np.ndarray, qubit: int, targets: np.ndarray) -> np.ndarray:

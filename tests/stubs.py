@@ -16,9 +16,9 @@ class LastDraw:
 
 
 class PassThrough:
-    """Adversary that leaves every qubit alone; its presence forces registers."""
+    """Adversary that leaves every crossing alone; its presence forces a tapped stack."""
 
-    def intercept(self, qubit, rng):
+    def intercept(self, crossings, rng):
         pass
 
 

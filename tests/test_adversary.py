@@ -8,7 +8,7 @@ import pytest
 
 from sqpbs.adversary import EntangleMeasure, EveParams, InterceptResend, violation_grid
 from sqpbs.channels import DecoyState
-from sqpbs.registers import measure_qubit, new_qubit
+from sqpbs.registers import Stack, measure_qubit, new_qubit
 from sqpbs.statevec import (
     Basis,
     apply_unitary,
@@ -17,6 +17,14 @@ from sqpbs.statevec import (
     new_rng,
     tensor,
 )
+from test_golden import FOUR_DIM_EVE
+
+
+def tap(attacker, state, rng) -> Stack:
+    """A one-row stack around ``state``, sent past ``attacker`` once."""
+    stack = new_qubit(state)
+    attacker.intercept([(stack, 0, 0)], rng)
+    return stack
 
 
 def closed_form_rates(params: EveParams) -> dict[str, float]:
@@ -47,17 +55,15 @@ class TestInterceptResend:
         attacker = InterceptResend("z")
         for bit in (0, 1):
             for _ in range(20):
-                qubit = new_qubit(DecoyState.ONE.make_state() if bit else DecoyState.ZERO.make_state())
-                attacker.intercept(qubit, rng)
-                assert measure_qubit(qubit, Basis.Z, rng) == bit
+                stack = tap(attacker, DecoyState.ONE.make_state() if bit else DecoyState.ZERO.make_state(), rng)
+                assert measure_qubit(stack, 0, 0, Basis.Z, rng) == bit
 
     def test_x_tap_never_disturbs_x_states(self):
         rng = new_rng(2)
         attacker = InterceptResend("x")
         for _ in range(20):
-            qubit = new_qubit(DecoyState.MINUS.make_state())
-            attacker.intercept(qubit, rng)
-            assert measure_qubit(qubit, Basis.X, rng) == 1
+            stack = tap(attacker, DecoyState.MINUS.make_state(), rng)
+            assert measure_qubit(stack, 0, 0, Basis.X, rng) == 1
 
     def test_random_tap_consumes_fresh_coin_per_qubit(self):
         rng = new_rng(3)
@@ -65,9 +71,7 @@ class TestInterceptResend:
         flips = 0
         trials = 400
         for _ in range(trials):
-            qubit = new_qubit(ket_plus())
-            attacker.intercept(qubit, rng)
-            flips += measure_qubit(qubit, Basis.X, rng)
+            flips += measure_qubit(tap(attacker, ket_plus(), rng), 0, 0, Basis.X, rng)
         sigma = math.sqrt(0.25 * 0.75 / trials)
         assert abs(flips / trials - 0.25) < 3 * sigma
 
@@ -187,14 +191,29 @@ class TestDetectionDichotomy:
 
 
 class TestEntangleMeasureHook:
-    def test_probe_attached_and_tracked(self):
-        params = EveParams.probe_marking(0.8)
-        attacker = EntangleMeasure(params)
-        rng = new_rng(4)
-        qubit = new_qubit(ket_plus())
-        attacker.intercept(qubit, rng)
-        assert qubit.register.num_qubits == 1 + int(math.log2(params.probe_dim))
-        assert len(attacker.probes) == 1
+    @pytest.mark.parametrize("params", [EveParams.probe_marking(0.8), FOUR_DIM_EVE], ids=["probe2", "probe4"])
+    def test_probe_widens_each_crossed_stack_once(self, params):
+        probe_qubits = int(math.log2(params.probe_dim))
+        carriers, decoys = Stack(np.tile(ket_plus(), (3, 1))), Stack(np.tile(ket_plus(), (2, 1)))
+        crossings = [(decoys, 0, 0), (carriers, 0, 0), (carriers, 1, 0), (decoys, 1, 0), (carriers, 2, 0)]
+        EntangleMeasure(params).intercept(crossings, new_rng(4))
+        assert carriers.num_qubits == decoys.num_qubits == 1 + probe_qubits
+        assert carriers.rows == 3 and decoys.rows == 2
+
+    @pytest.mark.parametrize("params", [EveParams.probe_marking(1.2), FOUR_DIM_EVE], ids=["probe2", "probe4"])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_stacked_coupling_equals_apply_unitary_row_by_row(self, params, width):
+        rng = new_rng(width)
+        raw = rng.normal(size=(8, 1 << width)) + 1j * rng.normal(size=(8, 1 << width))
+        rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        probe = params.initial_probe()
+        for column in range(width):
+            stack = Stack(rows.copy())
+            EntangleMeasure(params).intercept([(stack, r, column) for r in range(len(rows))], rng)
+            wide = width + int(math.log2(params.probe_dim))
+            for got, row in zip(stack.state, rows, strict=True):
+                want = apply_unitary(tensor(row, probe), [column, *range(width, wide)], params.coupling_unitary())
+                assert got.tobytes() == want.tobytes()
 
     def test_undetectable_attack_never_disturbs_decoys(self):
         params = EveParams.undetectable((0.6, 0.8))
@@ -202,9 +221,7 @@ class TestEntangleMeasureHook:
         attacker = EntangleMeasure(params)
         for _ in range(200):
             state = list(DecoyState)[int(rng.integers(0, 4))]
-            qubit = new_qubit(state.make_state())
-            attacker.intercept(qubit, rng)
-            assert measure_qubit(qubit, state.basis, rng) == state.bit
+            assert measure_qubit(tap(attacker, state.make_state(), rng), 0, 0, state.basis, rng) == state.bit
 
     def test_marking_attack_flips_x_decoys_half_the_time(self):
         params = EveParams(1.0, 0.0, 0.0, 1.0, eps_00=(1, 0), eps_01=(1, 0), eps_10=(1, 0), eps_11=(0, 1))
@@ -213,9 +230,7 @@ class TestEntangleMeasureHook:
         flips = 0
         trials = 600
         for _ in range(trials):
-            qubit = new_qubit(ket_plus())
-            attacker.intercept(qubit, rng)
-            flips += measure_qubit(qubit, Basis.X, rng)
+            flips += measure_qubit(tap(attacker, ket_plus(), rng), 0, 0, Basis.X, rng)
         sigma = math.sqrt(0.5 * 0.5 / trials)
         assert abs(flips / trials - 0.5) < 3 * sigma
 
@@ -225,6 +240,4 @@ class TestEntangleMeasureHook:
         attacker = EntangleMeasure(params)
         for bit, state in ((0, DecoyState.ZERO), (1, DecoyState.ONE)):
             for _ in range(50):
-                qubit = new_qubit(state.make_state())
-                attacker.intercept(qubit, rng)
-                assert measure_qubit(qubit, Basis.Z, rng) == bit
+                assert measure_qubit(tap(attacker, state.make_state(), rng), 0, 0, Basis.Z, rng) == bit

@@ -3,8 +3,10 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+import sqpbs.adversary
 from sqpbs.adversary import InterceptResend
 from sqpbs.channels import (
     DecoyState,
@@ -13,8 +15,8 @@ from sqpbs.channels import (
     send_with_decoys,
 )
 from sqpbs.errors import EavesdroppingDetected
-from sqpbs.registers import measure_qubit, new_qubit, new_z_qubit
-from sqpbs.statevec import Basis, ket_plus, new_rng
+from sqpbs.registers import Stack, measure_qubit, new_qubit
+from sqpbs.statevec import Basis, basis_state, ket_plus, new_rng
 from stubs import PassThrough, RecordingRng
 
 # chi-square critical value, df = 69, p = 0.001
@@ -22,7 +24,7 @@ CHI2_CRIT_DF69 = 111.06
 
 
 def _plus_payload(k):
-    return [new_qubit(ket_plus()) for _ in range(k)]
+    return [Stack(np.tile(ket_plus(), (k, 1)))]
 
 
 class TestDecoyStates:
@@ -35,8 +37,7 @@ class TestDecoyStates:
     def test_prepared_state_measures_to_its_bit(self):
         rng = new_rng(2)
         for state in DecoyState:
-            qubit = new_qubit(state.make_state())
-            assert measure_qubit(qubit, state.basis, rng) == state.bit
+            assert measure_qubit(new_qubit(state.make_state()), 0, 0, state.basis, rng) == state.bit
 
 
 class TestSendWithDecoys:
@@ -46,7 +47,7 @@ class TestSendWithDecoys:
 
     def test_payload_order_preserved(self):
         rng = new_rng(4)
-        payload = [new_z_qubit(0) for _ in range(5)]
+        payload = [new_qubit(basis_state(1, 0)) for _ in range(5)]
         seq = send_with_decoys(payload, 3, rng)
         assert seq.payload == payload
         assert seq.decoy_count == 3
@@ -86,14 +87,34 @@ class TestSendWithDecoys:
 
     def test_adversary_acts_on_every_qubit(self):
         class Counter:
-            calls = 0
+            calls = []
 
-            def intercept(self, qubit, rng):
-                Counter.calls += 1
+            def intercept(self, crossings, rng):
+                Counter.calls.append(len(crossings))
 
         rng = new_rng(7)
         send_with_decoys(_plus_payload(3), 5, rng, Counter())
-        assert Counter.calls == 8
+        assert Counter.calls == [8]
+
+    def test_intercept_resend_draws_per_crossing_in_transmission_order(self, monkeypatch):
+        measured = []
+
+        def recording_measure(stack, row, column, basis, rng):
+            measured.append((stack, row, column))
+            return measure_qubit(stack, row, column, basis, rng)
+
+        monkeypatch.setattr(sqpbs.adversary, "measure_qubit", recording_measure)
+        payload = Stack(np.tile(ket_plus(), (3, 1)))
+        rng = RecordingRng(1)
+        seq = send_with_decoys([payload], 5, rng, InterceptResend("random"))
+        positions = [r.position for r in seq.decoys]
+        kinds = [pos in positions for pos in range(8)]
+        assert kinds not in (sorted(kinds), sorted(kinds, reverse=True))  # decoys and payload interleave
+        decoy_rows, payload_rows = iter(range(5)), iter(range(3))
+        want = [(seq.tapped, next(decoy_rows), 0) if pos in positions else (payload, next(payload_rows), 0)
+                for pos in range(8)]
+        assert measured == want  # stacks compare by identity
+        assert rng.calls == [("choice", 5), ("integers", 5)] + [("integers", None), ("random", None)] * 8
 
 
 class TestCheckDecoys:
@@ -207,13 +228,13 @@ class TestSemiquantumReturnCheck:
 @pytest.mark.parametrize("check", [check_decoys, semiquantum_return_check])
 @pytest.mark.parametrize("decoy_count", [1, 4, 20])
 def test_untouched_decoys_match_the_register_path(check, decoy_count):
-    """Table-read decoys equal register reads, draw for draw."""
+    """Table-read decoys equal tapped-stack reads, draw for draw."""
     for seed in range(10):
         rng_table, rng_registers = new_rng(seed), new_rng(seed)
         table = send_with_decoys(_plus_payload(3), decoy_count, rng_table)
         registers = send_with_decoys(_plus_payload(3), decoy_count, rng_registers, PassThrough())
-        for t, r in zip(table.decoys, registers.decoys, strict=True):
-            assert (t.position, t.state, t.qubit) == (r.position, r.state, None) and r.qubit is not None
+        assert table.decoys == registers.decoys
+        assert table.tapped is None and registers.tapped.rows == decoy_count
         assert check(table, rng_table) == check(registers, rng_registers), seed
         assert rng_table.random() == rng_registers.random(), seed
 

@@ -68,6 +68,12 @@ THREE_PART_COMPLEX_EVE = {**GOOD_EVE, "alpha": [[*p, 0.0] for p in GOOD_EVE["alp
         ("experiment", "detection", "--n", "2", "--trials", "2", "--seed", "1", "--model", "honest-control"),
         ("experiment", "detection", "--n", "2", "--trials", "2", "--seed", "1", "--key-mode", "stubbed"),
         ("experiment", "efficiency", "--n", "2", "--attack", "intercept-resend"),
+        ("experiment", "detection", "--attack", "withhold", "--withhold-record", "M_C", "--trials", "5", "--seed", "1"),
+        ("experiment", "detection", "--attack", "withhold", "--scope", "full", "--trials", "2", "--seed", "1"),
+        ("experiment", "detection", "--attack", "forge-md", "--trials", "2", "--seed", "1"),
+        ("experiment", "detection", "--attack", "forge-md", "--scope", "full", "--trials", "2", "--seed", "1"),
+        ("experiment", "detection", "--attack", "tamper-md", "--trials", "2", "--seed", "1"),
+        ("experiment", "detection", "--attack", "tamper-md", "--scope", "full", "--trials", "2", "--seed", "1"),
         ("verify-corrections", "--corrupt-branch", "99", "--trials", "1", "--seed", "1"),
         ("verify-corrections", "--corrupt-branch", "-1", "--trials", "1", "--seed", "1"),
         ("bogus-command",),

@@ -225,7 +225,7 @@ class TestSQKD:
 @pytest.mark.parametrize("establish", [establish_key_bb84, establish_key_sqkd], ids=["bb84", "sqkd"])
 @pytest.mark.parametrize("length", [1, 2, 64, 200])
 def test_untouched_channel_matches_the_register_path(establish, length):
-    """Table-drawn outcomes equal per-qubit register reads, draw for draw."""
+    """Table-drawn outcomes equal tapped-stack reads, draw for draw."""
     for seed in range(10):
         rng_table, rng_registers = new_rng(seed), new_rng(seed)
         table = establish(length, rng_table)

@@ -119,11 +119,11 @@ def test_one_qubit_measure_matches_the_array_path(state, basis, seed):
 @pytest.mark.parametrize("decoy", list(DecoyState))
 def test_decoy_state_measure_matches_the_array_path(decoy, basis, seed):
     assert_one_qubit_path_matches_array_path(decoy.make_state(), basis, seed)
-    # An untouched decoy read from the Born table equals its register measurement.
-    rng, register_rng = (LastDraw(), LastDraw()) if seed is None else (new_rng(seed), new_rng(seed))
-    register_bit = measure_qubit(new_qubit(decoy.make_state()), basis, register_rng)
-    assert read_prepared([decoy], [None], [basis], rng) == [register_bit]
-    assert rng.random() == register_rng.random()
+    # An untouched decoy read from the Born table equals its stack measurement.
+    rng, stack_rng = (LastDraw(), LastDraw()) if seed is None else (new_rng(seed), new_rng(seed))
+    stack_bit = measure_qubit(new_qubit(decoy.make_state()), 0, 0, basis, stack_rng)
+    assert read_prepared([decoy], [basis], rng) == [stack_bit]
+    assert rng.random() == stack_rng.random()
 
 
 @FAST

@@ -9,7 +9,7 @@ from sqpbs.adversary import EveParams
 from sqpbs.bits import Bits
 from sqpbs.errors import ConfigError, SemiquantumCapabilityError
 from sqpbs.protocol import Party, ProtocolRun, replay_matches, run_full
-from sqpbs.registers import new_qubit, new_z_qubit
+from sqpbs.registers import merge, new_qubit
 from sqpbs.statevec import HADAMARD, Basis, BellState, ket_plus, new_rng
 from sqpbs.transcript import CHANNELS, AttackSpec, RunConfig
 
@@ -121,23 +121,24 @@ class TestSemiquantumEnforcement:
         for name in ("bob", "charlie"):
             party = Party(name, quantum=False)
             rng = new_rng(0)
-            q1, q2 = new_qubit(ket_plus()), new_z_qubit(0)
+            pair = merge(new_qubit(ket_plus()), party.prepare_z(Bits("0")))
             with pytest.raises(SemiquantumCapabilityError):
-                party.measure_bell_pairs([q1], [q2], rng)
+                party.measure_bell(pair, 0, 1, rng)
             with pytest.raises(SemiquantumCapabilityError):
-                party.measure_qubits([q1], Basis.X, rng)
+                party.measure(pair, 0, Basis.X, rng)
             with pytest.raises(SemiquantumCapabilityError):
-                party.apply_gates([q1], HADAMARD[None])
+                party.apply_gates(pair, 0, HADAMARD[None])
             with pytest.raises(SemiquantumCapabilityError):
-                party.prepare_state(ket_plus())
-            assert party.measure_qubits([q2, new_z_qubit(1)], Basis.Z, rng) == [0, 1]
-            assert abs(party.prepare_z(1).register.state[1]) ** 2 == 1.0
+                party.prepare_state(ket_plus()[None])
+            assert party.measure(party.prepare_z(Bits("01")), 0, Basis.Z, rng) == [0, 1]
+            assert abs(party.prepare_z(Bits("1")).state[0, 1]) ** 2 == 1.0
 
     def test_quantum_party_allowed(self):
         david = Party("david", quantum=True)
         rng = new_rng(0)
-        assert david.measure_qubits([new_qubit(ket_plus())], Basis.X, rng) == [0]
-        assert david.measure_bell_pairs([new_z_qubit(0)], [new_z_qubit(0)], rng) == [BellState.PHI_PLUS]
+        assert david.measure(david.prepare_state(ket_plus()[None]), 0, Basis.X, rng) == [0]
+        pairs = merge(david.prepare_z(Bits("00")), david.prepare_z(Bits("00")))
+        assert david.measure_bell(pairs, 0, 1, rng) == [BellState.PHI_PLUS] * 2
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_transcript_attributes_only_z_to_semiquantum_parties(self, n):
@@ -179,12 +180,12 @@ class TestAttacks:
         run = ProtocolRun(honest(2, 5))
         run.run()
         for seq in (run.xi_seq, run.w1_seq, run.w2_seq, run.w4_seq, run.g_seq):
-            assert all(record.qubit is None for record in seq.decoys), seq.channel
+            assert seq.tapped is None, seq.channel
         run = ProtocolRun(honest(2, 5, attack=AttackSpec("intercept-resend", "w1")))
         run.run()
-        assert all(record.qubit is not None for record in run.w1_seq.decoys)
+        assert run.w1_seq.tapped.rows == run.w1_seq.decoy_count
         for seq in (run.w2_seq, run.w4_seq):
-            assert all(record.qubit is None for record in seq.decoys), seq.channel
+            assert seq.tapped is None, seq.channel
 
     def test_intercept_resend_on_key_channels_aborts(self):
         # n large enough that the tapped exchange checks a real sample
@@ -271,7 +272,7 @@ UNDETECTABLE = EveParams.undetectable((0.6, 0.8))
          "intercept-bb84_dt", "withhold", "tamper"],
 )
 def test_runs_leave_no_reference_cycles(config, verdict):
-    # Handles point at registers, never the reverse, so a finished run is
+    # Nothing a run builds points back at its owner, so a finished run is
     # freed by reference counting alone.  The first run warms up imports.
     run_full(config)
     gc.collect()

@@ -1,37 +1,34 @@
-"""Register arena: merges, forwarding handles, the register-size limit."""
+"""Row stacks: merges, the register-size limit, and the row kernels
+against the one-state forms, row by row."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from sqpbs.registers import (
-    apply_to_each,
-    apply_to_qubits,
-    fidelities_to,
-    measure_bell_pairs,
-    measure_qubit,
-    measure_qubits,
-    measure_qubits_bell,
-    merge,
-    new_qubits,
-)
+from sqpbs.registers import Stack, measure_qubit, measure_qubits_bell, merge, new_qubit
 from sqpbs.statevec import (
     BELL_MATRIX,
     MAX_QUBITS,
     Basis,
     BellState,
+    apply_1q_rows,
+    apply_unitary,
     basis_state,
     bell_probabilities,
+    fidelity_1q_rows,
     ket_plus,
     measure,
+    measure_bell,
+    measure_rows,
     new_rng,
     postselect,
     tensor,
 )
 from stubs import LastDraw
 
-SIZES = (1, 2, 1)  # registers a, b, c
+SIZES = (1, 2, 1)  # stacks a, b, c
+ROWS = (1, 2, 8)
 
 
 def random_state(n: int, rng) -> np.ndarray:
@@ -39,179 +36,141 @@ def random_state(n: int, rng) -> np.ndarray:
     return raw / np.linalg.norm(raw)
 
 
-def chained():
-    """Registers a, b, c; b merged into a, then a into c.
+def random_stack(n: int, rows: int, seed: int) -> np.ndarray:
+    rng = new_rng(seed)
+    return np.array([random_state(n, rng) for _ in range(rows)])
 
-    Returns the handles in c's final qubit order (c's, a's, b's) and the
-    state built directly with ``tensor``.
+
+def chained(rows: int):
+    """Stacks a, b, c; b merged into a, then a into c.
+
+    Returns c and, per row, the state built directly with ``tensor``.
     """
-    rng = new_rng(5)
-    sa, sb, sc = (random_state(n, rng) for n in SIZES)
-    qa, qb, qc = new_qubits(sa), new_qubits(sb), new_qubits(sc)
-    merge(qa[0].register, qb[0].register)
-    merge(qc[0].register, qa[0].register)
-    return [*qc, *qa, *qb], tensor(sc, tensor(sa, sb))
+    sa, sb, sc = (random_stack(n, rows, 5 + i) for i, n in enumerate(SIZES))
+    a, b, c = Stack(sa.copy()), Stack(sb.copy()), Stack(sc.copy())
+    merge(a, b)
+    assert merge(c, a) is c
+    return c, [tensor(z, tensor(x, y)) for x, y, z in zip(sa, sb, sc)]
 
 
-def test_merge_past_the_limit_raises_and_leaves_both_registers():
-    big = new_qubits(basis_state(MAX_QUBITS - 1, 0))
-    small = new_qubits(basis_state(2, 0))
+def test_merge_past_the_limit_raises_and_leaves_both_stacks():
+    big = Stack(basis_state(MAX_QUBITS - 1, 0)[None])
+    small = Stack(basis_state(2, 0)[None])
     with pytest.raises(ValueError, match=f"max {MAX_QUBITS}"):
-        merge(big[0].register, small[0].register)
-    assert big[0].register.num_qubits == MAX_QUBITS - 1
-    assert small[1].register.num_qubits == 2 and small[1].index == 1
+        merge(big, small)
+    assert big.num_qubits == MAX_QUBITS - 1
+    assert small.num_qubits == 2
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_chained_merges_read_the_direct_tensor(rows):
+    c, direct = chained(rows)
+    assert c.rows == rows
+    for got, want in zip(c.state, direct, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("position", range(sum(SIZES)))
 @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
 def test_chained_merges_measure_like_the_direct_tensor(position, basis):
-    handles, direct = chained()
-    # The handle's first use is this measurement, so it follows the forwards itself.
-    outcome = measure_qubit(handles[position], basis, new_rng(position))
-    want_outcome, want_state = measure(direct, position, basis, new_rng(position))
-    assert outcome == want_outcome
-    assert np.array_equal(handles[position].register.state, want_state)
+    c, direct = chained(3)
+    for row, state in enumerate(direct):
+        outcome = measure_qubit(c, row, position, basis, new_rng(position + row))
+        want_outcome, want_state = measure(state, position, basis, new_rng(position + row))
+        assert outcome == want_outcome
+        assert c.state[row].tobytes() == want_state.tobytes()
 
 
-def test_chained_merges_read_the_direct_tensor():
-    handles, direct = chained()
-    live = handles[0].register
-    assert np.array_equal(live.state, direct)
-    for position, qubit in enumerate(handles):
-        assert qubit.register is live
-        assert qubit.index == position
+def test_merge_joins_a_one_row_stack_to_every_row():
+    stack = Stack(random_stack(2, 4, 9))
+    rows = stack.state.copy()
+    probe = basis_state(1, 0)
+    merge(stack, new_qubit(probe))
+    for got, row in zip(stack.state, rows, strict=True):
+        assert got.tobytes() == tensor(row, probe).tobytes()
 
 
-def test_handle_reads_the_live_register_after_absorption():
-    a = new_qubits(basis_state(2, 0))
-    b = new_qubits(basis_state(1, 1))
-    absorbed = b[0].register
-    live = merge(a[0].register, absorbed)
-    assert absorbed.absorber is live and absorbed.shift == 2
-    assert b[0].register is live and b[0].index == 2
-    assert live.absorber is None
-    assert [q.index for q in a] == [0, 1]
+def test_stacks_reject_unlike_rows():
+    with pytest.raises(ValueError, match="rows"):
+        merge(Stack(random_stack(1, 3, 0)), Stack(random_stack(1, 2, 1)))
+    with pytest.raises(ValueError, match="rows"):
+        merge(Stack(random_stack(1, 1, 0)), Stack(random_stack(1, 2, 1)))
+    with pytest.raises(ValueError, match="2"):
+        Stack(ket_plus())
+    with pytest.raises(ValueError, match="1-qubit"):
+        new_qubit(basis_state(2, 0))
 
 
-# -- list forms against the one-qubit forms, row by row ------------------------
-
-ROWS = (1, 2, 8)
-
-
-def _twins(states):
-    """Two independent sets of one-register handles around the same states."""
-    return [new_qubits(s.copy()) for s in states], [new_qubits(s.copy()) for s in states]
-
-
-def _assert_rows_equal(listed, single):
-    for a, b in zip(listed, single, strict=True):
-        assert a.register.state.tobytes() == b.register.state.tobytes()
+# -- row kernels against the one-state forms, row by row ----------------------
 
 
 @pytest.mark.parametrize("rows", ROWS)
 @pytest.mark.parametrize("n", range(1, 7))
-def test_measure_qubits_matches_measure_qubit_row_by_row(n, rows):
-    states = [random_state(n, new_rng(100 * n + r)) for r in range(rows)]
-    mixed = [Basis.Z, Basis.X] * rows
-    for position in range(n):
-        for basis in (Basis.Z, Basis.X, mixed[:rows], mixed[1 : rows + 1]):
-            bases = [basis] * rows if isinstance(basis, Basis) else basis
-            listed, single = _twins(states)
-            rng_list, rng_single = new_rng(position), new_rng(position)
-            got = measure_qubits([h[position] for h in listed], basis, rng_list)
-            want = [measure_qubit(h[position], b, rng_single) for h, b in zip(single, bases)]
-            assert got == want
-            _assert_rows_equal([h[0] for h in listed], [h[0] for h in single])
-            assert rng_list.random() == rng_single.random()
+def test_measure_rows_matches_measure_row_by_row(n, rows):
+    states = random_stack(n, rows, 100 * n + rows)
+    for position, basis in itertools.product(range(n), Basis):
+        rng_rows, rng_single = new_rng(position), new_rng(position)
+        got, collapsed = measure_rows(states, position, basis, rng_rows.random(rows))
+        for outcome, row, state in zip(got.tolist(), collapsed, states, strict=True):
+            want, want_state = measure(state, position, basis, rng_single)
+            assert outcome == want
+            assert row.tobytes() == want_state.tobytes()
+        assert rng_rows.random() == rng_single.random()
 
 
 @pytest.mark.parametrize("rows", ROWS)
-@pytest.mark.parametrize("n", range(2, 7))
-def test_measure_bell_pairs_matches_measure_qubits_bell_row_by_row(n, rows):
-    states = [random_state(n, new_rng(200 * n + r)) for r in range(rows)]
-    for a, b in itertools.permutations(range(n), 2):
-        listed, single = _twins(states)
-        rng_list, rng_single = new_rng(10 * a + b), new_rng(10 * a + b)
-        got = measure_bell_pairs([h[a] for h in listed], [h[b] for h in listed], rng_list)
-        want = [measure_qubits_bell(h[a], h[b], rng_single) for h in single]
-        assert got == want
-        _assert_rows_equal([h[0] for h in listed], [h[0] for h in single])
-        assert rng_list.random() == rng_single.random()
-
-
-@pytest.mark.parametrize("rows", ROWS)
-@pytest.mark.parametrize(("n_a", "n_b"), [(1, 1), (1, 4), (2, 3), (3, 1)])
-def test_measure_bell_pairs_merges_like_merge(n_a, n_b, rows):
-    """Pairs across two registers: the row-wise product is ``merge``'s tensor product."""
-    states_a = [random_state(n_a, new_rng(300 + r)) for r in range(rows)]
-    states_b = [random_state(n_b, new_rng(400 + r)) for r in range(rows)]
-    for a, b in itertools.product(range(n_a), range(n_b)):
-        (listed_a, single_a), (listed_b, single_b) = _twins(states_a), _twins(states_b)
-        rng_list, rng_single = new_rng(a + 7 * b), new_rng(a + 7 * b)
-        got = measure_bell_pairs([h[a] for h in listed_a], [h[b] for h in listed_b], rng_list)
-        want = [measure_qubits_bell(ha[a], hb[b], rng_single) for ha, hb in zip(single_a, single_b)]
-        assert got == want
-        _assert_rows_equal([h[0] for h in listed_a], [h[0] for h in single_a])
-        for ha, hb in zip(listed_a, listed_b):
-            assert [q.register for q in hb] == [ha[0].register] * n_b
-            assert [q.index for q in hb] == list(range(n_a, n_a + n_b))
-        assert rng_list.random() == rng_single.random()
+@pytest.mark.parametrize(("n_a", "n_b"), [(2, 0), (3, 0), (6, 0), (1, 1), (1, 4), (2, 3), (3, 1)])
+def test_bell_step_matches_measure_bell_row_by_row(n_a, n_b, rows):
+    """Pairs in one stack, or across two joined by ``merge``."""
+    states_a = random_stack(n_a, rows, 200 * n_a + rows)
+    states_b = random_stack(n_b, rows, 300 * n_b + rows) if n_b else None
+    joint = [tensor(x, y) for x, y in zip(states_a, states_b)] if n_b else list(states_a)
+    for a, b in itertools.permutations(range(n_a + n_b), 2):
+        stack = Stack(states_a.copy())
+        if n_b:
+            merge(stack, Stack(states_b.copy()))
+        rng_rows, rng_single = new_rng(10 * a + b), new_rng(10 * a + b)
+        got = measure_qubits_bell(stack, a, b, rng_rows)
+        for outcome, row, state in zip(got, stack.state, joint, strict=True):
+            want, want_state = measure_bell(state, a, b, rng_single)
+            assert outcome is want
+            assert row.tobytes() == want_state.tobytes()
+        assert rng_rows.random() == rng_single.random()
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_last_draw_takes_the_outcome_with_weight(n):
     """A draw past a sum that rounded below 1 flips to the weighted outcome, row by row."""
-    plus = [tensor(ket_plus(), basis_state(n - 1, r)) if n > 1 else ket_plus() for r in range(1 << (n - 1))]
+    plus = np.array([tensor(ket_plus(), basis_state(n - 1, r)) if n > 1 else ket_plus() for r in range(1 << (n - 1))])
     assert all(postselect(s, 0, Basis.X, 0)[0] < LastDraw().random() for s in plus)
-    listed, single = _twins(plus)
-    got = measure_qubits([h[0] for h in listed], Basis.X, LastDraw())
-    assert got == [measure_qubit(h[0], Basis.X, LastDraw()) for h in single] == [0] * len(plus)
-    _assert_rows_equal([h[0] for h in listed], [h[0] for h in single])
+    got, collapsed = measure_rows(plus, 0, Basis.X, LastDraw().random(len(plus)))
+    stack = Stack(plus.copy())
+    assert [measure_qubit(stack, r, 0, Basis.X, LastDraw()) for r in range(len(plus))] == got.tolist()
+    assert got.tolist() == [0] * len(plus)
+    assert stack.state.tobytes() == collapsed.tobytes()
     if n > 1:
         phi = BELL_MATRIX[:, 0]
-        pairs = [tensor(phi, basis_state(n - 1, r)) for r in range(1 << (n - 1))]
+        pairs = np.array([tensor(phi, basis_state(n - 1, r)) for r in range(1 << (n - 1))])
         assert all(bell_probabilities(s, 0, 1).sum() < LastDraw().random() for s in pairs)
-        listed, single = _twins(pairs)
-        got = measure_bell_pairs([h[0] for h in listed], [h[1] for h in listed], LastDraw())
-        want = [measure_qubits_bell(h[0], h[1], LastDraw()) for h in single]
-        assert got == want == [BellState.PHI_PLUS] * len(pairs)
-        _assert_rows_equal([h[0] for h in listed], [h[0] for h in single])
+        stack = Stack(pairs.copy())
+        got = measure_qubits_bell(stack, 0, 1, LastDraw())
+        want = [measure_bell(s, 0, 1, LastDraw()) for s in pairs]
+        assert got == [b for b, _ in want] == [BellState.PHI_PLUS] * len(pairs)
+        for row, (_, state) in zip(stack.state, want, strict=True):
+            assert row.tobytes() == state.tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_apply_to_each_and_fidelities_to_match_the_one_qubit_forms(n):
+def test_apply_1q_rows_and_fidelity_1q_rows_match_the_one_state_forms(n):
     rng = new_rng(n)
-    states = [random_state(n, rng) for _ in range(8)]
+    states = np.array([random_state(n, rng) for _ in range(8)])
     matrices = np.stack([np.linalg.qr(random_state(2, rng).reshape(2, 2))[0] for _ in states])
     targets = np.stack([random_state(1, rng) for _ in states])
     for position in range(n):
-        listed, single = _twins(states)
-        apply_to_each([h[position] for h in listed], matrices)
-        for h, m in zip(single, matrices):
-            apply_to_qubits([h[position]], m)
-        _assert_rows_equal([h[0] for h in listed], [h[0] for h in single])
-        got = fidelities_to([h[position] for h in listed], targets)
-        for h, t, f in zip(single, targets, got, strict=True):
-            block = np.swapaxes(h[0].register.state.reshape(1 << position, 2, -1), 0, 1).reshape(2, -1)
+        applied = apply_1q_rows(states, position, matrices)
+        for got, state, m in zip(applied, states, matrices, strict=True):
+            assert got.tobytes() == apply_unitary(state, [position], m).tobytes()
+        got = fidelity_1q_rows(applied, position, targets)
+        for row, t, f in zip(applied, targets, got, strict=True):
+            block = np.swapaxes(row.reshape(1 << position, 2, -1), 0, 1).reshape(2, -1)
             assert f == float(np.real(t.conj() @ (block @ block.conj().T) @ t))
-
-
-def test_list_forms_reject_unlike_registers():
-    rng = new_rng(0)
-    one, two = new_qubits(basis_state(1, 0)), new_qubits(basis_state(2, 0))
-    other = new_qubits(basis_state(2, 0))
-    with pytest.raises(ValueError, match="one size"):
-        measure_qubits([one[0], two[0]], Basis.Z, rng)
-    with pytest.raises(ValueError, match="one index"):
-        measure_qubits([two[0], other[1]], Basis.Z, rng)
-    with pytest.raises(ValueError, match="one size"):
-        apply_to_each([one[0], two[0]], np.stack([np.eye(2)] * 2))
-    with pytest.raises(ValueError, match="one index"):
-        fidelities_to([two[0], other[1]], np.stack([ket_plus()] * 2))
-    with pytest.raises(ValueError, match="of its own"):
-        measure_qubits([two[0], two[0]], Basis.Z, rng)
-    with pytest.raises(ValueError, match="one size"):
-        measure_bell_pairs([two[0], one[0]], [other[0], new_qubits(basis_state(1, 0))[0]], rng)
-    mixed = new_qubits(basis_state(2, 0))
-    with pytest.raises(ValueError, match="every pair"):
-        measure_bell_pairs([mixed[0], two[0]], [mixed[1], new_qubits(basis_state(2, 0))[1]], rng)

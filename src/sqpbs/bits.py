@@ -1,10 +1,20 @@
-"""Immutable bit strings: the classical data carried by the protocol."""
+"""Immutable bit strings: the classical data carried by the protocol.
+
+``Bits(...)`` checks outside input (strings, JSON, CLI, ``RunConfig``).
+Values the package builds itself go through the unchecked
+``Bits._trusted``; both store the same tuple of 0/1 ints.
+"""
 
 from __future__ import annotations
 
+from operator import ne, xor
 from typing import Iterable, Iterator, overload
 
 import numpy as np
+
+# bytes(bits) holds the values 0/1; the string form holds the characters "0"/"1".
+_TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Bits:
@@ -20,23 +30,27 @@ class Bits:
         if isinstance(bits, Bits):
             self._bits = bits._bits
             return
-        if isinstance(bits, str):
-            values = tuple(int(c) for c in bits)
-        else:
-            values = tuple(int(b) for b in bits)
+        values = tuple(int(b) for b in bits)  # a str iterates over its characters
         if any(b not in (0, 1) for b in values):
             raise ValueError(f"bits must be 0 or 1, got {values}")
         self._bits = values
 
     @classmethod
+    def _trusted(cls, values: Iterable[int]) -> "Bits":
+        """Wrap 0/1 ints the package produced itself, without checking them."""
+        out = object.__new__(cls)
+        out._bits = tuple(values)
+        return out
+
+    @classmethod
     def random(cls, length: int, rng: np.random.Generator) -> "Bits":
         if length < 0:
             raise ValueError(f"length must be >= 0, got {length}")
-        return cls(int(b) for b in rng.integers(0, 2, size=length))
+        return cls._trusted(rng.integers(0, 2, size=length).tolist())
 
     @classmethod
     def zeros(cls, length: int) -> "Bits":
-        return cls((0,) * length)
+        return cls._trusted((0,) * length)
 
     def __len__(self) -> int:
         return len(self._bits)
@@ -48,7 +62,7 @@ class Bits:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Bits(self._bits[item])
+            return Bits._trusted(self._bits[item])
         return self._bits[item]
 
     def __iter__(self) -> Iterator[int]:
@@ -65,15 +79,15 @@ class Bits:
             return NotImplemented
         if len(self) != len(other):
             raise ValueError(f"XOR length mismatch: {len(self)} vs {len(other)}")
-        return Bits(a ^ b for a, b in zip(self._bits, other._bits))
+        return Bits._trusted(map(xor, self._bits, other._bits))
 
     def __add__(self, other: "Bits") -> "Bits":
         if not isinstance(other, Bits):
             return NotImplemented
-        return Bits(self._bits + other._bits)
+        return Bits._trusted(self._bits + other._bits)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self._bits)
+        return bytes(self._bits).translate(_TO_CHARS).decode()
 
     def __repr__(self) -> str:
         return f"Bits('{self}')"
@@ -82,37 +96,24 @@ class Bits:
         """Copy with one bit inverted."""
         values = list(self._bits)
         values[index] ^= 1
-        return Bits(values)
+        return Bits._trusted(values)
 
     def to_bytes(self) -> bytes:
         """Pack into bytes, MSB first, zero-padded to a whole byte."""
-        out = bytearray()
-        acc = 0
-        count = 0
-        for b in self._bits:
-            acc = (acc << 1) | b
-            count += 1
-            if count == 8:
-                out.append(acc)
-                acc = 0
-                count = 0
-        if count:
-            out.append(acc << (8 - count))
-        return bytes(out)
+        length = len(self._bits)
+        value = int(b"0" + bytes(self._bits).translate(_TO_CHARS), 2)
+        return (value << (-length % 8)).to_bytes((length + 7) // 8, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes, bit_length: int) -> "Bits":
-        bits = []
-        for byte in data:
-            for shift in range(7, -1, -1):
-                bits.append((byte >> shift) & 1)
-                if len(bits) == bit_length:
-                    return cls(bits)
-        if len(bits) < bit_length:
+        """The first ``bit_length`` bits of ``data``, MSB first."""
+        if not 0 <= bit_length <= 8 * len(data):
             raise ValueError(f"{len(data)} bytes cannot supply {bit_length} bits")
-        return cls(bits[:bit_length])
+        value = int.from_bytes(data, "big") >> (8 * len(data) - bit_length)
+        # The leading 1 fixes the width at bit_length digits, 0 included.
+        return cls._trusted(bin(value | (1 << bit_length))[3:].encode().translate(_TO_VALUES))
 
     def hamming_distance(self, other: "Bits") -> int:
         if len(self) != len(other):
             raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return sum(a != b for a, b in zip(self._bits, other._bits))
+        return sum(map(ne, self._bits, other._bits))

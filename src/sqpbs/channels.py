@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import EavesdroppingDetected
 from .registers import Stack
-from .statevec import Basis, Rng, basis_state, born_outcome, ket_minus, ket_plus, measure_rows, postselect
+from .statevec import Basis, Rng, basis_state, born_outcomes, ket_minus, ket_plus, measure_rows, postselect
 
 
 class DecoyState(Enum):
@@ -62,6 +62,7 @@ class DecoyState(Enum):
         self.label = label
         self.basis = basis
         self.bit = bit  # expected outcome when measured in the preparation basis
+        self.index = 2 * (basis is Basis.X) + bit  # definition order; index >> 1 is the basis
 
     def make_state(self) -> np.ndarray:
         if self.basis is Basis.Z:
@@ -71,8 +72,8 @@ class DecoyState(Enum):
 
 _DECOY_ORDER = tuple(DecoyState)
 _KETS = np.array([d.make_state() for d in _DECOY_ORDER])
-# (preparation, measurement basis) -> Born (p0, p1), the sums a stacked read makes
-_BORN = {(d, b): tuple(postselect(d.make_state(), 0, b, o)[0] for o in (0, 1)) for d in DecoyState for b in Basis}
+# Row 2 * preparation index + (basis is X): Born (p0, p1), the sums a stacked read makes
+_BORN = np.array([[postselect(d.make_state(), 0, b, o)[0] for o in (0, 1)] for d in _DECOY_ORDER for b in Basis])
 
 
 def read_prepared(
@@ -90,7 +91,9 @@ def read_prepared(
         return []
     u = rng.random(len(states))
     if tapped is None:
-        return [born_outcome(_BORN[s, b], x) for s, b, x in zip(states, bases, u.tolist())]
+        basis_x = Basis.X
+        p0, p1 = _BORN[[2 * s.index + (b is basis_x) for s, b in zip(states, bases)]].T
+        return born_outcomes(p0, p1, u).tolist()
     outcomes = np.empty(len(states), dtype=np.intp)
     for b in Basis:
         rows = [i for i, x in enumerate(bases) if x is b]
@@ -122,14 +125,13 @@ class DecoyRecord:
 
 @dataclass
 class TransmittedSequence:
-    """A payload interleaved with decoys, as it crossed the channel.
+    """The decoys interleaved into one payload, as they crossed the channel.
 
     ``tapped`` is the stack of the decoys an adversary acted on (row i
     for ``decoys[i]``), or None when the channel was not tapped.
     """
 
     channel: str
-    payload: list[Stack]  # in its original order
     decoys: list[DecoyRecord]
     tapped: Stack | None
 
@@ -162,9 +164,9 @@ def send_with_decoys(
     if decoy_count < 1:
         raise ValueError(f"decoy_count must be >= 1, got {decoy_count}")
     total = sum(stack.rows for stack in payload) + decoy_count
-    positions = sorted(int(p) for p in rng.choice(total, size=decoy_count, replace=False))
+    positions = sorted(rng.choice(total, size=decoy_count, replace=False).tolist())
     codes = rng.integers(0, 4, size=decoy_count)
-    decoys = [DecoyRecord(position=p, state=_DECOY_ORDER[c]) for p, c in zip(positions, codes.tolist())]
+    decoys = [DecoyRecord(p, _DECOY_ORDER[c]) for p, c in zip(positions, codes.tolist())]
     tapped = None
     if adversary is not None:
         tapped = Stack(_KETS[codes])
@@ -172,7 +174,7 @@ def send_with_decoys(
         for row, pos in enumerate(positions):  # ascending, so each lands at its position
             crossings.insert(pos, (tapped, row, 0))
         adversary.intercept(crossings, rng)
-    return TransmittedSequence(channel=channel, payload=list(payload), decoys=decoys, tapped=tapped)
+    return TransmittedSequence(channel=channel, decoys=decoys, tapped=tapped)
 
 
 @dataclass
@@ -255,11 +257,10 @@ def semiquantum_return_check(
     returned = [reflected[i] for i in order]
     states = [seq.decoys[i].state for i in returned]
     outcomes = read_prepared(states, [s.basis for s in states], rng, seq.tapped_rows(returned))
-    subset = {Basis.Z: [0, 0], Basis.X: [0, 0]}  # basis -> [count, errors]
-    for state, outcome in zip(states, outcomes):
-        subset[state.basis][0] += 1
-        subset[state.basis][1] += outcome != state.bit
-    reflected_errors = subset[Basis.Z][1] + subset[Basis.X][1]
+    wrong = [outcome != state.bit for state, outcome in zip(states, outcomes)]
+    on_x = [state.index >> 1 for state in states]
+    reflected_errors, x_count = sum(wrong), sum(on_x)
+    x_errors = sum(w for w, x in zip(wrong, on_x) if x)
     z_sift = [(state, bit) for state, bit in zip(sift_states, sift_bits) if state.basis is Basis.Z]
     z_sift_errors = sum(1 for state, bit in z_sift if bit != state.bit)
     reflected_rate = reflected_errors / len(returned) if returned else 0.0
@@ -277,10 +278,10 @@ def semiquantum_return_check(
         passed=passed,
         detail={
             "permutation": order,
-            "reflected_z_count": subset[Basis.Z][0],
-            "reflected_z_errors": subset[Basis.Z][1],
-            "reflected_x_count": subset[Basis.X][0],
-            "reflected_x_errors": subset[Basis.X][1],
+            "reflected_z_count": len(returned) - x_count,
+            "reflected_z_errors": reflected_errors - x_errors,
+            "reflected_x_count": x_count,
+            "reflected_x_errors": x_errors,
         },
     )
     if reflected_rate > threshold:

@@ -214,8 +214,8 @@ def establish_key_bb84(
     keep = [i for i in range(needed) if i not in check_positions][:length]
     return KeyExchangeResult(
         kind="bb84",
-        sender_key=Bits(sender_bits[i] for i in keep),
-        receiver_key=Bits(receiver_bits[i] for i in keep),
+        sender_key=Bits._trusted(sender_bits[i] for i in keep),
+        receiver_key=Bits._trusted(receiver_bits[i] for i in keep),
         error_rate=error_rate,
         raw_count=raw,
         sifted_count=needed,
@@ -282,8 +282,8 @@ def establish_key_sqkd(
         raise KeyEstablishmentError("sqkd", error_rate, error_threshold)
     return KeyExchangeResult(
         kind="sqkd",
-        sender_key=Bits(sender_key[:length]),
-        receiver_key=Bits(receiver_key[:length]),
+        sender_key=Bits._trusted(sender_key[:length]),
+        receiver_key=Bits._trusted(receiver_key[:length]),
         error_rate=error_rate,
         raw_count=raw,
         sifted_count=len(sender_key),

@@ -57,7 +57,6 @@ from .errors import (
     SemiquantumCapabilityError,
 )
 from .keys import (
-    HashConfig,
     OtpKey,
     establish_key_bb84,
     establish_key_sqkd,
@@ -141,7 +140,6 @@ class ProtocolRun:
         self.n = config.n
         self.d = config.resolved_decoy_count
         self.threshold = config.error_threshold
-        self.hash_config = HashConfig(config.hash_bits, config.hash_algorithm)
         self.alice = Party("alice", quantum=True)
         self.bob = Party("bob", quantum=False)
         self.charlie = Party("charlie", quantum=False)
@@ -179,7 +177,7 @@ class ProtocolRun:
         self.w4_seq = self._dispatch("w4", self.carriers, 3)
 
         self.g = xor_blind(self.g_a, self.k_a)
-        self.h_g = keyed_hash(self.hash_config, self.hash_secret, self.g)
+        self.h_g = keyed_hash(cfg.hash_config, self.hash_secret, self.g)
         self._classical("alice", "charlie", "H(g)", self.h_g, counted=True)
         self.phase = "blindness"
 
@@ -290,7 +288,7 @@ class ProtocolRun:
         # Step 4: Bob authorizes by measuring his particle sequence in Z.
         # Step 5: Trent decrypts and triggers the proxy signature.
         self._notice("bob", "david", "signing-approved")
-        m_b = Bits(self.bob.measure(self.carriers, 0, Basis.Z, rng))
+        m_b = Bits._trusted(self.bob.measure(self.carriers, 0, Basis.Z, rng))
         self.m_b = self._report(self.bob, "M_B", "Z", m_b)
         self._notice("trent", "david", "sign-request")
 
@@ -303,12 +301,12 @@ class ProtocolRun:
         joint = merge(self.xi, self.carriers)
         bells = self.david.measure_bell(joint, 0, shift + 1, rng)
         self.transcript.count("signature_bits", 2 * n)
-        self.m_d = self._report(self.david, "M_D", "Bell", Bits(bit for b in bells for bit in b.bits))
+        self.m_d = self._report(self.david, "M_D", "Bell", Bits._trusted(bit for b in bells for bit in b.bits))
         self._notice("trent", "charlie", "measure-request")
 
         # Step 8: Charlie clears w4 with the return check and measures in Z.
         self._check(self.w4_seq)
-        m_c = Bits(self.charlie.measure(joint, shift + 3, Basis.Z, rng))
+        m_c = Bits._trusted(self.charlie.measure(joint, shift + 3, Basis.Z, rng))
         self.m_c = self._report(self.charlie, "M_C", "Z", m_c)
 
         # Step 9: Trent corrects each particle 3, reads it out in X, and
@@ -317,7 +315,7 @@ class ProtocolRun:
         self.trent.apply_gates(joint, particle3, correction_matrices(self.m_b, self.m_d, self.m_c))
         targets = np.array([ket_plus(), ket_minus()])[list(self.g)]
         fidelities = fidelity_1q_rows(joint.state, particle3, targets).tolist()
-        self.g_prime_trent = Bits(self.trent.measure(joint, particle3, Basis.X, rng))
+        self.g_prime_trent = Bits._trusted(self.trent.measure(joint, particle3, Basis.X, rng))
         self.transcript.add(
             "recovery_record", party="trent", g_prime=self.g_prime_trent, fidelities=fidelities
         )
@@ -330,16 +328,15 @@ class ProtocolRun:
 
     def phase_verify(self) -> str:
         self._check(self.g_seq)
-        g_prime = Bits(self.charlie.measure(self.g_prime_qubits, 0, Basis.Z, self.rng))
-        self.g_prime = g_prime
+        self.g_prime = g_prime = Bits._trusted(self.charlie.measure(self.g_prime_qubits, 0, Basis.Z, self.rng))
         self.transcript.add("measurement_record", party="charlie", label="g_prime", basis="Z", bits=g_prime)
-        h_g_prime = keyed_hash(self.hash_config, self.hash_secret, g_prime)
+        h_g_prime = keyed_hash(self.config.hash_config, self.hash_secret, g_prime)
         match = h_g_prime == self.h_g
         self.transcript.add(
             "verdict_check", by="charlie", hash_g=self.h_g, hash_g_prime=h_g_prime, match=match
         )
         verdict = VERDICT_VALID if match else VERDICT_INVALID
-        self.transcript.set_verdict(verdict)
+        self.transcript.verdict = verdict
         self.phase = "done"
         return verdict
 
@@ -356,16 +353,16 @@ class ProtocolRun:
                 "abort", phase=self.phase, reason="eavesdropping", channel=exc.channel,
                 check=exc.check, error_rate=exc.error_rate, threshold=exc.threshold,
             )
-            self.transcript.set_verdict("aborted:eavesdropping")
+            self.transcript.verdict = "aborted:eavesdropping"
         except KeyEstablishmentError as exc:
             self.transcript.add(
                 "abort", phase=self.phase, reason="key-establishment", kind=exc.kind,
                 error_rate=exc.error_rate, threshold=exc.threshold,
             )
-            self.transcript.set_verdict("aborted:key-establishment")
+            self.transcript.verdict = "aborted:key-establishment"
         except ProtocolError as exc:
             self.transcript.add("abort", phase=self.phase, reason=str(exc))
-            self.transcript.set_verdict(f"aborted:{exc}")
+            self.transcript.verdict = f"aborted:{exc}"
         return self.transcript
 
 

@@ -262,14 +262,6 @@ def postselect(state: np.ndarray, qubit: int, basis: Basis, outcome: int) -> tup
     return prob, _compose_collapsed(basis, outcome, component, prob)
 
 
-def born_outcome(probs: tuple[float, float], u: float) -> int:
-    """Outcome that uniform draw ``u`` selects; one without weight yields to the other."""
-    outcome = 0 if u < probs[0] else 1
-    if probs[outcome] < ZERO_PROB:
-        outcome ^= 1
-    return outcome
-
-
 def measure(state: np.ndarray, qubit: int, basis: Basis, rng: Rng) -> tuple[int, np.ndarray]:
     """Projective single-qubit measurement in the Z or X basis.
 
@@ -356,15 +348,21 @@ def _check_rows(stack: np.ndarray, targets: Sequence[int]) -> None:
 def _row_sumsq(block: np.ndarray) -> np.ndarray:
     """Per-row ``_sumsq`` of a ``(rows, ...)`` block."""
     sq = block.real**2 + block.imag**2
-    return np.sum(sq.reshape(sq.shape[0], -1), axis=1)
+    return sq.reshape(sq.shape[0], -1).sum(axis=1)
+
+
+def born_outcomes(p0: np.ndarray, p1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The one-qubit outcome rule: 0 where ``u < p0``, else 1; a draw that lands on an
+    outcome without weight (the probabilities can sum to just under 1) takes the other."""
+    one = u >= p0
+    return (one ^ (np.where(one, p1, p0) < ZERO_PROB)).astype(np.intp)
 
 
 def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure ``qubit`` of every row in ``basis``: outcome bits and the collapsed stack.
 
-    Row ``r`` takes outcome 0 when ``u[r]`` is below its Born probability
-    of 0, else 1; a draw that lands on an outcome without weight (possible
-    when the probabilities sum to just under 1) takes the other outcome.
+    Row ``r`` takes the outcome that ``born_outcomes`` gives for its Born
+    probabilities and ``u[r]``.
     """
     _check_rows(stack, [qubit])
     rows = stack.shape[0]
@@ -372,8 +370,7 @@ def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> 
     a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
     c0, c1 = (a0, a1) if basis is Basis.Z else ((a0 + a1) * SQRT1_2, (a0 - a1) * SQRT1_2)
     p0, p1 = _row_sumsq(c0), _row_sumsq(c1)
-    outcome = (u >= p0).astype(np.intp)
-    outcome ^= np.where(outcome == 0, p0, p1) < ZERO_PROB
+    outcome = born_outcomes(p0, p1, u)
     prob = np.where(outcome == 0, p0, p1)
     v = np.where((outcome == 0)[:, None, None], c0, c1) * (1.0 / np.sqrt(prob))[:, None, None]
     out = np.zeros_like(t)

@@ -19,6 +19,7 @@ import json
 import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -62,6 +63,7 @@ KEY_GUARDS = ("bb84", "sqkd")
 QUANTUM_ATTACKS = tuple(kind for kind, names in ATTACK_FIELDS.items() if "channel" in names)
 WITHHOLDABLE = ("M_B", "M_D", "M_C")
 KEY_MODES = ("simulated", "stubbed")
+_PLAIN = frozenset({str, int, float, bool, type(None)})  # returned by _jsonify as they are
 
 
 @dataclass(frozen=True)
@@ -157,13 +159,17 @@ class RunConfig:
             raise ConfigError(f"decoy_count must be >= 1, got {self.decoy_count}")
         if not 0.0 <= self.error_threshold < 1.0:
             raise ConfigError(f"error_threshold must be in [0, 1), got {self.error_threshold}")
-        HashConfig(self.hash_bits, self.hash_algorithm)
+        self.hash_config  # built here so that a bad hash setting fails validation
         if self.key_mode not in KEY_MODES:
             raise ConfigError(f"key_mode must be one of {KEY_MODES}, got {self.key_mode!r}")
         self.attack.validate()
         tapped = CHANNELS[self.attack.channel][2] if self.attack.kind in QUANTUM_ATTACKS else None
         if self.key_mode == "stubbed" and tapped in KEY_GUARDS:
             raise ConfigError(f"stubbed keys skip key agreement, so {self.attack.channel!r} cannot be attacked")
+
+    @cached_property
+    def hash_config(self) -> HashConfig:
+        return HashConfig(self.hash_bits, self.hash_algorithm)
 
     @property
     def resolved_decoy_count(self) -> int:
@@ -187,6 +193,8 @@ class RunConfig:
 
 def _jsonify(value: Any) -> Any:
     """Coerce protocol values into stable JSON-native types."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, Bits):
         return str(value)
     if isinstance(value, Enum):
@@ -216,17 +224,12 @@ class Transcript:
         self.verdict: str | None = None
 
     def add(self, event_type: str, **fields: Any) -> dict:
-        event = {"type": event_type}
-        for key, value in fields.items():
-            event[key] = _jsonify(value)
+        event = {"type": event_type, **{key: _jsonify(value) for key, value in fields.items()}}
         self.events.append(event)
         return event
 
     def count(self, counter: str, amount: int) -> None:
         self.accounting[counter] = self.accounting.get(counter, 0) + int(amount)
-
-    def set_verdict(self, verdict: str) -> None:
-        self.verdict = verdict
 
     @property
     def aborted(self) -> bool:

@@ -13,9 +13,11 @@ from sqpbs.statevec import (
     PauliCorrection,
     SIGMA_X,
     SIGMA_Z,
+    ZERO_PROB,
     apply_unitary,
     basis_state,
     bell_probabilities,
+    born_outcomes,
     fidelity_up_to_phase,
     ket_minus,
     ket_plus,
@@ -230,6 +232,21 @@ class TestMeasure:
         bit, post = measure(state, 0, Basis.Z, LastDraw())
         assert bit == 0
         np.testing.assert_allclose(post, [1, 0])
+
+    def test_born_outcomes_match_the_scalar_rule(self):
+        def scalar_rule(p0, p1, u):
+            outcome = 0 if u < p0 else 1
+            if (p0, p1)[outcome] < ZERO_PROB:
+                outcome ^= 1
+            return outcome
+
+        rng = new_rng(8)
+        p0 = np.concatenate([[0.0, 1.0, JUST_BELOW_ONE, 0.5, 0.5, 1e-16, 0.25], rng.random(200)])
+        p1 = np.concatenate([[1.0, 0.0, 0.0, 0.5, 0.5, 1.0, 0.75], 1.0 - p0[7:]])
+        u = np.concatenate([[0.0, JUST_BELOW_ONE, JUST_BELOW_ONE, 0.5, 0.0, 0.0, 0.25], rng.random(200)])
+        expected = [scalar_rule(*args) for args in zip(p0.tolist(), p1.tolist(), u.tolist())]
+        assert born_outcomes(p0, p1, u).tolist() == expected
+        assert expected[:7] == [1, 0, 0, 1, 0, 1, 1]
 
     def test_same_seed_same_outcomes(self):
         state = tensor(ket_plus(), ket_plus())

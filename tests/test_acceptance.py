@@ -29,6 +29,7 @@ from sqpbs.protocol import ProtocolRun, replay_matches, run_full
 from sqpbs.statevec import new_rng
 from sqpbs.teleport import MessageQubit, prepare_chi, verify_correction_table
 from sqpbs.transcript import AttackSpec, RunConfig
+from test_golden import criterion_1_messages
 
 
 def report(criterion: int, name: str, detail: str) -> None:
@@ -39,10 +40,8 @@ def test_criterion_1_correction_table_oracle():
     """100 random messages (complex amplitudes included): every forced
     branch recovers the message at fidelity >= 1 - 1e-10 and has
     probability 1/16 within 1e-12; runtime under 1 s."""
-    rng = new_rng(1001)
     started = time.perf_counter()
-    messages = [MessageQubit(0.6, 0.8), MessageQubit(1 / math.sqrt(2), 1j / math.sqrt(2))]
-    messages += [MessageQubit.random(rng) for _ in range(98)]
+    messages = criterion_1_messages()
     worst_fidelity = 1.0
     worst_prob_err = 0.0
     for m in messages:

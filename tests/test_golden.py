@@ -5,6 +5,11 @@ Each config below is pinned to the sha256 of its run's canonical JSON.
 with ``GOLDEN_ARGV``; ``sqpbs replay`` must still reproduce it byte for
 byte.
 
+``AUDIT_PIN`` pins the correction-table audit reports of acceptance
+criterion 1's 100 messages, each field rounded to 1e-9 as the
+``audit-corrections`` benchmark workload records them; the audit draws
+no random numbers, so no version bump moves it.
+
 A change that alters the random stream or the transcript format on
 purpose bumps ``TOOL_VERSION`` (here and in ``pyproject.toml``) and
 refreshes every pin with one command, from the repository root::
@@ -28,6 +33,8 @@ from sqpbs.adversary import EveParams
 from sqpbs.bits import Bits
 from sqpbs.cli import EXIT_VALID, main
 from sqpbs.protocol import run_full
+from sqpbs.statevec import new_rng
+from sqpbs.teleport import MessageQubit, TableAuditReport, verify_correction_table
 from sqpbs.transcript import AttackSpec, RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -139,6 +146,8 @@ OUT_PINS = {
     "detection-ir-d5": "b24199239716908e89af1d79b9a58c753116f439bb15c362a1e85dd112ae5a96",
 }
 
+AUDIT_PIN = "581ec5664374af6a350bb38fdc6df03dceb244995d5192a703403783da101638"
+
 
 def transcript_sha256(config: RunConfig) -> str:
     return hashlib.sha256(run_full(config).canonical_json().encode()).hexdigest()
@@ -149,6 +158,36 @@ def out_sha256(argv: tuple[str, ...], path: Path) -> str:
     data = json.loads(path.read_text())
     del data["version"]
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def criterion_1_messages() -> list[MessageQubit]:
+    """Acceptance criterion 1's 100 messages: two fixed ones, then 98 drawn from seed 1001."""
+    rng = new_rng(1001)
+    messages = [MessageQubit(0.6, 0.8), MessageQubit(1 / math.sqrt(2), 1j / math.sqrt(2))]
+    return messages + [MessageQubit.random(rng) for _ in range(98)]
+
+
+def audit_record(report: TableAuditReport) -> str:
+    """Pass flag, message and each branch's findings, every number rounded to 1e-9."""
+
+    def num(x: float) -> str:
+        return f"{round(x, 9) + 0.0!r}"  # + 0.0 folds -0.0 into 0.0
+
+    m = report.message
+    fields = [str(int(report.all_pass()))]
+    fields += [num(z.real) + "," + num(z.imag) for z in (m.a, m.b)]
+    for b in report.branches:
+        fields.append(":".join((
+            num(b.probability), num(b.collapsed_fidelity), num(b.corrected_fidelity),
+            num(b.recovery_phase.real), str(len(b.fidelity_one_corrections)),
+            str(int(b.order_independent)),
+        )))
+    return "|".join(fields) + ";"
+
+
+def audit_sha256() -> str:
+    records = "".join(audit_record(verify_correction_table(m)) for m in criterion_1_messages())
+    return hashlib.sha256(records.encode()).hexdigest()
 
 
 def test_tool_version_matches_the_pins():
@@ -185,6 +224,10 @@ def test_experiment_out_is_pinned(name, tmp_path):
     assert out_sha256(OUT_ARGV[name], tmp_path / "out.json") == OUT_PINS[name]
 
 
+def test_correction_table_audit_is_pinned():
+    assert audit_sha256() == AUDIT_PIN
+
+
 def test_checked_in_transcript_replays(capsys):
     assert main(["replay", str(GOLDEN_FILE)]) == EXIT_VALID
     recorded = json.loads(GOLDEN_FILE.read_text())["transcript"]
@@ -204,6 +247,7 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(io.StringIO()):
                 digest = out_sha256(argv, Path(tmp) / "out.json")
             print(f'    "{key}": "{digest}",')
+    print(f'AUDIT_PIN = "{audit_sha256()}"')
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*GOLDEN_ARGV, "--out", str(GOLDEN_FILE)]) == EXIT_VALID
     print(f"rewrote {GOLDEN_FILE.relative_to(ROOT)}")

@@ -76,7 +76,7 @@ class BellState(Enum):
 
     @property
     def index(self) -> int:
-        return _BELL_INDEX[self]
+        return _BELL_ORDER.index(self)
 
     @property
     def bits(self) -> tuple[int, int]:
@@ -103,7 +103,6 @@ _BELL_ORDER = (
     BellState.PSI_PLUS,
     BellState.PSI_MINUS,
 )
-_BELL_INDEX = {b: i for i, b in enumerate(_BELL_ORDER)}
 
 # Columns: phi+ = (|00>+|11>)/sqrt2, phi- = (|00>-|11>)/sqrt2,
 #          psi+ = (|01>+|10>)/sqrt2, psi- = (|01>-|10>)/sqrt2.
@@ -168,7 +167,7 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = num_qubits(a) + num_qubits(b)
     if n > MAX_QUBITS:
         raise ValueError(f"tensor product would need {n} qubits (max {MAX_QUBITS})")
-    return np.kron(a, b)
+    return np.outer(a, b).reshape(-1)
 
 
 def _check_targets(n: int, targets: Sequence[int]) -> None:
@@ -184,11 +183,6 @@ def is_unitary(matrix: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= atol)
-
-
-def _qubit_view(amps: np.ndarray, qubit: int) -> np.ndarray:
-    """No-copy view shaped (left, 2, right) with ``qubit`` on the middle axis."""
-    return amps.reshape(1 << qubit, 2, -1)
 
 
 def apply_unitary(state: np.ndarray, targets: Sequence[int], matrix: np.ndarray) -> np.ndarray:
@@ -219,47 +213,22 @@ def apply_unitary(state: np.ndarray, targets: Sequence[int], matrix: np.ndarray)
     return apply_rows(state[None], targets, matrix)[0]
 
 
-def _sumsq(block: np.ndarray) -> float:
-    return float(np.sum(block.real**2 + block.imag**2))
-
-
-def _basis_components(state: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
-    """Component blocks of the state along ``qubit`` in the given basis."""
-    t = _qubit_view(state, qubit)
-    a0 = t[:, 0, :]
-    a1 = t[:, 1, :]
-    if basis is Basis.Z:
-        return a0, a1
-    return (a0 + a1) * SQRT1_2, (a0 - a1) * SQRT1_2
-
-
-def _compose_collapsed(basis: Basis, outcome: int, component: np.ndarray, prob: float) -> np.ndarray:
-    """Rebuild the full collapsed state from the surviving component block."""
-    v = component * (1.0 / math.sqrt(prob))
-    out = np.zeros((component.shape[0], 2, component.shape[1]), dtype=complex)
-    if basis is Basis.Z:
-        out[:, outcome, :] = v
-    else:
-        out[:, 0, :] = v * SQRT1_2
-        out[:, 1, :] = v * (SQRT1_2 if outcome == 0 else -SQRT1_2)
-    return out.reshape(-1)
+def _one_row(prob: np.ndarray, out: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """A one-row kernel result as ``(prob, state)``, or ``(prob, None)`` below ``ZERO_PROB``."""
+    p = float(prob[0])
+    return (p, None) if p < ZERO_PROB else (p, out[0])
 
 
 def postselect(state: np.ndarray, qubit: int, basis: Basis, outcome: int) -> tuple[float, np.ndarray | None]:
     """Probability of ``outcome`` and the renormalized projected state.
 
-    Returns ``(prob, None)`` when the outcome has (numerically) zero
-    probability.  Deterministic; used by oracles to force branches.
+    ``postselect_rows`` on one row; returns ``(prob, None)`` when the
+    outcome has (numerically) zero probability.  Deterministic; used by
+    oracles to force branches.
     """
-    _check_targets(num_qubits(state), [qubit])
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    c0, c1 = _basis_components(state, qubit, basis)
-    component = (c0, c1)[outcome]
-    prob = _sumsq(component)
-    if prob < ZERO_PROB:
-        return prob, None
-    return prob, _compose_collapsed(basis, outcome, component, prob)
+    return _one_row(*postselect_rows(state[None], qubit, basis, np.array([outcome])))
 
 
 def measure(state: np.ndarray, qubit: int, basis: Basis, rng: Rng) -> tuple[int, np.ndarray]:
@@ -282,44 +251,17 @@ def _pair_shape(n: int, qubit_a: int, qubit_b: int) -> tuple[tuple[int, int, int
     return dims, (3, 1, 0, 2, 4), (2, 1, 3, 0, 4)
 
 
-def _bell_components(state: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
-    """Amplitudes of the pair (a, b) in the Bell basis: a 4 x rest block."""
-    (da, db, dc), forward, _ = _pair_shape(num_qubits(state), qubit_a, qubit_b)
-    t = state.reshape(da, 2, db, 2, dc).transpose(forward).reshape(4, -1)
-    return BELL_MATRIX.conj().T @ t
-
-
-def _bell_collapse(
-    state: np.ndarray, qubit_a: int, qubit_b: int, components: np.ndarray, index: int, prob: float
-) -> np.ndarray:
-    n = num_qubits(state)
-    (da, db, dc), _, inverse = _pair_shape(n, qubit_a, qubit_b)
-    block = np.outer(BELL_MATRIX[:, index], components[index] / math.sqrt(prob))
-    t = block.reshape(2, 2, da, db, dc).transpose(inverse)
-    return np.ascontiguousarray(t).reshape(-1)
-
-
-def _bell_born(components: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(components) ** 2, axis=1)
-
-
 def bell_probabilities(state: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on a qubit pair."""
     _check_targets(num_qubits(state), [qubit_a, qubit_b])
-    return _bell_born(_bell_components(state, qubit_a, qubit_b))
+    return _bell_rows(state[None], qubit_a, qubit_b)[1][0]
 
 
 def postselect_bell(
     state: np.ndarray, qubit_a: int, qubit_b: int, outcome: BellState
 ) -> tuple[float, np.ndarray | None]:
-    """Probability of a Bell outcome on (a, b) and the projected state."""
-    _check_targets(num_qubits(state), [qubit_a, qubit_b])
-    comp = _bell_components(state, qubit_a, qubit_b)
-    probs = _bell_born(comp)
-    prob = float(probs[outcome.index])
-    if prob < ZERO_PROB:
-        return prob, None
-    return prob, _bell_collapse(state, qubit_a, qubit_b, comp, outcome.index, prob)
+    """Probability of a Bell outcome on (a, b) and the projected state: ``postselect_bell_rows`` on one row."""
+    return _one_row(*postselect_bell_rows(state[None], qubit_a, qubit_b, np.array([outcome.index])))
 
 
 def measure_bell(state: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tuple[BellState, np.ndarray]:
@@ -346,7 +288,7 @@ def _check_rows(stack: np.ndarray, targets: Sequence[int]) -> None:
 
 
 def _row_sumsq(block: np.ndarray) -> np.ndarray:
-    """Per-row ``_sumsq`` of a ``(rows, ...)`` block."""
+    """Per-row sum of ``|amplitude|**2`` over a ``(rows, ...)`` block."""
     sq = block.real**2 + block.imag**2
     return sq.reshape(sq.shape[0], -1).sum(axis=1)
 
@@ -358,28 +300,91 @@ def born_outcomes(p0: np.ndarray, p1: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (one ^ (np.where(one, p1, p0) < ZERO_PROB)).astype(np.intp)
 
 
+def _basis_rows(stack: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's two component blocks along ``qubit`` in ``basis``, shaped ``(rows, left, right)``."""
+    t = stack.reshape(stack.shape[0], 1 << qubit, 2, -1)
+    a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
+    return (a0, a1) if basis is Basis.Z else ((a0 + a1) * SQRT1_2, (a0 - a1) * SQRT1_2)
+
+
+def _collapse(
+    basis: Basis, outcomes: np.ndarray, c0: np.ndarray, c1: np.ndarray, p0: np.ndarray, p1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``r`` forced onto ``outcomes[r]``, from its component blocks and their weights."""
+    rows, left, right = c0.shape
+    zero = outcomes == 0
+    prob = np.where(zero, p0, p1)
+    scale = np.divide(1.0, np.sqrt(prob), out=np.zeros_like(prob), where=prob >= ZERO_PROB)
+    v = np.where(zero[:, None, None], c0, c1) * scale[:, None, None]
+    out = np.zeros((rows, left, 2, right), dtype=complex)
+    if basis is Basis.Z:
+        out[np.arange(rows), :, outcomes, :] = v
+    else:
+        out[:, :, 0, :] = v * SQRT1_2
+        out[:, :, 1, :] = v * np.where(zero, SQRT1_2, -SQRT1_2)[:, None, None]
+    return prob, out.reshape(rows, -1)
+
+
+def postselect_rows(
+    stack: np.ndarray, qubit: int, basis: Basis, outcomes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Force ``qubit`` of row ``r`` onto bit ``outcomes[r]`` in ``basis``: per-row probabilities and the collapsed stack.
+
+    A row whose outcome has less weight than ``ZERO_PROB`` shows it in its
+    probability and collapses to all zeros.
+    """
+    _check_rows(stack, [qubit])
+    c0, c1 = _basis_rows(stack, qubit, basis)
+    return _collapse(basis, outcomes, c0, c1, _row_sumsq(c0), _row_sumsq(c1))
+
+
 def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure ``qubit`` of every row in ``basis``: outcome bits and the collapsed stack.
 
     Row ``r`` takes the outcome that ``born_outcomes`` gives for its Born
-    probabilities and ``u[r]``.
+    probabilities and ``u[r]``, then collapses as ``postselect_rows`` does.
     """
     _check_rows(stack, [qubit])
-    rows = stack.shape[0]
-    t = stack.reshape(rows, 1 << qubit, 2, -1)
-    a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
-    c0, c1 = (a0, a1) if basis is Basis.Z else ((a0 + a1) * SQRT1_2, (a0 - a1) * SQRT1_2)
+    c0, c1 = _basis_rows(stack, qubit, basis)
     p0, p1 = _row_sumsq(c0), _row_sumsq(c1)
     outcome = born_outcomes(p0, p1, u)
-    prob = np.where(outcome == 0, p0, p1)
-    v = np.where((outcome == 0)[:, None, None], c0, c1) * (1.0 / np.sqrt(prob))[:, None, None]
-    out = np.zeros_like(t)
-    if basis is Basis.Z:
-        out[np.arange(rows), :, outcome, :] = v
-    else:
-        out[:, :, 0, :] = v * SQRT1_2
-        out[:, :, 1, :] = v * np.where(outcome == 0, SQRT1_2, -SQRT1_2)[:, None, None]
-    return outcome, out.reshape(rows, -1)
+    return outcome, _collapse(basis, outcome, c0, c1, p0, p1)[1]
+
+
+def _bell_rows(stack: np.ndarray, qubit_a: int, qubit_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's pair (a, b) in the Bell basis: ``(rows, 4, rest)`` amplitudes and their ``(rows, 4)`` weights."""
+    rows = stack.shape[0]
+    (da, db, dc), forward, _ = _pair_shape(num_qubits(stack[0]), qubit_a, qubit_b)
+    t = stack.reshape(rows, da, 2, db, 2, dc).transpose(0, *(1 + i for i in forward))
+    comp = BELL_MATRIX.conj().T @ t.reshape(rows, 4, -1)
+    return comp, np.sum(np.abs(comp) ** 2, axis=2)
+
+
+def _bell_collapse(
+    n: int, qubit_a: int, qubit_b: int, comp: np.ndarray, probs: np.ndarray, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``r``'s pair forced onto Bell state ``index[r]``, from ``_bell_rows``' amplitudes and weights."""
+    rows = comp.shape[0]
+    (da, db, dc), _, inverse = _pair_shape(n, qubit_a, qubit_b)
+    picked = np.arange(rows), index
+    prob = probs[picked]
+    kept = comp[picked]
+    kept = np.divide(kept, np.sqrt(prob)[:, None], out=np.zeros_like(kept), where=(prob >= ZERO_PROB)[:, None])
+    block = BELL_MATRIX.T[index][:, :, None] * kept[:, None, :]
+    out = block.reshape(rows, 2, 2, da, db, dc).transpose(0, *(1 + i for i in inverse))
+    return prob, np.ascontiguousarray(out).reshape(rows, -1)
+
+
+def postselect_bell_rows(
+    stack: np.ndarray, qubit_a: int, qubit_b: int, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Force the pair (a, b) of row ``r`` onto Bell state ``indices[r]``: per-row probabilities and the collapsed stack.
+
+    A row whose outcome has less weight than ``ZERO_PROB`` shows it in its
+    probability and collapses to all zeros.
+    """
+    _check_rows(stack, [qubit_a, qubit_b])
+    return _bell_collapse(num_qubits(stack[0]), qubit_a, qubit_b, *_bell_rows(stack, qubit_a, qubit_b), indices)
 
 
 def measure_bell_rows(
@@ -390,20 +395,14 @@ def measure_bell_rows(
     Row ``r`` takes the first outcome with weight whose cumulative
     probability exceeds ``u[r]``; a draw past the last cumulative sum
     (which can round to just under 1) takes the last outcome with weight.
+    The row then collapses as ``postselect_bell_rows`` does.
     """
     _check_rows(stack, [qubit_a, qubit_b])
-    rows = stack.shape[0]
-    (da, db, dc), forward, inverse = _pair_shape(num_qubits(stack[0]), qubit_a, qubit_b)
-    t = stack.reshape(rows, da, 2, db, 2, dc).transpose(0, *(1 + i for i in forward))
-    comp = BELL_MATRIX.conj().T @ t.reshape(rows, 4, -1)
-    probs = np.sum(np.abs(comp) ** 2, axis=2)
+    comp, probs = _bell_rows(stack, qubit_a, qubit_b)
     weighted = probs >= ZERO_PROB
     hit = (u[:, None] < np.cumsum(probs, axis=1)) & weighted
     index = np.where(hit.any(axis=1), hit.argmax(axis=1), 3 - weighted[:, ::-1].argmax(axis=1))
-    picked = np.arange(rows), index
-    block = BELL_MATRIX.T[index][:, :, None] * (comp[picked] / np.sqrt(probs[picked])[:, None])[:, None, :]
-    out = block.reshape(rows, 2, 2, da, db, dc).transpose(0, *(1 + i for i in inverse))
-    return index, np.ascontiguousarray(out).reshape(rows, -1)
+    return index, _bell_collapse(num_qubits(stack[0]), qubit_a, qubit_b, comp, probs, index)[1]
 
 
 def apply_1q_rows(stack: np.ndarray, qubit: int, matrices: np.ndarray) -> np.ndarray:

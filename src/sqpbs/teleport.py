@@ -30,16 +30,16 @@ from typing import Sequence
 import numpy as np
 
 from .statevec import (
+    BELL_MATRIX,
+    ZERO_PROB,
     Basis,
     BellState,
     PauliCorrection,
     Rng,
-    fidelity_up_to_phase,
     measure,
     measure_bell,
-    overlap,
-    postselect,
-    postselect_bell,
+    postselect_bell_rows,
+    postselect_rows,
     tensor,
 )
 
@@ -105,14 +105,15 @@ class TeleportOutcomes:
             raise ValueError(f"Z outcomes must be bits, got z1={self.z1}, z4={self.z4}")
 
 
+# Branch ``8*z1 + 2*bell.index + z4``: the 16 triples in (z1, bell, z4)
+# lexicographic order, and each coordinate as a (16,) array.
+_OUTCOMES = tuple(TeleportOutcomes(z1, bell, z4) for z1 in (0, 1) for bell in BellState for z4 in (0, 1))
+_Z1, _BELL, _Z4 = (np.array(c) for c in zip(*((o.z1, o.bell_m2.index, o.z4) for o in _OUTCOMES)))
+
+
 def all_outcomes() -> list[TeleportOutcomes]:
     """The 16 outcome triples in (z1, bell, z4) lexicographic order."""
-    return [
-        TeleportOutcomes(z1, bell, z4)
-        for z1 in (0, 1)
-        for bell in BellState
-        for z4 in (0, 1)
-    ]
+    return list(_OUTCOMES)
 
 
 # Correction lookup, one row per outcome triple.  Each entry carries the
@@ -147,8 +148,15 @@ def correction_for(outcomes: TeleportOutcomes) -> PauliCorrection:
     return _TABLE[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][1]
 
 
-# The table's corrections as matrices, in ``all_outcomes`` order.
-_CORRECTION_MATRICES = np.array([_TABLE[(o.z1, o.bell_m2, o.z4)][1].matrix for o in all_outcomes()])
+def _table_columns(table: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A lookup's collapsed-state coefficients, (16, 4), and correction matrices, (16, 2, 2), in branch order."""
+    rows = [table[(o.z1, o.bell_m2, o.z4)] for o in _OUTCOMES]
+    return np.array([coeffs for coeffs, _ in rows]), np.array([corr.matrix for _, corr in rows])
+
+
+_TABLE_COLUMNS = _table_columns(_TABLE)
+_CORRECTION_MATRICES = _TABLE_COLUMNS[1]
+_PAULI_STACK = np.array([p.matrix for p in PauliCorrection])
 
 
 def correction_matrices(z1: Sequence[int], bell_bits: Sequence[int], z4: Sequence[int]) -> np.ndarray:
@@ -161,15 +169,10 @@ def correction_matrices(z1: Sequence[int], bell_bits: Sequence[int], z4: Sequenc
     return _CORRECTION_MATRICES[8 * np.asarray(z1) + 4 * bell[:, 0] + 2 * bell[:, 1] + np.asarray(z4)]
 
 
-def _table_collapsed(table: dict, outcomes: TeleportOutcomes, m: MessageQubit) -> np.ndarray:
-    """Particle 3's pre-correction state as ``table``'s coefficient column gives it."""
-    c0a, c0b, c1a, c1b = table[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][0]
-    return np.array([c0a * m.a + c0b * m.b, c1a * m.a + c1b * m.b], dtype=complex)
-
-
 def collapsed_state_for(outcomes: TeleportOutcomes, m: MessageQubit) -> np.ndarray:
     """Particle 3's state after the three measurements, before correction."""
-    return _table_collapsed(_TABLE, outcomes, m)
+    c0a, c0b, c1a, c1b = _TABLE[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][0]
+    return np.array([c0a * m.a + c0b * m.b, c1a * m.a + c1b * m.b], dtype=complex)
 
 
 # Joint-register qubit layout used below: (m, 1, 2, 3, 4) = indices 0..4.
@@ -181,20 +184,20 @@ def joint_state(m: MessageQubit) -> np.ndarray:
     return tensor(m.state(), prepare_chi())
 
 
-def _particle3_state(collapsed: np.ndarray, outcomes: TeleportOutcomes) -> np.ndarray:
-    """Extract particle 3's single-qubit state after all three projections.
+def _particle3_rows(collapsed: np.ndarray, branches: np.ndarray) -> np.ndarray:
+    """Particle 3's single-qubit state in each row of a stack projected onto ``branches``.
 
-    The post-measurement register factorizes as |bell>_{m,2} (x) |z1>_1
-    (x) |z4>_4 (x) |v>_3; contracting against the known factors leaves v.
+    The post-measurement register of row ``r`` factorizes as
+    |bell>_{m,2} (x) |z1>_1 (x) |z4>_4 (x) |v>_3 for the outcomes of
+    branch ``branches[r]``; contracting against the known factors leaves
+    v.  A row without weight gives the zero vector.
     """
-    t = collapsed.reshape((2,) * 5)
-    t = t[:, outcomes.z1, :, :, outcomes.z4]  # axes (m, 2, 3)
-    bv = outcomes.bell_m2.vector.reshape(2, 2)
-    v = np.einsum("ab,abc->c", bv.conj(), t)
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise ValueError(f"branch {outcomes} has zero weight; cannot extract particle 3")
-    return v / norm
+    rows = collapsed.shape[0]
+    t = collapsed.reshape(rows, 2, 2, 2, 2, 2)[np.arange(rows), :, _Z1[branches], :, :, _Z4[branches]]
+    bv = BELL_MATRIX.T[_BELL[branches]].reshape(rows, 2, 2)
+    v = np.einsum("rab,rabc->rc", bv.conj(), t)
+    norm = np.linalg.norm(v, axis=1)[:, None]
+    return np.divide(v, norm, out=np.zeros_like(v), where=norm >= 1e-12)
 
 
 def run_teleportation(m: MessageQubit, rng: Rng) -> tuple[TeleportOutcomes, np.ndarray]:
@@ -210,9 +213,8 @@ def run_teleportation(m: MessageQubit, rng: Rng) -> tuple[TeleportOutcomes, np.n
     bell, state = measure_bell(state, Q_M, Q_2, rng)
     z4, state = measure(state, Q_4, Basis.Z, rng)
     outcomes = TeleportOutcomes(z1, bell, z4)
-    recovered = _particle3_state(state, outcomes)
-    corr = correction_for(outcomes)
-    return outcomes, corr.matrix @ recovered
+    recovered = _particle3_rows(state[None], np.array([8 * z1 + 2 * bell.index + z4]))[0]
+    return outcomes, correction_for(outcomes).matrix @ recovered
 
 
 @dataclass(frozen=True)
@@ -256,36 +258,44 @@ class TableAuditReport:
         return [b.outcomes for b in self.branches if b.recovery_phase.real < 0]
 
 
-def _force_branch(omega: np.ndarray, outcomes: TeleportOutcomes, *, reverse: bool = False) -> tuple[float, np.ndarray | None]:
-    """Project the joint state onto one outcome triple; returns (prob, state)."""
+def forced_branches_particle3(m: MessageQubit, *, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Every branch's probability and particle 3's projected state, no sampling.
+
+    First-principles route used by oracles: repeats the joint state into
+    16 rows, projects row ``r`` onto the outcome triple
+    ``all_outcomes()[r]`` and extracts particle 3, without consulting the
+    correction table's collapsed-state column.  Returns a (16,) array and
+    a (16, 2) stack; a branch that some projection leaves without weight
+    has probability 0 and a zero row.  ``reverse`` projects in the
+    opposite order.
+    """
     steps = [
-        lambda s: postselect(s, Q_1, Basis.Z, outcomes.z1),
-        lambda s: postselect_bell(s, Q_M, Q_2, outcomes.bell_m2),
-        lambda s: postselect(s, Q_4, Basis.Z, outcomes.z4),
+        lambda s: postselect_rows(s, Q_1, Basis.Z, _Z1),
+        lambda s: postselect_bell_rows(s, Q_M, Q_2, _BELL),
+        lambda s: postselect_rows(s, Q_4, Basis.Z, _Z4),
     ]
     if reverse:
         steps.reverse()
-    prob = 1.0
-    state: np.ndarray | None = omega
+    prob = np.ones(len(_OUTCOMES))
+    stack = np.repeat(joint_state(m)[None], len(_OUTCOMES), axis=0)
     for step in steps:
-        p, state = step(state)
-        prob *= p
-        if state is None:
-            return prob, None
-    return prob, state
+        p, stack = step(stack)
+        prob *= np.where(p < ZERO_PROB, 0.0, p)
+    return prob, _particle3_rows(stack, np.arange(len(_OUTCOMES)))
 
 
 def forced_branch_particle3(m: MessageQubit, outcomes: TeleportOutcomes) -> tuple[float, np.ndarray]:
-    """Branch probability and particle 3's projected state, no sampling.
-
-    First-principles route used by oracles: projects the joint state
-    onto one outcome triple and extracts particle 3, without consulting
-    the correction table's collapsed-state column.
-    """
-    prob, state = _force_branch(joint_state(m), outcomes)
-    if state is None:
+    """One branch's row of ``forced_branches_particle3``."""
+    prob, particle3 = forced_branches_particle3(m)
+    r = _OUTCOMES.index(outcomes)
+    if prob[r] == 0.0:
         raise ValueError(f"branch {outcomes} has zero probability")
-    return prob, _particle3_state(state, outcomes)
+    return float(prob[r]), particle3[r]
+
+
+def _fidelity_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``fidelity_up_to_phase`` of each row pair of two (rows, 2) stacks."""
+    return np.abs(np.sum(a.conj() * b, axis=-1)) ** 2
 
 
 def verify_correction_table(
@@ -294,57 +304,37 @@ def verify_correction_table(
     """Brute-force audit of the correction table for one message qubit.
 
     Every one of the 16 branches is forced deterministically by
-    projection of the joint state (never sampled).  Per branch this
-    verifies: the branch probability is exactly 1/16, the projected
-    particle-3 state matches the table's collapsed-state column, the
-    table's correction recovers the message up to phase, and the result
-    is independent of the measurement order.  It also records which of
-    the four corrections reach fidelity 1, exposing degeneracies (for
-    |a| = |b| two corrections tie) instead of asserting uniqueness.
+    projection of the joint state (never sampled), all of them at once
+    as the rows of one stack.  Per branch this verifies: the branch
+    probability is exactly 1/16, the projected particle-3 state matches
+    the table's collapsed-state column, the table's correction recovers
+    the message up to phase, and the result is independent of the
+    measurement order (the stack is projected a second time, in reverse
+    order).  It also records which of the four corrections reach
+    fidelity 1, exposing degeneracies (for |a| = |b| two corrections tie)
+    instead of asserting uniqueness.
 
     ``check_table`` substitutes an alternative lookup; the auditor then
     reports its failures (used for negative controls).
     """
-    table = _TABLE if check_table is None else check_table
-    omega = joint_state(m)
+    coeffs, matrices = _TABLE_COLUMNS if check_table is None else _table_columns(check_table)
     target = m.state()
-    audits = []
-    for outcomes in all_outcomes():
-        prob, state = _force_branch(omega, outcomes)
-        if state is None:
-            raise AssertionError(f"branch {outcomes} unexpectedly has zero probability")
-        got3 = _particle3_state(state, outcomes)
-        corr = table[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][1]
-        collapsed_fid = fidelity_up_to_phase(got3, _table_collapsed(table, outcomes, m))
-        recovered = corr.matrix @ got3
-        corrected_fid = fidelity_up_to_phase(recovered, target)
-        phase = overlap(target, recovered)
-        winners = tuple(
-            p
-            for p in PauliCorrection
-            if fidelity_up_to_phase(p.matrix @ got3, target) >= 1 - tolerance
+    prob, got3 = forced_branches_particle3(m)
+    if not prob.all():
+        raise AssertionError(f"branch {_OUTCOMES[int(np.argmin(prob))]} unexpectedly has zero probability")
+    collapsed_fid = _fidelity_rows(got3, coeffs[:, 0::2] * m.a + coeffs[:, 1::2] * m.b)
+    phase = (matrices @ got3[:, :, None])[:, :, 0] @ target.conj()
+    corrected_fid = np.abs(phase) ** 2
+    winners = _fidelity_rows((_PAULI_STACK @ got3[:, None, :, None])[..., 0], target) >= 1 - tolerance
+    rprob, r3 = forced_branches_particle3(m, reverse=True)
+    rfid = _fidelity_rows((matrices @ r3[:, :, None])[:, :, 0], target)
+    order_ok = (rprob != 0.0) & (np.abs(rprob - prob) <= 1e-12) & (np.abs(rfid - corrected_fid) <= tolerance)
+    fields = (prob, collapsed_fid, corrected_fid, phase, winners, order_ok)
+    audits = tuple(
+        BranchAudit(
+            outcomes=outcomes, probability=p, collapsed_fidelity=cf, corrected_fidelity=f, recovery_phase=ph,
+            fidelity_one_corrections=tuple(c for c, won in zip(PauliCorrection, row) if won), order_independent=ok,
         )
-        rprob, rstate = _force_branch(omega, outcomes, reverse=True)
-        order_ok = (
-            rstate is not None
-            and abs(rprob - prob) <= 1e-12
-            and abs(
-                fidelity_up_to_phase(
-                    corr.matrix @ _particle3_state(rstate, outcomes), target
-                )
-                - corrected_fid
-            )
-            <= tolerance
-        )
-        audits.append(
-            BranchAudit(
-                outcomes=outcomes,
-                probability=prob,
-                collapsed_fidelity=collapsed_fid,
-                corrected_fidelity=corrected_fid,
-                recovery_phase=phase,
-                fidelity_one_corrections=winners,
-                order_independent=order_ok,
-            )
-        )
-    return TableAuditReport(message=m, branches=tuple(audits), tolerance=tolerance)
+        for outcomes, p, cf, f, ph, row, ok in zip(_OUTCOMES, *(a.tolist() for a in fields))
+    )
+    return TableAuditReport(message=m, branches=audits, tolerance=tolerance)

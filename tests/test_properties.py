@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -21,13 +22,20 @@ from sqpbs.keys import otp_decrypt, otp_encrypt
 from sqpbs.protocol import run_full
 from sqpbs.registers import measure_qubit, new_qubit
 from sqpbs.statevec import (
+    ZERO_PROB,
     Basis,
+    BellState,
     apply_unitary,
     basis_state,
     measure,
+    measure_bell_rows,
+    measure_rows,
     new_rng,
     num_qubits,
     postselect,
+    postselect_bell,
+    postselect_bell_rows,
+    postselect_rows,
     tensor,
 )
 from sqpbs.transcript import ATTACK_KINDS, KEY_MODES, QUANTUM_CHANNELS, WITHHOLDABLE, RunConfig
@@ -93,6 +101,98 @@ def test_postselect_returns_unit_norm_and_keeps_input(state, data, basis, outcom
     if post is not None:
         assert abs(norm_squared(post) - 1.0) <= 1e-12
     np.testing.assert_array_equal(state, before)
+
+
+@st.composite
+def stacks(draw, min_qubits=1, max_qubits=5):
+    """A (rows, 2**n) stack mixing random states with basis states, whose other outcomes have no weight."""
+    n = draw(st.integers(min_qubits, max_qubits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            rows.append(basis_state(n, draw(st.integers(0, (1 << n) - 1))))
+        else:
+            raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            rows.append(raw / np.linalg.norm(raw))
+    return np.array(rows)
+
+
+def assert_row_is_the_one_row_result(prob, row, one):
+    """Row ``r`` of a row kernel equals the one-row wrapper's ``(prob, state or None)``."""
+    assert prob == one[0]
+    if one[1] is None:
+        assert prob < ZERO_PROB and not row.any()
+    else:
+        assert row.tobytes() == one[1].tobytes()
+
+
+@FAST
+@given(stacks(), st.data(), st.sampled_from(Basis))
+def test_postselect_rows_is_postselect_row_by_row(stack, data, basis):
+    qubit = data.draw(st.integers(0, num_qubits(stack[0]) - 1))
+    outcomes = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(stack), max_size=len(stack))))
+    before = stack.copy()
+    with np.errstate(all="raise"):
+        prob, out = postselect_rows(stack, qubit, basis, outcomes)
+    for r, state in enumerate(stack):
+        assert_row_is_the_one_row_result(prob[r], out[r], postselect(state, qubit, basis, int(outcomes[r])))
+    np.testing.assert_array_equal(stack, before)
+
+
+@FAST
+@given(stacks(min_qubits=2), st.data())
+def test_postselect_bell_rows_is_postselect_bell_row_by_row(stack, data):
+    qubit_a, qubit_b = data.draw(st.permutations(range(num_qubits(stack[0]))))[:2]
+    indices = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(stack), max_size=len(stack))))
+    before = stack.copy()
+    with np.errstate(all="raise"):
+        prob, out = postselect_bell_rows(stack, qubit_a, qubit_b, indices)
+    for r, state in enumerate(stack):
+        one = postselect_bell(state, qubit_a, qubit_b, BellState.from_index(int(indices[r])))
+        assert_row_is_the_one_row_result(prob[r], out[r], one)
+    np.testing.assert_array_equal(stack, before)
+
+
+@FAST
+@given(stacks(), st.data(), st.sampled_from(Basis), st.integers(0, 2**32 - 1))
+def test_measure_rows_collapses_as_postselect_rows(stack, data, basis, seed):
+    qubit = data.draw(st.integers(0, num_qubits(stack[0]) - 1))
+    with np.errstate(all="raise"):
+        outcome, out = measure_rows(stack, qubit, basis, new_rng(seed).random(len(stack)))
+        prob, forced = postselect_rows(stack, qubit, basis, outcome)
+    assert (prob >= ZERO_PROB).all()
+    assert out.tobytes() == forced.tobytes()
+
+
+@FAST
+@given(stacks(min_qubits=2), st.data(), st.integers(0, 2**32 - 1))
+def test_measure_bell_rows_collapses_as_postselect_bell_rows(stack, data, seed):
+    qubit_a, qubit_b = data.draw(st.permutations(range(num_qubits(stack[0]))))[:2]
+    with np.errstate(all="raise"):
+        index, out = measure_bell_rows(stack, qubit_a, qubit_b, new_rng(seed).random(len(stack)))
+        prob, forced = postselect_bell_rows(stack, qubit_a, qubit_b, index)
+    assert (prob >= ZERO_PROB).all()
+    assert out.tobytes() == forced.tobytes()
+
+
+@FAST
+@given(stacks(min_qubits=2), st.data())
+def test_zero_weight_rows_beside_weighted_ones_raise_no_warning(stack, data):
+    qubit_a, qubit_b = data.draw(st.permutations(range(num_qubits(stack[0]))))[:2]
+    # |0...0> has no weight on qubit_a = 1 and none on psi+ (index 2) for the pair.
+    mixed = np.concatenate([stack, basis_state(num_qubits(stack[0]), 0)[None]])
+    forced = np.array([0] * len(stack) + [1])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        kernels = (
+            postselect_rows(mixed, qubit_a, Basis.Z, forced),
+            postselect_bell_rows(mixed, qubit_a, qubit_b, 2 * forced),
+        )
+    for prob, out in kernels:
+        assert prob[-1] == 0.0 and not out[-1].any()
+        weighted = prob >= ZERO_PROB
+        np.testing.assert_allclose(np.sum(np.abs(out[weighted]) ** 2, axis=1), 1.0, atol=1e-12)
 
 
 def assert_one_qubit_path_matches_array_path(state, basis, seed):

@@ -1,13 +1,16 @@
 """Carrier state, correction lookup, and the brute-force branch auditor."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from sqpbs import teleport
 from sqpbs.statevec import (
     BellState,
     PauliCorrection,
+    basis_state,
     fidelity_up_to_phase,
     new_rng,
 )
@@ -199,6 +202,24 @@ class TestBranchAuditor:
         assert len(failures) == 1
         bad = failures[0].outcomes
         assert (bad.z1, bad.bell_m2, bad.z4) == key
+
+    @pytest.mark.parametrize("branch", range(16))
+    def test_corrupted_collapsed_column_fails_only_that_branch(self, branch):
+        key = list(_TABLE)[branch]
+        (c0a, c0b, c1a, c1b), correction = _TABLE[key]
+        bad_table = {**_TABLE, key: ((c0a, c0b, -c1a, -c1b), correction)}  # |1> amplitude negated
+        report = verify_correction_table(MessageQubit(0.6, 0.8), check_table=bad_table)
+        failed = [b for b in report.branches if b.collapsed_fidelity < 1 - report.tolerance]
+        assert [(b.outcomes.z1, b.outcomes.bell_m2, b.outcomes.z4) for b in failed] == [key]
+        assert report.failures() == failed
+        assert failed[0].corrected_fidelity >= 1 - report.tolerance
+
+    def test_zero_weight_branch_is_named(self, monkeypatch):
+        monkeypatch.setattr(teleport, "prepare_chi", lambda: basis_state(4, 0))
+        # Particles 1 and 4 of |0000> read 0, so no branch with z1 = 1 or z4 = 1 has weight.
+        zero = TeleportOutcomes(0, BellState.PHI_PLUS, 1)
+        with pytest.raises(AssertionError, match=re.escape(f"branch {zero} unexpectedly has zero probability")):
+            verify_correction_table(MessageQubit(0.6, 0.8))
 
     def test_forced_branch_matches_collapsed_column(self):
         m = MessageQubit.random(new_rng(15))

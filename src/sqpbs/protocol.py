@@ -66,7 +66,6 @@ from .keys import (
 from .registers import Stack, measure_qubits_bell, merge
 from .statevec import (
     Basis,
-    BellState,
     Rng,
     apply_1q_rows,
     fidelity_1q_rows,
@@ -101,7 +100,8 @@ class Party:
         outcomes, stack.state = measure_rows(stack.state, column, basis, rng.random(stack.rows))
         return outcomes.tolist()
 
-    def measure_bell(self, stack: Stack, qubit_a: int, qubit_b: int, rng: Rng) -> list[BellState]:
+    def measure_bell(self, stack: Stack, qubit_a: int, qubit_b: int, rng: Rng) -> list[int]:
+        """Bell-measure the pair (a, b) of every row: each row's Bell index (``BellState`` order)."""
         self._require_quantum("a Bell-basis measurement")
         return measure_qubits_bell(stack, qubit_a, qubit_b, rng)
 
@@ -301,7 +301,7 @@ class ProtocolRun:
         joint = merge(self.xi, self.carriers)
         bells = self.david.measure_bell(joint, 0, shift + 1, rng)
         self.transcript.count("signature_bits", 2 * n)
-        self.m_d = self._report(self.david, "M_D", "Bell", Bits._trusted(bit for b in bells for bit in b.bits))
+        self.m_d = self._report(self.david, "M_D", "Bell", Bits._trusted(bit for i in bells for bit in (i >> 1, i & 1)))
         self._notice("trent", "charlie", "measure-request")
 
         # Step 8: Charlie clears w4 with the return check and measures in Z.

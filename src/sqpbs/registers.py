@@ -20,7 +20,6 @@ import numpy as np
 from .statevec import (
     MAX_QUBITS,
     Basis,
-    BellState,
     Rng,
     measure,
     measure_bell_rows,
@@ -75,7 +74,7 @@ def measure_qubit(stack: Stack, row: int, column: int, basis: Basis, rng: Rng) -
     return outcome
 
 
-def measure_qubits_bell(stack: Stack, qubit_a: int, qubit_b: int, rng: Rng) -> list[BellState]:
-    """Bell-measure the pair (a, b) of every row, with one ``rng.random(rows)``."""
+def measure_qubits_bell(stack: Stack, qubit_a: int, qubit_b: int, rng: Rng) -> list[int]:
+    """Bell-measure the pair (a, b) of every row, with one ``rng.random(rows)``: each row's Bell index."""
     indices, stack.state = measure_bell_rows(stack.state, qubit_a, qubit_b, rng.random(stack.rows))
-    return [BellState.from_index(i) for i in indices.tolist()]
+    return indices.tolist()

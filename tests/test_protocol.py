@@ -138,7 +138,7 @@ class TestSemiquantumEnforcement:
         rng = new_rng(0)
         assert david.measure(david.prepare_state(ket_plus()[None]), 0, Basis.X, rng) == [0]
         pairs = merge(david.prepare_z(Bits("00")), david.prepare_z(Bits("00")))
-        assert david.measure_bell(pairs, 0, 1, rng) == [BellState.PHI_PLUS] * 2
+        assert david.measure_bell(pairs, 0, 1, rng) == [BellState.PHI_PLUS.index] * 2
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_transcript_attributes_only_z_to_semiquantum_parties(self, n):

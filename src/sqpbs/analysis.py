@@ -31,14 +31,8 @@ from .channels import check_decoys, semiquantum_return_check, send_with_decoys
 from .errors import ConfigError, EavesdroppingDetected
 from .protocol import run_full
 from .registers import Stack
-from .statevec import BellState, ket_plus, new_rng
-from .teleport import (
-    MessageQubit,
-    TeleportOutcomes,
-    all_outcomes,
-    correction_for,
-    forced_branch_particle3,
-)
+from .statevec import ket_plus, new_rng
+from .teleport import MessageQubit, all_outcomes, correction_matrices, forced_branches_particle3
 from .transcript import CHANNELS, KEY_GUARDS, QUANTUM_ATTACKS, AttackSpec, RunConfig, Transcript
 
 # Per-key-bit qubit overheads used by the accounting convention: a BB84
@@ -338,16 +332,15 @@ def forgery_instance_probability(g_bit: int) -> float:
     if g_bit not in (0, 1):
         raise ValueError(f"g_bit must be 0 or 1, got {g_bit}")
     m = MessageQubit.plus() if g_bit == 0 else MessageQubit.minus()
-    target = m.state()
-    total = 0.0
-    for outcomes in all_outcomes():
-        prob, collapsed3 = forced_branch_particle3(m, outcomes)
-        for substituted in BellState:
-            corr = correction_for(TeleportOutcomes(outcomes.z1, substituted, outcomes.z4))
-            final = corr.matrix @ collapsed3
-            p_match = abs(target.conj() @ final) ** 2
-            total += prob * 0.25 * p_match
-    return total
+    prob, collapsed3 = forced_branches_particle3(m)
+    outcomes = all_outcomes()
+    # Row (branch, substituted): the branch's Z outcomes with each Bell value in turn.
+    z1 = np.repeat([o.z1 for o in outcomes], 4)
+    z4 = np.repeat([o.z4 for o in outcomes], 4)
+    substituted = np.tile([(s >> 1, s & 1) for s in range(4)], (len(outcomes), 1))
+    final = correction_matrices(z1, substituted, z4) @ np.repeat(collapsed3, 4, axis=0)[:, :, None]
+    p_match = np.abs(final[:, :, 0] @ m.state().conj()) ** 2
+    return float(sum((np.repeat(prob, 4) * 0.25 * p_match).tolist()))
 
 
 def forgery_oracle_rate(n: int) -> float:

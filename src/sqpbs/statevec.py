@@ -360,7 +360,7 @@ def _bell_rows(stack: np.ndarray, qubit_a: int, qubit_b: int) -> tuple[np.ndarra
     return comp, np.sum(np.abs(comp) ** 2, axis=2)
 
 
-def _bell_collapse(
+def _collapse_bell(
     n: int, qubit_a: int, qubit_b: int, comp: np.ndarray, probs: np.ndarray, index: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row ``r``'s pair forced onto Bell state ``index[r]``, from ``_bell_rows``' amplitudes and weights."""
@@ -384,7 +384,7 @@ def postselect_bell_rows(
     probability and collapses to all zeros.
     """
     _check_rows(stack, [qubit_a, qubit_b])
-    return _bell_collapse(num_qubits(stack[0]), qubit_a, qubit_b, *_bell_rows(stack, qubit_a, qubit_b), indices)
+    return _collapse_bell(num_qubits(stack[0]), qubit_a, qubit_b, *_bell_rows(stack, qubit_a, qubit_b), indices)
 
 
 def measure_bell_rows(
@@ -402,7 +402,7 @@ def measure_bell_rows(
     weighted = probs >= ZERO_PROB
     hit = (u[:, None] < np.cumsum(probs, axis=1)) & weighted
     index = np.where(hit.any(axis=1), hit.argmax(axis=1), 3 - weighted[:, ::-1].argmax(axis=1))
-    return index, _bell_collapse(num_qubits(stack[0]), qubit_a, qubit_b, comp, probs, index)[1]
+    return index, _collapse_bell(num_qubits(stack[0]), qubit_a, qubit_b, comp, probs, index)[1]
 
 
 def apply_1q_rows(stack: np.ndarray, qubit: int, matrices: np.ndarray) -> np.ndarray:

@@ -105,8 +105,8 @@ class TeleportOutcomes:
             raise ValueError(f"Z outcomes must be bits, got z1={self.z1}, z4={self.z4}")
 
 
-# Branch ``8*z1 + 2*bell.index + z4``: the 16 triples in (z1, bell, z4)
-# lexicographic order, and each coordinate as a (16,) array.
+# The 16 triples in (z1, bell, z4) lexicographic order, so that branch r
+# is ``8*z1 + 2*bell.index + z4``, and each coordinate as a (16,) array.
 _OUTCOMES = tuple(TeleportOutcomes(z1, bell, z4) for z1 in (0, 1) for bell in BellState for z4 in (0, 1))
 _Z1, _BELL, _Z4 = (np.array(c) for c in zip(*((o.z1, o.bell_m2.index, o.z4) for o in _OUTCOMES)))
 
@@ -213,7 +213,7 @@ def run_teleportation(m: MessageQubit, rng: Rng) -> tuple[TeleportOutcomes, np.n
     bell, state = measure_bell(state, Q_M, Q_2, rng)
     z4, state = measure(state, Q_4, Basis.Z, rng)
     outcomes = TeleportOutcomes(z1, bell, z4)
-    recovered = _particle3_rows(state[None], np.array([8 * z1 + 2 * bell.index + z4]))[0]
+    recovered = _particle3_rows(state[None], np.array([_OUTCOMES.index(outcomes)]))[0]
     return outcomes, correction_for(outcomes).matrix @ recovered
 
 

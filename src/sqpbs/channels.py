@@ -13,23 +13,27 @@ Two check styles, matching who sits at the receiving end:
   reflected particles in their preparation bases and separately checks
   the published Z outcomes on decoys it prepared in Z.
 
-Decoys (and a batch of key qubits in ``keys``) get a row stack only
-when an adversary acts on them: one ``tapped`` stack per sequence, row
-i for decoy i.  Payload qubits stay in the stacks they already inhabit.
-Honest operations never entangle the two, so the factorization is
-exact.  An adversary sees each transmission once, as one
-``intercept(crossings, rng)`` call: the ``(stack, row, column)`` of
-every qubit that crosses, decoys and payload interleaved in
+A prepared qubit, decoy or key qubit, travels as its integer code,
+``DecoyState.index`` = 2 * basis + bit (basis 0 is Z, 1 is X), from its
+draw to its read; a sequence keeps its decoys' ``positions`` and
+``codes``.  Prepared qubits get a row stack only when an adversary acts
+on them: ``tap`` is the one place that builds it, one stack per
+transmission, row i for prepared qubit i, for ``send_with_decoys`` and
+the key-agreement batches alike.  Payload qubits stay in the stacks
+they already inhabit.  Honest operations never entangle the two, so
+the factorization is exact.  An adversary sees each transmission once,
+as one ``intercept(crossings, rng)`` call: the ``(stack, row, column)``
+of every qubit that crosses, decoys and payload interleaved in
 transmission order.  It acts on the forward leg; return legs are
 modeled clean.
 
-``read_prepared`` is the one read of prepared one-qubit states, and each
-step reads once.  ``send_with_decoys`` draws the decoy positions, the
-decoy states, then any adversary draws in transmission order;
-``check_decoys`` reads every decoy in its preparation basis;
-``semiquantum_return_check`` draws every SIFT/CTRL coin, reads the
-SIFTed decoys in Z, draws the return permutation, then reads the
-reflected decoys in arrival order.
+``read_prepared`` is the one read of prepared one-qubit states: codes
+and measurement bases in, outcomes out, and each step reads once.
+``send_with_decoys`` draws the decoy positions, the decoy codes, then
+any adversary draws in transmission order; ``check_decoys`` reads every
+decoy in its preparation basis; ``semiquantum_return_check`` draws every
+SIFT/CTRL coin, reads the SIFTed decoys in Z, draws the return
+permutation, then reads the reflected decoys in arrival order.
 """
 
 from __future__ import annotations
@@ -49,8 +53,9 @@ class DecoyState(Enum):
     """The four BB84/decoy preparations: label, basis and encoded bit.
 
     This table is the single definition of the four states and their
-    Born probabilities; key agreement and the entangle-measure analysis
-    use it too.
+    Born probabilities; the entangle-measure analysis uses it too.  A
+    member's ``index`` is the integer code that the channels and key
+    agreement carry in its place.
     """
 
     ZERO = ("0", Basis.Z, 0)
@@ -70,78 +75,73 @@ class DecoyState(Enum):
         return ket_minus() if self.bit else ket_plus()
 
 
-_DECOY_ORDER = tuple(DecoyState)
-_KETS = np.array([d.make_state() for d in _DECOY_ORDER])
-# Row 2 * preparation index + (basis is X): Born (p0, p1), the sums a stacked read makes
-_BORN = np.array([[postselect(d.make_state(), 0, b, o)[0] for o in (0, 1)] for d in _DECOY_ORDER for b in Basis])
+_KETS = np.array([d.make_state() for d in DecoyState])
+# Row 2 * code + x_basis: Born (p0, p1) of preparation ``code`` read in Z (0) or X (1)
+_BORN = np.array([[postselect(d.make_state(), 0, b, o)[0] for o in (0, 1)] for d in DecoyState for b in Basis])
 
 
 def read_prepared(
-    states: Sequence[DecoyState], bases: Sequence[Basis], rng: Rng, tapped: np.ndarray | None = None
+    codes: Sequence[int], x_basis: Sequence[int], rng: Rng, tapped: np.ndarray | None = None
 ) -> list[int]:
-    """Measure each prepared state in its basis after crossing.
+    """Measure each prepared qubit in its basis after crossing.
 
-    ``tapped`` holds the rows of ``states`` that an adversary acted on,
+    ``codes[i]`` is qubit i's preparation (a ``DecoyState.index``) and
+    ``x_basis[i]`` its measurement basis, 0 for Z and 1 for X.
+    ``tapped`` holds the rows of the qubits that an adversary acted on,
     with the crossed qubit at column 0, or is None when none was: one
     adversary taps all of a channel's qubits or none.  Untouched outcomes
     come from the Born table, tapped rows from one stacked measurement
-    per basis, with one ``rng.random`` either way.
+    per basis, with one ``rng.random`` either way and none for no qubits.
     """
-    if not states:
+    if not len(codes):
         return []
-    u = rng.random(len(states))
+    u = rng.random(len(codes))
     if tapped is None:
-        basis_x = Basis.X
-        p0, p1 = _BORN[[2 * s.index + (b is basis_x) for s, b in zip(states, bases)]].T
+        p0, p1 = _BORN[2 * np.asarray(codes) + x_basis].T
         return born_outcomes(p0, p1, u).tolist()
-    outcomes = np.empty(len(states), dtype=np.intp)
-    for b in Basis:
-        rows = [i for i, x in enumerate(bases) if x is b]
-        if rows:
-            outcomes[rows], _ = measure_rows(tapped[rows], 0, b, u[rows])
+    on_x = np.asarray(x_basis, dtype=bool)
+    outcomes = np.empty(len(codes), dtype=np.intp)
+    for basis, rows in ((Basis.Z, ~on_x), (Basis.X, on_x)):
+        if rows.any():
+            outcomes[rows], _ = measure_rows(tapped[rows], 0, basis, u[rows])
     return outcomes.tolist()
 
 
-def cross(codes: Sequence[int], adversary, rng: Rng) -> np.ndarray | None:
-    """Send the preparations ``_DECOY_ORDER[codes[i]]`` over one forward leg, in order.
+def tap(
+    codes: Sequence[int], positions: Sequence[int], adversary, rng: Rng, payload: Sequence[Stack] = (), column: int = 0
+) -> Stack | None:
+    """Send prepared qubits through an adversary: the one tap of decoys and key qubits.
 
-    Returns the rows the adversary acted on, as ``read_prepared`` takes
-    them, or None when there is no adversary.
+    Qubit i, prepared as ``codes[i]``, crosses at transmission slot
+    ``positions[i]`` (ascending) among the qubits at ``column`` of every
+    row of each ``payload`` stack.  Returns the stack of the prepared
+    qubits as the adversary left them, row i for qubit i, or None when
+    there is no adversary.
     """
     if adversary is None:
         return None
     tapped = Stack(_KETS[codes])
-    adversary.intercept([(tapped, row, 0) for row in range(tapped.rows)], rng)
-    return tapped.state
-
-
-@dataclass
-class DecoyRecord:
-    """Preparer-side record of one inserted decoy."""
-
-    position: int
-    state: DecoyState
+    crossings = [(stack, row, column) for stack in payload for row in range(stack.rows)]
+    for row, pos in enumerate(positions):  # ascending, so each lands at its position
+        crossings.insert(pos, (tapped, row, 0))
+    adversary.intercept(crossings, rng)
+    return tapped
 
 
 @dataclass
 class TransmittedSequence:
     """The decoys interleaved into one payload, as they crossed the channel.
 
-    ``tapped`` is the stack of the decoys an adversary acted on (row i
-    for ``decoys[i]``), or None when the channel was not tapped.
+    Decoy i crossed at transmission slot ``positions[i]`` (ascending),
+    prepared as ``codes[i]`` (a ``DecoyState.index``).  ``tapped`` is the
+    stack of the decoys an adversary acted on (row i for decoy i), or None
+    when the channel was not tapped.
     """
 
     channel: str
-    decoys: list[DecoyRecord]
+    positions: list[int]
+    codes: list[int]
     tapped: Stack | None
-
-    @property
-    def decoy_count(self) -> int:
-        return len(self.decoys)
-
-    def tapped_rows(self, indices: Sequence[int]) -> np.ndarray | None:
-        """The tapped rows of ``decoys[i]`` for each i in ``indices``, or None when untapped."""
-        return None if self.tapped is None else self.tapped.state[list(indices)]
 
 
 def send_with_decoys(
@@ -165,16 +165,9 @@ def send_with_decoys(
         raise ValueError(f"decoy_count must be >= 1, got {decoy_count}")
     total = sum(stack.rows for stack in payload) + decoy_count
     positions = sorted(rng.choice(total, size=decoy_count, replace=False).tolist())
-    codes = rng.integers(0, 4, size=decoy_count)
-    decoys = [DecoyRecord(p, _DECOY_ORDER[c]) for p, c in zip(positions, codes.tolist())]
-    tapped = None
-    if adversary is not None:
-        tapped = Stack(_KETS[codes])
-        crossings = [(stack, row, column) for stack in payload for row in range(stack.rows)]
-        for row, pos in enumerate(positions):  # ascending, so each lands at its position
-            crossings.insert(pos, (tapped, row, 0))
-        adversary.intercept(crossings, rng)
-    return TransmittedSequence(channel=channel, decoys=decoys, tapped=tapped)
+    codes = rng.integers(0, 4, size=decoy_count).tolist()
+    tapped = tap(codes, positions, adversary, rng, payload, column)
+    return TransmittedSequence(channel=channel, positions=positions, codes=codes, tapped=tapped)
 
 
 @dataclass
@@ -197,13 +190,13 @@ def check_decoys(
     Raises :class:`EavesdroppingDetected` when the error rate exceeds
     ``threshold``.
     """
-    states = [r.state for r in seq.decoys]
-    outcomes = read_prepared(states, [s.basis for s in states], rng, seq.tapped_rows(range(len(states))))
-    errors = sum(outcome != state.bit for outcome, state in zip(outcomes, states))
-    rate = errors / len(seq.decoys)
+    codes = seq.codes
+    outcomes = read_prepared(codes, [c >> 1 for c in codes], rng, seq.tapped and seq.tapped.state)
+    errors = sum(outcome != (code & 1) for outcome, code in zip(outcomes, codes))
+    rate = errors / len(codes)
     result = DecoyCheckResult(
         channel=seq.channel,
-        decoy_count=len(seq.decoys),
+        decoy_count=len(codes),
         errors=errors,
         error_rate=rate,
         passed=rate <= threshold,
@@ -244,25 +237,26 @@ def semiquantum_return_check(
     Z.  Raises :class:`EavesdroppingDetected` when either rate exceeds
     ``threshold``.
     """
-    sift = rng.integers(0, 2, size=len(seq.decoys)).tolist()
+    codes = seq.codes
+    sift = rng.integers(0, 2, size=len(codes)).tolist()
     sifted = [i for i, coin in enumerate(sift) if coin]
     reflected = [i for i, coin in enumerate(sift) if not coin]
-    sift_states = [seq.decoys[i].state for i in sifted]
-    sift_bits = read_prepared(sift_states, [Basis.Z] * len(sifted), rng, seq.tapped_rows(sifted))
+    sift_codes = [codes[i] for i in sifted]
+    sift_bits = read_prepared(sift_codes, [0] * len(sifted), rng, seq.tapped and seq.tapped.state[sifted])
     # Reflected particles travel back shuffled; once the receiver reveals
     # the order, the preparer re-associates each particle with its
     # original slot, so measuring record-by-record in arrival order is
     # exact bookkeeping.
     order = rng.permutation(len(reflected)).tolist() if reflected else []
     returned = [reflected[i] for i in order]
-    states = [seq.decoys[i].state for i in returned]
-    outcomes = read_prepared(states, [s.basis for s in states], rng, seq.tapped_rows(returned))
-    wrong = [outcome != state.bit for state, outcome in zip(states, outcomes)]
-    on_x = [state.index >> 1 for state in states]
+    returned_codes = [codes[i] for i in returned]
+    on_x = [code >> 1 for code in returned_codes]
+    outcomes = read_prepared(returned_codes, on_x, rng, seq.tapped and seq.tapped.state[returned])
+    wrong = [outcome != (code & 1) for code, outcome in zip(returned_codes, outcomes)]
     reflected_errors, x_count = sum(wrong), sum(on_x)
     x_errors = sum(w for w, x in zip(wrong, on_x) if x)
-    z_sift = [(state, bit) for state, bit in zip(sift_states, sift_bits) if state.basis is Basis.Z]
-    z_sift_errors = sum(1 for state, bit in z_sift if bit != state.bit)
+    z_sift = [bit != code for code, bit in zip(sift_codes, sift_bits) if code < 2]  # a Z code is its bit
+    z_sift_errors = sum(z_sift)
     reflected_rate = reflected_errors / len(returned) if returned else 0.0
     z_rate = z_sift_errors / len(z_sift) if z_sift else 0.0
     passed = reflected_rate <= threshold and z_rate <= threshold

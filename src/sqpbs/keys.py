@@ -7,12 +7,15 @@ blinding key), the one-time-pad encryption of measurement records, and
 the keyed hash shared between the message owner and the verifier.
 
 Key establishment is simulated honestly at the single-qubit level.
-Each key qubit is a ``channels.DecoyState`` preparation that crosses
-like a decoy: ``channels.cross`` gives a batch's raw qubits one row
-stack only under attack.  Each batch draws, in this order: its three
-coin arrays (one ``rng.integers`` each), any adversary draws as the raw
-qubits it spends cross, then one ``channels.read_prepared`` of all those
-qubits.  After the last batch, BB84 draws its check sample.
+Each key qubit crosses like a decoy, as its integer preparation code
+(``channels.DecoyState.index``), and BB84 and the semiquantum exchange
+share one batch loop, ``_agree``: they differ only in the batch factor
+(2 or 4) and in the rule that picks key positions and measurement
+bases.  Each batch draws, in this order: its three coin arrays (one
+``rng.integers`` each), any adversary draws as the raw qubits it spends
+cross through ``channels.tap`` (which builds a stack only under
+attack), then one ``channels.read_prepared`` of all those qubits.
+After the last batch, BB84 draws its check sample.
 
 Runs that do not care about the key-agreement channel may skip it
 entirely and draw pre-shared keys ("stubbed" mode in the protocol
@@ -28,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import Bits
-from .channels import DecoyState, cross, read_prepared
+from .channels import read_prepared, tap
 from .errors import ConfigError, KeyEstablishmentError
-from .statevec import Basis, Rng
+from .statevec import Rng
 
 __all__ = [
     "HashConfig",
@@ -143,26 +146,34 @@ class KeyExchangeResult:
         return self.sender_key == self.receiver_key
 
 
-_BASES = (Basis.Z, Basis.X)  # indexed by the basis coins the key loops draw
-_PREPARED = tuple(DecoyState)  # indexed by 2 * basis coin + value coin
+def _agree(length: int, factor: int, rule, adversary, rng: Rng) -> tuple[np.ndarray, ...]:
+    """The one batch loop of key agreement: raw qubits until ``length`` key positions.
 
-
-def _receive(prep_bases, prep_values, meas_bases, adversary, rng: Rng) -> np.ndarray:
-    """Receiver's outcomes for prepared qubits measured after one forward leg.
-
-    Arguments are equal-length 0/1 arrays (basis 0 = Z, 1 = X); every
-    qubit crosses before any is read.
+    A batch of ``max(16, factor * missing + 8)`` raw qubits draws three
+    0/1 coin arrays (preparation basis, value, the receiver's coin);
+    ``rule(bases, coins)`` gives its key positions as a mask and each
+    qubit's measurement basis.  The batch spends its prefix up to the
+    ``missing``-th key position, or all of it, which crosses through one
+    ``channels.tap`` and is read with one ``channels.read_prepared``.
+    Returns the spent qubits' bases, values, coins and outcomes, and the
+    indices of the ``length`` key positions among them.
     """
-    codes = 2 * prep_bases + prep_values
-    tapped = cross(codes, adversary, rng)
-    states = [_PREPARED[c] for c in codes.tolist()]
-    bases = [_BASES[mb] for mb in meas_bases.tolist()]
-    return np.array(read_prepared(states, bases, rng, tapped), dtype=int)
-
-
-def _raw_used(key_positions: np.ndarray, missing: int, batch: int) -> int:
-    """Raw qubits a batch spends: up to its ``missing``-th key position, else all."""
-    return int(key_positions[missing - 1]) + 1 if key_positions.size >= missing else batch
+    batches, keyed_parts, raw, found = [], [], 0, 0
+    while found < length:
+        missing = length - found
+        batch = max(16, factor * missing + 8)
+        bases, values, coins = (rng.integers(0, 2, size=batch) for _ in range(3))
+        key, meas_bases = rule(bases, coins)
+        keyed = np.flatnonzero(key)[:missing]
+        used = int(keyed[-1]) + 1 if keyed.size == missing else batch
+        codes = 2 * bases[:used] + values[:used]
+        tapped = tap(codes, range(used), adversary, rng)
+        outcomes = np.array(read_prepared(codes, meas_bases[:used], rng, tapped and tapped.state))
+        batches.append((bases[:used], values[:used], coins[:used], outcomes))
+        keyed_parts.append(keyed + raw)
+        raw += used
+        found += keyed.size
+    return *map(np.concatenate, zip(*batches)), np.concatenate(keyed_parts)
 
 
 def establish_key_bb84(
@@ -187,22 +198,9 @@ def establish_key_bb84(
     if check_bits is None:
         check_bits = min(length, 64)
     needed = length + check_bits
-    sender_bits: list[int] = []
-    receiver_bits: list[int] = []
-    raw = 0
-    while len(sender_bits) < needed:
-        missing = needed - len(sender_bits)
-        batch = max(16, 2 * missing + 8)
-        send_bases = rng.integers(0, 2, size=batch)
-        send_values = rng.integers(0, 2, size=batch)
-        recv_bases = rng.integers(0, 2, size=batch)
-        sifted = np.flatnonzero(send_bases == recv_bases)
-        used = _raw_used(sifted, missing, batch)
-        sifted = sifted[:missing]
-        outcomes = _receive(send_bases[:used], send_values[:used], recv_bases[:used], adversary, rng)
-        raw += used
-        sender_bits += send_values[sifted].tolist()
-        receiver_bits += outcomes[sifted].tolist()
+    # Sifting keeps the qubits whose receiver basis coin matches the preparation basis.
+    _, values, _, outcomes, keyed = _agree(needed, 2, lambda bases, coins: (bases == coins, coins), adversary, rng)
+    sender_bits, receiver_bits = values[keyed].tolist(), outcomes[keyed].tolist()
     errors = 0
     check_positions: set[int] = set()
     if check_bits:
@@ -217,7 +215,7 @@ def establish_key_bb84(
         sender_key=Bits._trusted(sender_bits[i] for i in keep),
         receiver_key=Bits._trusted(receiver_bits[i] for i in keep),
         error_rate=error_rate,
-        raw_count=raw,
+        raw_count=len(values),
         sifted_count=needed,
         detail={"check_bits": check_bits, "check_errors": errors},
     )
@@ -246,47 +244,26 @@ def establish_key_sqkd(
     """
     if length < 1:
         raise ValueError(f"key length must be >= 1, got {length}")
-    sender_key: list[int] = []
-    receiver_key: list[int] = []
-    raw = 0
-    ctrl_errors = 0
-    ctrl_total = 0
-    ctrl_x_errors = 0
-    ctrl_x_total = 0
-    while len(sender_key) < length:
-        missing = length - len(sender_key)
-        batch = max(16, 4 * missing + 8)
-        prep_bases = rng.integers(0, 2, size=batch)
-        prep_values = rng.integers(0, 2, size=batch)
-        sift_coins = rng.integers(0, 2, size=batch)
-        keyed = np.flatnonzero((sift_coins == 1) & (prep_bases == 0))  # SIFT of a Z preparation
-        used = _raw_used(keyed, missing, batch)
-        keyed = keyed[:missing]
-        prep_bases, prep_values, sift_coins = prep_bases[:used], prep_values[:used], sift_coins[:used]
-        # SIFT: the classical party measures in Z; CTRL: the reflection is
-        # read in the preparation basis.
-        meas_bases = np.where(sift_coins == 1, 0, prep_bases)
-        outcomes = _receive(prep_bases, prep_values, meas_bases, adversary, rng)
-        raw += used
-        sender_key += prep_values[keyed].tolist()
-        receiver_key += outcomes[keyed].tolist()
-        ctrl = sift_coins == 0
-        mismatch = outcomes[ctrl] != prep_values[ctrl]
-        on_x = prep_bases[ctrl] == 1
-        ctrl_total += int(ctrl.sum())
-        ctrl_errors += int(mismatch.sum())
-        ctrl_x_total += int(on_x.sum())
-        ctrl_x_errors += int(mismatch[on_x].sum())
+    # A SIFT (coin 1) of a Z preparation is a key position.  SIFT measures
+    # in Z; a CTRL reflection is read in the preparation basis.
+    bases, values, coins, outcomes, keyed = _agree(
+        length, 4, lambda bases, coins: ((coins == 1) & (bases == 0), np.where(coins == 1, 0, bases)), adversary, rng
+    )
+    ctrl = coins == 0
+    mismatch = outcomes[ctrl] != values[ctrl]
+    on_x = bases[ctrl] == 1
+    ctrl_total, ctrl_errors = int(ctrl.sum()), int(mismatch.sum())
+    ctrl_x_total, ctrl_x_errors = int(on_x.sum()), int(mismatch[on_x].sum())
     error_rate = ctrl_errors / ctrl_total if ctrl_total else 0.0
     if error_rate > error_threshold:
         raise KeyEstablishmentError("sqkd", error_rate, error_threshold)
     return KeyExchangeResult(
         kind="sqkd",
-        sender_key=Bits._trusted(sender_key[:length]),
-        receiver_key=Bits._trusted(receiver_key[:length]),
+        sender_key=Bits._trusted(values[keyed].tolist()),
+        receiver_key=Bits._trusted(outcomes[keyed].tolist()),
         error_rate=error_rate,
-        raw_count=raw,
-        sifted_count=len(sender_key),
+        raw_count=len(values),
+        sifted_count=length,
         detail={
             "ctrl_total": ctrl_total,
             "ctrl_errors": ctrl_errors,

@@ -32,9 +32,10 @@ measurement draws in protocol order).  Each measurement step draws
 once: M_B, M_D, M_C, Trent's X reads and Charlie's read of G' take one
 ``rng.random(n)`` each; key agreement reads all the raw qubits of a
 batch, and a decoy check all the decoys of a step, with one
-``channels.read_prepared`` call (the ``keys`` and ``channels``
-docstrings give the order of the steps).  Two runs with the same config
-are therefore bit-identical, which is the replay contract.
+``channels.read_prepared`` call on their integer preparation codes
+(the ``keys`` and ``channels`` docstrings give the order of the steps).
+Two runs with the same config are therefore bit-identical, which is the
+replay contract.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ class ProtocolRun:
         )
         self.transcript.add(
             "quantum_send", channel=channel, sender=sender, receiver=receiver,
-            payload_qubits=payload.rows, decoy_qubits=seq.decoy_count,
+            payload_qubits=payload.rows, decoy_qubits=self.d,
         )
         return seq
 

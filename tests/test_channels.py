@@ -48,14 +48,14 @@ class TestSendWithDecoys:
     def test_recorded_decoy_states_uniform(self):
         rng = new_rng(1)
         trials = 10_000
-        counts = {s: 0 for s in DecoyState}
+        counts = {s.index: 0 for s in DecoyState}
         payload = _plus_payload(1)  # slot occupancy only; never measured
         for _ in range(trials // 10):
-            for record in send_with_decoys(payload, 10, rng).decoys:
-                counts[record.state] += 1
+            for code in send_with_decoys(payload, 10, rng).codes:
+                counts[code] += 1
         sigma = math.sqrt(trials * 0.25 * 0.75)
-        for state, count in counts.items():
-            assert abs(count - trials / 4) < 4 * sigma, state
+        for code, count in counts.items():
+            assert abs(count - trials / 4) < 4 * sigma, code
 
     def test_honest_channel_leaves_decoys_intact(self):
         rng = new_rng(5)
@@ -72,7 +72,7 @@ class TestSendWithDecoys:
         payload = _plus_payload(4)  # slot occupancy only; never measured
         for _ in range(trials):
             seq = send_with_decoys(payload, 4, rng)
-            cells[frozenset(r.position for r in seq.decoys)] += 1
+            cells[frozenset(seq.positions)] += 1
         expected = trials / len(cells)
         chi2 = sum((count - expected) ** 2 / expected for count in cells.values())
         assert chi2 < CHI2_CRIT_DF69
@@ -99,7 +99,7 @@ class TestSendWithDecoys:
         payload = Stack(np.tile(ket_plus(), (3, 1)))
         rng = RecordingRng(1)
         seq = send_with_decoys([payload], 5, rng, InterceptResend("random"))
-        positions = [r.position for r in seq.decoys]
+        positions = seq.positions
         kinds = [pos in positions for pos in range(8)]
         assert kinds not in (sorted(kinds), sorted(kinds, reverse=True))  # decoys and payload interleave
         decoy_rows, payload_rows = iter(range(5)), iter(range(3))
@@ -225,7 +225,7 @@ def test_untouched_decoys_match_the_register_path(check, decoy_count):
         rng_table, rng_registers = new_rng(seed), new_rng(seed)
         table = send_with_decoys(_plus_payload(3), decoy_count, rng_table)
         registers = send_with_decoys(_plus_payload(3), decoy_count, rng_registers, PassThrough())
-        assert table.decoys == registers.decoys
+        assert (table.positions, table.codes) == (registers.positions, registers.codes)
         assert table.tapped is None and registers.tapped.rows == decoy_count
         assert check(table, rng_table) == check(registers, rng_registers), seed
         assert rng_table.random() == rng_registers.random(), seed

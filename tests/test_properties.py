@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 from sqpbs.adversary import INTERCEPT_BASES, EveParams
 from sqpbs.analysis import DETECTION_SCOPES, FORGERY_MODELS
 from sqpbs.bits import Bits
-from sqpbs.channels import DecoyState, read_prepared
+from sqpbs.channels import DecoyState, read_prepared, tap
 from sqpbs.cli import ATTACK_FLAGS, EXPERIMENT_FLAGS, main
 from sqpbs.keys import otp_decrypt, otp_encrypt
 from sqpbs.protocol import run_full
-from sqpbs.registers import measure_qubit, new_qubit
 from sqpbs.statevec import (
     ZERO_PROB,
     Basis,
@@ -39,7 +38,9 @@ from sqpbs.statevec import (
     tensor,
 )
 from sqpbs.transcript import ATTACK_KINDS, KEY_MODES, QUANTUM_CHANNELS, WITHHOLDABLE, RunConfig
-from stubs import LastDraw
+from stubs import LastDraw, PassThrough, RecordingRng
+
+DECOYS = list(DecoyState)  # indexed by preparation code
 
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
 SLOW = settings(max_examples=15, deadline=None, derandomize=True)
@@ -215,14 +216,20 @@ def test_one_qubit_measure_matches_the_array_path(state, basis, seed):
 
 
 @pytest.mark.parametrize("seed", [None, *range(8)])
-@pytest.mark.parametrize("basis", list(Basis))
-@pytest.mark.parametrize("decoy", list(DecoyState))
-def test_decoy_state_measure_matches_the_array_path(decoy, basis, seed):
-    assert_one_qubit_path_matches_array_path(decoy.make_state(), basis, seed)
-    # An untouched decoy read from the Born table equals its stack measurement.
-    rng, stack_rng = (LastDraw(), LastDraw()) if seed is None else (new_rng(seed), new_rng(seed))
-    stack_bit = measure_qubit(new_qubit(decoy.make_state()), 0, 0, basis, stack_rng)
-    assert read_prepared([decoy], [basis], rng) == [stack_bit]
+@pytest.mark.parametrize("length", range(9))
+def test_decoy_state_measure_matches_the_array_path(length, seed):
+    """Prepared qubits of mixed codes and bases, ``length`` of them drawn from a generator seeded
+    by ``length``: each one-qubit measurement matches the array path, and the untouched read from
+    the Born table equals the read of the same qubits tapped by ``PassThrough``, draw for draw."""
+    draw = new_rng(length)
+    codes, x_basis = draw.integers(0, 4, length).tolist(), draw.integers(0, 2, length).tolist()
+    for code, x in zip(codes, x_basis):
+        assert_one_qubit_path_matches_array_path(DECOYS[code].make_state(), list(Basis)[x], seed)
+    rng, stack_rng = (LastDraw(), LastDraw()) if seed is None else (RecordingRng(seed), RecordingRng(seed))
+    stack = tap(codes, range(length), PassThrough(), stack_rng)
+    assert read_prepared(codes, x_basis, rng) == read_prepared(codes, x_basis, stack_rng, stack.state)
+    if seed is not None:  # one draw per read, and none for an empty read
+        assert rng.calls == stack_rng.calls == ([("random", length)] if length else [])
     assert rng.random() == stack_rng.random()
 
 

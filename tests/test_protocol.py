@@ -183,7 +183,7 @@ class TestAttacks:
             assert seq.tapped is None, seq.channel
         run = ProtocolRun(honest(2, 5, attack=AttackSpec("intercept-resend", "w1")))
         run.run()
-        assert run.w1_seq.tapped.rows == run.w1_seq.decoy_count
+        assert run.w1_seq.tapped.rows == len(run.w1_seq.codes)
         for seq in (run.w2_seq, run.w4_seq):
             assert seq.tapped is None, seq.channel
 

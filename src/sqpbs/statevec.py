@@ -36,7 +36,6 @@ import numpy as np
 Rng = np.random.Generator
 
 MAX_QUBITS = 8
-NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 # Outcomes with less Born weight than this count as impossible.
 ZERO_PROB = 1e-15
@@ -453,12 +452,3 @@ def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
             f"dimension mismatch: {num_qubits(a)} vs {num_qubits(b)} qubits"
         )
     return float(abs(np.vdot(a, b)) ** 2)
-
-
-def overlap(a: np.ndarray, b: np.ndarray) -> complex:
-    """Inner product <a|b> (phase-sensitive; oracles use it to report phases)."""
-    if num_qubits(a) != num_qubits(b):
-        raise ValueError(
-            f"dimension mismatch: {num_qubits(a)} vs {num_qubits(b)} qubits"
-        )
-    return complex(np.vdot(a, b))

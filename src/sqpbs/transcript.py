@@ -231,10 +231,6 @@ class Transcript:
     def count(self, counter: str, amount: int) -> None:
         self.accounting[counter] = self.accounting.get(counter, 0) + int(amount)
 
-    @property
-    def aborted(self) -> bool:
-        return self.verdict is not None and self.verdict.startswith("aborted")
-
     def to_dict(self) -> dict:
         return {
             "meta": self.meta,

@@ -1,6 +1,9 @@
 """Golden transcript pins: refactors must not move one transcript byte.
 
-Each config below is pinned to the sha256 of its run's canonical JSON.
+Each config below is pinned to the sha256 of its run's canonical JSON
+with ``meta.version`` left out, and a separate assertion pins that
+field to ``TOOL_VERSION``: a version-only bump moves no hash, and a
+change to the random stream moves exactly the configs it touches.
 ``data/golden_run.json`` is a transcript file written by ``sqpbs run``
 with ``GOLDEN_ARGV``; ``sqpbs replay`` must still reproduce it byte for
 byte.
@@ -20,6 +23,7 @@ It prints the transcript hashes and the ``--out`` pins of two
 experiments, to paste below, and rewrites ``data/golden_run.json``.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -105,31 +109,31 @@ ROW_CONFIGS = {
 CONFIGS.update(ROW_CONFIGS)
 
 PINS = {
-    "honest-sim-n4": "4b405810c72cd8830fdcb7dd81354059fe34b93e4f6c99ddfc87e0524ba1fa09",
-    "honest-stubbed-n8": "c103abbe6fbeebba46f6b6eef5142455ecce1844d13f32e2b8485ac3378fb331",
-    "honest-explicit-inputs": "be208616de7358c990df7473071c90e58906d29b5c5a62aeb782599a5a2d5008",
-    "ir-random-xi_m": "97c812f4771907028d3fcbd546974cad592a0084f4215d05faca62c72dc7910c",
-    "ir-z-bb84_dt": "e13811c47501e1381ba7f29fd11b52de5fcc5bae1d3804e72b5825c14207a4e9",
-    "ir-x-sqkd_bt-threshold": "9ed6c23288807daaf93d5ad84f71e6cc794d30f9028d024b2f265bea3ae6e51e",
-    "em-rotation-w1": "ecc5177292f9d1aa67092881045e5672bfa8d29d1f8e3b2065b15360cf5bf682",
-    "em-undetectable-sqkd_ct": "760be0b43a19eddabdfb5afe134feeba7cac6ca2687a6c7d51d8093b25946f36",
-    "em-marking-g_prime": "2c0fe3023315de6a29a59c3690b1587218caa34c6fbd7405963ff782d1a8b855",
-    "forge-md-stubbed": "e65720ebc620b721477f1d75aaf6490609cf88c7ad4eb4d1b4ea945f72de6e1d",
-    "tamper-md-bit7": "52a92a306de16f5536c97c96739b8350d281d72b1ba495eeca9038f94c8d8468",
-    "withhold-M_B": "a033e95453f22a871ff483d91bfdb6e501c003427f9abaa9015b8fb5b62a918f",
-    "withhold-M_C-stubbed": "998106a2e5049acfdcbb2d7b413aa574316a0424479874e4315f532bfc75ea2d",
-    "rows-em2-xi_m": "2ee0155a78f01b3bcbb417c5bbf7320231b9607b741b32fd49421973b0d76a4f",
-    "rows-em2-w1": "e122b21646a7dc2b5a65327e110765a01c7bfeb9a8b8318f487c612640a9cb14",
-    "rows-em2-w2": "e263d4bf03a698a13788c79be62e51826abc8ac28151f65e5f4d9fb6b0565f0b",
-    "rows-em2-w4": "4848f775e2df0f7b2537645c98b3548e0de94d0091501f1ff3f600f432c67c23",
-    "rows-em4-xi_m": "d9b142cb4afbf84ce47d325ba1fe68a9e12c8690b9e5b250875bf55bf0d3abbd",
-    "rows-em4-w1": "801dbf9654d4f2af92ee57c8e898cdeb05af8469d05fb7c941c247e76593f9f5",
-    "rows-em4-w2": "dec820e654ae70920025dda817bebdf14729dec203a366149f8e6618fa1bed9b",
-    "rows-em4-w4": "efd788b47530ddf6ee6fbe5c9ef228e51fc10624b291263e5a9303287d767e1f",
-    "rows-ir-xi_m": "5cf74165f35f5602b2171783e78a7bfd35b0a5c8a3dbdc5b32270b35eaacf7ac",
-    "rows-ir-w1": "22fbb0d9cbceb5a2a5a1120bf9a1539e3eeac4f89136b33f68c061b1ae39276a",
-    "rows-ir-w2": "d016fd91fbf518fdf8083a8dc5af07b02b10a71355b7c0074ffa427a11198f1a",
-    "rows-ir-w4": "a6163a7d281697f6edd46804fb0f77e92e35de0631362711656078c0bc5f3eed",
+    "honest-sim-n4": "58af02e7a110028c3e9f6347e11e50893ee36e45d476524f37668147bc420c91",
+    "honest-stubbed-n8": "186b5825c73ee871f49007bb8213352ebc17a5f23b0d0643c930df6c1fc0ee79",
+    "honest-explicit-inputs": "6920fd1f9fe6be6e8d57aa345ff1821457ba6a5874a44fb6f2ad944a1fd93468",
+    "ir-random-xi_m": "ad4592697275d25e3c652bf5dc3a8811fe0db054805b0d5e8e40d85477c4eae1",
+    "ir-z-bb84_dt": "961827d57e405e0a44d6916138e954858d58c1c7f3b66c6959413ee78322fdf5",
+    "ir-x-sqkd_bt-threshold": "628988ac74ce5fbec3fe119bfe2741c315c3be8084258abcf15921caff4c297b",
+    "em-rotation-w1": "b98742890dbcfda881cd933c1dc194d132ae1611581ddae467dcc8a29c5b6587",
+    "em-undetectable-sqkd_ct": "1473ce5cf0f77261f16c7ef7b1c1f2d39f168a483c87f26886a3527ed65dd2e9",
+    "em-marking-g_prime": "2cf47fc1ae4a02e0aed5af7d30bffada767bb5622d070ceea02a7e933b7bfb6a",
+    "forge-md-stubbed": "e82c05941cc2610ed14076be09a4e58fb816cf2102e82852efb8a6dc06033a79",
+    "tamper-md-bit7": "785b14b5e2055bd274eda14c5be938771eae0df7358469d2bd19a95697ef39cd",
+    "withhold-M_B": "68683d3e907290ff8054f4a2508022a1e04c39d9118c1f58b1825ee327ee5720",
+    "withhold-M_C-stubbed": "4802321ff691cfa396cce35f6aee30263caa2fc2d3701f967fe4ea8c59d65d1f",
+    "rows-em2-xi_m": "490448277846eef62028b51d8ced7b17c537bbf786cc14e6ebb4519ad45aeba6",
+    "rows-em2-w1": "e142becce5165826cfb631467f7b4c78e6222610c474dd9d6f234b579c8d8785",
+    "rows-em2-w2": "7323a0dfd1a71e16e19253f90441690746ac987a3956f0434afbdb09ddd9ea8d",
+    "rows-em2-w4": "ec53b6d3f7cbd46d30c0bdb3f9b3eae3f69b0fa4f6a16d6f0db1701632b11aa4",
+    "rows-em4-xi_m": "ce68bb566caa5bd6781ec530c255c099ea97f1e2f871d87fd9c4ba0a71c0274d",
+    "rows-em4-w1": "18d689a17d44fd3c52034862c119c200d464bcd16a6fa648d98bd24e207336f9",
+    "rows-em4-w2": "8ebb5d154f8588a9309a83bdbb88c31f78f82cc1cc55b8e487185410544dfcb2",
+    "rows-em4-w4": "b4264b39abdfa6754ebcc191c49658f63e7509ee37a30ca813517aaf0da8ab8e",
+    "rows-ir-xi_m": "0f3bb4ce6e7dee0070e026cff0106c23dd996b17dc248ca46fae55c88cdbf6c0",
+    "rows-ir-w1": "aa4f93d4fb43d7a9a07a77decfb72a14a34a426821a937021fe08f449ebb6cf1",
+    "rows-ir-w2": "d549d746b210d6bfc8d59c6d5ff665a0a7aaf24b01614dd22f0fd36c0da13425",
+    "rows-ir-w4": "1ba3accf30c4eccb94133159b92ed6b05789d79744756551684c1ce2a1e4b1e6",
 }
 
 # `--out` JSON of experiments, parsed and without its "version" key.
@@ -149,8 +153,17 @@ OUT_PINS = {
 AUDIT_PIN = "581ec5664374af6a350bb38fdc6df03dceb244995d5192a703403783da101638"
 
 
-def transcript_sha256(config: RunConfig) -> str:
-    return hashlib.sha256(run_full(config).canonical_json().encode()).hexdigest()
+@functools.cache
+def canonical_transcript(name: str) -> dict:
+    """The parsed canonical JSON of config ``name``'s run."""
+    return json.loads(run_full(CONFIGS[name]).canonical_json())
+
+
+def transcript_sha256(name: str) -> str:
+    """sha256 of config ``name``'s canonical transcript without ``meta.version``."""
+    data = canonical_transcript(name)
+    unversioned = {**data, "meta": {k: v for k, v in data["meta"].items() if k != "version"}}
+    return hashlib.sha256(json.dumps(unversioned, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def out_sha256(argv: tuple[str, ...], path: Path) -> str:
@@ -205,7 +218,12 @@ def test_pins_cover_every_config():
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_transcript_bytes_are_pinned(name):
-    assert transcript_sha256(CONFIGS[name]) == PINS[name]
+    assert transcript_sha256(name) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_transcript_version_is_the_tool_version(name):
+    assert canonical_transcript(name)["meta"]["version"] == TOOL_VERSION
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -240,8 +258,8 @@ if __name__ == "__main__":
     import io
     import tempfile
 
-    for key, config in CONFIGS.items():
-        print(f'    "{key}": "{transcript_sha256(config)}",')
+    for key in CONFIGS:
+        print(f'    "{key}": "{transcript_sha256(key)}",')
     with tempfile.TemporaryDirectory() as tmp:
         for key, argv in OUT_ARGV.items():
             with contextlib.redirect_stdout(io.StringIO()):

@@ -20,6 +20,7 @@ from sqpbs.channels import DecoyState, read_prepared, tap
 from sqpbs.cli import ATTACK_FLAGS, EXPERIMENT_FLAGS, main
 from sqpbs.keys import otp_decrypt, otp_encrypt
 from sqpbs.protocol import run_full
+from sqpbs.registers import measure_qubit, new_qubit
 from sqpbs.statevec import (
     ZERO_PROB,
     Basis,
@@ -220,17 +221,22 @@ def test_one_qubit_measure_matches_the_array_path(state, basis, seed):
 def test_decoy_state_measure_matches_the_array_path(length, seed):
     """Prepared qubits of mixed codes and bases, ``length`` of them drawn from a generator seeded
     by ``length``: each one-qubit measurement matches the array path, and the untouched read from
-    the Born table equals the read of the same qubits tapped by ``PassThrough``, draw for draw."""
+    the Born table equals the read of the same qubits tapped by ``PassThrough``, draw for draw, and
+    one measurement of each qubit in turn."""
     draw = new_rng(length)
     codes, x_basis = draw.integers(0, 4, length).tolist(), draw.integers(0, 2, length).tolist()
-    for code, x in zip(codes, x_basis):
-        assert_one_qubit_path_matches_array_path(DECOYS[code].make_state(), list(Basis)[x], seed)
+    states, bases = [DECOYS[code].make_state() for code in codes], [list(Basis)[x] for x in x_basis]
+    for state, basis in zip(states, bases):
+        assert_one_qubit_path_matches_array_path(state, basis, seed)
     rng, stack_rng = (LastDraw(), LastDraw()) if seed is None else (RecordingRng(seed), RecordingRng(seed))
+    ref_rng = LastDraw() if seed is None else new_rng(seed)
     stack = tap(codes, range(length), PassThrough(), stack_rng)
-    assert read_prepared(codes, x_basis, rng) == read_prepared(codes, x_basis, stack_rng, stack.state)
+    outcomes = read_prepared(codes, x_basis, rng)
+    assert outcomes == read_prepared(codes, x_basis, stack_rng, stack.state)
+    assert outcomes == [measure_qubit(new_qubit(s), 0, 0, b, ref_rng) for s, b in zip(states, bases)]
     if seed is not None:  # one draw per read, and none for an empty read
         assert rng.calls == stack_rng.calls == ([("random", length)] if length else [])
-    assert rng.random() == stack_rng.random()
+    assert rng.random() == stack_rng.random() == ref_rng.random()
 
 
 @FAST

@@ -19,7 +19,7 @@ refreshes every pin with one command, from the repository root::
 
     PYTHONPATH=src python -m tests.test_golden
 
-It prints the transcript hashes and the ``--out`` pins of two
+It prints the transcript hashes and the ``--out`` pins of the
 experiments, to paste below, and rewrites ``data/golden_run.json``.
 """
 
@@ -108,6 +108,16 @@ ROW_CONFIGS = {
 }
 CONFIGS.update(ROW_CONFIGS)
 
+# Probe-widened rows read in both bases: the BB84 key reads tapped qubits
+# in Z and X, and 20 decoys under a threshold the run survives.
+CONFIGS.update({
+    "em4-bb84_dt": RunConfig(n=2, seed=14, attack=AttackSpec("entangle-measure", "bb84_dt", eve=FOUR_DIM_EVE)),
+    "em-marking-xi_m-d20": RunConfig(
+        n=3, seed=14, decoy_count=20, error_threshold=0.99,
+        attack=AttackSpec("entangle-measure", "xi_m", eve=EveParams.probe_marking(1.2)),
+    ),
+})
+
 PINS = {
     "honest-sim-n4": "58af02e7a110028c3e9f6347e11e50893ee36e45d476524f37668147bc420c91",
     "honest-stubbed-n8": "186b5825c73ee871f49007bb8213352ebc17a5f23b0d0643c930df6c1fc0ee79",
@@ -134,6 +144,8 @@ PINS = {
     "rows-ir-w1": "aa4f93d4fb43d7a9a07a77decfb72a14a34a426821a937021fe08f449ebb6cf1",
     "rows-ir-w2": "d549d746b210d6bfc8d59c6d5ff665a0a7aaf24b01614dd22f0fd36c0da13425",
     "rows-ir-w4": "1ba3accf30c4eccb94133159b92ed6b05789d79744756551684c1ce2a1e4b1e6",
+    "em4-bb84_dt": "9f9c36ead671a2aba7bc8ab899a10961f7e001a9b1c0b376e9bc60834afbea06",
+    "em-marking-xi_m-d20": "8eb557975186f43415fe613f014946cb5bf12f7289e8a296331e510ddc080cf5",
 }
 
 # `--out` JSON of experiments, parsed and without its "version" key.
@@ -143,11 +155,16 @@ OUT_ARGV = {
         "experiment", "detection", "--trials", "50", "--seed", "3", "--decoys", "5",
         "--attack", "intercept-resend",
     ),
+    "detection-em-d20": (
+        "experiment", "detection", "--trials", "200", "--seed", "3", "--attack", "entangle-measure",
+        "--eve-params", str(ROOT / "tests" / "data" / "detect_coupling.json"),
+    ),
 }
 
 OUT_PINS = {
     "efficiency-n16-l256": "3a5aad2154ed922d0778feaa50a7ff24cd464edbfbf06eab87d9c98b4fc44376",
     "detection-ir-d5": "b24199239716908e89af1d79b9a58c753116f439bb15c362a1e85dd112ae5a96",
+    "detection-em-d20": "406b551a0b46bf5e660131beaf7e63cc68897c032a14223ffb27f440ed7dbcb5",
 }
 
 AUDIT_PIN = "581ec5664374af6a350bb38fdc6df03dceb244995d5192a703403783da101638"

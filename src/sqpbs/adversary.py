@@ -290,22 +290,22 @@ class EntangleMeasure:
 
     It draws nothing.  Each crossed stack is widened once by one probe
     per row, as its least significant qubits, so no column moves; one
-    stacked apply then couples every crossed row to its probe.
+    whole-stack apply then couples every row to its probe.  Every row of
+    a crossed stack must cross, or ``intercept`` raises ValueError.
     """
 
     def __init__(self, params: EveParams):
         self.params = params
 
     def intercept(self, crossings: list[tuple[Stack, int, int]], rng: Rng) -> None:
-        crossed: dict[tuple[Stack, int], list[int]] = {}
-        for stack, row, column in crossings:
-            crossed.setdefault((stack, column), []).append(row)
+        crossed = dict.fromkeys((stack, column) for stack, _, column in crossings)
+        if len(set(crossings)) != sum(stack.rows for stack, _ in crossed):
+            raise ValueError("entangle-measure couples whole stacks: every row of a crossed stack must cross")
         probe, coupling = self.params.initial_probe(), self.params.coupling_unitary()
-        for (stack, column), rows in crossed.items():
+        for stack, column in crossed:
             width = stack.num_qubits
             merge(stack, Stack(probe[None]))
-            targets = [column, *range(width, stack.num_qubits)]
-            stack.state[rows] = apply_rows(stack.state[rows], targets, coupling)
+            stack.state = apply_rows(stack.state, [column, *range(width, stack.num_qubits)], coupling)
 
 
 def violation_grid(points_per_family: int = 10) -> list[EveParams]:

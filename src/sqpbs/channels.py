@@ -28,7 +28,9 @@ transmission order.  It acts on the forward leg; return legs are
 modeled clean.
 
 ``read_prepared`` is the one read of prepared one-qubit states: codes
-and measurement bases in, outcomes out, and each step reads once.
+and measurement bases in, outcomes out, and each step reads once.  A
+read is the last thing that touches a prepared qubit, so tapped rows are
+read from their Born sums (``statevec.born_rows``) and never collapsed.
 ``send_with_decoys`` draws the decoy positions, the decoy codes, then
 any adversary draws in transmission order; ``check_decoys`` reads every
 decoy in its preparation basis; ``semiquantum_return_check`` draws every
@@ -46,7 +48,7 @@ import numpy as np
 
 from .errors import EavesdroppingDetected
 from .registers import Stack
-from .statevec import Basis, Rng, basis_state, born_outcomes, ket_minus, ket_plus, measure_rows, postselect
+from .statevec import Basis, Rng, basis_state, born_outcomes, born_rows, ket_minus, ket_plus, postselect
 
 
 class DecoyState(Enum):
@@ -89,22 +91,22 @@ def read_prepared(
     ``x_basis[i]`` its measurement basis, 0 for Z and 1 for X.
     ``tapped`` holds the rows of the qubits that an adversary acted on,
     with the crossed qubit at column 0, or is None when none was: one
-    adversary taps all of a channel's qubits or none.  Untouched outcomes
-    come from the Born table, tapped rows from one stacked measurement
-    per basis, with one ``rng.random`` either way and none for no qubits.
+    adversary taps all of a channel's qubits or none.  Untouched qubits
+    take their Born probabilities from the table, tapped rows pick theirs
+    from the Z and X sums over the whole stack, which no read collapses;
+    either way one ``rng.random`` feeds ``born_outcomes``, and no qubits
+    take no draw.
     """
     if not len(codes):
         return []
     u = rng.random(len(codes))
     if tapped is None:
         p0, p1 = _BORN[2 * np.asarray(codes) + x_basis].T
-        return born_outcomes(p0, p1, u).tolist()
-    on_x = np.asarray(x_basis, dtype=bool)
-    outcomes = np.empty(len(codes), dtype=np.intp)
-    for basis, rows in ((Basis.Z, ~on_x), (Basis.X, on_x)):
-        if rows.any():
-            outcomes[rows], _ = measure_rows(tapped[rows], 0, basis, u[rows])
-    return outcomes.tolist()
+    else:
+        on_x = np.asarray(x_basis, dtype=bool)
+        (z0, z1), (x0, x1) = born_rows(tapped, 0, Basis.Z), born_rows(tapped, 0, Basis.X)
+        p0, p1 = np.where(on_x, x0, z0), np.where(on_x, x1, z1)
+    return born_outcomes(p0, p1, u).tolist()
 
 
 def tap(

@@ -27,6 +27,7 @@ joined with a four-dimensional attack probe).
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import Sequence
@@ -278,6 +279,9 @@ def measure_bell(state: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tup
 # result does not depend on the other rows; ``measure``, ``measure_bell``
 # and ``apply_unitary`` are the kernels on one row.  Measurements take one
 # uniform draw per row, ``u``, as one ``rng.random(rows)`` vector gives it.
+# ``born_rows`` reads one qubit's per-row Born probabilities without a
+# collapse, from the ``_born`` sums that ``measure_rows`` and ``postselect_rows``
+# share; ``apply_rows`` computes its transposes once per ``(n, targets)``.
 
 
 def _check_rows(stack: np.ndarray, targets: Sequence[int]) -> None:
@@ -299,11 +303,18 @@ def born_outcomes(p0: np.ndarray, p1: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (one ^ (np.where(one, p1, p0) < ZERO_PROB)).astype(np.intp)
 
 
-def _basis_rows(stack: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's two component blocks along ``qubit`` in ``basis``, shaped ``(rows, left, right)``."""
+def _born(stack: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's two component blocks along ``qubit`` in ``basis``, shaped ``(rows, left, right)``, and their weights."""
+    _check_rows(stack, [qubit])
     t = stack.reshape(stack.shape[0], 1 << qubit, 2, -1)
     a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
-    return (a0, a1) if basis is Basis.Z else ((a0 + a1) * SQRT1_2, (a0 - a1) * SQRT1_2)
+    c0, c1 = (a0, a1) if basis is Basis.Z else ((a0 + a1) * SQRT1_2, (a0 - a1) * SQRT1_2)
+    return c0, c1, _row_sumsq(c0), _row_sumsq(c1)
+
+
+def born_rows(stack: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row Born probabilities ``(p0, p1)`` of ``qubit`` in ``basis``; no row collapses."""
+    return _born(stack, qubit, basis)[2:]
 
 
 def _collapse(
@@ -332,9 +343,7 @@ def postselect_rows(
     A row whose outcome has less weight than ``ZERO_PROB`` shows it in its
     probability and collapses to all zeros.
     """
-    _check_rows(stack, [qubit])
-    c0, c1 = _basis_rows(stack, qubit, basis)
-    return _collapse(basis, outcomes, c0, c1, _row_sumsq(c0), _row_sumsq(c1))
+    return _collapse(basis, outcomes, *_born(stack, qubit, basis))
 
 
 def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,9 +352,7 @@ def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> 
     Row ``r`` takes the outcome that ``born_outcomes`` gives for its Born
     probabilities and ``u[r]``, then collapses as ``postselect_rows`` does.
     """
-    _check_rows(stack, [qubit])
-    c0, c1 = _basis_rows(stack, qubit, basis)
-    p0, p1 = _row_sumsq(c0), _row_sumsq(c1)
+    c0, c1, p0, p1 = _born(stack, qubit, basis)
     outcome = born_outcomes(p0, p1, u)
     return outcome, _collapse(basis, outcome, c0, c1, p0, p1)[1]
 
@@ -417,6 +424,13 @@ def apply_1q_rows(stack: np.ndarray, qubit: int, matrices: np.ndarray) -> np.nda
     return out.reshape(rows, -1)
 
 
+@functools.cache
+def _target_axes(n: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis permutation of a ``(rows, 2, ..., 2)`` stack that brings ``targets`` first, in order, and its inverse."""
+    forward = (0, *(1 + q for q in targets), *(1 + q for q in range(n) if q not in targets))
+    return forward, tuple(forward.index(axis) for axis in range(n + 1))
+
+
 def apply_rows(stack: np.ndarray, targets: Sequence[int], matrix: np.ndarray) -> np.ndarray:
     """Apply one trusted unitary to the ordered ``targets`` of every row.
 
@@ -429,11 +443,9 @@ def apply_rows(stack: np.ndarray, targets: Sequence[int], matrix: np.ndarray) ->
         return apply_1q_rows(stack, targets[0], matrix[None])
     rows = stack.shape[0]
     n = num_qubits(stack[0])
-    axes = [1 + q for q in targets]
-    t = np.moveaxis(stack.reshape((rows,) + (2,) * n), axes, range(1, k + 1))
-    block = matrix @ t.reshape(rows, 1 << k, -1)
-    t = np.moveaxis(block.reshape((rows,) + (2,) * n), range(1, k + 1), axes)
-    return np.ascontiguousarray(t).reshape(rows, -1)
+    forward, inverse = _target_axes(n, tuple(targets))
+    block = matrix @ stack.reshape((rows,) + (2,) * n).transpose(forward).reshape(rows, 1 << k, -1)
+    return np.ascontiguousarray(block.reshape((rows,) + (2,) * n).transpose(inverse)).reshape(rows, -1)
 
 
 def fidelity_1q_rows(stack: np.ndarray, qubit: int, targets: np.ndarray) -> np.ndarray:

@@ -215,6 +215,14 @@ class TestEntangleMeasureHook:
                 want = apply_unitary(tensor(row, probe), [column, *range(width, wide)], params.coupling_unitary())
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("crossed", [[0], [0, 2], [1, 1, 2]], ids=["one", "two", "repeated"])
+    def test_partial_crossing_raises_and_leaves_the_stack(self, crossed):
+        stack = Stack(np.tile(ket_plus(), (3, 1)))
+        before = stack.state.copy()
+        with pytest.raises(ValueError, match="every row"):
+            EntangleMeasure(FOUR_DIM_EVE).intercept([(stack, row, 0) for row in crossed], new_rng(0))
+        assert stack.state.tobytes() == before.tobytes()
+
     def test_undetectable_attack_never_disturbs_decoys(self):
         params = EveParams.undetectable((0.6, 0.8))
         rng = new_rng(5)

@@ -10,10 +10,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqpbs.adversary import INTERCEPT_BASES, EveParams
+from sqpbs import statevec
+from sqpbs.adversary import INTERCEPT_BASES, EntangleMeasure, EveParams
 from sqpbs.analysis import DETECTION_SCOPES, FORGERY_MODELS
 from sqpbs.bits import Bits
 from sqpbs.channels import DecoyState, read_prepared, tap
@@ -25,8 +26,10 @@ from sqpbs.statevec import (
     ZERO_PROB,
     Basis,
     BellState,
+    apply_rows,
     apply_unitary,
     basis_state,
+    born_rows,
     measure,
     measure_bell_rows,
     measure_rows,
@@ -40,6 +43,7 @@ from sqpbs.statevec import (
 )
 from sqpbs.transcript import ATTACK_KINDS, KEY_MODES, QUANTUM_CHANNELS, WITHHOLDABLE, RunConfig
 from stubs import LastDraw, PassThrough, RecordingRng
+from test_golden import FOUR_DIM_EVE
 
 DECOYS = list(DecoyState)  # indexed by preparation code
 
@@ -143,6 +147,56 @@ def test_postselect_rows_is_postselect_row_by_row(stack, data, basis):
 
 
 @FAST
+@given(stacks(), st.data(), st.sampled_from(Basis))
+def test_born_rows_are_the_postselect_rows_probabilities(stack, data, basis):
+    qubit = data.draw(st.integers(0, num_qubits(stack[0]) - 1))
+    before = stack.copy()
+    with np.errstate(all="raise"):
+        probs = born_rows(stack, qubit, basis)
+    for outcome, prob in enumerate(probs):
+        forced = postselect_rows(stack, qubit, basis, np.full(len(stack), outcome))[0]
+        assert prob.tobytes() == forced.tobytes()
+        assert [prob[r] for r in range(len(stack))] == [postselect(s, qubit, basis, outcome)[0] for s in stack]
+    np.testing.assert_array_equal(stack, before)
+
+
+@st.composite
+def ordered_targets(draw, max_qubits=6):
+    """``(n, targets)``: 2 to n distinct qubits of an n-qubit state, in any order."""
+    n = draw(st.integers(2, max_qubits))
+    return n, draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+
+
+def kron_reference(row: np.ndarray, n: int, targets: list[int], matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` on ``targets`` of ``row`` as an ``np.kron`` in a basis where the targets come first."""
+    order = [*targets, *(q for q in range(n) if q not in targets)]
+    # perm[i]: basis index i with its bits reordered so that qubit order[p] sits at position p.
+    perm = np.array([sum(((i >> (n - 1 - q)) & 1) << (n - 1 - p) for p, q in enumerate(order)) for i in range(1 << n)])
+    moved = np.empty_like(row)
+    moved[perm] = row
+    return (np.kron(matrix, np.eye(1 << (n - len(targets)))) @ moved)[perm]
+
+
+@FAST
+@given(ordered_targets(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example((4, [3, 1]), 3, 0)
+@example((5, [0, 4]), 2, 1)
+@example((6, [5, 4, 3, 2, 1, 0]), 2, 2)
+def test_apply_rows_matches_a_permuted_kron(n_targets, rows, seed):
+    n, targets = n_targets
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    stack = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    matrix = random_unitary(1 << len(targets), seed)
+    statevec._target_axes.cache_clear()  # the first call computes the axes, the second reuses them
+    out = apply_rows(stack, targets, matrix)
+    assert apply_rows(stack, list(targets), matrix).tobytes() == out.tobytes()
+    for r, row in enumerate(stack):
+        np.testing.assert_allclose(out[r], kron_reference(row, n, targets, matrix), rtol=0, atol=1e-12)
+        assert out[r].tobytes() == apply_rows(stack[r : r + 1], targets, matrix)[0].tobytes()
+
+
+@FAST
 @given(stacks(min_qubits=2), st.data())
 def test_postselect_bell_rows_is_postselect_bell_row_by_row(stack, data):
     qubit_a, qubit_b = data.draw(st.permutations(range(num_qubits(stack[0]))))[:2]
@@ -237,6 +291,53 @@ def test_decoy_state_measure_matches_the_array_path(length, seed):
     if seed is not None:  # one draw per read, and none for an empty read
         assert rng.calls == stack_rng.calls == ([("random", length)] if length else [])
     assert rng.random() == stack_rng.random() == ref_rng.random()
+
+
+TAPS = {
+    "probe2": EveParams.probe_marking(1.2),
+    "probe4": FOUR_DIM_EVE,
+    "undetectable": EveParams.undetectable((0.6, 0.8)),  # its Z reads have an outcome of exactly zero weight
+}
+
+
+def read_by_basis(codes, x_basis, rng, tapped) -> list[int]:
+    """The tapped read as one ``measure_rows`` per basis, each on its rows' share of one ``rng.random``."""
+    if not len(codes):
+        return []
+    u = rng.random(len(codes))
+    on_x = np.asarray(x_basis, dtype=bool)
+    outcomes = np.empty(len(codes), dtype=np.intp)
+    for basis, rows in ((Basis.Z, ~on_x), (Basis.X, on_x)):
+        if rows.any():
+            outcomes[rows], _ = measure_rows(tapped[rows], 0, basis, u[rows])
+    return outcomes.tolist()
+
+
+@pytest.mark.parametrize("seed", [None, *range(4)])
+@pytest.mark.parametrize("eve", sorted(TAPS))
+@pytest.mark.parametrize("length", range(9))
+def test_tapped_read_matches_one_measurement_per_basis(length, eve, seed):
+    """Prepared qubits of mixed codes, tapped by an entangle-measure probe, read as the decoy check,
+    key agreement and both reads of the return check do: the read from the Born sums equals one
+    collapsing measurement per basis, draw for draw, and an empty read takes no draw."""
+    draw = new_rng(length)
+    codes, x_basis = draw.integers(0, 4, length).tolist(), draw.integers(0, 2, length).tolist()
+    stack = tap(codes, range(length), EntangleMeasure(TAPS[eve]), new_rng(0)).state
+    sifted = np.flatnonzero(draw.integers(0, 2, length)).tolist()
+    returned = draw.permutation(sorted(set(range(length)) - set(sifted))).tolist()
+    reads = [
+        (range(length), x_basis),  # random bases, as key agreement reads
+        (range(length), [code >> 1 for code in codes]),  # preparation bases, as check_decoys reads
+        (sifted, [0] * len(sifted)),  # the SIFTed decoys in Z
+        (returned, [codes[i] >> 1 for i in returned]),  # the reflected decoys in arrival order
+    ]
+    for rows, bases in reads:
+        read_codes, tapped = [codes[i] for i in rows], stack[list(rows)]
+        rng, ref_rng = (LastDraw(), LastDraw()) if seed is None else (RecordingRng(seed), new_rng(seed))
+        assert read_prepared(read_codes, bases, rng, tapped) == read_by_basis(read_codes, bases, ref_rng, tapped)
+        if seed is not None:
+            assert rng.calls == ([("random", len(read_codes))] if read_codes else [])
+        assert rng.random() == ref_rng.random()
 
 
 @FAST

@@ -94,8 +94,8 @@ def read_prepared(
     adversary taps all of a channel's qubits or none.  Untouched qubits
     take their Born probabilities from the table, tapped rows pick theirs
     from the Z and X sums over the whole stack, which no read collapses;
-    either way one ``rng.random`` feeds ``born_outcomes``, and no qubits
-    take no draw.
+    either way one ``rng.random`` feeds ``born_outcomes``, and an empty
+    read takes none.
     """
     if not len(codes):
         return []

@@ -1,8 +1,9 @@
 """Channel adversaries: intercept-resend and entangle-measure probes.
 
-Both adversaries expose ``intercept(crossings, rng)`` and are invoked
-once per transmission over an attacked channel (forward leg), with the
-``(stack, row, column)`` of every crossing qubit in transmission order.
+Both adversaries expose ``intercept(segments, rng)`` and are invoked
+once per transmission over an attacked channel (forward leg), with one
+``(stack, column)`` per crossed stack: the qubit at ``column`` of every
+row crosses.
 
 The entangle-measure attacker couples a private probe to each transiting
 qubit with a joint unitary E defined by its action on the computational
@@ -31,12 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import DecoyState
-from .registers import Stack, measure_qubit, merge
+from .registers import Stack, merge
 from .statevec import (
     Basis,
     Rng,
     apply_rows,
     is_unitary,
+    measure_rows,
     num_qubits,
     postselect,
     tensor,
@@ -58,14 +60,16 @@ class InterceptResend:
             raise ValueError(f"basis must be one of {INTERCEPT_BASES}, got {basis!r}")
         self.basis = basis
 
-    def intercept(self, crossings: list[tuple[Stack, int, int]], rng: Rng) -> None:
-        """Per crossing, in order: the basis coin (random basis only), then the measurement."""
-        for stack, row, column in crossings:
-            if self.basis == "random":
-                choice = Basis.X if rng.integers(0, 2) else Basis.Z
-            else:
-                choice = Basis.X if self.basis == "x" else Basis.Z
-            measure_qubit(stack, row, column, choice, rng)  # collapse is the resend
+    def intercept(self, segments: list[tuple[Stack, int]], rng: Rng) -> None:
+        """A coin vector (random basis only), then a uniform vector, over all rows in segment order;
+        each segment's Z rows and X rows collapse with one ``measure_rows`` each."""
+        rows = [stack.rows for stack, _ in segments]
+        on_x = rng.integers(0, 2, size=sum(rows)) == 1 if self.basis == "random" else np.full(sum(rows), self.basis == "x")
+        cuts = np.cumsum(rows)[:-1]
+        for (stack, column), x, u in zip(segments, np.split(on_x, cuts), np.split(rng.random(sum(rows)), cuts)):
+            for basis, picked in ((Basis.Z, ~x), (Basis.X, x)):
+                if picked.any():  # the collapse is the resend
+                    stack.state[picked] = measure_rows(stack.state[picked], column, basis, u[picked])[1]
 
 
 def _as_probe_vector(v, dim: int) -> np.ndarray:
@@ -288,21 +292,17 @@ class EveParams:
 class EntangleMeasure:
     """Attack hook that couples a fresh probe to every transiting qubit.
 
-    It draws nothing.  Each crossed stack is widened once by one probe
+    It draws nothing.  Each segment's stack is widened once by one probe
     per row, as its least significant qubits, so no column moves; one
-    whole-stack apply then couples every row to its probe.  Every row of
-    a crossed stack must cross, or ``intercept`` raises ValueError.
+    whole-stack apply then couples every row to its probe.
     """
 
     def __init__(self, params: EveParams):
         self.params = params
 
-    def intercept(self, crossings: list[tuple[Stack, int, int]], rng: Rng) -> None:
-        crossed = dict.fromkeys((stack, column) for stack, _, column in crossings)
-        if len(set(crossings)) != sum(stack.rows for stack, _ in crossed):
-            raise ValueError("entangle-measure couples whole stacks: every row of a crossed stack must cross")
+    def intercept(self, segments: list[tuple[Stack, int]], rng: Rng) -> None:
         probe, coupling = self.params.initial_probe(), self.params.coupling_unitary()
-        for stack, column in crossed:
+        for stack, column in segments:
             width = stack.num_qubits
             merge(stack, Stack(probe[None]))
             stack.state = apply_rows(stack.state, [column, *range(width, stack.num_qubits)], coupling)

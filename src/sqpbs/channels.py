@@ -22,17 +22,17 @@ transmission, row i for prepared qubit i, for ``send_with_decoys`` and
 the key-agreement batches alike.  Payload qubits stay in the stacks
 they already inhabit.  Honest operations never entangle the two, so
 the factorization is exact.  An adversary sees each transmission once,
-as one ``intercept(crossings, rng)`` call: the ``(stack, row, column)``
-of every qubit that crosses, decoys and payload interleaved in
-transmission order.  It acts on the forward leg; return legs are
-modeled clean.
+as one ``intercept(segments, rng)`` call: the prepared qubits' stack,
+then each payload stack.  Both adversaries treat every qubit alike, so
+the announced decoy positions never reach them.  They act on the
+forward leg; return legs are modeled clean.
 
 ``read_prepared`` is the one read of prepared one-qubit states: codes
 and measurement bases in, outcomes out, and each step reads once.  A
 read is the last thing that touches a prepared qubit, so tapped rows are
 read from their Born sums (``statevec.born_rows``) and never collapsed.
 ``send_with_decoys`` draws the decoy positions, the decoy codes, then
-any adversary draws in transmission order; ``check_decoys`` reads every
+any adversary draws, decoys before payload; ``check_decoys`` reads every
 decoy in its preparation basis; ``semiquantum_return_check`` draws every
 SIFT/CTRL coin, reads the SIFTed decoys in Z, draws the return
 permutation, then reads the reflected decoys in arrival order.
@@ -109,24 +109,20 @@ def read_prepared(
     return born_outcomes(p0, p1, u).tolist()
 
 
-def tap(
-    codes: Sequence[int], positions: Sequence[int], adversary, rng: Rng, payload: Sequence[Stack] = (), column: int = 0
-) -> Stack | None:
+def tap(codes: Sequence[int], adversary, rng: Rng, payload: Sequence[Stack] = (), column: int = 0) -> Stack | None:
     """Send prepared qubits through an adversary: the one tap of decoys and key qubits.
 
-    Qubit i, prepared as ``codes[i]``, crosses at transmission slot
-    ``positions[i]`` (ascending) among the qubits at ``column`` of every
-    row of each ``payload`` stack.  Returns the stack of the prepared
-    qubits as the adversary left them, row i for qubit i, or None when
-    there is no adversary.
+    Qubit i, prepared as ``codes[i]``, becomes row i of one stack.  The
+    adversary sees the transmission as segments: that stack at column 0,
+    then the qubit at ``column`` of every row of each ``payload`` stack.
+    Returns the stack of the prepared qubits as the adversary left them,
+    or None when there is no adversary.
     """
     if adversary is None:
         return None
     tapped = Stack(_KETS[codes])
-    crossings = [(stack, row, column) for stack in payload for row in range(stack.rows)]
-    for row, pos in enumerate(positions):  # ascending, so each lands at its position
-        crossings.insert(pos, (tapped, row, 0))
-    adversary.intercept(crossings, rng)
+    segments = [(tapped, 0), *((stack, column) for stack in payload)]
+    adversary.intercept([(stack, c) for stack, c in segments if stack.rows], rng)  # an empty stack does not cross
     return tapped
 
 
@@ -158,17 +154,17 @@ def send_with_decoys(
     """Interleave fresh decoys into ``payload`` and push it through the channel.
 
     The payload qubits are the qubit at ``column`` of every row of each
-    stack in turn.  Decoy positions are uniform over all interleavings;
-    decoy states are sampled independently and uniformly from the four
-    preparations.  The adversary, when present, acts once on every
-    transmitted qubit (decoy and payload alike) in transmission order.
+    stack in turn.  Decoy positions, which the preparer announces, are
+    uniform over all interleavings; decoy states are sampled independently
+    and uniformly from the four preparations.  The adversary, when
+    present, acts once on every transmitted qubit through ``tap``.
     """
     if decoy_count < 1:
         raise ValueError(f"decoy_count must be >= 1, got {decoy_count}")
     total = sum(stack.rows for stack in payload) + decoy_count
     positions = sorted(rng.choice(total, size=decoy_count, replace=False).tolist())
     codes = rng.integers(0, 4, size=decoy_count).tolist()
-    tapped = tap(codes, positions, adversary, rng, payload, column)
+    tapped = tap(codes, adversary, rng, payload, column)
     return TransmittedSequence(channel=channel, positions=positions, codes=codes, tapped=tapped)
 
 

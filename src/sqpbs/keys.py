@@ -12,9 +12,9 @@ Each key qubit crosses like a decoy, as its integer preparation code
 share one batch loop, ``_agree``: they differ only in the batch factor
 (2 or 4) and in the rule that picks key positions and measurement
 bases.  Each batch draws, in this order: its three coin arrays (one
-``rng.integers`` each), any adversary draws as the raw qubits it spends
-cross through ``channels.tap`` (which builds a stack only under
-attack), then one ``channels.read_prepared`` of all those qubits.
+``rng.integers`` each), any adversary draws of the one ``channels.tap``
+that sends all the raw qubits it spends (which builds a stack only
+under attack), then one ``channels.read_prepared`` of all those qubits.
 After the last batch, BB84 draws its check sample.
 
 Runs that do not care about the key-agreement channel may skip it
@@ -167,7 +167,7 @@ def _agree(length: int, factor: int, rule, adversary, rng: Rng) -> tuple[np.ndar
         keyed = np.flatnonzero(key)[:missing]
         used = int(keyed[-1]) + 1 if keyed.size == missing else batch
         codes = 2 * bases[:used] + values[:used]
-        tapped = tap(codes, range(used), adversary, rng)
+        tapped = tap(codes, adversary, rng)
         outcomes = np.array(read_prepared(codes, meas_bases[:used], rng, tapped and tapped.state))
         batches.append((bases[:used], values[:used], coins[:used], outcomes))
         keyed_parts.append(keyed + raw)

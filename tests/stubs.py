@@ -16,9 +16,9 @@ class LastDraw:
 
 
 class PassThrough:
-    """Adversary that leaves every crossing alone; its presence forces a tapped stack."""
+    """Adversary that leaves every segment alone; its presence forces a tapped stack."""
 
-    def intercept(self, crossings, rng):
+    def intercept(self, segments, rng):
         pass
 
 

@@ -23,7 +23,7 @@ from test_golden import FOUR_DIM_EVE
 def tap(attacker, state, rng) -> Stack:
     """A one-row stack around ``state``, sent past ``attacker`` once."""
     stack = new_qubit(state)
-    attacker.intercept([(stack, 0, 0)], rng)
+    attacker.intercept([(stack, 0)], rng)
     return stack
 
 
@@ -195,8 +195,7 @@ class TestEntangleMeasureHook:
     def test_probe_widens_each_crossed_stack_once(self, params):
         probe_qubits = int(math.log2(params.probe_dim))
         carriers, decoys = Stack(np.tile(ket_plus(), (3, 1))), Stack(np.tile(ket_plus(), (2, 1)))
-        crossings = [(decoys, 0, 0), (carriers, 0, 0), (carriers, 1, 0), (decoys, 1, 0), (carriers, 2, 0)]
-        EntangleMeasure(params).intercept(crossings, new_rng(4))
+        EntangleMeasure(params).intercept([(decoys, 0), (carriers, 0)], new_rng(4))
         assert carriers.num_qubits == decoys.num_qubits == 1 + probe_qubits
         assert carriers.rows == 3 and decoys.rows == 2
 
@@ -209,19 +208,11 @@ class TestEntangleMeasureHook:
         probe = params.initial_probe()
         for column in range(width):
             stack = Stack(rows.copy())
-            EntangleMeasure(params).intercept([(stack, r, column) for r in range(len(rows))], rng)
+            EntangleMeasure(params).intercept([(stack, column)], rng)
             wide = width + int(math.log2(params.probe_dim))
             for got, row in zip(stack.state, rows, strict=True):
                 want = apply_unitary(tensor(row, probe), [column, *range(width, wide)], params.coupling_unitary())
                 assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("crossed", [[0], [0, 2], [1, 1, 2]], ids=["one", "two", "repeated"])
-    def test_partial_crossing_raises_and_leaves_the_stack(self, crossed):
-        stack = Stack(np.tile(ket_plus(), (3, 1)))
-        before = stack.state.copy()
-        with pytest.raises(ValueError, match="every row"):
-            EntangleMeasure(FOUR_DIM_EVE).intercept([(stack, row, 0) for row in crossed], new_rng(0))
-        assert stack.state.tobytes() == before.tobytes()
 
     def test_undetectable_attack_never_disturbs_decoys(self):
         params = EveParams.undetectable((0.6, 0.8))

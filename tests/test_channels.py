@@ -6,8 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-import sqpbs.adversary
-from sqpbs.adversary import InterceptResend
+from sqpbs.adversary import INTERCEPT_BASES, InterceptResend
 from sqpbs.channels import (
     DecoyState,
     check_decoys,
@@ -81,32 +80,36 @@ class TestSendWithDecoys:
         class Counter:
             calls = []
 
-            def intercept(self, crossings, rng):
-                Counter.calls.append(len(crossings))
+            def intercept(self, segments, rng):
+                Counter.calls.append(sum(stack.rows for stack, _ in segments))
 
         rng = new_rng(7)
         send_with_decoys(_plus_payload(3), 5, rng, Counter())
         assert Counter.calls == [8]
 
-    def test_intercept_resend_draws_per_crossing_in_transmission_order(self, monkeypatch):
-        measured = []
-
-        def recording_measure(stack, row, column, basis, rng):
-            measured.append((stack, row, column))
-            return measure_qubit(stack, row, column, basis, rng)
-
-        monkeypatch.setattr(sqpbs.adversary, "measure_qubit", recording_measure)
-        payload = Stack(np.tile(ket_plus(), (3, 1)))
+    @pytest.mark.parametrize("basis", INTERCEPT_BASES)
+    def test_intercept_resend_draws_once_per_transmission(self, basis):
+        """Decoys, then two payload stacks: one coin vector (random basis only) and one uniform
+        vector per transmission, and each row collapses as ``measure_qubit`` would on its own, in
+        its coin's basis and fed its own uniform."""
+        draw = new_rng(3)
+        raw = draw.normal(size=(5, 4)) + 1j * draw.normal(size=(5, 4))
+        rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        payload = [Stack(rows[:3].copy()), Stack(rows[3:].copy())]
         rng = RecordingRng(1)
-        seq = send_with_decoys([payload], 5, rng, InterceptResend("random"))
-        positions = seq.positions
-        kinds = [pos in positions for pos in range(8)]
-        assert kinds not in (sorted(kinds), sorted(kinds, reverse=True))  # decoys and payload interleave
-        decoy_rows, payload_rows = iter(range(5)), iter(range(3))
-        want = [(seq.tapped, next(decoy_rows), 0) if pos in positions else (payload, next(payload_rows), 0)
-                for pos in range(8)]
-        assert measured == want  # stacks compare by identity
-        assert rng.calls == [("choice", 5), ("integers", 5)] + [("integers", None), ("random", None)] * 8
+        seq = send_with_decoys(payload, 4, rng, InterceptResend(basis), column=1)
+        coins = [("integers", 9)] if basis == "random" else []
+        assert rng.calls == [("choice", 4), ("integers", 4), *coins, ("random", 9)]
+        ref = new_rng(1)  # replays the stream; its scalar draws are the uniform vector's entries
+        ref.choice(9, size=4, replace=False)
+        ref.integers(0, 4, size=4)
+        on_x = iter(ref.integers(0, 2, size=9) if basis == "random" else [basis == "x"] * 9)
+        decoys = np.array([list(DecoyState)[code].make_state() for code in seq.codes])
+        for stack, before, column in ((seq.tapped, decoys, 0), (payload[0], rows[:3], 1), (payload[1], rows[3:], 1)):
+            for got, row in zip(stack.state, before, strict=True):
+                want = Stack(row[None].copy())
+                measure_qubit(want, 0, column, Basis.X if next(on_x) else Basis.Z, ref)
+                assert got.tobytes() == want.state[0].tobytes()
 
 
 class TestCheckDecoys:

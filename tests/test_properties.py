@@ -284,7 +284,7 @@ def test_decoy_state_measure_matches_the_array_path(length, seed):
         assert_one_qubit_path_matches_array_path(state, basis, seed)
     rng, stack_rng = (LastDraw(), LastDraw()) if seed is None else (RecordingRng(seed), RecordingRng(seed))
     ref_rng = LastDraw() if seed is None else new_rng(seed)
-    stack = tap(codes, range(length), PassThrough(), stack_rng)
+    stack = tap(codes, PassThrough(), stack_rng)
     outcomes = read_prepared(codes, x_basis, rng)
     assert outcomes == read_prepared(codes, x_basis, stack_rng, stack.state)
     assert outcomes == [measure_qubit(new_qubit(s), 0, 0, b, ref_rng) for s, b in zip(states, bases)]
@@ -322,7 +322,7 @@ def test_tapped_read_matches_one_measurement_per_basis(length, eve, seed):
     collapsing measurement per basis, draw for draw, and an empty read takes no draw."""
     draw = new_rng(length)
     codes, x_basis = draw.integers(0, 4, length).tolist(), draw.integers(0, 2, length).tolist()
-    stack = tap(codes, range(length), EntangleMeasure(TAPS[eve]), new_rng(0)).state
+    stack = tap(codes, EntangleMeasure(TAPS[eve]), new_rng(0)).state
     sifted = np.flatnonzero(draw.integers(0, 2, length)).tolist()
     returned = draw.permutation(sorted(set(range(length)) - set(sifted))).tolist()
     reads = [

@@ -1,9 +1,9 @@
 """Efficiency accounting, comparison report, and experiment drivers.
 
-The exact intercept-resend cells each run at their own fixed seed and
-pass within 3.9 sigma of their exact rate, so a correct simulator fails a
-cell by chance with probability at most 1e-4, and the family of nine at a
-rate of about 1e-3.
+The exact intercept-resend and entangle-measure cells each run at their
+own fixed seed and pass within 3.9 sigma of their exact rate, so a correct
+simulator fails a cell by chance with probability at most 1e-4, and the
+family of thirteen at a rate of about 1.3e-3.
 """
 
 import math
@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from sqpbs.adversary import EveParams
 from sqpbs.analysis import (
     GHZ5_REFERENCE,
     THIS_PROTOCOL,
@@ -27,7 +28,7 @@ from sqpbs.analysis import (
     qubit_efficiency,
 )
 from sqpbs.protocol import run_full
-from sqpbs.transcript import AttackSpec, RunConfig
+from sqpbs.transcript import CHANNELS, AttackSpec, RunConfig
 
 
 class TestQubitEfficiency:
@@ -217,6 +218,28 @@ def test_intercept_resend_channel_cell_matches_its_exact_rate(channel, basis, q)
     d = 4
     result = experiment_detection(
         AttackSpec("intercept-resend", channel, basis=basis), trials=2000, seed=CELL_SEED, decoy_count=d
+    )
+    p = 1 - (1 - q) ** d
+    assert abs(result.rate - p) < CELL_SIGMAS * math.sqrt(p * (1 - p) / result.trials)
+
+
+# Entangle-measure couplings, channel scope, d = 4: q from the exact
+# per-state disturbances e of ``EveParams.expected_error_rates``.  The
+# decoy guard reads each decoy in its preparation basis, q = mean(e); the
+# return guard gives the weights above.
+EM_CHANNEL_CELLS = [
+    ("xi_m", "rotation", EveParams.rotation(0.8)), ("w1", "rotation", EveParams.rotation(0.8)),
+    ("w2", "marking", EveParams.probe_marking(1.2)), ("w4", "marking", EveParams.probe_marking(1.2)),
+]
+
+
+@pytest.mark.parametrize("channel,_,eve", EM_CHANNEL_CELLS, ids=[f"{c}-{k}" for c, k, _ in EM_CHANNEL_CELLS])
+def test_entangle_measure_channel_cell_matches_its_exact_rate(channel, _, eve):
+    d = 4
+    e = eve.expected_error_rates()
+    q = sum(e.values()) / 4 if CHANNELS[channel][2] == "decoy" else (e["0"] + e["1"]) / 4 + (e["+"] + e["-"]) / 8
+    result = experiment_detection(
+        AttackSpec("entangle-measure", channel, eve=eve), trials=2000, seed=CELL_SEED, decoy_count=d
     )
     p = 1 - (1 - q) ** d
     assert abs(result.rate - p) < CELL_SIGMAS * math.sqrt(p * (1 - p) / result.trials)

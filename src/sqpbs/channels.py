@@ -15,27 +15,28 @@ Two check styles, matching who sits at the receiving end:
 
 A prepared qubit, decoy or key qubit, travels as its integer code,
 ``DecoyState.index`` = 2 * basis + bit (basis 0 is Z, 1 is X), from its
-draw to its read; a sequence keeps its decoys' ``positions`` and
-``codes``.  Prepared qubits get a row stack only when an adversary acts
-on them: ``tap`` is the one place that builds it, one stack per
-transmission, row i for prepared qubit i, for ``send_with_decoys`` and
-the key-agreement batches alike.  Payload qubits stay in the stacks
-they already inhabit.  Honest operations never entangle the two, so
-the factorization is exact.  An adversary sees each transmission once,
-as one ``intercept(segments, rng)`` call: the prepared qubits' stack,
-then each payload stack.  Both adversaries treat every qubit alike, so
-the announced decoy positions never reach them.  They act on the
-forward leg; return legs are modeled clean.
+draw to its read.  Prepared qubits get a row stack only when an
+adversary acts on them: ``tap`` is the one place that builds it, one
+stack per transmission, row i for prepared qubit i, for
+``send_with_decoys`` and the key-agreement batches alike.  Payload
+qubits stay in the stacks they already inhabit.  Honest operations
+never entangle the two, so the factorization is exact.  An adversary
+sees each transmission once, as one ``intercept(segments, rng)`` call:
+the prepared qubits' stack, then each payload stack.  Both adversaries
+treat every qubit alike, so where the decoys sit among the payload
+qubits never matters, and it is not drawn.  They act on the forward
+leg; return legs are modeled clean.
 
-``read_prepared`` is the one read of prepared one-qubit states: codes
-and measurement bases in, outcomes out, and each step reads once.  A
-read is the last thing that touches a prepared qubit, so tapped rows are
-read from their Born sums (``statevec.born_rows``) and never collapsed.
-``send_with_decoys`` draws the decoy positions, the decoy codes, then
-any adversary draws, decoys before payload; ``check_decoys`` reads every
-decoy in its preparation basis; ``semiquantum_return_check`` draws every
-SIFT/CTRL coin, reads the SIFTed decoys in Z, draws the return
-permutation, then reads the reflected decoys in arrival order.
+An untapped prepared qubit read in its preparation basis returns its
+bit, so an untapped channel reads nothing and draws only what reaches
+its check's report.  ``send_with_decoys`` draws the decoy codes, then
+the adversary draws, decoys before payload, and nothing when untapped.
+``check_decoys`` reads the tapped decoys in their preparation bases.
+``semiquantum_return_check`` draws an untapped sequence's codes, then
+every SIFT/CTRL coin, then reads the tapped SIFTed decoys in Z and the
+reflected ones in their preparation bases.  ``read_prepared``, the one
+read of tapped prepared qubits, reads a step once, from the Born sums
+of its rows (``statevec.born_rows``), which it never collapses.
 """
 
 from __future__ import annotations
@@ -48,16 +49,15 @@ import numpy as np
 
 from .errors import EavesdroppingDetected
 from .registers import Stack
-from .statevec import Basis, Rng, basis_state, born_outcomes, born_rows, ket_minus, ket_plus, postselect
+from .statevec import Basis, Rng, basis_state, born_outcomes, born_rows, ket_minus, ket_plus
 
 
 class DecoyState(Enum):
     """The four BB84/decoy preparations: label, basis and encoded bit.
 
-    This table is the single definition of the four states and their
-    Born probabilities; the entangle-measure analysis uses it too.  A
-    member's ``index`` is the integer code that the channels and key
-    agreement carry in its place.
+    This table is the single definition of the four states; the
+    entangle-measure analysis uses it too.  A member's ``index`` is the
+    integer code that the channels and key agreement carry in its place.
     """
 
     ZERO = ("0", Basis.Z, 0)
@@ -78,35 +78,23 @@ class DecoyState(Enum):
 
 
 _KETS = np.array([d.make_state() for d in DecoyState])
-# Row 2 * code + x_basis: Born (p0, p1) of preparation ``code`` read in Z (0) or X (1)
-_BORN = np.array([[postselect(d.make_state(), 0, b, o)[0] for o in (0, 1)] for d in DecoyState for b in Basis])
 
 
-def read_prepared(
-    codes: Sequence[int], x_basis: Sequence[int], rng: Rng, tapped: np.ndarray | None = None
-) -> list[int]:
-    """Measure each prepared qubit in its basis after crossing.
+def read_prepared(tapped: np.ndarray, x_basis: Sequence[int], rng: Rng) -> list[int]:
+    """Measure each tapped prepared qubit in its basis after crossing.
 
-    ``codes[i]`` is qubit i's preparation (a ``DecoyState.index``) and
-    ``x_basis[i]`` its measurement basis, 0 for Z and 1 for X.
-    ``tapped`` holds the rows of the qubits that an adversary acted on,
-    with the crossed qubit at column 0, or is None when none was: one
-    adversary taps all of a channel's qubits or none.  Untouched qubits
-    take their Born probabilities from the table, tapped rows pick theirs
-    from the Z and X sums over the whole stack, which no read collapses;
-    either way one ``rng.random`` feeds ``born_outcomes``, and an empty
-    read takes none.
+    ``tapped`` holds row i for qubit i, the crossed qubit at column 0, as
+    the adversary left it, and ``x_basis[i]`` is its measurement basis, 0
+    for Z and 1 for X.  Each row picks its Born pair from the Z and X sums
+    over the whole stack, which no read collapses; one ``rng.random``
+    feeds ``born_outcomes``, and an empty read takes none.
     """
-    if not len(codes):
+    if not len(tapped):
         return []
-    u = rng.random(len(codes))
-    if tapped is None:
-        p0, p1 = _BORN[2 * np.asarray(codes) + x_basis].T
-    else:
-        on_x = np.asarray(x_basis, dtype=bool)
-        (z0, z1), (x0, x1) = born_rows(tapped, 0, Basis.Z), born_rows(tapped, 0, Basis.X)
-        p0, p1 = np.where(on_x, x0, z0), np.where(on_x, x1, z1)
-    return born_outcomes(p0, p1, u).tolist()
+    u = rng.random(len(tapped))
+    on_x = np.asarray(x_basis, dtype=bool)
+    (z0, z1), (x0, x1) = born_rows(tapped, 0, Basis.Z), born_rows(tapped, 0, Basis.X)
+    return born_outcomes(np.where(on_x, x0, z0), np.where(on_x, x1, z1), u).tolist()
 
 
 def tap(codes: Sequence[int], adversary, rng: Rng, payload: Sequence[Stack] = (), column: int = 0) -> Stack | None:
@@ -128,17 +116,17 @@ def tap(codes: Sequence[int], adversary, rng: Rng, payload: Sequence[Stack] = ()
 
 @dataclass
 class TransmittedSequence:
-    """The decoys interleaved into one payload, as they crossed the channel.
+    """The decoys sent along with one payload, as they crossed the channel.
 
-    Decoy i crossed at transmission slot ``positions[i]`` (ascending),
-    prepared as ``codes[i]`` (a ``DecoyState.index``).  ``tapped`` is the
-    stack of the decoys an adversary acted on (row i for decoy i), or None
-    when the channel was not tapped.
+    On a tapped channel decoy i was prepared as ``codes[i]`` (a
+    ``DecoyState.index``) and is row i of ``tapped``, the stack the
+    adversary left.  An untapped sequence keeps only its ``decoy_count``:
+    both are None.
     """
 
     channel: str
-    positions: list[int]
-    codes: list[int]
+    decoy_count: int
+    codes: list[int] | None
     tapped: Stack | None
 
 
@@ -151,21 +139,20 @@ def send_with_decoys(
     channel: str = "",
     column: int = 0,
 ) -> TransmittedSequence:
-    """Interleave fresh decoys into ``payload`` and push it through the channel.
+    """Send ``payload`` with fresh decoys through the channel.
 
     The payload qubits are the qubit at ``column`` of every row of each
-    stack in turn.  Decoy positions, which the preparer announces, are
-    uniform over all interleavings; decoy states are sampled independently
-    and uniformly from the four preparations.  The adversary, when
-    present, acts once on every transmitted qubit through ``tap``.
+    stack in turn.  Decoy states are sampled independently and uniformly
+    from the four preparations.  The adversary, when present, acts once
+    on every transmitted qubit through ``tap``; without one, nothing is
+    drawn.
     """
     if decoy_count < 1:
         raise ValueError(f"decoy_count must be >= 1, got {decoy_count}")
-    total = sum(stack.rows for stack in payload) + decoy_count
-    positions = sorted(rng.choice(total, size=decoy_count, replace=False).tolist())
+    if adversary is None:
+        return TransmittedSequence(channel, decoy_count, None, None)
     codes = rng.integers(0, 4, size=decoy_count).tolist()
-    tapped = tap(codes, adversary, rng, payload, column)
-    return TransmittedSequence(channel=channel, positions=positions, codes=codes, tapped=tapped)
+    return TransmittedSequence(channel, decoy_count, codes, tap(codes, adversary, rng, payload, column))
 
 
 @dataclass
@@ -185,16 +172,19 @@ def check_decoys(
 ) -> DecoyCheckResult:
     """Announced-basis decoy comparison for a fully quantum receiver.
 
-    Raises :class:`EavesdroppingDetected` when the error rate exceeds
+    An untapped sequence reads nothing and counts 0 errors.  Raises
+    :class:`EavesdroppingDetected` when the error rate exceeds
     ``threshold``.
     """
-    codes = seq.codes
-    outcomes = read_prepared(codes, [c >> 1 for c in codes], rng, seq.tapped and seq.tapped.state)
-    errors = sum(outcome != (code & 1) for outcome, code in zip(outcomes, codes))
-    rate = errors / len(codes)
+    errors = 0
+    if seq.tapped is not None:
+        codes = seq.codes
+        outcomes = read_prepared(seq.tapped.state, [c >> 1 for c in codes], rng)
+        errors = sum(outcome != (code & 1) for outcome, code in zip(outcomes, codes))
+    rate = errors / seq.decoy_count
     result = DecoyCheckResult(
         channel=seq.channel,
-        decoy_count=len(codes),
+        decoy_count=seq.decoy_count,
         errors=errors,
         error_rate=rate,
         passed=rate <= threshold,
@@ -232,45 +222,45 @@ def semiquantum_return_check(
     preparer has collected them; the preparer then measures each in its
     preparation basis.  Two error rates result: on reflected particles,
     and on the published Z outcomes of decoys the preparer prepared in
-    Z.  Raises :class:`EavesdroppingDetected` when either rate exceeds
+    Z.  An untapped sequence draws its codes and coins and reads nothing.
+    Raises :class:`EavesdroppingDetected` when either rate exceeds
     ``threshold``.
     """
-    codes = seq.codes
+    tapped = seq.tapped
+    codes = rng.integers(0, 4, size=seq.decoy_count).tolist() if tapped is None else seq.codes
     sift = rng.integers(0, 2, size=len(codes)).tolist()
     sifted = [i for i, coin in enumerate(sift) if coin]
     reflected = [i for i, coin in enumerate(sift) if not coin]
-    sift_codes = [codes[i] for i in sifted]
-    sift_bits = read_prepared(sift_codes, [0] * len(sifted), rng, seq.tapped and seq.tapped.state[sifted])
-    # Reflected particles travel back shuffled; once the receiver reveals
-    # the order, the preparer re-associates each particle with its
-    # original slot, so measuring record-by-record in arrival order is
-    # exact bookkeeping.
-    order = rng.permutation(len(reflected)).tolist() if reflected else []
-    returned = [reflected[i] for i in order]
-    returned_codes = [codes[i] for i in returned]
+    z_sifted = [i for i in sifted if codes[i] < 2]  # a Z code is its bit
+    returned_codes = [codes[i] for i in reflected]
     on_x = [code >> 1 for code in returned_codes]
-    outcomes = read_prepared(returned_codes, on_x, rng, seq.tapped and seq.tapped.state[returned])
-    wrong = [outcome != (code & 1) for code, outcome in zip(returned_codes, outcomes)]
-    reflected_errors, x_count = sum(wrong), sum(on_x)
-    x_errors = sum(w for w, x in zip(wrong, on_x) if x)
-    z_sift = [bit != code for code, bit in zip(sift_codes, sift_bits) if code < 2]  # a Z code is its bit
-    z_sift_errors = sum(z_sift)
-    reflected_rate = reflected_errors / len(returned) if returned else 0.0
-    z_rate = z_sift_errors / len(z_sift) if z_sift else 0.0
+    reflected_errors = x_errors = z_sift_errors = 0  # untapped, every read returns the prepared bit
+    if tapped is not None:
+        sift_bits = read_prepared(tapped.state[sifted], [0] * len(sifted), rng)
+        z_sift_errors = sum(bit != codes[i] for i, bit in zip(sifted, sift_bits) if codes[i] < 2)
+        # The reflected particles travel back shuffled, and the receiver
+        # reveals the order once the preparer holds them all.  A read takes
+        # each row's Born pair and its own uniform from an i.i.d. vector, so
+        # reading them in sending order changes no count's distribution.
+        outcomes = read_prepared(tapped.state[reflected], on_x, rng)
+        wrong = [outcome != (code & 1) for code, outcome in zip(returned_codes, outcomes)]
+        reflected_errors, x_errors = sum(wrong), sum(w for w, x in zip(wrong, on_x) if x)
+    x_count = sum(on_x)
+    reflected_rate = reflected_errors / len(reflected) if reflected else 0.0
+    z_rate = z_sift_errors / len(z_sifted) if z_sifted else 0.0
     passed = reflected_rate <= threshold and z_rate <= threshold
     result = ReturnCheckResult(
         channel=seq.channel,
-        reflected_count=len(returned),
+        reflected_count=len(reflected),
         reflected_errors=reflected_errors,
         reflected_error_rate=reflected_rate,
-        z_sift_count=len(z_sift),
+        z_sift_count=len(z_sifted),
         z_sift_errors=z_sift_errors,
         z_sift_error_rate=z_rate,
         sifted_count=len(sifted),
         passed=passed,
         detail={
-            "permutation": order,
-            "reflected_z_count": len(returned) - x_count,
+            "reflected_z_count": len(reflected) - x_count,
             "reflected_z_errors": reflected_errors - x_errors,
             "reflected_x_count": x_count,
             "reflected_x_errors": x_errors,

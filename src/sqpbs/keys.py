@@ -11,11 +11,13 @@ Each key qubit crosses like a decoy, as its integer preparation code
 (``channels.DecoyState.index``), and BB84 and the semiquantum exchange
 share one batch loop, ``_agree``: they differ only in the batch factor
 (2 or 4) and in the rule that picks key positions and measurement
-bases.  Each batch draws, in this order: its three coin arrays (one
-``rng.integers`` each), any adversary draws of the one ``channels.tap``
-that sends all the raw qubits it spends (which builds a stack only
-under attack), then one ``channels.read_prepared`` of all those qubits.
-After the last batch, BB84 draws its check sample.
+bases.  Each batch draws its three coin arrays (one ``rng.integers``
+each); a tapped batch then draws the adversary draws of the one
+``channels.tap`` that sends the raw qubits it spends, and one
+``channels.read_prepared`` of them.  An untapped batch reads nothing:
+its key and CTRL positions are read in their preparation bases, which
+returns the prepared values.  After the last batch, BB84 draws its
+check sample.
 
 Runs that do not care about the key-agreement channel may skip it
 entirely and draw pre-shared keys ("stubbed" mode in the protocol
@@ -154,9 +156,11 @@ def _agree(length: int, factor: int, rule, adversary, rng: Rng) -> tuple[np.ndar
     ``rule(bases, coins)`` gives its key positions as a mask and each
     qubit's measurement basis.  The batch spends its prefix up to the
     ``missing``-th key position, or all of it, which crosses through one
-    ``channels.tap`` and is read with one ``channels.read_prepared``.
-    Returns the spent qubits' bases, values, coins and outcomes, and the
-    indices of the ``length`` key positions among them.
+    ``channels.tap`` and, tapped, is read with one ``channels.read_prepared``.
+    Untapped, its outcomes are the prepared values, exact at the key and
+    CTRL positions, the only ones a caller reads.  Returns the spent
+    qubits' bases, values, coins and outcomes, and the indices of the
+    ``length`` key positions among them.
     """
     batches, keyed_parts, raw, found = [], [], 0, 0
     while found < length:
@@ -166,9 +170,8 @@ def _agree(length: int, factor: int, rule, adversary, rng: Rng) -> tuple[np.ndar
         key, meas_bases = rule(bases, coins)
         keyed = np.flatnonzero(key)[:missing]
         used = int(keyed[-1]) + 1 if keyed.size == missing else batch
-        codes = 2 * bases[:used] + values[:used]
-        tapped = tap(codes, adversary, rng)
-        outcomes = np.array(read_prepared(codes, meas_bases[:used], rng, tapped and tapped.state))
+        tapped = tap(2 * bases[:used] + values[:used], adversary, rng)
+        outcomes = values[:used] if tapped is None else np.array(read_prepared(tapped.state, meas_bases[:used], rng))
         batches.append((bases[:used], values[:used], coins[:used], outcomes))
         keyed_parts.append(keyed + raw)
         raw += used

@@ -29,12 +29,12 @@ Determinism: a run consumes randomness exclusively from one generator
 seeded by ``config.seed``, in a fixed order (private inputs if not
 supplied, hash secret, key agreement, then per-channel decoy and
 measurement draws in protocol order).  Each measurement step draws
-once: M_B, M_D, M_C, Trent's X reads and Charlie's read of G' take one
-``rng.random(n)`` each; key agreement reads all the raw qubits of a
-batch, and a decoy check all the decoys of a step, with one
-``channels.read_prepared`` call on their integer preparation codes
-(the ``keys`` and ``channels`` docstrings give the order of the steps).
-Two runs with the same config are therefore bit-identical, which is the
+once: M_B, M_D, M_C and Trent's X reads take one ``rng.random(n)``
+each.  Reads whose outcomes an untapped channel fixes take no draw:
+Charlie's read of G', and the key-agreement and check reads of prepared
+qubits, one ``channels.read_prepared`` call a step when tapped (the
+``keys`` and ``channels`` docstrings give the order of the steps).  Two
+runs with the same config are therefore bit-identical, which is the
 replay contract.
 """
 
@@ -329,7 +329,10 @@ class ProtocolRun:
 
     def phase_verify(self) -> str:
         self._check(self.g_seq)
-        self.g_prime = g_prime = Bits._trusted(self.charlie.measure(self.g_prime_qubits, 0, Basis.Z, self.rng))
+        g_prime = self.g_prime_trent  # Charlie's Z read of Trent's Z states, when untapped
+        if self.g_seq.tapped is not None:
+            g_prime = Bits._trusted(self.charlie.measure(self.g_prime_qubits, 0, Basis.Z, self.rng))
+        self.g_prime = g_prime
         self.transcript.add("measurement_record", party="charlie", label="g_prime", basis="Z", bits=g_prime)
         h_g_prime = keyed_hash(self.config.hash_config, self.hash_secret, g_prime)
         match = h_g_prime == self.h_g

@@ -29,7 +29,7 @@ from .bits import Bits
 from .errors import ConfigError
 from .keys import HashConfig
 
-TOOL_VERSION = "0.5.0"
+TOOL_VERSION = "0.6.0"
 TRANSCRIPT_FORMAT = "sqpbs-transcript"
 
 # The AttackSpec fields each attack kind reads besides ``kind``; the

@@ -37,10 +37,27 @@ class RecordingRng:
         self.calls.append(("integers", size))
         return self._rng.integers(low, high, size=size)
 
-    def permutation(self, n):
-        self.calls.append(("permutation", n))
-        return self._rng.permutation(n)
-
     def choice(self, a, size=None, replace=True):
         self.calls.append(("choice", size))
+        return self._rng.choice(a, size=size, replace=replace)
+
+
+class ReadsApart:
+    """A seeded generator that serves its uniform draws, the reads, from a second stream.
+
+    Its other draws follow the stream of the same seed, so a tapped run
+    draws them as an untapped run, which reads nothing, does.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._reads = np.random.default_rng([seed, 1])
+
+    def random(self, size=None):
+        return self._reads.random(size)
+
+    def integers(self, low, high, size=None):
+        return self._rng.integers(low, high, size=size)
+
+    def choice(self, a, size=None, replace=True):
         return self._rng.choice(a, size=size, replace=replace)

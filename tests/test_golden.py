@@ -96,7 +96,7 @@ ROW_ATTACKS = {
 }
 ROW_SEEDS = {
     ("em2", "xi_m"): 100, ("em2", "w1"): 100, ("em2", "w2"): 100, ("em2", "w4"): 100,
-    ("em4", "xi_m"): 100, ("em4", "w1"): 101, ("em4", "w2"): 105, ("em4", "w4"): 100,
+    ("em4", "xi_m"): 102, ("em4", "w1"): 101, ("em4", "w2"): 105, ("em4", "w4"): 103,
     ("ir", "xi_m"): 101, ("ir", "w1"): 102, ("ir", "w2"): 100, ("ir", "w4"): 100,
 }
 ROW_CONFIGS = {
@@ -119,33 +119,33 @@ CONFIGS.update({
 })
 
 PINS = {
-    "honest-sim-n4": "58af02e7a110028c3e9f6347e11e50893ee36e45d476524f37668147bc420c91",
-    "honest-stubbed-n8": "186b5825c73ee871f49007bb8213352ebc17a5f23b0d0643c930df6c1fc0ee79",
-    "honest-explicit-inputs": "6920fd1f9fe6be6e8d57aa345ff1821457ba6a5874a44fb6f2ad944a1fd93468",
-    "ir-random-xi_m": "1e3ba602899256d00ea28398ccc705c3ad632522e81f6ecee83cefc60435a0d0",
+    "honest-sim-n4": "116b3796abd3959e7872b1466501341c6ba1a902acf35d26dd524d1c27b14c99",
+    "honest-stubbed-n8": "052bbd8aed5335e45cd11996d1ff59ea4d85ffbb348c5f3ad8c2e4759a6cb2ac",
+    "honest-explicit-inputs": "c02280028e3d0efda539b6026bb5c7e9302fa740b28dc2c8720a2aa09e577a92",
+    "ir-random-xi_m": "f36552754fb66bef7909191804887a47b677d0232f9d929147c9b3448d3fb8fa",
     "ir-z-bb84_dt": "961827d57e405e0a44d6916138e954858d58c1c7f3b66c6959413ee78322fdf5",
-    "ir-x-sqkd_bt-threshold": "628988ac74ce5fbec3fe119bfe2741c315c3be8084258abcf15921caff4c297b",
-    "em-rotation-w1": "b98742890dbcfda881cd933c1dc194d132ae1611581ddae467dcc8a29c5b6587",
-    "em-undetectable-sqkd_ct": "1473ce5cf0f77261f16c7ef7b1c1f2d39f168a483c87f26886a3527ed65dd2e9",
-    "em-marking-g_prime": "2cf47fc1ae4a02e0aed5af7d30bffada767bb5622d070ceea02a7e933b7bfb6a",
-    "forge-md-stubbed": "e82c05941cc2610ed14076be09a4e58fb816cf2102e82852efb8a6dc06033a79",
-    "tamper-md-bit7": "785b14b5e2055bd274eda14c5be938771eae0df7358469d2bd19a95697ef39cd",
-    "withhold-M_B": "68683d3e907290ff8054f4a2508022a1e04c39d9118c1f58b1825ee327ee5720",
-    "withhold-M_C-stubbed": "4802321ff691cfa396cce35f6aee30263caa2fc2d3701f967fe4ea8c59d65d1f",
-    "rows-em2-xi_m": "490448277846eef62028b51d8ced7b17c537bbf786cc14e6ebb4519ad45aeba6",
-    "rows-em2-w1": "e142becce5165826cfb631467f7b4c78e6222610c474dd9d6f234b579c8d8785",
-    "rows-em2-w2": "7323a0dfd1a71e16e19253f90441690746ac987a3956f0434afbdb09ddd9ea8d",
-    "rows-em2-w4": "ec53b6d3f7cbd46d30c0bdb3f9b3eae3f69b0fa4f6a16d6f0db1701632b11aa4",
-    "rows-em4-xi_m": "ce68bb566caa5bd6781ec530c255c099ea97f1e2f871d87fd9c4ba0a71c0274d",
-    "rows-em4-w1": "18d689a17d44fd3c52034862c119c200d464bcd16a6fa648d98bd24e207336f9",
-    "rows-em4-w2": "8ebb5d154f8588a9309a83bdbb88c31f78f82cc1cc55b8e487185410544dfcb2",
-    "rows-em4-w4": "b4264b39abdfa6754ebcc191c49658f63e7509ee37a30ca813517aaf0da8ab8e",
-    "rows-ir-xi_m": "add38784f8dac135bd73e70cf6c25e5d81fcbc8a147865e281d44a8e04419063",
-    "rows-ir-w1": "8eeb1d139886043b95183df19ad30434bf1862ee39d77a0b83e75ba3ffe7095f",
-    "rows-ir-w2": "d12084254c2041b7cb4c5ec1582396a5f68994ea84092a84fdf6aef75d5331b8",
-    "rows-ir-w4": "ac520c4b4f3ea3f6428aa363da6c855f85430d6d7c7c4eabcde48ac91131a116",
+    "ir-x-sqkd_bt-threshold": "cecfcb693b2381df640c91d4a0214ac801e16c15f8a2dd41a36d8948d5f88bd6",
+    "em-rotation-w1": "73d0071c8d118eb401ba327eb6dc4de4e3c6c4eb1726066dfbc9cb08e0f66683",
+    "em-undetectable-sqkd_ct": "f348ead9e200afb39f38ef1a16c2413d5239ec6be237900dd14f2fbe24bdb47d",
+    "em-marking-g_prime": "be1d09c28d1c9d8b7809520378e88a0411b340d77a7b91b88732aee53637f7a1",
+    "forge-md-stubbed": "1c4f3ae46f3a08419f85db57712d3c4741f561578be43a6ab4ad5a09f630128a",
+    "tamper-md-bit7": "9e958c085cd4c2fde29b322796fe7f6497a3a71e8fde34238265898a262b621b",
+    "withhold-M_B": "f2cbb0fb9cca96cc96697cb41560c3c5a9143657700013c9ec725e179ee364c1",
+    "withhold-M_C-stubbed": "6be79063b812dc64d586e0a4f5ca0e580a0abcc65072b8964cd5209d162314c8",
+    "rows-em2-xi_m": "bd878f9daa9f3e001698de2b398d4f835086d065c0c3b9b22c6a234b99aef13b",
+    "rows-em2-w1": "87d74d6d5a7de13746f7cbd0665c55bf5d403d3243da895d6c39030d9c0cd4d2",
+    "rows-em2-w2": "08b1d7654481e770d8eff68a08c50bef6a61c0ff90d411bec9d995e694a0b931",
+    "rows-em2-w4": "d2d4f6ad4ebe406e0ec5e4846cea118504f248e1643a8147c57dc8d8a893176d",
+    "rows-em4-xi_m": "02f2c185d362e3f702247e865df74b79ef7c0ff82fce2401c11c6b1a7f978feb",
+    "rows-em4-w1": "1bc357304ac3f4155c3993fa2aed222364c3e63c7eec5c031358e7304185cae0",
+    "rows-em4-w2": "097f3d85f36424e33eb8348d7c3fe3cdad41f8d148348efb9998395803183929",
+    "rows-em4-w4": "e1befe32a6851aa0e8e825997c0f37d0c8e3e1691fc136814ab9c057642c4ea5",
+    "rows-ir-xi_m": "808624a482f470d23bef7b78b4a097414af2c9692015a4d6d04b871b5fc11d9a",
+    "rows-ir-w1": "8f352a40ab98235d54c2148e981982500eb07a8344b9193bb048b6960becac68",
+    "rows-ir-w2": "48e81c9b4106175cfdbd474eb19028d7609ddeaa731d4b4b45ca97b5a825a865",
+    "rows-ir-w4": "d3d582a7a1087c6dc9ba916323a64345385a08075354b5caafba8c15a9bc94b6",
     "em4-bb84_dt": "9f9c36ead671a2aba7bc8ab899a10961f7e001a9b1c0b376e9bc60834afbea06",
-    "em-marking-xi_m-d20": "8eb557975186f43415fe613f014946cb5bf12f7289e8a296331e510ddc080cf5",
+    "em-marking-xi_m-d20": "2e8284f0175cab59a26ed985be993146f7b97fb62f234585f4e184e7486938c1",
 }
 
 # `--out` JSON of experiments, parsed and without its "version" key.
@@ -163,8 +163,8 @@ OUT_ARGV = {
 
 OUT_PINS = {
     "efficiency-n16-l256": "3a5aad2154ed922d0778feaa50a7ff24cd464edbfbf06eab87d9c98b4fc44376",
-    "detection-ir-d5": "67865718a87ab62097742cf1f0c821de64188790c32a1343a17cd32fe4595183",
-    "detection-em-d20": "406b551a0b46bf5e660131beaf7e63cc68897c032a14223ffb27f440ed7dbcb5",
+    "detection-ir-d5": "6be5f871423d2485360e8d2a7f843510ae04aa54822dc20970af9e5886dc193a",
+    "detection-em-d20": "7bb6b3d03ebed9fb5cf7e0ffd329bb71005ae7b8ccca6ae5069c3ac3abb49168",
 }
 
 AUDIT_PIN = "581ec5664374af6a350bb38fdc6df03dceb244995d5192a703403783da101638"
@@ -221,7 +221,7 @@ def audit_sha256() -> str:
 
 
 def test_tool_version_matches_the_pins():
-    assert TOOL_VERSION == "0.5.0"
+    assert TOOL_VERSION == "0.6.0"
 
 
 def test_pyproject_version_is_the_tool_version():

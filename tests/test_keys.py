@@ -18,7 +18,7 @@ from sqpbs.keys import (
     xor_blind,
 )
 from sqpbs.statevec import new_rng
-from stubs import PassThrough, RecordingRng
+from stubs import PassThrough, ReadsApart, RecordingRng
 
 
 class TestBits:
@@ -225,27 +225,33 @@ class TestSQKD:
 @pytest.mark.parametrize("establish", [establish_key_bb84, establish_key_sqkd], ids=["bb84", "sqkd"])
 @pytest.mark.parametrize("length", [1, 2, 64, 200])
 def test_untouched_channel_matches_the_register_path(establish, length):
-    """Table-drawn outcomes equal tapped-stack reads, draw for draw."""
+    """The untapped path reports what the ``PassThrough`` path does when its reads come from a
+    stream of their own: the same coins, keys and counts, matching keys and no error."""
     for seed in range(10):
-        rng_table, rng_registers = new_rng(seed), new_rng(seed)
+        rng_table, rng_registers = new_rng(seed), ReadsApart(seed)
         table = establish(length, rng_table)
         registers = establish(length, rng_registers, PassThrough())
         for name in ("sender_key", "receiver_key", "raw_count", "sifted_count", "error_rate", "detail"):
             assert getattr(table, name) == getattr(registers, name), (seed, name)
-        assert rng_table.random() == rng_registers.random(), seed
+        assert table.keys_match and table.error_rate == 0.0, seed
+        assert rng_table.integers(0, 2**32) == rng_registers.integers(0, 2**32), seed
 
 
 @pytest.mark.parametrize("establish", [establish_key_bb84, establish_key_sqkd], ids=["bb84", "sqkd"])
 @pytest.mark.parametrize("length", [1, 64, 200])
 def test_each_batch_reads_its_qubits_with_one_draw(establish, length):
-    """Every batch draws its three coin arrays, then one ``random`` for all its reads."""
-    rng = RecordingRng(3)
-    result = establish(length, rng)
-    calls = rng.calls
-    if establish is establish_key_bb84:
-        assert calls[-1][0] == "choice"
-        calls = calls[:-1]
-    batches = [calls[i : i + 4] for i in range(0, len(calls), 4)]
-    for batch in batches:
-        assert [method for method, _ in batch] == ["integers"] * 3 + ["random"], calls
-    assert sum(batch[3][1] for batch in batches) == result.raw_count
+    """Every batch draws its three coin arrays; tapped, it then reads all its qubits with one
+    ``random``, and untapped it reads nothing."""
+    for adversary in (None, PassThrough()):
+        rng = RecordingRng(3)
+        result = establish(length, rng, adversary)
+        calls = rng.calls
+        if establish is establish_key_bb84:
+            assert calls[-1][0] == "choice"
+            calls = calls[:-1]
+        step = 3 if adversary is None else 4
+        batches = [calls[i : i + step] for i in range(0, len(calls), step)]
+        for batch in batches:
+            assert [method for method, _ in batch] == ["integers"] * 3 + ["random"] * (step - 3), calls
+        if adversary is not None:
+            assert sum(batch[3][1] for batch in batches) == result.raw_count

@@ -274,23 +274,20 @@ def test_one_qubit_measure_matches_the_array_path(state, basis, seed):
 @pytest.mark.parametrize("length", range(9))
 def test_decoy_state_measure_matches_the_array_path(length, seed):
     """Prepared qubits of mixed codes and bases, ``length`` of them drawn from a generator seeded
-    by ``length``: each one-qubit measurement matches the array path, and the untouched read from
-    the Born table equals the read of the same qubits tapped by ``PassThrough``, draw for draw, and
-    one measurement of each qubit in turn."""
+    by ``length``: each one-qubit measurement matches the array path, and the read of the same
+    qubits tapped by ``PassThrough`` equals one measurement of each qubit in turn, draw for draw."""
     draw = new_rng(length)
     codes, x_basis = draw.integers(0, 4, length).tolist(), draw.integers(0, 2, length).tolist()
     states, bases = [DECOYS[code].make_state() for code in codes], [list(Basis)[x] for x in x_basis]
     for state, basis in zip(states, bases):
         assert_one_qubit_path_matches_array_path(state, basis, seed)
-    rng, stack_rng = (LastDraw(), LastDraw()) if seed is None else (RecordingRng(seed), RecordingRng(seed))
-    ref_rng = LastDraw() if seed is None else new_rng(seed)
+    stack_rng, ref_rng = (LastDraw(), LastDraw()) if seed is None else (RecordingRng(seed), new_rng(seed))
     stack = tap(codes, PassThrough(), stack_rng)
-    outcomes = read_prepared(codes, x_basis, rng)
-    assert outcomes == read_prepared(codes, x_basis, stack_rng, stack.state)
+    outcomes = read_prepared(stack.state, x_basis, stack_rng)
     assert outcomes == [measure_qubit(new_qubit(s), 0, 0, b, ref_rng) for s, b in zip(states, bases)]
     if seed is not None:  # one draw per read, and none for an empty read
-        assert rng.calls == stack_rng.calls == ([("random", length)] if length else [])
-    assert rng.random() == stack_rng.random() == ref_rng.random()
+        assert stack_rng.calls == ([("random", length)] if length else [])
+    assert stack_rng.random() == ref_rng.random()
 
 
 TAPS = {
@@ -300,13 +297,13 @@ TAPS = {
 }
 
 
-def read_by_basis(codes, x_basis, rng, tapped) -> list[int]:
+def read_by_basis(tapped, x_basis, rng) -> list[int]:
     """The tapped read as one ``measure_rows`` per basis, each on its rows' share of one ``rng.random``."""
-    if not len(codes):
+    if not len(tapped):
         return []
-    u = rng.random(len(codes))
+    u = rng.random(len(tapped))
     on_x = np.asarray(x_basis, dtype=bool)
-    outcomes = np.empty(len(codes), dtype=np.intp)
+    outcomes = np.empty(len(tapped), dtype=np.intp)
     for basis, rows in ((Basis.Z, ~on_x), (Basis.X, on_x)):
         if rows.any():
             outcomes[rows], _ = measure_rows(tapped[rows], 0, basis, u[rows])
@@ -324,19 +321,19 @@ def test_tapped_read_matches_one_measurement_per_basis(length, eve, seed):
     codes, x_basis = draw.integers(0, 4, length).tolist(), draw.integers(0, 2, length).tolist()
     stack = tap(codes, EntangleMeasure(TAPS[eve]), new_rng(0)).state
     sifted = np.flatnonzero(draw.integers(0, 2, length)).tolist()
-    returned = draw.permutation(sorted(set(range(length)) - set(sifted))).tolist()
+    reflected = sorted(set(range(length)) - set(sifted))
     reads = [
         (range(length), x_basis),  # random bases, as key agreement reads
         (range(length), [code >> 1 for code in codes]),  # preparation bases, as check_decoys reads
         (sifted, [0] * len(sifted)),  # the SIFTed decoys in Z
-        (returned, [codes[i] >> 1 for i in returned]),  # the reflected decoys in arrival order
+        (reflected, [codes[i] >> 1 for i in reflected]),  # the reflected decoys in their preparation bases
     ]
     for rows, bases in reads:
-        read_codes, tapped = [codes[i] for i in rows], stack[list(rows)]
+        tapped = stack[list(rows)]
         rng, ref_rng = (LastDraw(), LastDraw()) if seed is None else (RecordingRng(seed), new_rng(seed))
-        assert read_prepared(read_codes, bases, rng, tapped) == read_by_basis(read_codes, bases, ref_rng, tapped)
+        assert read_prepared(tapped, bases, rng) == read_by_basis(tapped, bases, ref_rng)
         if seed is not None:
-            assert rng.calls == ([("random", len(read_codes))] if read_codes else [])
+            assert rng.calls == ([("random", len(tapped))] if len(tapped) else [])
         assert rng.random() == ref_rng.random()
 
 

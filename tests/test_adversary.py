@@ -15,6 +15,7 @@ from sqpbs.statevec import (
     fidelity_up_to_phase,
     ket_plus,
     new_rng,
+    postselect,
     tensor,
 )
 from test_golden import FOUR_DIM_EVE
@@ -43,6 +44,39 @@ def closed_form_rates(params: EveParams) -> dict[str, float]:
         "+": 0.25 * float(np.linalg.norm(minus_branch) ** 2),
         "-": 0.25 * float(np.linalg.norm(plus_branch) ** 2),
     }
+
+
+def defining_columns(params: EveParams) -> tuple[np.ndarray, np.ndarray]:
+    """E|0>|e> and E|1>|e>, straight from the amplitudes and probe vectors."""
+    e00, e01, e10, e11 = (np.asarray(e) for e in (params.eps_00, params.eps_01, params.eps_10, params.eps_11))
+    return (
+        np.concatenate([params.alpha_00 * e00, params.alpha_01 * e01]),
+        np.concatenate([params.alpha_10 * e10, params.alpha_11 * e11]),
+    )
+
+
+def coupled_decoys(params: EveParams) -> dict[DecoyState, np.ndarray]:
+    """One-state reference of the exact analysis: E(|s>|e>) per decoy state, one state at a time."""
+    targets = list(range(1 + int(math.log2(params.probe_dim))))
+    u = params.coupling_unitary()
+    return {decoy: apply_unitary(tensor(decoy.make_state(), params.initial_probe()), targets, u) for decoy in DecoyState}
+
+
+class OnlyDefiningColumns:
+    """``params``' probe and coupling with every column but 0 and ``probe_dim`` zeroed."""
+
+    def __init__(self, params: EveParams):
+        self.initial_probe = params.initial_probe
+        self.unitary = np.zeros_like(params.coupling_unitary())
+        for j in (0, params.probe_dim):
+            self.unitary[:, j] = params.coupling_unitary()[:, j]
+
+    def coupling_unitary(self) -> np.ndarray:
+        return self.unitary
+
+
+ANALYSED = [*violation_grid(10), FOUR_DIM_EVE, EveParams.undetectable((0.6, 0.8)), EveParams.undetectable((1j, 0))]
+NEARLY_TRIVIAL_PHIS = [2.1998148529878888e-08, -3e-8, 1e-12]
 
 
 class TestInterceptResend:
@@ -107,17 +141,35 @@ class TestEveParamsValidation:
             u = params.coupling_unitary()
             np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-10)
 
-    @pytest.mark.parametrize("phi", [2.1998148529878888e-08, -3e-8, 1e-12])
+    @pytest.mark.parametrize("phi", NEARLY_TRIVIAL_PHIS)
     def test_nearly_trivial_marking_completes_to_a_unitary(self, phi):
         # The complement of a coupling this close to the identity comes from
         # a tiny Gram-Schmidt residual, which one projection pass leaves skewed.
         u = EveParams.probe_marking(phi).coupling_unitary()
         np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-10)
 
+    @pytest.mark.parametrize("params", ANALYSED + [EveParams.probe_marking(phi) for phi in NEARLY_TRIVIAL_PHIS])
+    def test_defining_columns_are_exact(self, params):
+        u = params.coupling_unitary()
+        col0, col1 = defining_columns(params)
+        assert u[:, 0].tobytes() == col0.tobytes()
+        assert u[:, params.probe_dim].tobytes() == col1.tobytes()
+
     def test_json_round_trip(self):
         params = EveParams.probe_marking(0.6)
         clone = EveParams.from_json_dict(params.to_json_dict())
         np.testing.assert_allclose(clone.coupling_unitary(), params.coupling_unitary(), atol=1e-12)
+
+
+class TestExactAnalysisReference:
+    @pytest.mark.parametrize("params", ANALYSED)
+    def test_rates_and_probe_states_equal_the_one_state_reference(self, params):
+        rates, probes = params.expected_error_rates(), params.probe_states()
+        for decoy, joint in coupled_decoys(params).items():
+            prob, _ = postselect(joint, 0, decoy.basis, 1 - decoy.bit)
+            assert rates[decoy.label].hex() == float(prob).hex()
+            t = joint.reshape(2, params.probe_dim)
+            assert probes[decoy.label].tobytes() == (t.conj().T @ t).tobytes()
 
 
 class TestUndetectableCoupling:
@@ -213,6 +265,19 @@ class TestEntangleMeasureHook:
             for got, row in zip(stack.state, rows, strict=True):
                 want = apply_unitary(tensor(row, probe), [column, *range(width, wide)], params.coupling_unitary())
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("params", [EveParams.probe_marking(1.2), EveParams.rotation(0.8), FOUR_DIM_EVE])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_only_the_defining_columns_reach_the_output(self, params, width):
+        # Every probe starts in |e>, so no other column of E meets a nonzero amplitude.
+        rng = new_rng(40 + width)
+        raw = rng.normal(size=(5, 1 << width)) + 1j * rng.normal(size=(5, 1 << width))
+        rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        for column in range(width):
+            full, masked = Stack(rows.copy()), Stack(rows.copy())
+            EntangleMeasure(params).intercept([(full, column)], rng)
+            EntangleMeasure(OnlyDefiningColumns(params)).intercept([(masked, column)], rng)
+            assert np.array_equal(full.state, masked.state)
 
     def test_undetectable_attack_never_disturbs_decoys(self):
         params = EveParams.undetectable((0.6, 0.8))

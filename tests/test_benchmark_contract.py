@@ -4,6 +4,11 @@
 through them; renaming or deleting one breaks only the slow benchmark
 suite.  These checks load the benchmark's own ``tracing`` and
 ``workloads`` modules and fail fast in tier-1 instead.
+
+``WORKLOAD_PINS`` pins each workload's run digest over its first
+``PINNED_TRIALS`` trials at two seeds, through the benchmark's own
+``harness.run_count``: a change that moves a benchmark output fails
+here.  ``python -m tests.test_golden`` prints these pins too.
 """
 
 import importlib
@@ -24,8 +29,27 @@ def _load(name: str):
     return module
 
 
+harness = _load("harness")
 tracing = _load("tracing")
 workloads = _load("workloads")
+
+PINNED_TRIALS = 100
+WORKLOAD_PINS = {
+    ("audit-corrections", 1): "9f20f34b64490c924a8976b594a384a0687784405f8d52fab6dd8bd0bcf32737",
+    ("audit-corrections", 20231030): "20b8c9cee47a2e9b0ae93d1f1ca5677c6e881d7126e15f5c008264efb6ab7959",
+    ("detect-em-d20", 1): "6c2f8e82405bf401d79518eb39bbf734f41c348c6385614f4afde3abbfd1596f",
+    ("detect-em-d20", 20231030): "b918db9bce8e8e6e9aef5e4a6d0f6fb13797a983fe2f59f8ef0acd107a216395",
+    ("forge-n8-stubbed", 1): "a1bf0df41a8ccf2fec63a617c0bd3f7b864fbb3b613ed80de6242f7db7a01953",
+    ("forge-n8-stubbed", 20231030): "7c7ff8fd39ec83df58fa73dcc4ff6f6208f21ce8467df75a30e458a1194f6f91",
+    ("honest-n64-sim", 1): "8affe830cc66ea1aa54fdd3d2405fb965c182f4f8e6745d45930c59755cdec5b",
+    ("honest-n64-sim", 20231030): "31a3a85335152d057fb3cfda5ff6f01617dce07e4a4af91e1ffaac41a00482fa",
+}
+
+
+def workload_sha256(name: str, seed: int) -> str:
+    """The run digest of workload ``name``'s first ``PINNED_TRIALS`` trials at ``seed``."""
+    log, _ = harness.run_count(workloads.WORKLOADS[name](seed), PINNED_TRIALS)
+    return log.digest()
 
 
 def _bindings() -> dict:
@@ -57,3 +81,12 @@ def test_one_traced_trial_per_workload(name):
     assert isinstance(workload.record(out), bytes)
     assert sum(calls for calls, _ in tracer.summary().values()) > 0
     assert _bindings() == before
+
+
+def test_workload_pins_cover_every_workload():
+    assert sorted(WORKLOAD_PINS) == sorted((name, seed) for name in workloads.WORKLOADS for seed in (1, 20231030))
+
+
+@pytest.mark.parametrize("name, seed", sorted(WORKLOAD_PINS))
+def test_workload_digest_is_pinned(name, seed):
+    assert workload_sha256(name, seed) == WORKLOAD_PINS[name, seed]

@@ -20,7 +20,9 @@ refreshes every pin with one command, from the repository root::
     PYTHONPATH=src python -m tests.test_golden
 
 It prints the transcript hashes and the ``--out`` pins of the
-experiments, to paste below, and rewrites ``data/golden_run.json``.
+experiments, to paste below, and the benchmark workload digests, to
+paste into ``WORKLOAD_PINS`` in ``test_benchmark_contract.py``, and
+rewrites ``data/golden_run.json``.
 """
 
 import functools
@@ -283,6 +285,10 @@ if __name__ == "__main__":
                 digest = out_sha256(argv, Path(tmp) / "out.json")
             print(f'    "{key}": "{digest}",')
     print(f'AUDIT_PIN = "{audit_sha256()}"')
+    from tests.test_benchmark_contract import WORKLOAD_PINS, workload_sha256
+
+    for name, seed in WORKLOAD_PINS:
+        print(f'    ("{name}", {seed}): "{workload_sha256(name, seed)}",')
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*GOLDEN_ARGV, "--out", str(GOLDEN_FILE)]) == EXIT_VALID
     print(f"rewrote {GOLDEN_FILE.relative_to(ROOT)}")

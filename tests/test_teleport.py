@@ -8,10 +8,13 @@ import pytest
 
 from sqpbs import teleport
 from sqpbs.statevec import (
+    Basis,
     BellState,
     PauliCorrection,
     basis_state,
     fidelity_up_to_phase,
+    measure,
+    measure_bell,
     new_rng,
 )
 from sqpbs.teleport import (
@@ -110,7 +113,30 @@ class TestCorrectionLookup:
             assert np.sum(np.abs(collapsed_state_for(outcomes, m)) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_teleportation(m: MessageQubit, rng) -> tuple[TeleportOutcomes, np.ndarray]:
+    """The sampled cascade on one state, with the one-state forms: the reference of ``run_teleportation``."""
+    state = teleport.joint_state(m)
+    z1, state = measure(state, teleport.Q_1, Basis.Z, rng)
+    bell, state = measure_bell(state, teleport.Q_M, teleport.Q_2, rng)
+    z4, state = measure(state, teleport.Q_4, Basis.Z, rng)
+    outcomes = TeleportOutcomes(z1, bell, z4)
+    particle3 = teleport._particle3_rows(state[None], np.array([all_outcomes().index(outcomes)]))[0]
+    return outcomes, correction_for(outcomes).matrix @ particle3
+
+
 class TestRunTeleportation:
+    def test_draw_for_draw_equal_to_the_one_state_reference(self):
+        fixed = [MessageQubit(1, 0), MessageQubit(0, 1), MessageQubit.plus(), MessageQubit.minus()]
+        for seed in range(128):
+            m = fixed[seed] if seed < len(fixed) else MessageQubit.random(new_rng(10_000 + seed))
+            rng, ref = new_rng(seed), new_rng(seed)
+            for _ in range(3):
+                outcomes, recovered = run_teleportation(m, rng)
+                want_outcomes, want = reference_teleportation(m, ref)
+                assert outcomes == want_outcomes
+                assert recovered.tobytes() == want.tobytes()
+                assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_basis_message_always_recovered(self):
         rng = new_rng(9)
         m = MessageQubit(1, 0)

@@ -62,7 +62,6 @@ from .statevec import (
 from .teleport import (
     MessageQubit,
     TeleportOutcomes,
-    collapsed_state_for,
     correction_for,
     prepare_chi,
     run_teleportation,

@@ -14,14 +14,17 @@ basis (probe started in a reference state |e>):
 
 with |a00|^2 + |a01|^2 = |a10|^2 + |a11|^2 = 1.  Unitarity additionally
 forces the two right-hand sides to be orthogonal; the constructor
-validates this and completes E to a full unitary on (qubit x probe).
+validates this and completes E to a full unitary on (qubit x probe) with
+one QR factorization.  Every probe starts in |e>, so only E's two
+defining columns ever reach an output; the completion is arbitrary.
 
 Such an attacker escapes decoy detection on all four decoy states if
 and only if a01 = a10 = 0 and a00|p00> = a11|p11>; its probe then ends
 in the same state regardless of the transmitted qubit, so measuring it
 yields nothing.  ``expected_error_rates`` and ``probe_states`` make this
-dichotomy computable exactly, and ``violation_norm`` measures how far a
-parameter set is from the undetectable manifold.
+dichotomy computable exactly, from the four decoy states coupled as one
+row stack, and ``violation_norm`` measures how far a parameter set is
+from the undetectable manifold.
 """
 
 from __future__ import annotations
@@ -33,16 +36,7 @@ import numpy as np
 
 from .channels import DecoyState
 from .registers import Stack, merge
-from .statevec import (
-    Basis,
-    Rng,
-    apply_rows,
-    is_unitary,
-    measure_rows,
-    num_qubits,
-    postselect,
-    tensor,
-)
+from .statevec import Basis, Rng, apply_rows, born_rows, is_unitary, measure_rows
 
 INTERCEPT_BASES = ("random", "z", "x")
 
@@ -137,27 +131,10 @@ class EveParams:
             raise ValueError(
                 f"parameters do not extend to a unitary coupling (<E0|E1> = {cross:.3e})"
             )
-        total = 2 * dim
-        columns = [col0, col1]
-        for cand_index in range(total):
-            if len(columns) == total:
-                break
-            cand = np.zeros(total, dtype=complex)
-            cand[cand_index] = 1.0
-            for _ in range(2):  # a second pass restores orthogonality lost to cancellation
-                for c in columns:
-                    cand = cand - np.vdot(c, cand) * c
-            norm = float(np.linalg.norm(cand))
-            if norm > 1e-8:
-                columns.append(cand / norm)
-        u = np.zeros((total, total), dtype=complex)
-        # Defining columns occupy |0>|e0> (index 0) and |1>|e0> (index dim).
-        u[:, 0] = columns[0]
-        u[:, dim] = columns[1]
-        spare = iter(columns[2:])
-        for j in range(total):
-            if j not in (0, dim):
-                u[:, j] = next(spare)
+        # Q's trailing columns complete the basis; the defining columns go in
+        # exactly, at |0>|e0> (index 0) and |1>|e0> (index dim).
+        spare = np.linalg.qr(np.column_stack([col0, col1, np.eye(2 * dim)]))[0][:, 2:]
+        u = np.column_stack([col0, spare[:, : dim - 1], col1, spare[:, dim - 1 :]])
         if not is_unitary(u):
             raise ValueError("internal error: completed coupling is not unitary")
         return u
@@ -173,15 +150,20 @@ class EveParams:
         return amps
 
     def coupling_unitary(self) -> np.ndarray:
-        """The completed joint unitary on (qubit x probe)."""
+        """The completed joint unitary on (qubit x probe).
+
+        Columns 0 and ``probe_dim`` are exactly E|0>|e> and E|1>|e>; QR
+        fills the others, which no output depends on, since every probe
+        starts in |e>.
+        """
         return self._unitary.copy()
 
     # -- exact analysis helpers (no sampling) --------------------------------
 
-    def joint_state_after(self, qubit_state: np.ndarray) -> np.ndarray:
-        """E (|qubit> x |e>) for an arbitrary single-qubit input."""
-        joint = tensor(qubit_state, self.initial_probe())
-        return apply_rows(joint[None], list(range(num_qubits(joint))), self._unitary)[0]
+    def _coupled_decoys(self) -> np.ndarray:
+        """E (|s> x |e>) for the four ``DecoyState``s, one row each in definition order."""
+        stack = merge(Stack(np.array([d.make_state() for d in DecoyState])), Stack(self.initial_probe()[None]))
+        return apply_rows(stack.state, list(range(stack.num_qubits)), self._unitary)
 
     def expected_error_rates(self) -> dict[str, float]:
         """Exact disturbance probability for each of the four decoy states.
@@ -190,21 +172,14 @@ class EveParams:
         measuring in the preparation basis after the coupling, sees the
         orthogonal outcome.
         """
-        rates: dict[str, float] = {}
-        for decoy in DecoyState:
-            joint = self.joint_state_after(decoy.make_state())
-            prob, _ = postselect(joint, 0, decoy.basis, 1 - decoy.bit)
-            rates[decoy.label] = float(prob)
-        return rates
+        rows = self._coupled_decoys()
+        born = {basis: born_rows(rows, 0, basis) for basis in Basis}
+        return {d.label: float(born[d.basis][1 - d.bit][d.index]) for d in DecoyState}
 
     def probe_states(self) -> dict[str, np.ndarray]:
         """Reduced probe density matrix after coupling, per input state."""
-        out: dict[str, np.ndarray] = {}
-        for decoy in DecoyState:
-            joint = self.joint_state_after(decoy.make_state())
-            t = joint.reshape(2, self.probe_dim)
-            out[decoy.label] = t.conj().T @ t  # trace out the qubit
-        return out
+        rows = self._coupled_decoys().reshape(len(DecoyState), 2, self.probe_dim)
+        return {d.label: t.conj().T @ t for d, t in zip(DecoyState, rows)}  # trace out the qubit
 
     def max_probe_trace_distance(self) -> float:
         """Largest trace distance between probe states across the four inputs."""

@@ -251,12 +251,6 @@ def _pair_shape(n: int, qubit_a: int, qubit_b: int) -> tuple[tuple[int, int, int
     return dims, (3, 1, 0, 2, 4), (2, 1, 3, 0, 4)
 
 
-def bell_probabilities(state: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
-    """Born probabilities of the four Bell outcomes on a qubit pair."""
-    _check_targets(num_qubits(state), [qubit_a, qubit_b])
-    return _bell_rows(state[None], qubit_a, qubit_b)[1][0]
-
-
 def postselect_bell(
     state: np.ndarray, qubit_a: int, qubit_b: int, outcome: BellState
 ) -> tuple[float, np.ndarray | None]:
@@ -276,9 +270,12 @@ def measure_bell(state: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tup
 # system in ``rows`` independent protocol instances, or one channel's
 # decoys.  Each kernel runs the same operations, in the same order and
 # summed along the same contiguous axis, on every row at once, so a row's
-# result does not depend on the other rows; ``measure``, ``measure_bell``
-# and ``apply_unitary`` are the kernels on one row.  Measurements take one
-# uniform draw per row, ``u``, as one ``rng.random(rows)`` vector gives it.
+# result does not depend on the other rows; ``measure``, ``measure_bell``,
+# ``postselect``, ``postselect_bell`` and ``apply_unitary`` are the kernels
+# on one row.  No package module but ``registers.measure_qubit`` calls one
+# of those one-state forms: they stay for outside callers, the benchmark's
+# tracer and the tests' references.  Measurements take one uniform draw per
+# row, ``u``, as one ``rng.random(rows)`` vector gives it.
 # ``born_rows`` reads one qubit's per-row Born probabilities without a
 # collapse, from the ``_born`` sums that ``measure_rows`` and ``postselect_rows``
 # share; ``apply_rows`` computes its transposes once per ``(n, targets)``.

@@ -36,8 +36,8 @@ from .statevec import (
     BellState,
     PauliCorrection,
     Rng,
-    measure,
-    measure_bell,
+    measure_bell_rows,
+    measure_rows,
     postselect_bell_rows,
     postselect_rows,
     tensor,
@@ -169,12 +169,6 @@ def correction_matrices(z1: Sequence[int], bell_bits: Sequence[int], z4: Sequenc
     return _CORRECTION_MATRICES[8 * np.asarray(z1) + 4 * bell[:, 0] + 2 * bell[:, 1] + np.asarray(z4)]
 
 
-def collapsed_state_for(outcomes: TeleportOutcomes, m: MessageQubit) -> np.ndarray:
-    """Particle 3's state after the three measurements, before correction."""
-    c0a, c0b, c1a, c1b = _TABLE[(outcomes.z1, outcomes.bell_m2, outcomes.z4)][0]
-    return np.array([c0a * m.a + c0b * m.b, c1a * m.a + c1b * m.b], dtype=complex)
-
-
 # Joint-register qubit layout used below: (m, 1, 2, 3, 4) = indices 0..4.
 Q_M, Q_1, Q_2, Q_3, Q_4 = 0, 1, 2, 3, 4
 
@@ -206,15 +200,15 @@ def run_teleportation(m: MessageQubit, rng: Rng) -> tuple[TeleportOutcomes, np.n
     Measures in the fixed order: Z on particle 1, Bell on (m, 2), Z on
     particle 4; then applies the looked-up correction to particle 3 and
     returns (outcomes, recovered particle-3 state).  The recovered state
-    equals the message up to global phase.
+    equals the message up to global phase.  The cascade runs on a one-row
+    stack, each measurement fed one ``rng.random(1)``.
     """
-    state = joint_state(m)
-    z1, state = measure(state, Q_1, Basis.Z, rng)
-    bell, state = measure_bell(state, Q_M, Q_2, rng)
-    z4, state = measure(state, Q_4, Basis.Z, rng)
-    outcomes = TeleportOutcomes(z1, bell, z4)
-    recovered = _particle3_rows(state[None], np.array([_OUTCOMES.index(outcomes)]))[0]
-    return outcomes, correction_for(outcomes).matrix @ recovered
+    z1, state = measure_rows(joint_state(m)[None], Q_1, Basis.Z, rng.random(1))
+    bell, state = measure_bell_rows(state, Q_M, Q_2, rng.random(1))
+    z4, state = measure_rows(state, Q_4, Basis.Z, rng.random(1))
+    branch = 8 * z1 + 2 * bell + z4
+    recovered = _particle3_rows(state, branch)[0]
+    return _OUTCOMES[branch[0]], _CORRECTION_MATRICES[branch[0]] @ recovered
 
 
 @dataclass(frozen=True)
@@ -282,15 +276,6 @@ def forced_branches_particle3(m: MessageQubit, *, reverse: bool = False) -> tupl
         p, stack = step(stack)
         prob *= np.where(p < ZERO_PROB, 0.0, p)
     return prob, _particle3_rows(stack, np.arange(len(_OUTCOMES)))
-
-
-def forced_branch_particle3(m: MessageQubit, outcomes: TeleportOutcomes) -> tuple[float, np.ndarray]:
-    """One branch's row of ``forced_branches_particle3``."""
-    prob, particle3 = forced_branches_particle3(m)
-    r = _OUTCOMES.index(outcomes)
-    if prob[r] == 0.0:
-        raise ValueError(f"branch {outcomes} has zero probability")
-    return float(prob[r]), particle3[r]
 
 
 def _fidelity_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -67,9 +67,9 @@ class OnlyDefiningColumns:
 
     def __init__(self, params: EveParams):
         self.initial_probe = params.initial_probe
-        self.unitary = np.zeros_like(params.coupling_unitary())
-        for j in (0, params.probe_dim):
-            self.unitary[:, j] = params.coupling_unitary()[:, j]
+        u, kept = params.coupling_unitary(), [0, params.probe_dim]
+        self.unitary = np.zeros_like(u)
+        self.unitary[:, kept] = u[:, kept]
 
     def coupling_unitary(self) -> np.ndarray:
         return self.unitary
@@ -143,8 +143,8 @@ class TestEveParamsValidation:
 
     @pytest.mark.parametrize("phi", NEARLY_TRIVIAL_PHIS)
     def test_nearly_trivial_marking_completes_to_a_unitary(self, phi):
-        # The complement of a coupling this close to the identity comes from
-        # a tiny Gram-Schmidt residual, which one projection pass leaves skewed.
+        # A coupling this close to the identity leaves its defining columns
+        # nearly parallel to basis vectors; the QR completion must stay unitary.
         u = EveParams.probe_marking(phi).coupling_unitary()
         np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-10)
 

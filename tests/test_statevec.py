@@ -16,7 +16,6 @@ from sqpbs.statevec import (
     ZERO_PROB,
     apply_unitary,
     basis_state,
-    bell_probabilities,
     born_outcomes,
     fidelity_up_to_phase,
     ket_minus,
@@ -26,6 +25,7 @@ from sqpbs.statevec import (
     new_rng,
     postselect,
     postselect_bell,
+    postselect_bell_rows,
     tensor,
 )
 from sqpbs.teleport import prepare_chi
@@ -258,6 +258,11 @@ class TestMeasure:
         stream_a = [measure(state, 1, Basis.X, rng_a)[0] for _ in range(200)]
         stream_b = [measure(state, 1, Basis.X, rng_b)[0] for _ in range(200)]
         assert stream_a == stream_b
+
+
+def bell_probabilities(state: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndarray:
+    """The four Bell outcomes' Born probabilities on (a, b): ``postselect_bell_rows`` on four copies of ``state``."""
+    return postselect_bell_rows(np.tile(state, (4, 1)), qubit_a, qubit_b, np.arange(4))[0]
 
 
 class TestBellMeasurement:

@@ -22,15 +22,21 @@ from sqpbs.teleport import (
     MessageQubit,
     TeleportOutcomes,
     all_outcomes,
-    collapsed_state_for,
     correction_for,
     correction_matrices,
-    forced_branch_particle3,
+    forced_branches_particle3,
     prepare_chi,
     run_teleportation,
     verify_correction_table,
     _TABLE,
+    _TABLE_COLUMNS,
 )
+
+
+def table_states(m: MessageQubit) -> np.ndarray:
+    """The table's collapsed-state column for ``m``: particle 3 before correction, one row per branch."""
+    coeffs = _TABLE_COLUMNS[0]
+    return coeffs[:, 0::2] * m.a + coeffs[:, 1::2] * m.b
 
 
 class TestCarrierState:
@@ -102,15 +108,15 @@ class TestCorrectionLookup:
     def test_collapsed_state_rows(self):
         a, b = 0.6, 0.8
         m = MessageQubit(a, b)
-        got = collapsed_state_for(TeleportOutcomes(0, BellState.PHI_PLUS, 1), m)
+        states = table_states(m)
+        got = states[all_outcomes().index(TeleportOutcomes(0, BellState.PHI_PLUS, 1))]
         np.testing.assert_allclose(got, [-b, a], atol=1e-12)  # a|1> - b|0>
-        got = collapsed_state_for(TeleportOutcomes(1, BellState.PSI_PLUS, 0), m)
+        got = states[all_outcomes().index(TeleportOutcomes(1, BellState.PSI_PLUS, 0))]
         np.testing.assert_allclose(got, [a, b], atol=1e-12)  # a|0> + b|1>
 
     def test_collapsed_state_unit_norm_for_basis_message(self):
-        m = MessageQubit(1, 0)
-        for outcomes in all_outcomes():
-            assert np.sum(np.abs(collapsed_state_for(outcomes, m)) ** 2) == pytest.approx(1.0, abs=1e-12)
+        for state in table_states(MessageQubit(1, 0)):
+            assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def reference_teleportation(m: MessageQubit, rng) -> tuple[TeleportOutcomes, np.ndarray]:
@@ -249,10 +255,8 @@ class TestBranchAuditor:
 
     def test_forced_branch_matches_collapsed_column(self):
         m = MessageQubit.random(new_rng(15))
-        for outcomes in all_outcomes():
-            prob, particle3 = forced_branch_particle3(m, outcomes)
+        for prob, particle3, expected in zip(*forced_branches_particle3(m), table_states(m), strict=True):
             assert prob == pytest.approx(1 / 16, abs=1e-12)
-            expected = collapsed_state_for(outcomes, m)
             assert fidelity_up_to_phase(particle3, expected) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -265,8 +269,7 @@ class TestTamperedOutcome:
         """
         m = MessageQubit(0.6, 0.8)
         target = m.state()
-        for outcomes in all_outcomes():
-            _, particle3 = forced_branch_particle3(m, outcomes)
+        for outcomes, particle3 in zip(all_outcomes(), forced_branches_particle3(m)[1], strict=True):
             high, low = outcomes.bell_m2.bits
             for flipped in (BellState.from_bits(high ^ 1, low), BellState.from_bits(high, low ^ 1)):
                 wrong = correction_for(TeleportOutcomes(outcomes.z1, flipped, outcomes.z4))
@@ -277,8 +280,7 @@ class TestTamperedOutcome:
         # For |+>/|-> messages the low Bell bit decides the X readout.
         for m in (MessageQubit.plus(), MessageQubit.minus()):
             target = m.state()
-            for outcomes in all_outcomes():
-                _, particle3 = forced_branch_particle3(m, outcomes)
+            for outcomes, particle3 in zip(all_outcomes(), forced_branches_particle3(m)[1], strict=True):
                 high, low = outcomes.bell_m2.bits
                 wrong = correction_for(
                     TeleportOutcomes(outcomes.z1, BellState.from_bits(high, low ^ 1), outcomes.z4)

@@ -36,13 +36,13 @@ import numpy as np
 
 from .channels import DecoyState
 from .registers import Stack, merge
-from .statevec import Basis, Rng, apply_rows, born_rows, is_unitary, measure_rows
+from .statevec import Basis, Rng, apply_rows, born_rows, is_unitary, measure_rows, prepare_rows
 
 INTERCEPT_BASES = ("random", "z", "x")
 
 
 class InterceptResend:
-    """Measure each transiting qubit and resend the collapsed state.
+    """Measure each transiting qubit and resend it in the state it was found in.
 
     ``basis`` is ``"random"`` (fresh coin per qubit), ``"z"`` or ``"x"``.
     The random-basis attacker disturbs each decoy state with probability
@@ -56,14 +56,16 @@ class InterceptResend:
 
     def intercept(self, segments: list[tuple[Stack, int]], rng: Rng) -> None:
         """A coin vector (random basis only), then a uniform vector, over all rows in segment order;
-        each segment's Z rows and X rows collapse with one ``measure_rows`` each."""
+        each segment's Z rows and X rows are measured out with one ``measure_rows`` each and
+        the qubit is re-prepared in its outcome state, with ``prepare_rows``."""
         rows = [stack.rows for stack, _ in segments]
         on_x = rng.integers(0, 2, size=sum(rows)) == 1 if self.basis == "random" else np.full(sum(rows), self.basis == "x")
         cuts = np.cumsum(rows)[:-1]
         for (stack, column), x, u in zip(segments, np.split(on_x, cuts), np.split(rng.random(sum(rows)), cuts)):
             for basis, picked in ((Basis.Z, ~x), (Basis.X, x)):
-                if picked.any():  # the collapse is the resend
-                    stack.state[picked] = measure_rows(stack.state[picked], column, basis, u[picked])[1]
+                if picked.any():
+                    outcomes, rest = measure_rows(stack.state[picked], column, basis, u[picked])
+                    stack.state[picked] = prepare_rows(rest, column, basis, outcomes)
 
 
 def _as_probe_vector(v, dim: int) -> np.ndarray:

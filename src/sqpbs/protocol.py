@@ -22,6 +22,10 @@ A run walks four phases:
    one-time-pad encrypted to Trent, who applies the teleportation
    correction per instance, reads out the restored state in the X
    basis, and ships the re-encoded result G' to Charlie with decoys.
+   Each measurement drops the particles it measures, so Trent corrects
+   and reads particle 3 alone (with a probe, if one rides on it).  His
+   recovery record publishes only G'; ``recovered`` keeps his corrected
+   stack.
 4. verifying — Charlie Z-measures G', recomputes the keyed hash, and
    declares the signature valid iff it matches Alice's commitment.
 
@@ -69,7 +73,6 @@ from .statevec import (
     Basis,
     Rng,
     apply_1q_rows,
-    fidelity_1q_rows,
     ket_minus,
     ket_plus,
     measure_rows,
@@ -95,7 +98,7 @@ class Party:
             )
 
     def measure(self, stack: Stack, column: int, basis: Basis, rng: Rng) -> list[int]:
-        """Measure the qubit at ``column`` of every row, with one ``rng.random(rows)``."""
+        """Measure the qubit at ``column`` of every row, with one ``rng.random(rows)``, and drop it."""
         if basis is not Basis.Z:
             self._require_quantum(f"a {basis.value}-basis measurement")
         outcomes, stack.state = measure_rows(stack.state, column, basis, rng.random(stack.rows))
@@ -295,31 +298,31 @@ class ProtocolRun:
 
         # Step 6: David clears w2, Bell-measures each (message, carrier-2) pair.
         # Step 7: Trent decrypts the signature and asks Charlie to measure.
-        # The Bell step joins each carrier to its message qubit, whose row
-        # may carry a probe; carrier particle c then sits at column shift + c.
+        # Bob's read left particles 2, 3, 4 at columns 0, 1, 2.  The Bell step
+        # joins each carrier to its message qubit, whose row may carry a
+        # probe; particle c then sits at column shift + c - 2.
         self._check(self.w2_seq)
         shift = self.xi.num_qubits
         joint = merge(self.xi, self.carriers)
-        bells = self.david.measure_bell(joint, 0, shift + 1, rng)
+        bells = self.david.measure_bell(joint, 0, shift, rng)
         self.transcript.count("signature_bits", 2 * n)
         self.m_d = self._report(self.david, "M_D", "Bell", Bits._trusted(bit for i in bells for bit in (i >> 1, i & 1)))
         self._notice("trent", "charlie", "measure-request")
 
         # Step 8: Charlie clears w4 with the return check and measures in Z.
+        # The Bell step dropped the message and particle 2: particle c now
+        # sits at column shift + c - 4.
         self._check(self.w4_seq)
-        m_c = Bits._trusted(self.charlie.measure(joint, shift + 3, Basis.Z, rng))
+        m_c = Bits._trusted(self.charlie.measure(joint, shift, Basis.Z, rng))
         self.m_c = self._report(self.charlie, "M_C", "Z", m_c)
 
         # Step 9: Trent corrects each particle 3, reads it out in X, and
         # re-encodes the result as Z states for Charlie.
-        particle3 = shift + 2
+        particle3 = shift - 1
         self.trent.apply_gates(joint, particle3, correction_matrices(self.m_b, self.m_d, self.m_c))
-        targets = np.array([ket_plus(), ket_minus()])[list(self.g)]
-        fidelities = fidelity_1q_rows(joint.state, particle3, targets).tolist()
+        self.recovered = joint.state
         self.g_prime_trent = Bits._trusted(self.trent.measure(joint, particle3, Basis.X, rng))
-        self.transcript.add(
-            "recovery_record", party="trent", g_prime=self.g_prime_trent, fidelities=fidelities
-        )
+        self.transcript.add("recovery_record", party="trent", g_prime=self.g_prime_trent)
         self.g_prime_qubits = self.trent.prepare_z(self.g_prime_trent)
         self.transcript.count("g_prime_qubits", n)
         self.g_seq = self._dispatch("g_prime", self.g_prime_qubits, 0)

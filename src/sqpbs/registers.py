@@ -24,6 +24,7 @@ from .statevec import (
     measure,
     measure_bell_rows,
     num_qubits,
+    prepare_rows,
 )
 
 
@@ -69,12 +70,13 @@ def merge(a: Stack, b: Stack) -> Stack:
 
 
 def measure_qubit(stack: Stack, row: int, column: int, basis: Basis, rng: Rng) -> int:
-    """Measure the qubit at ``column`` of one row of ``stack``; the row collapses in place."""
-    outcome, stack.state[row] = measure(stack.state[row], column, basis, rng)
+    """Measure the qubit at ``column`` of one row of ``stack``; the row collapses in place, the qubit kept."""
+    outcome, rest = measure(stack.state[row], column, basis, rng)
+    stack.state[row] = prepare_rows(rest[None], column, basis, np.array([outcome]))[0]
     return outcome
 
 
 def measure_qubits_bell(stack: Stack, qubit_a: int, qubit_b: int, rng: Rng) -> list[int]:
-    """Bell-measure the pair (a, b) of every row, with one ``rng.random(rows)``: each row's Bell index."""
+    """Bell-measure the pair (a, b) of every row, with one ``rng.random(rows)``, and drop it: each row's Bell index."""
     indices, stack.state = measure_bell_rows(stack.state, qubit_a, qubit_b, rng.random(stack.rows))
     return indices.tolist()

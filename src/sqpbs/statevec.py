@@ -220,7 +220,7 @@ def _one_row(prob: np.ndarray, out: np.ndarray) -> tuple[float, np.ndarray | Non
 
 
 def postselect(state: np.ndarray, qubit: int, basis: Basis, outcome: int) -> tuple[float, np.ndarray | None]:
-    """Probability of ``outcome`` and the renormalized projected state.
+    """Probability of ``outcome`` and the renormalized state of the other qubits.
 
     ``postselect_rows`` on one row; returns ``(prob, None)`` when the
     outcome has (numerically) zero probability.  Deterministic; used by
@@ -235,26 +235,17 @@ def measure(state: np.ndarray, qubit: int, basis: Basis, rng: Rng) -> tuple[int,
     """Projective single-qubit measurement in the Z or X basis.
 
     ``measure_rows`` on one row: one uniform draw against the cumulative
-    Born probabilities; returns ``(bit, collapsed_state)``.  In the X
-    basis, bit 0 corresponds to ``|+>`` and bit 1 to ``|->``.
+    Born probabilities; returns ``(bit, state of the other qubits)``.  In
+    the X basis, bit 0 corresponds to ``|+>`` and bit 1 to ``|->``.
     """
     outcome, out = measure_rows(state[None], qubit, basis, np.array([rng.random()]))
     return int(outcome[0]), out[0]
 
 
-def _pair_shape(n: int, qubit_a: int, qubit_b: int) -> tuple[tuple[int, int, int], tuple, tuple]:
-    """Reshape geometry and (forward, inverse) axis permutations for a pair."""
-    lo, hi = (qubit_a, qubit_b) if qubit_a < qubit_b else (qubit_b, qubit_a)
-    dims = (1 << lo, 1 << (hi - lo - 1), 1 << (n - hi - 1))
-    if qubit_a < qubit_b:
-        return dims, (1, 3, 0, 2, 4), (2, 0, 3, 1, 4)
-    return dims, (3, 1, 0, 2, 4), (2, 1, 3, 0, 4)
-
-
 def postselect_bell(
     state: np.ndarray, qubit_a: int, qubit_b: int, outcome: BellState
 ) -> tuple[float, np.ndarray | None]:
-    """Probability of a Bell outcome on (a, b) and the projected state: ``postselect_bell_rows`` on one row."""
+    """Probability of a Bell outcome on (a, b) and the other qubits' state: ``postselect_bell_rows`` on one row."""
     return _one_row(*postselect_bell_rows(state[None], qubit_a, qubit_b, np.array([outcome.index])))
 
 
@@ -275,7 +266,8 @@ def measure_bell(state: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tup
 # on one row.  No package module but ``registers.measure_qubit`` calls one
 # of those one-state forms: they stay for outside callers, the benchmark's
 # tracer and the tests' references.  Measurements take one uniform draw per
-# row, ``u``, as one ``rng.random(rows)`` vector gives it.
+# row, ``u``, as one ``rng.random(rows)`` vector gives it, and drop the qubits
+# they measure; ``prepare_rows`` puts one back, in its outcome state.
 # ``born_rows`` reads one qubit's per-row Born probabilities without a
 # collapse, from the ``_born`` sums that ``measure_rows`` and ``postselect_rows``
 # share; ``apply_rows`` computes its transposes once per ``(n, targets)``.
@@ -315,97 +307,100 @@ def born_rows(stack: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, 
 
 
 def _collapse(
-    basis: Basis, outcomes: np.ndarray, c0: np.ndarray, c1: np.ndarray, p0: np.ndarray, p1: np.ndarray
+    outcomes: np.ndarray, c0: np.ndarray, c1: np.ndarray, p0: np.ndarray, p1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``r`` forced onto ``outcomes[r]``, from its component blocks and their weights."""
-    rows, left, right = c0.shape
+    """Row ``r``'s component for ``outcomes[r]``, renormalized, from its component blocks and their weights."""
+    rows = c0.shape[0]
     zero = outcomes == 0
     prob = np.where(zero, p0, p1)
     scale = np.divide(1.0, np.sqrt(prob), out=np.zeros_like(prob), where=prob >= ZERO_PROB)
-    v = np.where(zero[:, None, None], c0, c1) * scale[:, None, None]
-    out = np.zeros((rows, left, 2, right), dtype=complex)
+    return prob, (np.where(zero[:, None, None], c0, c1) * scale[:, None, None]).reshape(rows, -1)
+
+
+def prepare_rows(rest: np.ndarray, qubit: int, basis: Basis, outcomes: np.ndarray) -> np.ndarray:
+    """Insert a qubit at column ``qubit`` of row ``r`` of ``rest``, prepared in ``basis`` as bit ``outcomes[r]``:
+    of what ``measure_rows`` returns, this makes the collapsed stack."""
+    rows = rest.shape[0]
+    v = rest.reshape(rows, 1 << qubit, -1)
+    out = np.zeros((rows, v.shape[1], 2, v.shape[2]), dtype=complex)
     if basis is Basis.Z:
         out[np.arange(rows), :, outcomes, :] = v
     else:
         out[:, :, 0, :] = v * SQRT1_2
-        out[:, :, 1, :] = v * np.where(zero, SQRT1_2, -SQRT1_2)[:, None, None]
-    return prob, out.reshape(rows, -1)
+        out[:, :, 1, :] = v * np.where(outcomes == 0, SQRT1_2, -SQRT1_2)[:, None, None]
+    return out.reshape(rows, -1)
 
 
 def postselect_rows(
     stack: np.ndarray, qubit: int, basis: Basis, outcomes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Force ``qubit`` of row ``r`` onto bit ``outcomes[r]`` in ``basis``: per-row probabilities and the collapsed stack.
+    """Force ``qubit`` of row ``r`` onto bit ``outcomes[r]`` in ``basis``: per-row probabilities and the rest.
 
-    A row whose outcome has less weight than ``ZERO_PROB`` shows it in its
-    probability and collapses to all zeros.
+    Row ``r`` of the rest is <outcome|_qubit row ``r``, renormalized: the
+    other qubits, in order.  A row whose outcome has less weight than
+    ``ZERO_PROB`` shows it in its probability and leaves all zeros.
     """
-    return _collapse(basis, outcomes, *_born(stack, qubit, basis))
+    return _collapse(outcomes, *_born(stack, qubit, basis))
 
 
 def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Measure ``qubit`` of every row in ``basis``: outcome bits and the collapsed stack.
+    """Measure ``qubit`` of every row in ``basis``: outcome bits and the rest, as ``postselect_rows`` leaves it.
 
     Row ``r`` takes the outcome that ``born_outcomes`` gives for its Born
-    probabilities and ``u[r]``, then collapses as ``postselect_rows`` does.
+    probabilities and ``u[r]``.
     """
     c0, c1, p0, p1 = _born(stack, qubit, basis)
     outcome = born_outcomes(p0, p1, u)
-    return outcome, _collapse(basis, outcome, c0, c1, p0, p1)[1]
+    return outcome, _collapse(outcome, c0, c1, p0, p1)[1]
 
 
 def _bell_rows(stack: np.ndarray, qubit_a: int, qubit_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's pair (a, b) in the Bell basis: ``(rows, 4, rest)`` amplitudes and their ``(rows, 4)`` weights."""
+    """Each row's pair (a, b) in the Bell basis: ``(rows, 4, rest)`` amplitudes, the other qubits in
+    order along ``rest``, and their ``(rows, 4)`` weights."""
     rows = stack.shape[0]
-    (da, db, dc), forward, _ = _pair_shape(num_qubits(stack[0]), qubit_a, qubit_b)
-    t = stack.reshape(rows, da, 2, db, 2, dc).transpose(0, *(1 + i for i in forward))
+    lo, hi = sorted((qubit_a, qubit_b))
+    t = stack.reshape(rows, 1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    t = t.transpose(0, 2, 4, 1, 3, 5) if qubit_a < qubit_b else t.transpose(0, 4, 2, 1, 3, 5)
     comp = BELL_MATRIX.conj().T @ t.reshape(rows, 4, -1)
     return comp, np.sum(np.abs(comp) ** 2, axis=2)
 
 
-def _collapse_bell(
-    n: int, qubit_a: int, qubit_b: int, comp: np.ndarray, probs: np.ndarray, index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``r``'s pair forced onto Bell state ``index[r]``, from ``_bell_rows``' amplitudes and weights."""
-    rows = comp.shape[0]
-    (da, db, dc), _, inverse = _pair_shape(n, qubit_a, qubit_b)
-    picked = np.arange(rows), index
+def _collapse_bell(comp: np.ndarray, probs: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``r``'s component for Bell state ``index[r]``, renormalized, from ``_bell_rows``' amplitudes and weights."""
+    picked = np.arange(comp.shape[0]), index
     prob = probs[picked]
     kept = comp[picked]
-    kept = np.divide(kept, np.sqrt(prob)[:, None], out=np.zeros_like(kept), where=(prob >= ZERO_PROB)[:, None])
-    block = BELL_MATRIX.T[index][:, :, None] * kept[:, None, :]
-    out = block.reshape(rows, 2, 2, da, db, dc).transpose(0, *(1 + i for i in inverse))
-    return prob, np.ascontiguousarray(out).reshape(rows, -1)
+    return prob, np.divide(kept, np.sqrt(prob)[:, None], out=np.zeros_like(kept), where=(prob >= ZERO_PROB)[:, None])
 
 
 def postselect_bell_rows(
     stack: np.ndarray, qubit_a: int, qubit_b: int, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Force the pair (a, b) of row ``r`` onto Bell state ``indices[r]``: per-row probabilities and the collapsed stack.
+    """Force the pair (a, b) of row ``r`` onto Bell state ``indices[r]``: per-row probabilities and the rest.
 
-    A row whose outcome has less weight than ``ZERO_PROB`` shows it in its
-    probability and collapses to all zeros.
+    Row ``r`` of the rest is <bell|_{a,b} row ``r``, renormalized: the
+    other qubits, in order.  A row whose outcome has less weight than
+    ``ZERO_PROB`` shows it in its probability and leaves all zeros.
     """
     _check_rows(stack, [qubit_a, qubit_b])
-    return _collapse_bell(num_qubits(stack[0]), qubit_a, qubit_b, *_bell_rows(stack, qubit_a, qubit_b), indices)
+    return _collapse_bell(*_bell_rows(stack, qubit_a, qubit_b), indices)
 
 
 def measure_bell_rows(
     stack: np.ndarray, qubit_a: int, qubit_b: int, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Measure the pair (a, b) of every row in the Bell basis: Bell indices and the collapsed stack.
+    """Measure the pair (a, b) of every row in the Bell basis: Bell indices and the rest, as ``postselect_bell_rows`` leaves it.
 
     Row ``r`` takes the first outcome with weight whose cumulative
     probability exceeds ``u[r]``; a draw past the last cumulative sum
     (which can round to just under 1) takes the last outcome with weight.
-    The row then collapses as ``postselect_bell_rows`` does.
     """
     _check_rows(stack, [qubit_a, qubit_b])
     comp, probs = _bell_rows(stack, qubit_a, qubit_b)
     weighted = probs >= ZERO_PROB
     hit = (u[:, None] < np.cumsum(probs, axis=1)) & weighted
     index = np.where(hit.any(axis=1), hit.argmax(axis=1), 3 - weighted[:, ::-1].argmax(axis=1))
-    return index, _collapse_bell(num_qubits(stack[0]), qubit_a, qubit_b, comp, probs, index)[1]
+    return index, _collapse_bell(comp, probs, index)[1]
 
 
 def apply_1q_rows(stack: np.ndarray, qubit: int, matrices: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from .statevec import (
-    BELL_MATRIX,
     ZERO_PROB,
     Basis,
     BellState,
@@ -178,22 +177,6 @@ def joint_state(m: MessageQubit) -> np.ndarray:
     return tensor(m.state(), prepare_chi())
 
 
-def _particle3_rows(collapsed: np.ndarray, branches: np.ndarray) -> np.ndarray:
-    """Particle 3's single-qubit state in each row of a stack projected onto ``branches``.
-
-    The post-measurement register of row ``r`` factorizes as
-    |bell>_{m,2} (x) |z1>_1 (x) |z4>_4 (x) |v>_3 for the outcomes of
-    branch ``branches[r]``; contracting against the known factors leaves
-    v.  A row without weight gives the zero vector.
-    """
-    rows = collapsed.shape[0]
-    t = collapsed.reshape(rows, 2, 2, 2, 2, 2)[np.arange(rows), :, _Z1[branches], :, :, _Z4[branches]]
-    bv = BELL_MATRIX.T[_BELL[branches]].reshape(rows, 2, 2)
-    v = np.einsum("rab,rabc->rc", bv.conj(), t)
-    norm = np.linalg.norm(v, axis=1)[:, None]
-    return np.divide(v, norm, out=np.zeros_like(v), where=norm >= 1e-12)
-
-
 def run_teleportation(m: MessageQubit, rng: Rng) -> tuple[TeleportOutcomes, np.ndarray]:
     """Sampled end-to-end teleportation of one message qubit.
 
@@ -201,14 +184,14 @@ def run_teleportation(m: MessageQubit, rng: Rng) -> tuple[TeleportOutcomes, np.n
     particle 4; then applies the looked-up correction to particle 3 and
     returns (outcomes, recovered particle-3 state).  The recovered state
     equals the message up to global phase.  The cascade runs on a one-row
-    stack, each measurement fed one ``rng.random(1)``.
+    stack, each measurement fed one ``rng.random(1)``, which leaves
+    particle 3 alone.
     """
-    z1, state = measure_rows(joint_state(m)[None], Q_1, Basis.Z, rng.random(1))
-    bell, state = measure_bell_rows(state, Q_M, Q_2, rng.random(1))
-    z4, state = measure_rows(state, Q_4, Basis.Z, rng.random(1))
-    branch = 8 * z1 + 2 * bell + z4
-    recovered = _particle3_rows(state, branch)[0]
-    return _OUTCOMES[branch[0]], _CORRECTION_MATRICES[branch[0]] @ recovered
+    z1, state = measure_rows(joint_state(m)[None], Q_1, Basis.Z, rng.random(1))  # (m, 2, 3, 4) remain
+    bell, state = measure_bell_rows(state, 0, 1, rng.random(1))  # (3, 4)
+    z4, state = measure_rows(state, 1, Basis.Z, rng.random(1))  # (3)
+    branch = int(8 * z1[0] + 2 * bell[0] + z4[0])
+    return _OUTCOMES[branch], _CORRECTION_MATRICES[branch] @ state[0]
 
 
 @dataclass(frozen=True)
@@ -257,25 +240,29 @@ def forced_branches_particle3(m: MessageQubit, *, reverse: bool = False) -> tupl
 
     First-principles route used by oracles: repeats the joint state into
     16 rows, projects row ``r`` onto the outcome triple
-    ``all_outcomes()[r]`` and extracts particle 3, without consulting the
+    ``all_outcomes()[r]``, which leaves particle 3, without consulting the
     correction table's collapsed-state column.  Returns a (16,) array and
     a (16, 2) stack; a branch that some projection leaves without weight
     has probability 0 and a zero row.  ``reverse`` projects in the
     opposite order.
     """
-    steps = [
-        lambda s: postselect_rows(s, Q_1, Basis.Z, _Z1),
-        lambda s: postselect_bell_rows(s, Q_M, Q_2, _BELL),
-        lambda s: postselect_rows(s, Q_4, Basis.Z, _Z4),
+    # Each projection drops what it measures; the comments list what remains.
+    forward = [
+        lambda s: postselect_rows(s, Q_1, Basis.Z, _Z1),  # (m, 2, 3, 4)
+        lambda s: postselect_bell_rows(s, 0, 1, _BELL),  # (3, 4)
+        lambda s: postselect_rows(s, 1, Basis.Z, _Z4),  # (3)
     ]
-    if reverse:
-        steps.reverse()
+    backward = [
+        lambda s: postselect_rows(s, Q_4, Basis.Z, _Z4),  # (m, 1, 2, 3)
+        lambda s: postselect_bell_rows(s, Q_M, Q_2, _BELL),  # (1, 3)
+        lambda s: postselect_rows(s, 0, Basis.Z, _Z1),  # (3)
+    ]
     prob = np.ones(len(_OUTCOMES))
     stack = np.repeat(joint_state(m)[None], len(_OUTCOMES), axis=0)
-    for step in steps:
+    for step in backward if reverse else forward:
         p, stack = step(stack)
         prob *= np.where(p < ZERO_PROB, 0.0, p)
-    return prob, _particle3_rows(stack, np.arange(len(_OUTCOMES)))
+    return prob, stack
 
 
 def _fidelity_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .bits import Bits
 from .errors import ConfigError
 from .keys import HashConfig
 
-TOOL_VERSION = "0.6.0"
+TOOL_VERSION = "0.7.0"
 TRANSCRIPT_FORMAT = "sqpbs-transcript"
 
 # The AttackSpec fields each attack kind reads besides ``kind``; the
@@ -125,6 +125,11 @@ class AttackSpec:
 # The owner's private inputs: RunConfig fields that never enter a transcript.
 PRIVATE_FIELDS = ("g_a", "k_a")
 
+# Upper bounds on the sizes a config may ask for, far above any size in
+# use (n = 64 and hash_bits = 300 at most), so that a config from outside
+# cannot hold a run in allocation or hashing for minutes.
+SIZE_BOUNDS = {"n": 4096, "decoy_count": 4096, "hash_bits": 65536}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -147,6 +152,9 @@ class RunConfig:
         for name, value in ints.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name, bound in SIZE_BOUNDS.items():
+            if ints[name] > bound:
+                raise ConfigError(f"{name} must be <= {bound}, got {ints[name]}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:

@@ -39,10 +39,10 @@ WORKLOAD_PINS = {
     ("audit-corrections", 20231030): "20b8c9cee47a2e9b0ae93d1f1ca5677c6e881d7126e15f5c008264efb6ab7959",
     ("detect-em-d20", 1): "6c2f8e82405bf401d79518eb39bbf734f41c348c6385614f4afde3abbfd1596f",
     ("detect-em-d20", 20231030): "b918db9bce8e8e6e9aef5e4a6d0f6fb13797a983fe2f59f8ef0acd107a216395",
-    ("forge-n8-stubbed", 1): "a1bf0df41a8ccf2fec63a617c0bd3f7b864fbb3b613ed80de6242f7db7a01953",
-    ("forge-n8-stubbed", 20231030): "7c7ff8fd39ec83df58fa73dcc4ff6f6208f21ce8467df75a30e458a1194f6f91",
-    ("honest-n64-sim", 1): "8affe830cc66ea1aa54fdd3d2405fb965c182f4f8e6745d45930c59755cdec5b",
-    ("honest-n64-sim", 20231030): "31a3a85335152d057fb3cfda5ff6f01617dce07e4a4af91e1ffaac41a00482fa",
+    ("forge-n8-stubbed", 1): "ae528cf067139798531212feeeec7a4e18a12dcb8d6e15d99f45279538962534",
+    ("forge-n8-stubbed", 20231030): "6e8e6ed4f1c53b1267c86927fde2ecdf47906dd5bcb452e96c21da850c4323fc",
+    ("honest-n64-sim", 1): "9b84fa9b597a9fa679b4237e68cbfd13a2b7c1472328675c4370024e218206c7",
+    ("honest-n64-sim", 20231030): "4e71382be9f686b345003d75bf618762fd6f2550ac90d967c86f217ab2716f9f",
 }
 
 

@@ -13,6 +13,8 @@ from sqpbs.cli import (
     EXIT_VALID,
     main,
 )
+from sqpbs.transcript import SIZE_BOUNDS, RunConfig
+from test_golden import GOLDEN_FILE
 
 
 def run_cli(*argv):
@@ -115,6 +117,17 @@ class TestRun:
     def test_zero_n_is_config_error(self, capsys):
         assert run_cli("run", "--n", "0", "--seed", "1") == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("flag", "value"), [("--n", 4097), ("--decoys", 4097), ("--hash-bits", 65537)])
+    def test_size_past_its_bound_is_config_error(self, capsys, flag, value):
+        assert run_cli("run", "--seed", "1", flag, str(value)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert f"<= {value - 1}" in err
+
+    def test_sizes_at_their_bounds_validate(self):
+        RunConfig(n=SIZE_BOUNDS["n"], seed=1, decoy_count=SIZE_BOUNDS["decoy_count"],
+                  hash_bits=SIZE_BOUNDS["hash_bits"]).validate()
 
     def test_bad_message_bits_is_config_error(self):
         assert run_cli("run", "--n", "3", "--seed", "1", "--message", "10x") == EXIT_CONFIG
@@ -275,6 +288,18 @@ class TestReplay:
         assert run_cli("replay", str(bad)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+    @pytest.mark.parametrize(("key", "value"), [("n", 4097), ("decoy_count", 4097), ("hash_bits", 10**12)])
+    def test_replay_of_a_size_past_its_bound_is_config_error(self, tmp_path, capsys, key, value):
+        data = json.loads(GOLDEN_FILE.read_text())
+        data["config"][key] = value
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli("replay", str(bad)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert f"{key} must be <= " in err
 
 
 class TestVerifyCorrections:

@@ -121,33 +121,33 @@ CONFIGS.update({
 })
 
 PINS = {
-    "honest-sim-n4": "116b3796abd3959e7872b1466501341c6ba1a902acf35d26dd524d1c27b14c99",
-    "honest-stubbed-n8": "052bbd8aed5335e45cd11996d1ff59ea4d85ffbb348c5f3ad8c2e4759a6cb2ac",
-    "honest-explicit-inputs": "c02280028e3d0efda539b6026bb5c7e9302fa740b28dc2c8720a2aa09e577a92",
+    "honest-sim-n4": "5e25761028ac22280ae3b73b164d1dd69646d2b1e4d1cda7df2edfd841c4257f",
+    "honest-stubbed-n8": "f6123ddae8c0cd2a4a27ceff7aead5931855d75772912e83885f00795e647ee0",
+    "honest-explicit-inputs": "e7d033599c051d30c413ad7de9c9fe3058730bd2907e63d3ef877e3ac29143ab",
     "ir-random-xi_m": "f36552754fb66bef7909191804887a47b677d0232f9d929147c9b3448d3fb8fa",
     "ir-z-bb84_dt": "961827d57e405e0a44d6916138e954858d58c1c7f3b66c6959413ee78322fdf5",
-    "ir-x-sqkd_bt-threshold": "cecfcb693b2381df640c91d4a0214ac801e16c15f8a2dd41a36d8948d5f88bd6",
-    "em-rotation-w1": "73d0071c8d118eb401ba327eb6dc4de4e3c6c4eb1726066dfbc9cb08e0f66683",
-    "em-undetectable-sqkd_ct": "f348ead9e200afb39f38ef1a16c2413d5239ec6be237900dd14f2fbe24bdb47d",
-    "em-marking-g_prime": "be1d09c28d1c9d8b7809520378e88a0411b340d77a7b91b88732aee53637f7a1",
-    "forge-md-stubbed": "1c4f3ae46f3a08419f85db57712d3c4741f561578be43a6ab4ad5a09f630128a",
-    "tamper-md-bit7": "9e958c085cd4c2fde29b322796fe7f6497a3a71e8fde34238265898a262b621b",
+    "ir-x-sqkd_bt-threshold": "6fe3d766650a026af96ded0ce813591c64c4d80b762d84baa7007c63543b380f",
+    "em-rotation-w1": "a334dc55462fe41602cef72c43e2cdcba9d66c217b077e8cf7ea17b9510fd2a0",
+    "em-undetectable-sqkd_ct": "e0a70663068f345c2cb47a7734afe632100e179b9d532e396b758cad8e6219f9",
+    "em-marking-g_prime": "9bd9e98fbd4fea3e6b8c8d7593f72fbd89d0f039a1e1dda7aae4cbfcdd1441ae",
+    "forge-md-stubbed": "2c4a30adf0786cf39a63329167b26d50f588ef62abedffaf48106a6bdd402874",
+    "tamper-md-bit7": "a00caeaa449b0a4994b5c4ced78f46c382279c6caa120755317810d3c783519c",
     "withhold-M_B": "f2cbb0fb9cca96cc96697cb41560c3c5a9143657700013c9ec725e179ee364c1",
     "withhold-M_C-stubbed": "6be79063b812dc64d586e0a4f5ca0e580a0abcc65072b8964cd5209d162314c8",
-    "rows-em2-xi_m": "bd878f9daa9f3e001698de2b398d4f835086d065c0c3b9b22c6a234b99aef13b",
-    "rows-em2-w1": "87d74d6d5a7de13746f7cbd0665c55bf5d403d3243da895d6c39030d9c0cd4d2",
-    "rows-em2-w2": "08b1d7654481e770d8eff68a08c50bef6a61c0ff90d411bec9d995e694a0b931",
-    "rows-em2-w4": "d2d4f6ad4ebe406e0ec5e4846cea118504f248e1643a8147c57dc8d8a893176d",
-    "rows-em4-xi_m": "02f2c185d362e3f702247e865df74b79ef7c0ff82fce2401c11c6b1a7f978feb",
-    "rows-em4-w1": "1bc357304ac3f4155c3993fa2aed222364c3e63c7eec5c031358e7304185cae0",
-    "rows-em4-w2": "097f3d85f36424e33eb8348d7c3fe3cdad41f8d148348efb9998395803183929",
-    "rows-em4-w4": "e1befe32a6851aa0e8e825997c0f37d0c8e3e1691fc136814ab9c057642c4ea5",
-    "rows-ir-xi_m": "808624a482f470d23bef7b78b4a097414af2c9692015a4d6d04b871b5fc11d9a",
-    "rows-ir-w1": "8f352a40ab98235d54c2148e981982500eb07a8344b9193bb048b6960becac68",
-    "rows-ir-w2": "48e81c9b4106175cfdbd474eb19028d7609ddeaa731d4b4b45ca97b5a825a865",
-    "rows-ir-w4": "d3d582a7a1087c6dc9ba916323a64345385a08075354b5caafba8c15a9bc94b6",
+    "rows-em2-xi_m": "cdb5a4d05245e5ab71c93178cfdaa8f03ac0ee7a494872634f323b857e1d3a5b",
+    "rows-em2-w1": "25edb035cb57f409b23c624c7464a4d71bfa486a6388f3cad8dae732c3bba4a9",
+    "rows-em2-w2": "2e964a88c7bb1ddc7b57ea1cadd81d580721b3915f3ab4a7a028ee3231201001",
+    "rows-em2-w4": "45300e6a28bddcc08f7dcba034aada7dd6cd446c2af39dc6d8eeff948f284b07",
+    "rows-em4-xi_m": "d573202d2df3174424700a2b770de1747bfcd4217217a7a667712744ba4f0d9a",
+    "rows-em4-w1": "dea4cc8db61c93daf55eee45a8d8f78ae76014c1e228d782e6bada70bc0568b4",
+    "rows-em4-w2": "4169c6f1d08b347209c0d255041d64e0f4af561f4d4172a2c43a152a068dea7d",
+    "rows-em4-w4": "cb4867902361d625ad3ed3dd86575be476e6d5bf63534653a04b5cc20190b379",
+    "rows-ir-xi_m": "c11a489df3a94126677dec9a183ead21120e6f01b44a0eabe67fd3fa0c137aac",
+    "rows-ir-w1": "f8167dbcd41cab5527f0733b689c6331f2e29262b47966d6134cbbe477a0d94b",
+    "rows-ir-w2": "017d7d1c8be675d62cb92704c8cc71c19202707c7eaed0eb607396cdf635a7db",
+    "rows-ir-w4": "e170b9b3910b23f5095109d3ba792e72eaca30c42efdeea0568c2f10080d3d4d",
     "em4-bb84_dt": "9f9c36ead671a2aba7bc8ab899a10961f7e001a9b1c0b376e9bc60834afbea06",
-    "em-marking-xi_m-d20": "2e8284f0175cab59a26ed985be993146f7b97fb62f234585f4e184e7486938c1",
+    "em-marking-xi_m-d20": "24e1db3429e17f29b0c0fea36aad39fc29b8c8028a6bf845a004ca6efab5d7d6",
 }
 
 # `--out` JSON of experiments, parsed and without its "version" key.
@@ -223,7 +223,7 @@ def audit_sha256() -> str:
 
 
 def test_tool_version_matches_the_pins():
-    assert TOOL_VERSION == "0.6.0"
+    assert TOOL_VERSION == "0.7.0"
 
 
 def test_pyproject_version_is_the_tool_version():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -23,6 +24,7 @@ from sqpbs.keys import otp_decrypt, otp_encrypt
 from sqpbs.protocol import run_full
 from sqpbs.registers import measure_qubit, new_qubit
 from sqpbs.statevec import (
+    BELL_MATRIX,
     ZERO_PROB,
     Basis,
     BellState,
@@ -39,6 +41,7 @@ from sqpbs.statevec import (
     postselect_bell,
     postselect_bell_rows,
     postselect_rows,
+    prepare_rows,
     tensor,
 )
 from sqpbs.transcript import ATTACK_KINDS, KEY_MODES, QUANTUM_CHANNELS, WITHHOLDABLE, RunConfig
@@ -167,14 +170,80 @@ def ordered_targets(draw, max_qubits=6):
     return n, draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
 
 
+def targets_first(n: int, targets: list[int]) -> np.ndarray:
+    """``perm[i]``: basis index i with its bits reordered so that ``targets`` come first, in order,
+    then the other qubits in theirs; ``moved[perm] = row`` moves a row into that basis."""
+    order = [*targets, *(q for q in range(n) if q not in targets)]
+    return np.array([sum(((i >> (n - 1 - q)) & 1) << (n - 1 - p) for p, q in enumerate(order)) for i in range(1 << n)])
+
+
 def kron_reference(row: np.ndarray, n: int, targets: list[int], matrix: np.ndarray) -> np.ndarray:
     """``matrix`` on ``targets`` of ``row`` as an ``np.kron`` in a basis where the targets come first."""
-    order = [*targets, *(q for q in range(n) if q not in targets)]
-    # perm[i]: basis index i with its bits reordered so that qubit order[p] sits at position p.
-    perm = np.array([sum(((i >> (n - 1 - q)) & 1) << (n - 1 - p) for p, q in enumerate(order)) for i in range(1 << n)])
+    perm = targets_first(n, targets)
     moved = np.empty_like(row)
     moved[perm] = row
     return (np.kron(matrix, np.eye(1 << (n - len(targets)))) @ moved)[perm]
+
+
+def projection_reference(row: np.ndarray, n: int, targets: list[int], ket: np.ndarray) -> tuple[float, np.ndarray]:
+    """``<ket|_targets row`` as an ``np.kron`` in a basis where the targets come first: its weight p,
+    and the other qubits' state divided by sqrt(p), or all zeros for p = 0."""
+    moved = np.empty_like(row)
+    moved[targets_first(n, targets)] = row
+    rest = np.kron(ket.conj()[None], np.eye(1 << (n - len(targets)))) @ moved
+    p = float(np.sum(np.abs(rest) ** 2))
+    return p, rest / math.sqrt(p) if p > 0 else np.zeros_like(rest)
+
+
+ONE_QUBIT_KETS = {Basis.Z: np.eye(2, dtype=complex), Basis.X: np.array([[1, 1], [1, -1]]) * statevec.SQRT1_2}
+
+
+def assert_remainders_match_the_projection(prob, out, stack, targets, kets):
+    """Row ``r`` of a kernel's ``(prob, remaining stack)`` is the projection of row ``r`` onto
+    ``kets[r]`` within 1e-12; a row without weight reads probability 0 and all zeros."""
+    n = num_qubits(stack[0])
+    assert out.shape == (len(stack), 1 << (n - len(targets)))
+    for r, row in enumerate(stack):
+        p, rest = projection_reference(row, n, targets, kets[r])
+        assert abs(prob[r] - p) <= 1e-12
+        if p == 0:
+            assert prob[r] == 0.0 and not out[r].any()
+        else:
+            np.testing.assert_allclose(out[r], rest, rtol=0, atol=1e-12)
+
+
+@FAST
+@given(stacks(max_qubits=6), st.data(), st.sampled_from(Basis), st.integers(0, 2**32 - 1))
+def test_kernels_leave_the_projection_onto_the_outcome(stack, data, basis, seed):
+    """Every measurement kernel returns the stack without the qubits it measured: row ``r``'s
+    component for its outcome, renormalized, as an ``np.kron`` projection gives it."""
+    n = num_qubits(stack[0])
+    rows = len(stack)
+    qubit = data.draw(st.integers(0, n - 1))
+    outcomes = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+    with np.errstate(all="raise"):
+        kernels = [(outcomes, postselect_rows(stack, qubit, basis, outcomes))]
+        measured, out = measure_rows(stack, qubit, basis, new_rng(seed).random(rows))
+        kernels.append((measured, (postselect_rows(stack, qubit, basis, measured)[0], out)))
+    for picked, (prob, out) in kernels:
+        kets = ONE_QUBIT_KETS[basis][picked]
+        assert_remainders_match_the_projection(prob, out, stack, [qubit], kets)
+        # ``prepare_rows`` of the rest is the collapsed state, |outcome><outcome|_qubit row / sqrt(p).
+        collapsed = prepare_rows(out, qubit, basis, picked)
+        for r in np.flatnonzero(prob >= ZERO_PROB):
+            projector = np.outer(kets[r], kets[r].conj())
+            want = kron_reference(stack[r], n, [qubit], projector) / math.sqrt(prob[r])
+            np.testing.assert_allclose(collapsed[r], want, rtol=0, atol=1e-12)
+    if n < 2:
+        return
+    pair = data.draw(st.permutations(range(n)))[:2]
+    indices = np.array(data.draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows)))
+    with np.errstate(all="raise"):
+        kernels = [(indices, postselect_bell_rows(stack, *pair, indices))]
+        measured, out = measure_bell_rows(stack, *pair, new_rng(seed).random(rows))
+        kernels.append((measured, (postselect_bell_rows(stack, *pair, measured)[0], out)))
+    for picked, (prob, out) in kernels:
+        assert_remainders_match_the_projection(prob, out, stack, pair, BELL_MATRIX.T[picked])
 
 
 @FAST
@@ -252,7 +321,8 @@ def test_zero_weight_rows_beside_weighted_ones_raise_no_warning(stack, data):
 
 
 def assert_one_qubit_path_matches_array_path(state, basis, seed):
-    """``measure`` of a one-qubit state equals that of the state joined with |0>.
+    """``measure`` of a one-qubit state equals that of the state joined with |0>: the same bit,
+    and the joined state's remainder is the one-qubit remainder joined with |0>.
 
     ``seed`` None draws with ``LastDraw``; otherwise both sides get equally
     seeded generators.
@@ -261,7 +331,7 @@ def assert_one_qubit_path_matches_array_path(state, basis, seed):
     bit, post = measure(state, 0, basis, rng)
     joined_bit, joined_post = measure(tensor(state, basis_state(1, 0)), 0, basis, joined_rng)
     assert bit == joined_bit
-    assert post.tobytes() == joined_post.reshape(2, 2)[:, 0].tobytes()
+    assert post.tobytes() == joined_post[:1].tobytes()  # what remains: ``post`` (x) |0>
 
 
 @FAST

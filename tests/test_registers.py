@@ -23,6 +23,7 @@ from sqpbs.statevec import (
     new_rng,
     postselect,
     postselect_bell_rows,
+    prepare_rows,
     tensor,
 )
 from stubs import LastDraw
@@ -76,8 +77,9 @@ def test_chained_merges_measure_like_the_direct_tensor(position, basis):
     c, direct = chained(3)
     for row, state in enumerate(direct):
         outcome = measure_qubit(c, row, position, basis, new_rng(position + row))
-        want_outcome, want_state = measure(state, position, basis, new_rng(position + row))
+        want_outcome, rest = measure(state, position, basis, new_rng(position + row))
         assert outcome == want_outcome
+        want_state = prepare_rows(rest[None], position, basis, np.array([want_outcome]))[0]
         assert c.state[row].tobytes() == want_state.tobytes()
 
 
@@ -147,7 +149,7 @@ def test_last_draw_takes_the_outcome_with_weight(n):
     stack = Stack(plus.copy())
     assert [measure_qubit(stack, r, 0, Basis.X, LastDraw()) for r in range(len(plus))] == got.tolist()
     assert got.tolist() == [0] * len(plus)
-    assert stack.state.tobytes() == collapsed.tobytes()
+    assert stack.state.tobytes() == prepare_rows(collapsed, 0, Basis.X, got).tobytes()
     if n > 1:
         phi = BELL_MATRIX[:, 0]
         pairs = np.array([tensor(phi, basis_state(n - 1, r)) for r in range(1 << (n - 1))])

@@ -188,14 +188,15 @@ def random_unitary(dim: int, rng) -> np.ndarray:
 
 class TestMeasure:
     def test_z_on_zero_deterministic(self):
-        bit, post = measure(basis_state(1, 0), 0, Basis.Z, new_rng(0))
+        # The measured qubit leaves the state; the spectator |+> remains.
+        bit, post = measure(tensor(basis_state(1, 0), ket_plus()), 0, Basis.Z, new_rng(0))
         assert bit == 0
-        np.testing.assert_allclose(post, [1, 0])
+        np.testing.assert_allclose(post, ket_plus())
 
     def test_x_on_minus_deterministic(self):
-        bit, post = measure(ket_minus(), 0, Basis.X, new_rng(0))
+        bit, post = measure(tensor(ket_minus(), basis_state(1, 1)), 0, Basis.X, new_rng(0))
         assert bit == 1
-        assert fidelity_up_to_phase(post, ket_minus()) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_up_to_phase(post, basis_state(1, 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_chi_qubit1_is_unbiased(self):
         # Sum |amplitude|^2 over the carrier's kets with particle-2 bit 0:
@@ -212,7 +213,7 @@ class TestMeasure:
     def test_collapse_renormalizes(self):
         rng = new_rng(21)
         state = random_state(3, rng)
-        for q in range(3):
+        for q in reversed(range(3)):  # each measured qubit leaves the state
             _, state = measure(state, q, Basis.Z, rng)
             assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
 
@@ -231,7 +232,7 @@ class TestMeasure:
         state = np.array([JUST_BELOW_ONE, 0], dtype=complex)
         bit, post = measure(state, 0, Basis.Z, LastDraw())
         assert bit == 0
-        np.testing.assert_allclose(post, [1, 0])
+        np.testing.assert_allclose(post, [1])  # no qubit remains: one unit amplitude
 
     def test_born_outcomes_match_the_scalar_rule(self):
         def scalar_rule(p0, p1, u):
@@ -267,10 +268,11 @@ def bell_probabilities(state: np.ndarray, qubit_a: int, qubit_b: int) -> np.ndar
 
 class TestBellMeasurement:
     def test_phi_minus_is_fixed_point(self):
-        state = np.array([SQRT1_2, 0, 0, -SQRT1_2], dtype=complex)
-        outcome, post = measure_bell(state, 0, 1, new_rng(0))
+        # The measured pair leaves the state; the spectator |+> remains.
+        phi_minus = np.array([SQRT1_2, 0, 0, -SQRT1_2], dtype=complex)
+        outcome, post = measure_bell(tensor(phi_minus, ket_plus()), 0, 1, new_rng(0))
         assert outcome is BellState.PHI_MINUS
-        assert fidelity_up_to_phase(post, state) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_up_to_phase(post, ket_plus()) == pytest.approx(1.0, abs=1e-12)
 
     def test_00_splits_between_phi_plus_and_minus(self):
         probs = bell_probabilities(basis_state(2, 0), 0, 1)
@@ -283,9 +285,9 @@ class TestBellMeasurement:
         # Project the joint message+carrier state on particle 1 = |0>,
         # then each Bell outcome on (m, particle 2) has probability 1/4.
         joint = tensor(np.array([0.6, 0.8j], dtype=complex), prepare_chi())
-        prob1, conditioned = postselect(joint, 1, Basis.Z, 0)
+        prob1, conditioned = postselect(joint, 1, Basis.Z, 0)  # (m, 2, 3, 4) remain
         assert prob1 == pytest.approx(0.5, abs=1e-12)
-        probs = bell_probabilities(conditioned, 0, 2)
+        probs = bell_probabilities(conditioned, 0, 1)
         np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-12)
 
     def test_qubit_order_matters(self):
@@ -307,7 +309,7 @@ class TestBellMeasurement:
         outcome, post = measure_bell(phi_plus, 0, 1, LastDraw())
         assert outcome is BellState.PHI_PLUS
         assert np.all(np.isfinite(post))
-        assert fidelity_up_to_phase(post, phi_plus) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_up_to_phase(post, np.ones(1)) == pytest.approx(1.0, abs=1e-12)  # no qubit remains
 
     def test_classical_bit_mapping(self):
         assert BellState.PHI_PLUS.bits == (0, 0)

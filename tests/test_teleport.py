@@ -122,11 +122,10 @@ class TestCorrectionLookup:
 def reference_teleportation(m: MessageQubit, rng) -> tuple[TeleportOutcomes, np.ndarray]:
     """The sampled cascade on one state, with the one-state forms: the reference of ``run_teleportation``."""
     state = teleport.joint_state(m)
-    z1, state = measure(state, teleport.Q_1, Basis.Z, rng)
-    bell, state = measure_bell(state, teleport.Q_M, teleport.Q_2, rng)
-    z4, state = measure(state, teleport.Q_4, Basis.Z, rng)
+    z1, state = measure(state, teleport.Q_1, Basis.Z, rng)  # (m, 2, 3, 4) remain
+    bell, state = measure_bell(state, 0, 1, rng)  # (3, 4)
+    z4, particle3 = measure(state, 1, Basis.Z, rng)  # (3)
     outcomes = TeleportOutcomes(z1, bell, z4)
-    particle3 = teleport._particle3_rows(state[None], np.array([all_outcomes().index(outcomes)]))[0]
     return outcomes, correction_for(outcomes).matrix @ particle3
 
 

@@ -124,7 +124,6 @@ def instrumented_accounting(transcript: Transcript) -> dict:
         "signature_bits": acc.get("signature_bits", 0),
         "consumed_qubits": q_t,
         "classical_bits": acc.get("classical_bits_counted", 0),
-        "classical_bits_overhead": acc.get("classical_bits_overhead", 0),
         "simulated_raw_qubits": {
             "bb84": acc.get("bb84_raw_qubits", 0),
             "sqkd": acc.get("sqkd_raw_qubits", 0),

@@ -29,7 +29,7 @@ from . import analysis
 from .adversary import INTERCEPT_BASES, EveParams
 from .bits import Bits
 from .errors import ConfigError, SqpbsError
-from .protocol import replay_matches, run_full
+from .protocol import replay_difference, run_full
 from .statevec import new_rng
 from .teleport import MessageQubit, verify_correction_table, _TABLE
 from .transcript import (
@@ -370,12 +370,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         config = RunConfig.from_json_dict(data["config"])
         config.validate()
         recorded = data["transcript"]
+    except ConfigError:
+        raise
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"{args.transcript} is malformed: {exc!r}") from exc
-    if replay_matches(config, recorded):
+    difference = replay_difference(config, recorded)
+    if difference is None:
         print(f"replay matches: {len(recorded['events'])} events, verdict {recorded['verdict']}")
         return EXIT_VALID
-    print("replay MISMATCH: re-executed transcript differs from the recorded one")
+    print(f"replay MISMATCH: re-executed transcript differs from the recorded one at {difference}")
     return EXIT_FAILURE
 
 

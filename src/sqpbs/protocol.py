@@ -44,7 +44,7 @@ replay contract.
 
 from __future__ import annotations
 
-import json
+from typing import Any
 
 import numpy as np
 
@@ -79,7 +79,7 @@ from .statevec import (
     new_rng,
 )
 from .teleport import correction_matrices, prepare_chi
-from .transcript import CHANNELS, PRIVATE_FIELDS, RunConfig, TOOL_VERSION, Transcript
+from .transcript import CHANNELS, PRIVATE_FIELDS, RunConfig, TOOL_VERSION, Transcript, canonical
 
 HASH_SECRET_BITS = 128
 
@@ -182,7 +182,7 @@ class ProtocolRun:
 
         self.g = xor_blind(self.g_a, self.k_a)
         self.h_g = keyed_hash(cfg.hash_config, self.hash_secret, self.g)
-        self._classical("alice", "charlie", "H(g)", self.h_g, counted=True)
+        self._classical("alice", "charlie", "H(g)", self.h_g)
         self.phase = "blindness"
 
     def _establish(self, channel: str, bits: int) -> tuple[Bits, Bits]:
@@ -222,12 +222,12 @@ class ProtocolRun:
         )
         return seq
 
-    def _classical(self, sender: str, receiver: str, label: str, payload: Bits, *, counted: bool) -> None:
+    def _classical(self, sender: str, receiver: str, label: str, payload: Bits) -> None:
         self.transcript.add(
             "classical_send", sender=sender, receiver=receiver, label=label,
-            bits=payload, counted=counted,
+            bits=str(payload), counted=True,
         )
-        self.transcript.count("classical_bits_counted" if counted else "classical_bits_overhead", len(payload))
+        self.transcript.count("classical_bits_counted", len(payload))
 
     def _notice(self, sender: str, receiver: str, label: str) -> None:
         self.transcript.add("notice", sender=sender, receiver=receiver, label=label)
@@ -262,7 +262,7 @@ class ProtocolRun:
         A withheld record aborts the run; a forged or tampered M_D is
         swapped for the attacker's ciphertext on the way to Trent.
         """
-        self.transcript.add("measurement_record", party=party.name, label=label, basis=basis, bits=bits)
+        self.transcript.add("measurement_record", party=party.name, label=label, basis=basis, bits=str(bits))
         trent_pad, own_pad = self.pads[party.name]
         sent = f"E_{own_pad.label}[{label}]"
         attack = self.config.attack
@@ -270,11 +270,11 @@ class ProtocolRun:
             self.transcript.add("withheld", party=party.name, label=sent)
             raise ProtocolError(f"missing:{label}")
         ct = own_pad.encrypt(bits)
-        self._classical(party.name, "trent", sent, ct, counted=True)
+        self._classical(party.name, "trent", sent, ct)
         if label == "M_D" and attack.kind in ("forge-md", "tamper-md"):
             forged = attack.kind == "forge-md"
             ct = Bits.random(len(ct), self.rng) if forged else ct.flip(attack.bit_index % len(ct))
-            self.transcript.add("message_tampered", label=sent, kind=attack.kind, bits=ct)
+            self.transcript.add("message_tampered", label=sent, kind=attack.kind, bits=str(ct))
         return trent_pad.decrypt(ct)
 
     def phase_sign(self) -> None:
@@ -322,7 +322,7 @@ class ProtocolRun:
         self.trent.apply_gates(joint, particle3, correction_matrices(self.m_b, self.m_d, self.m_c))
         self.recovered = joint.state
         self.g_prime_trent = Bits._trusted(self.trent.measure(joint, particle3, Basis.X, rng))
-        self.transcript.add("recovery_record", party="trent", g_prime=self.g_prime_trent)
+        self.transcript.add("recovery_record", party="trent", g_prime=str(self.g_prime_trent))
         self.g_prime_qubits = self.trent.prepare_z(self.g_prime_trent)
         self.transcript.count("g_prime_qubits", n)
         self.g_seq = self._dispatch("g_prime", self.g_prime_qubits, 0)
@@ -336,11 +336,11 @@ class ProtocolRun:
         if self.g_seq.tapped is not None:
             g_prime = Bits._trusted(self.charlie.measure(self.g_prime_qubits, 0, Basis.Z, self.rng))
         self.g_prime = g_prime
-        self.transcript.add("measurement_record", party="charlie", label="g_prime", basis="Z", bits=g_prime)
+        self.transcript.add("measurement_record", party="charlie", label="g_prime", basis="Z", bits=str(g_prime))
         h_g_prime = keyed_hash(self.config.hash_config, self.hash_secret, g_prime)
         match = h_g_prime == self.h_g
         self.transcript.add(
-            "verdict_check", by="charlie", hash_g=self.h_g, hash_g_prime=h_g_prime, match=match
+            "verdict_check", by="charlie", hash_g=str(self.h_g), hash_g_prime=str(h_g_prime), match=match
         )
         verdict = VERDICT_VALID if match else VERDICT_INVALID
         self.transcript.verdict = verdict
@@ -378,7 +378,34 @@ def run_full(config: RunConfig) -> Transcript:
     return ProtocolRun(config).run()
 
 
-def replay_matches(config: RunConfig, transcript_dict: dict) -> bool:
-    """Re-run ``config`` and compare against a previously recorded transcript."""
-    fresh = run_full(config)
-    return json.dumps(fresh.to_dict(), sort_keys=True) == json.dumps(transcript_dict, sort_keys=True)
+def replay_difference(config: RunConfig, recorded: Any) -> str | None:
+    """Re-run ``config``: None if its canonical bytes equal ``recorded``'s, else where they first differ.
+
+    ``recorded`` is a transcript read back from a file.  The first difference
+    in canonical (sorted-key) order reads, for example, ``meta.n``,
+    ``events[12] measurement_record: field bits``, ``events: 29 recorded,
+    31 re-executed``, ``accounting.chi_qubits`` or ``verdict``.
+    """
+    fresh = run_full(config).to_dict()
+    if canonical(recorded) == canonical(fresh):
+        return None
+    section = _differing_key(recorded, fresh)
+    if section is None:
+        return "transcript"
+    old, new = recorded.get(section), fresh.get(section)
+    if section == "events" and isinstance(old, list):
+        for index, (event, fresh_event) in enumerate(zip(old, new)):
+            if canonical(event) != canonical(fresh_event):
+                key = _differing_key(event, fresh_event)
+                return f"events[{index}] {fresh_event['type']}" + ("" if key is None else f": field {key}")
+        return f"events: {len(old)} recorded, {len(new)} re-executed"
+    key = _differing_key(old, new)
+    return section if key is None else f"{section}.{key}"
+
+
+def _differing_key(old: Any, new: Any) -> str | None:
+    """The first key, sorted, whose canonical value differs between two dicts; None unless both are dicts."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return None
+    return next(key for key in sorted(old.keys() | new.keys())
+                if key not in old or key not in new or canonical(old[key]) != canonical(new[key]))

@@ -2,10 +2,13 @@
 
 A :class:`Transcript` is the ordered public record of one protocol run:
 every classical message, measurement record, check outcome, and the
-final verdict, plus resource-accounting counters.  Its canonical JSON
-form is byte-stable: two runs of the same configuration and seed
-serialize identically, which is what the replay and blindness checks
-compare.
+final verdict, plus resource-accounting counters.  Its schema is closed:
+``EVENTS`` lists each event type and the field sets it may carry, and
+``Transcript.add`` refuses any other type, field set or value that is
+not already plain JSON (callers publish a ``Bits`` as its string).  Its
+canonical JSON form is byte-stable: two runs of the same configuration
+and seed serialize identically, which is what the replay and blindness
+checks compare.
 
 The owner's private inputs (the message ``g_a`` and blinding key
 ``k_a``) are deliberately *not* part of the transcript; they live only
@@ -16,13 +19,9 @@ the config next to the transcript so any file can be replayed.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field, fields
-from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any
-
-import numpy as np
 
 from .adversary import INTERCEPT_BASES, EntangleMeasure, EveParams, InterceptResend
 from .bits import Bits
@@ -63,7 +62,27 @@ KEY_GUARDS = ("bb84", "sqkd")
 QUANTUM_ATTACKS = tuple(kind for kind, names in ATTACK_FIELDS.items() if "channel" in names)
 WITHHOLDABLE = ("M_B", "M_D", "M_C")
 KEY_MODES = ("simulated", "stubbed")
-_PLAIN = frozenset({str, int, float, bool, type(None)})  # returned by _jsonify as they are
+
+# The public record's schema: each event type, in protocol order, and the
+# field sets it may carry besides ``type``.  The publisher is named by the
+# event's own ``party``, ``by`` or ``sender`` field.
+EVENTS = {event_type: tuple(frozenset(shape.split()) for shape in shapes) for event_type, shapes in {
+    "key_established": ("kind simulates parties bits error_rate", "kind parties bits error_rate raw_qubits"),
+    "chi_prepared": ("party instances qubits",),
+    "quantum_send": ("channel sender receiver payload_qubits decoy_qubits",),
+    "classical_send": ("sender receiver label bits counted",),
+    "xi_prepared": ("party qubits",),
+    "decoy_check": ("channel by passed decoys errors error_rate",),
+    "return_check": ("channel by passed reflected_count reflected_error_rate z_sift_count z_sift_error_rate",),
+    "notice": ("sender receiver label",),
+    "measurement_record": ("party label basis bits",),
+    "message_tampered": ("label kind bits",),
+    "withheld": ("party label",),
+    "recovery_record": ("party g_prime",),
+    "verdict_check": ("by hash_g hash_g_prime match",),
+    "abort": ("phase reason channel check error_rate threshold", "phase reason kind error_rate threshold", "phase reason"),
+}.items()}
+JSON_SCALARS = frozenset({str, int, float, bool, type(None)})  # an event value is one of these or a list of them
 
 
 @dataclass(frozen=True)
@@ -150,8 +169,10 @@ class RunConfig:
         ints = {"n": self.n, "seed": self.seed, "decoy_count": self.resolved_decoy_count,
                 "hash_bits": self.hash_bits, "attack.bit_index": self.attack.bit_index}
         for name, value in ints.items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if type(value) is not int:  # not bool, not a numpy integer
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if type(self.error_threshold) not in (int, float):
+            raise ConfigError(f"error_threshold must be a number, got {self.error_threshold!r}")
         for name, bound in SIZE_BOUNDS.items():
             if ints[name] > bound:
                 raise ConfigError(f"{name} must be <= {bound}, got {ints[name]}")
@@ -184,8 +205,9 @@ class RunConfig:
         return self.decoy_count if self.decoy_count is not None else self.n
 
     def to_json_dict(self) -> dict:
-        out = {f.name: _jsonify(getattr(self, f.name)) for f in fields(self) if f.name != "attack"}
-        return {**out, "attack": self.attack.to_json_dict()}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "attack"}
+        bits = {name: str(out[name]) for name in PRIVATE_FIELDS if out[name] is not None}
+        return {**out, **bits, "attack": self.attack.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
@@ -199,40 +221,30 @@ class RunConfig:
         return cls(**data)
 
 
-def _jsonify(value: Any) -> Any:
-    """Coerce protocol values into stable JSON-native types."""
-    if type(value) in _PLAIN:
-        return value
-    if isinstance(value, Bits):
-        return str(value)
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise TypeError(f"cannot serialize {type(value).__name__} into a transcript event")
+# The canonical JSON form of a transcript or of any part of one: sorted keys, no whitespace.
+canonical = partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
 class Transcript:
     """Append-only public record of one protocol run."""
 
     def __init__(self, meta: dict):
-        self.meta = _jsonify(meta)
+        self.meta = meta
         self.events: list[dict] = []
         self.accounting: dict[str, int] = {}
         self.verdict: str | None = None
 
     def add(self, event_type: str, **fields: Any) -> dict:
-        event = {"type": event_type, **{key: _jsonify(value) for key, value in fields.items()}}
+        """Append one event: a field set of its type in ``EVENTS``, each value in ``JSON_SCALARS`` or a list of them.
+
+        Anything else is a TypeError, and nothing is appended.
+        """
+        if frozenset(fields) not in EVENTS.get(event_type, ()):
+            raise TypeError(f"transcript.EVENTS has no {event_type!r} event with the fields {sorted(fields)}")
+        for key, value in fields.items():
+            if type(value) not in JSON_SCALARS and not (type(value) is list and JSON_SCALARS.issuperset(map(type, value))):
+                raise TypeError(f"{event_type} field {key} holds {value!r}, not a JSON scalar or a list of them")
+        event = {"type": event_type, **fields}
         self.events.append(event)
         return event
 
@@ -249,7 +261,7 @@ class Transcript:
 
     def canonical_json(self) -> str:
         """Byte-stable serialization used for replay and blindness checks."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical(self.to_dict())
 
     def events_of(self, event_type: str) -> list[dict]:
         return [e for e in self.events if e["type"] == event_type]

@@ -25,7 +25,7 @@ from sqpbs.analysis import (
     WSTATE_REFERENCE,
 )
 from sqpbs.bits import Bits
-from sqpbs.protocol import ProtocolRun, replay_matches, run_full
+from sqpbs.protocol import ProtocolRun, replay_difference, run_full
 from sqpbs.statevec import new_rng
 from sqpbs.teleport import MessageQubit, prepare_chi, verify_correction_table
 from sqpbs.transcript import AttackSpec, RunConfig
@@ -202,5 +202,5 @@ def test_criterion_9_determinism_and_replay(tmp_path):
         path.write_text(json.dumps(payload))
         loaded = json.loads(path.read_text())
         restored = RunConfig.from_json_dict(loaded["config"])
-        assert replay_matches(restored, loaded["transcript"]), config
+        assert replay_difference(restored, loaded["transcript"]) is None, config
     report(9, "determinism and replay", f"{len(configs)} transcripts replay bit-identically")

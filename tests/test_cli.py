@@ -297,9 +297,28 @@ class TestReplay:
         bad = tmp_path / "big.json"
         bad.write_text(json.dumps(data))
         assert run_cli("replay", str(bad)) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1, err
-        assert f"{key} must be <= " in err
+        bound = {"n": 4096, "decoy_count": 4096, "hash_bits": 65536}[key]
+        assert capsys.readouterr().err == f"config error: {key} must be <= {bound}, got {value}\n"
+
+    @pytest.mark.parametrize(
+        ("edit", "named"),
+        [
+            (lambda t: t["events"][14].update(bits="1111"), "events[14] measurement_record: field bits"),
+            (lambda t: t["events"].pop(), "events: 28 recorded, 29 re-executed"),
+            (lambda t: t["meta"].update(n=5), "meta.n"),
+            (lambda t: t["accounting"].update(chi_qubits=17), "accounting.chi_qubits"),
+            (lambda t: t.update(verdict="invalid"), "verdict"),
+        ],
+        ids=["event-field", "event-count", "meta", "accounting", "verdict"],
+    )
+    def test_replay_names_the_first_difference(self, tmp_path, capsys, edit, named):
+        data = json.loads(GOLDEN_FILE.read_text())
+        edit(data["transcript"])
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(data))
+        assert run_cli("replay", str(edited)) == EXIT_FAILURE
+        out = capsys.readouterr().out
+        assert out == f"replay MISMATCH: re-executed transcript differs from the recorded one at {named}\n"
 
 
 class TestVerifyCorrections:

@@ -9,7 +9,7 @@ import pytest
 from sqpbs.adversary import EveParams
 from sqpbs.bits import Bits
 from sqpbs.errors import ConfigError, SemiquantumCapabilityError
-from sqpbs.protocol import Party, ProtocolRun, replay_matches, run_full
+from sqpbs.protocol import Party, ProtocolRun, replay_difference, run_full
 from sqpbs.registers import merge, new_qubit
 from sqpbs.statevec import HADAMARD, Basis, BellState, fidelity_1q_rows, ket_minus, ket_plus, new_rng
 from sqpbs.transcript import CHANNELS, AttackSpec, RunConfig
@@ -96,13 +96,13 @@ class TestDeterminismAndReplay:
     def test_replay_matches_round_trip(self):
         config = honest(3, 29, attack=AttackSpec("tamper-md", bit_index=3))
         transcript = run_full(config)
-        assert replay_matches(config, transcript.to_dict())
+        assert replay_difference(config, transcript.to_dict()) is None
 
     def test_replay_detects_tampering(self):
         config = honest(3, 31)
         recorded = run_full(config).to_dict()
         recorded["verdict"] = "invalid"
-        assert not replay_matches(config, recorded)
+        assert replay_difference(config, recorded) is not None
 
     def test_transcript_is_json_serializable(self):
         payload = run_full(honest(3, 37)).to_dict()
@@ -331,7 +331,7 @@ class TestTranscriptRecord:
         from sqpbs.transcript import Transcript
 
         t = Transcript(meta={})
-        t.add("classical_send", sender="a", receiver="b", label="empty", bits=Bits(""))
+        t.add("classical_send", sender="a", receiver="b", label="empty", bits=str(Bits("")), counted=True)
         assert t.events[-1]["bits"] == ""
         json.loads(t.canonical_json())
 
@@ -339,8 +339,8 @@ class TestTranscriptRecord:
         from sqpbs.transcript import Transcript
 
         t = Transcript(meta={})
-        with pytest.raises(TypeError):
-            t.add("oops", payload=object())
+        with pytest.raises(TypeError, match="not a JSON scalar"):
+            t.add("notice", sender="a", receiver="b", label=object())
 
 
 class TestConfigValidation:
@@ -363,6 +363,26 @@ class TestConfigValidation:
     def test_entangle_measure_needs_params(self):
         with pytest.raises(ConfigError):
             RunConfig(n=4, seed=1, attack=AttackSpec("entangle-measure")).validate()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n": np.int64(3)},
+            {"seed": np.int64(5)},
+            {"decoy_count": np.int64(3)},
+            {"hash_bits": np.int64(64)},
+            {"attack": AttackSpec("tamper-md", bit_index=np.int64(1))},
+            {"error_threshold": np.float64(0.0)},
+            {"error_threshold": True},
+        ],
+        ids=["n", "seed", "decoy_count", "hash_bits", "bit_index", "error_threshold", "bool-error_threshold"],
+    )
+    def test_numpy_and_bool_values_are_refused(self, fields):
+        # A numpy value would reach the transcript, which holds plain JSON only.
+        config = RunConfig(**{"n": 3, "seed": 5, **fields})
+        with pytest.raises(ConfigError, match="must be an integer|must be a number") as refused:
+            run_full(config)
+        assert "\n" not in str(refused.value)
 
     def test_config_json_round_trip(self):
         config = RunConfig(

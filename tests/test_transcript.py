@@ -1,62 +1,74 @@
-"""Transcript event coercion: each value type's JSON form and its exact type."""
+"""The closed transcript schema: ``EVENTS``, what ``Transcript.add`` refuses, and the README's copy."""
+
+import json
+import re
 
 import numpy as np
 import pytest
 
-from sqpbs.bits import Bits
-from sqpbs.statevec import Basis, BellState
-from sqpbs.transcript import Transcript, _jsonify
+from sqpbs.transcript import EVENTS, Transcript
+from test_golden import CONFIGS, GOLDEN_FILE, ROOT, canonical_transcript
+
+NOTICE = {"sender": "david", "receiver": "bob", "label": "signing-approval-request"}
 
 
-def assert_same_types(a, b):
-    assert type(a) is type(b), (a, b)
-    if isinstance(a, dict):
-        assert list(a) == list(b)
-        for key in a:
-            assert_same_types(a[key], b[key])
-    elif isinstance(a, list):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert_same_types(x, y)
+def test_every_pinned_event_matches_the_schema():
+    records = [canonical_transcript(name) for name in sorted(CONFIGS)]
+    records.append(json.loads(GOLDEN_FILE.read_text())["transcript"])
+    seen = set()
+    for record in records:
+        for event in record["events"]:
+            event_type, shape = event["type"], frozenset(event) - {"type"}
+            assert shape in EVENTS[event_type], event
+            seen.add((event_type, shape))
+    # The pinned runs reach every type and every shape of the table.
+    assert seen == {(event_type, shape) for event_type, shapes in EVENTS.items() for shape in shapes}
+    assert (len(EVENTS), len(seen)) == (14, 17)
 
 
 @pytest.mark.parametrize(
-    "value, expected",
+    "event_type, fields",
     [
-        ("text", "text"),
-        (3, 3),
-        (2.5, 2.5),
-        (True, True),
-        (False, False),
-        (None, None),
-        (Bits("0110"), "0110"),
-        (Bits(), ""),
-        (Basis.X, "X"),
-        (BellState.PSI_MINUS, "psi-"),
-        (np.int64(-7), -7),
-        (np.float64(0.25), 0.25),
-        (complex(1, -2), [1.0, -2.0]),
-        ((1, "a", None), [1, "a", None]),
-        ([np.int64(1), [Bits("1")]], [1, ["1"]]),
-        ({"b": (np.float64(1.5), Basis.Z), 2: {"c": Bits("10")}}, {"b": [1.5, "Z"], "2": {"c": "10"}}),
+        ("oops", NOTICE),
+        ("notice", {**NOTICE, "by": "david"}),
+        ("notice", {"sender": "david", "receiver": "bob"}),
+        ("recovery_record", {"party": "trent", "g_prime": "0110", "fidelities": [1.0, 1.0, 1.0, 1.0]}),
     ],
-    ids=[
-        "str", "int", "float", "true", "false", "none", "bits", "empty-bits", "basis", "bell-state",
-        "np-int64", "np-float64", "complex", "tuple", "nested-list", "nested-dict",
-    ],
+    ids=["unknown-type", "extra-field", "missing-field", "recovery-fidelities"],
 )
-def test_jsonify_value_and_type(value, expected):
-    out = _jsonify(value)
-    assert out == expected
-    assert_same_types(out, expected)
-    event = Transcript(meta={}).add("probe", value=value)
-    assert event["value"] == expected
-    assert_same_types(event["value"], expected)
+def test_add_refuses_a_field_set_outside_the_schema(event_type, fields):
+    transcript = Transcript(meta={})
+    transcript.add("notice", **NOTICE)
+    before = list(transcript.events)
+    with pytest.raises(TypeError, match="transcript.EVENTS has no"):
+        transcript.add(event_type, **fields)
+    assert transcript.events == before
 
 
-@pytest.mark.parametrize("value", [object(), np.bool_(True), {"nested": object()}, [np.bool_(False)]])
+@pytest.mark.parametrize("value", [object(), np.bool_(True), {"nested": object()}, [np.bool_(False)], np.float64(0.5)])
 def test_add_rejects_unknown_types(value):
     transcript = Transcript(meta={})
-    with pytest.raises(TypeError):
-        transcript.add("oops", value=value)
+    with pytest.raises(TypeError, match="not a JSON scalar"):
+        transcript.add("notice", **{**NOTICE, "label": value})
     assert transcript.events == []
+
+
+def readme_event_table() -> dict[str, tuple[frozenset, ...]]:
+    """The README's event table: each type, in its row order, and the field sets of its row, in order."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| Event type |"))
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        type_cell, shapes_cell = line.strip("|").split("|")
+        table[type_cell.strip().strip("`")] = tuple(
+            frozenset(shape.split()) for shape in re.findall(r"`([^`]+)`", shapes_cell)
+        )
+    return table
+
+
+def test_readme_event_table_is_the_schema():
+    table = readme_event_table()
+    assert list(table) == list(EVENTS)
+    assert table == EVENTS

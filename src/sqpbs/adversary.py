@@ -207,9 +207,6 @@ class EveParams:
             + 0.5 * float(np.linalg.norm(d) ** 2)
         )
 
-    def is_undetectable(self, atol: float = 1e-10) -> bool:
-        return all(rate <= atol for rate in self.expected_error_rates().values())
-
     # -- constructors for the named attack families --------------------------
 
     @classmethod

@@ -11,7 +11,8 @@ key bit, and 8n for each of the two n-bit semiquantum keys at 8 qubits
 per key bit), and q_c = l + 4n classical bits (the l-bit hash
 commitment plus the three encrypted records of n, 2n and n bits).
 Qubits and classical bits spent on eavesdropping detection are excluded
-by convention.
+by convention.  ``instrumented_accounting`` reads the same terms back
+from a run's published events, which state each count once.
 
 The experiment drivers are thin Monte Carlo harnesses over the channel
 and protocol layers; every one derives per-trial seeds from a single
@@ -106,28 +107,32 @@ def qubit_efficiency(n: int, hash_bits: int) -> EfficiencyReport:
 
 
 def instrumented_accounting(transcript: Transcript) -> dict:
-    """Re-derive (q_s, q_t, q_c) from a real run's transcript counters.
+    """Re-derive (q_s, q_t, q_c) from the events of a real run's transcript.
 
-    Protocol qubits are counted directly; key-agreement qubits are
-    charged at the per-key-bit overheads of the convention (the simulator's
-    actual raw counts are reported alongside but are stochastic).
+    Protocol qubits are read from the preparation and send events;
+    key-agreement qubits are charged at the per-key-bit overheads of the
+    convention, a pre-shared key as the kind it simulates (the simulator's
+    actual raw counts are reported alongside but are stochastic).  An
+    aborted run counts what it published before the abort.
     """
-    acc = transcript.accounting
+    events = transcript.events_of
+    key_bits = {"bb84": 0, "sqkd": 0}
+    raw_qubits = {"bb84": 0, "sqkd": 0}
+    for key in events("key_established"):
+        key_bits[key.get("simulates", key["kind"])] += key["bits"]
+        if "raw_qubits" in key:
+            raw_qubits[key["kind"]] += key["raw_qubits"]
     q_t = (
-        acc.get("chi_qubits", 0)
-        + acc.get("xi_qubits", 0)
-        + acc.get("g_prime_qubits", 0)
-        + BB84_QUBITS_PER_KEY_BIT * acc.get("bb84_key_bits", 0)
-        + SQKD_QUBITS_PER_KEY_BIT * acc.get("sqkd_key_bits", 0)
+        sum(e["qubits"] for e in events("chi_prepared") + events("xi_prepared"))
+        + sum(e["payload_qubits"] for e in events("quantum_send") if e["channel"] == "g_prime")
+        + BB84_QUBITS_PER_KEY_BIT * key_bits["bb84"]
+        + SQKD_QUBITS_PER_KEY_BIT * key_bits["sqkd"]
     )
     return {
-        "signature_bits": acc.get("signature_bits", 0),
+        "signature_bits": sum(len(e["bits"]) for e in events("measurement_record") if e["label"] == "M_D"),
         "consumed_qubits": q_t,
-        "classical_bits": acc.get("classical_bits_counted", 0),
-        "simulated_raw_qubits": {
-            "bb84": acc.get("bb84_raw_qubits", 0),
-            "sqkd": acc.get("sqkd_raw_qubits", 0),
-        },
+        "classical_bits": sum(len(e["bits"]) for e in events("classical_send")),
+        "simulated_raw_qubits": raw_qubits,
     }
 
 
@@ -417,21 +422,3 @@ def experiment_blindness(
         detail={"meaning": "successes counts violations; must be 0"},
     )
 
-
-def entangle_measure_grid_report(points_per_family: int = 10) -> list[dict]:
-    """Exact detectability over a grid of constraint-violating attackers."""
-    from .adversary import violation_grid
-
-    report = []
-    for params in violation_grid(points_per_family):
-        rates = params.expected_error_rates()
-        report.append(
-            {
-                "violation_norm": params.violation_norm(),
-                "error_rates": rates,
-                "mean_error_rate": sum(rates.values()) / 4.0,
-                "max_error_rate": max(rates.values()),
-                "probe_trace_distance": params.max_probe_trace_distance(),
-            }
-        )
-    return report

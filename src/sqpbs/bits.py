@@ -7,7 +7,7 @@ Values the package builds itself go through the unchecked
 
 from __future__ import annotations
 
-from operator import ne, xor
+from operator import xor
 from typing import Iterable, Iterator, overload
 
 import numpy as np
@@ -112,8 +112,3 @@ class Bits:
         value = int.from_bytes(data, "big") >> (8 * len(data) - bit_length)
         # The leading 1 fixes the width at bit_length digits, 0 included.
         return cls._trusted(bin(value | (1 << bit_length))[3:].encode().translate(_TO_VALUES))
-
-    def hamming_distance(self, other: "Bits") -> int:
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return sum(map(ne, self._bits, other._bits))

@@ -161,7 +161,6 @@ class DecoyCheckResult:
     decoy_count: int
     errors: int
     error_rate: float
-    passed: bool
 
 
 def check_decoys(
@@ -182,16 +181,14 @@ def check_decoys(
         outcomes = read_prepared(seq.tapped.state, [c >> 1 for c in codes], rng)
         errors = sum(outcome != (code & 1) for outcome, code in zip(outcomes, codes))
     rate = errors / seq.decoy_count
-    result = DecoyCheckResult(
+    if rate > threshold:
+        raise EavesdroppingDetected(seq.channel, "decoy", rate, threshold)
+    return DecoyCheckResult(
         channel=seq.channel,
         decoy_count=seq.decoy_count,
         errors=errors,
         error_rate=rate,
-        passed=rate <= threshold,
     )
-    if not result.passed:
-        raise EavesdroppingDetected(seq.channel, "decoy", rate, threshold)
-    return result
 
 
 @dataclass
@@ -204,7 +201,6 @@ class ReturnCheckResult:
     z_sift_errors: int
     z_sift_error_rate: float
     sifted_count: int
-    passed: bool
     detail: dict = field(default_factory=dict)
 
 
@@ -248,8 +244,11 @@ def semiquantum_return_check(
     x_count = sum(on_x)
     reflected_rate = reflected_errors / len(reflected) if reflected else 0.0
     z_rate = z_sift_errors / len(z_sifted) if z_sifted else 0.0
-    passed = reflected_rate <= threshold and z_rate <= threshold
-    result = ReturnCheckResult(
+    if reflected_rate > threshold:
+        raise EavesdroppingDetected(seq.channel, "reflected", reflected_rate, threshold)
+    if z_rate > threshold:
+        raise EavesdroppingDetected(seq.channel, "z-sift", z_rate, threshold)
+    return ReturnCheckResult(
         channel=seq.channel,
         reflected_count=len(reflected),
         reflected_errors=reflected_errors,
@@ -258,7 +257,6 @@ def semiquantum_return_check(
         z_sift_errors=z_sift_errors,
         z_sift_error_rate=z_rate,
         sifted_count=len(sifted),
-        passed=passed,
         detail={
             "reflected_z_count": len(reflected) - x_count,
             "reflected_z_errors": reflected_errors - x_errors,
@@ -266,8 +264,3 @@ def semiquantum_return_check(
             "reflected_x_errors": x_errors,
         },
     )
-    if reflected_rate > threshold:
-        raise EavesdroppingDetected(seq.channel, "reflected", reflected_rate, threshold)
-    if z_rate > threshold:
-        raise EavesdroppingDetected(seq.channel, "z-sift", z_rate, threshold)
-    return result

@@ -100,7 +100,7 @@ class HashConfig:
     def __post_init__(self):
         if self.output_bits < 1:
             raise ConfigError(f"hash output length must be >= 1 bit, got {self.output_bits}")
-        if self.algorithm not in hashlib.algorithms_available:
+        if not isinstance(self.algorithm, str) or self.algorithm not in hashlib.algorithms_available:
             raise ConfigError(f"unknown hash algorithm {self.algorithm!r}")
         if hashlib.new(self.algorithm).digest_size == 0:
             raise ConfigError(f"hash algorithm {self.algorithm!r} has no fixed digest length")
@@ -142,10 +142,6 @@ class KeyExchangeResult:
     raw_count: int
     sifted_count: int
     detail: dict = field(default_factory=dict)
-
-    @property
-    def keys_match(self) -> bool:
-        return self.sender_key == self.receiver_key
 
 
 def _agree(length: int, factor: int, rule, adversary, rng: Rng) -> tuple[np.ndarray, ...]:

@@ -174,7 +174,6 @@ class ProtocolRun:
         # One carrier per row, particles 1..4 at columns 0..3.
         self.carriers = Stack(np.tile(prepare_chi(), (n, 1)))
         self.transcript.add("chi_prepared", party="trent", instances=n, qubits=4 * n)
-        self.transcript.count("chi_qubits", 4 * n)
 
         self.w1_seq = self._dispatch("w1", self.carriers, 0)
         self.w2_seq = self._dispatch("w2", self.carriers, 1)
@@ -205,8 +204,6 @@ class ProtocolRun:
                 "key_established", kind=kind, parties=parties, bits=bits,
                 error_rate=result.error_rate, raw_qubits=result.raw_count,
             )
-            self.transcript.count(f"{kind}_raw_qubits", result.raw_count)
-        self.transcript.count(f"{kind}_key_bits", bits)
         return copies
 
     def _dispatch(self, channel: str, payload: Stack, column: int) -> TransmittedSequence:
@@ -223,11 +220,7 @@ class ProtocolRun:
         return seq
 
     def _classical(self, sender: str, receiver: str, label: str, payload: Bits) -> None:
-        self.transcript.add(
-            "classical_send", sender=sender, receiver=receiver, label=label,
-            bits=str(payload), counted=True,
-        )
-        self.transcript.count("classical_bits_counted", len(payload))
+        self.transcript.add("classical_send", sender=sender, receiver=receiver, label=label, bits=str(payload))
 
     def _notice(self, sender: str, receiver: str, label: str) -> None:
         self.transcript.add("notice", sender=sender, receiver=receiver, label=label)
@@ -237,7 +230,6 @@ class ProtocolRun:
     def phase_blind(self) -> None:
         self.xi = self.alice.prepare_state(np.array([ket_plus(), ket_minus()])[list(self.g)])
         self.transcript.add("xi_prepared", party="alice", qubits=self.n)
-        self.transcript.count("xi_qubits", self.n)
         self.phase = "signing"
 
     # -- phase 3: authorization and signing ---------------------------------------
@@ -254,7 +246,7 @@ class ProtocolRun:
                 reflected_count=result.reflected_count, reflected_error_rate=result.reflected_error_rate,
                 z_sift_count=result.z_sift_count, z_sift_error_rate=result.z_sift_error_rate,
             )
-        self.transcript.add(f"{guard}_check", channel=seq.channel, by=receiver, passed=result.passed, **fields)
+        self.transcript.add(f"{guard}_check", channel=seq.channel, by=receiver, **fields)
 
     def _report(self, party: Party, label: str, basis: str, bits: Bits) -> Bits:
         """Publish ``party``'s record and pad it to Trent; return what Trent decrypts.
@@ -279,7 +271,6 @@ class ProtocolRun:
 
     def phase_sign(self) -> None:
         rng = self.rng
-        n = self.n
 
         # Step 1-2: Alice ships the blinded states to David; decoy check.
         self.xi_seq = self._dispatch("xi_m", self.xi, 0)
@@ -305,7 +296,6 @@ class ProtocolRun:
         shift = self.xi.num_qubits
         joint = merge(self.xi, self.carriers)
         bells = self.david.measure_bell(joint, 0, shift, rng)
-        self.transcript.count("signature_bits", 2 * n)
         self.m_d = self._report(self.david, "M_D", "Bell", Bits._trusted(bit for i in bells for bit in (i >> 1, i & 1)))
         self._notice("trent", "charlie", "measure-request")
 
@@ -324,7 +314,6 @@ class ProtocolRun:
         self.g_prime_trent = Bits._trusted(self.trent.measure(joint, particle3, Basis.X, rng))
         self.transcript.add("recovery_record", party="trent", g_prime=str(self.g_prime_trent))
         self.g_prime_qubits = self.trent.prepare_z(self.g_prime_trent)
-        self.transcript.count("g_prime_qubits", n)
         self.g_seq = self._dispatch("g_prime", self.g_prime_qubits, 0)
         self.phase = "verifying"
 
@@ -381,14 +370,19 @@ def run_full(config: RunConfig) -> Transcript:
 def replay_difference(config: RunConfig, recorded: Any) -> str | None:
     """Re-run ``config``: None if its canonical bytes equal ``recorded``'s, else where they first differ.
 
-    ``recorded`` is a transcript read back from a file.  The first difference
-    in canonical (sorted-key) order reads, for example, ``meta.n``,
-    ``events[12] measurement_record: field bits``, ``events: 29 recorded,
-    31 re-executed``, ``accounting.chi_qubits`` or ``verdict``.
+    ``recorded`` is a transcript read back from a file.  A different
+    ``meta.version`` is named first, as ``meta.version: 0.7.0 recorded,
+    0.8.0 re-executed``, since a file from another release differs for
+    that reason.  Otherwise the first difference in canonical (sorted-key)
+    order reads, for example, ``meta.n``, ``events[12] measurement_record:
+    field bits``, ``events: 29 recorded, 31 re-executed`` or ``verdict``.
     """
     fresh = run_full(config).to_dict()
     if canonical(recorded) == canonical(fresh):
         return None
+    meta = recorded.get("meta") if isinstance(recorded, dict) else None
+    if isinstance(meta, dict) and meta.get("version") != TOOL_VERSION:
+        return f"meta.version: {meta.get('version')} recorded, {TOOL_VERSION} re-executed"
     section = _differing_key(recorded, fresh)
     if section is None:
         return "transcript"

@@ -84,10 +84,6 @@ class BellState(Enum):
         return (i >> 1, i & 1)
 
     @classmethod
-    def from_bits(cls, high: int, low: int) -> "BellState":
-        return _BELL_ORDER[(high << 1) | low]
-
-    @classmethod
     def from_index(cls, index: int) -> "BellState":
         return _BELL_ORDER[index]
 

@@ -206,10 +206,6 @@ class BranchAudit:
     fidelity_one_corrections: tuple[PauliCorrection, ...]  # all corrections achieving fidelity 1
     order_independent: bool         # same fidelity when measured in reverse order
 
-    @property
-    def degenerate(self) -> bool:
-        return len(self.fidelity_one_corrections) > 1
-
 
 @dataclass(frozen=True)
 class TableAuditReport:
@@ -229,10 +225,6 @@ class TableAuditReport:
             or b.corrected_fidelity < 1 - self.tolerance
             or not b.order_independent
         ]
-
-    def phase_flipped(self) -> list[TeleportOutcomes]:
-        """Branches whose recovery carries a -1 global phase."""
-        return [b.outcomes for b in self.branches if b.recovery_phase.real < 0]
 
 
 def forced_branches_particle3(m: MessageQubit, *, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 
 A :class:`Transcript` is the ordered public record of one protocol run:
 every classical message, measurement record, check outcome, and the
-final verdict, plus resource-accounting counters.  Its schema is closed:
+final verdict, each fact stated once.  Its schema is closed:
 ``EVENTS`` lists each event type and the field sets it may carry, and
 ``Transcript.add`` refuses any other type, field set or value that is
 not already plain JSON (callers publish a ``Bits`` as its string).  Its
@@ -28,7 +28,7 @@ from .bits import Bits
 from .errors import ConfigError
 from .keys import HashConfig
 
-TOOL_VERSION = "0.7.0"
+TOOL_VERSION = "0.8.0"
 TRANSCRIPT_FORMAT = "sqpbs-transcript"
 
 # The AttackSpec fields each attack kind reads besides ``kind``; the
@@ -70,10 +70,10 @@ EVENTS = {event_type: tuple(frozenset(shape.split()) for shape in shapes) for ev
     "key_established": ("kind simulates parties bits error_rate", "kind parties bits error_rate raw_qubits"),
     "chi_prepared": ("party instances qubits",),
     "quantum_send": ("channel sender receiver payload_qubits decoy_qubits",),
-    "classical_send": ("sender receiver label bits counted",),
+    "classical_send": ("sender receiver label bits",),
     "xi_prepared": ("party qubits",),
-    "decoy_check": ("channel by passed decoys errors error_rate",),
-    "return_check": ("channel by passed reflected_count reflected_error_rate z_sift_count z_sift_error_rate",),
+    "decoy_check": ("channel by decoys errors error_rate",),
+    "return_check": ("channel by reflected_count reflected_error_rate z_sift_count z_sift_error_rate",),
     "notice": ("sender receiver label",),
     "measurement_record": ("party label basis bits",),
     "message_tampered": ("label kind bits",),
@@ -231,7 +231,6 @@ class Transcript:
     def __init__(self, meta: dict):
         self.meta = meta
         self.events: list[dict] = []
-        self.accounting: dict[str, int] = {}
         self.verdict: str | None = None
 
     def add(self, event_type: str, **fields: Any) -> dict:
@@ -248,16 +247,8 @@ class Transcript:
         self.events.append(event)
         return event
 
-    def count(self, counter: str, amount: int) -> None:
-        self.accounting[counter] = self.accounting.get(counter, 0) + int(amount)
-
     def to_dict(self) -> dict:
-        return {
-            "meta": self.meta,
-            "events": self.events,
-            "accounting": dict(sorted(self.accounting.items())),
-            "verdict": self.verdict,
-        }
+        return {"meta": self.meta, "events": self.events, "verdict": self.verdict}
 
     def canonical_json(self) -> str:
         """Byte-stable serialization used for replay and blindness checks."""

@@ -17,7 +17,6 @@ from sqpbs.analysis import (
     THIS_PROTOCOL,
     WSTATE_REFERENCE,
     comparison_table,
-    entangle_measure_grid_report,
     exceeds_ghz_reference,
     experiment_blindness,
     experiment_detection,
@@ -29,6 +28,7 @@ from sqpbs.analysis import (
 )
 from sqpbs.protocol import run_full
 from sqpbs.transcript import CHANNELS, AttackSpec, RunConfig
+from test_golden import CONFIGS
 
 
 class TestQubitEfficiency:
@@ -113,7 +113,26 @@ class TestInstrumentedAccounting:
 
     def test_overhead_announcements_are_excluded(self):
         transcript = run_full(RunConfig(n=4, seed=5, hash_bits=32))
-        assert transcript.accounting["classical_bits_counted"] == 32 + 16
+        assert instrumented_accounting(transcript)["classical_bits"] == 32 + 16
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_every_pinned_config_meets_the_formula(self, name):
+        """Criterion 8 on every pinned config: the formula's terms when the run
+        reaches the verdict check, at most them when it aborts on the way."""
+        config = CONFIGS[name]
+        transcript = run_full(config)
+        counted = instrumented_accounting(transcript)
+        formula = qubit_efficiency(config.n, config.hash_bits)
+        terms = {
+            "signature_bits": formula.signature_bits,
+            "consumed_qubits": formula.consumed_qubits,
+            "classical_bits": formula.classical_bits,
+        }
+        got = {key: counted[key] for key in terms}
+        if transcript.events_of("verdict_check"):
+            assert got == terms
+        else:
+            assert all(got[key] <= terms[key] for key in terms), got
 
 
 class TestForgeryOracle:
@@ -255,13 +274,3 @@ def test_intercept_resend_bb84_full_scope_cell_matches_its_exact_rate(basis):
     )
     p = 1 - 0.75 ** min(2 * n, 64)
     assert abs(result.rate - p) < CELL_SIGMAS * math.sqrt(p * (1 - p) / result.trials)
-
-
-class TestGridReport:
-    def test_twenty_points_all_detectable(self):
-        report = entangle_measure_grid_report(10)
-        assert len(report) == 20
-        for point in report:
-            assert point["violation_norm"] >= 0.05
-            assert point["mean_error_rate"] >= 1e-3
-            assert point["max_error_rate"] >= 1e-3

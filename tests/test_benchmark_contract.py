@@ -39,10 +39,10 @@ WORKLOAD_PINS = {
     ("audit-corrections", 20231030): "20b8c9cee47a2e9b0ae93d1f1ca5677c6e881d7126e15f5c008264efb6ab7959",
     ("detect-em-d20", 1): "6c2f8e82405bf401d79518eb39bbf734f41c348c6385614f4afde3abbfd1596f",
     ("detect-em-d20", 20231030): "b918db9bce8e8e6e9aef5e4a6d0f6fb13797a983fe2f59f8ef0acd107a216395",
-    ("forge-n8-stubbed", 1): "ae528cf067139798531212feeeec7a4e18a12dcb8d6e15d99f45279538962534",
-    ("forge-n8-stubbed", 20231030): "6e8e6ed4f1c53b1267c86927fde2ecdf47906dd5bcb452e96c21da850c4323fc",
-    ("honest-n64-sim", 1): "9b84fa9b597a9fa679b4237e68cbfd13a2b7c1472328675c4370024e218206c7",
-    ("honest-n64-sim", 20231030): "4e71382be9f686b345003d75bf618762fd6f2550ac90d967c86f217ab2716f9f",
+    ("forge-n8-stubbed", 1): "b37a4404b2950f6a8a6844aee5c7bf600eab76a2cf96cc29219686c44758f381",
+    ("forge-n8-stubbed", 20231030): "ceba7b4d3645af52f6e7140674c65edd9fa6a872cae7dda6c75b7439dcb30472",
+    ("honest-n64-sim", 1): "0786bd8973aba734ef21c0c793a063bfc7b94ec227b897806d1742f5b4a3ee77",
+    ("honest-n64-sim", 20231030): "12c21a3c2c402d4edee8d6db4be0b2e43dda2b34fe391033c8150397f43459f3",
 }
 
 

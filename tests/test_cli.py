@@ -13,7 +13,7 @@ from sqpbs.cli import (
     EXIT_VALID,
     main,
 )
-from sqpbs.transcript import SIZE_BOUNDS, RunConfig
+from sqpbs.transcript import SIZE_BOUNDS, TOOL_VERSION, RunConfig
 from test_golden import GOLDEN_FILE
 
 
@@ -104,6 +104,7 @@ class TestRun:
         assert run_cli("run", "--n", "4", "--seed", "7") == EXIT_VALID
         out = capsys.readouterr().out
         assert "verdict: valid" in out
+        assert "channel checks passed: 5\n" in out  # xi_m, w1, w2, w4, g_prime
 
     def test_transcript_file_roundtrip(self, tmp_path):
         out = tmp_path / "run.json"
@@ -300,16 +301,27 @@ class TestReplay:
         bound = {"n": 4096, "decoy_count": 4096, "hash_bits": 65536}[key]
         assert capsys.readouterr().err == f"config error: {key} must be <= {bound}, got {value}\n"
 
+    def test_replay_of_a_non_string_hash_algorithm_is_config_error(self, tmp_path, capsys):
+        data = json.loads(GOLDEN_FILE.read_text())
+        data["config"]["hash_algorithm"] = []
+        bad = tmp_path / "list.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli("replay", str(bad)) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown hash algorithm []\n"
+
     @pytest.mark.parametrize(
         ("edit", "named"),
         [
             (lambda t: t["events"][14].update(bits="1111"), "events[14] measurement_record: field bits"),
             (lambda t: t["events"].pop(), "events: 28 recorded, 29 re-executed"),
             (lambda t: t["meta"].update(n=5), "meta.n"),
-            (lambda t: t["accounting"].update(chi_qubits=17), "accounting.chi_qubits"),
             (lambda t: t.update(verdict="invalid"), "verdict"),
+            (
+                lambda t: (t["meta"].update(version="0.0.1"), t["events"][14].update(bits="1111")),
+                f"meta.version: 0.0.1 recorded, {TOOL_VERSION} re-executed",
+            ),
         ],
-        ids=["event-field", "event-count", "meta", "accounting", "verdict"],
+        ids=["event-field", "event-count", "meta", "verdict", "version-first"],
     )
     def test_replay_names_the_first_difference(self, tmp_path, capsys, edit, named):
         data = json.loads(GOLDEN_FILE.read_text())

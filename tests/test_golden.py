@@ -121,33 +121,33 @@ CONFIGS.update({
 })
 
 PINS = {
-    "honest-sim-n4": "5e25761028ac22280ae3b73b164d1dd69646d2b1e4d1cda7df2edfd841c4257f",
-    "honest-stubbed-n8": "f6123ddae8c0cd2a4a27ceff7aead5931855d75772912e83885f00795e647ee0",
-    "honest-explicit-inputs": "e7d033599c051d30c413ad7de9c9fe3058730bd2907e63d3ef877e3ac29143ab",
-    "ir-random-xi_m": "f36552754fb66bef7909191804887a47b677d0232f9d929147c9b3448d3fb8fa",
-    "ir-z-bb84_dt": "961827d57e405e0a44d6916138e954858d58c1c7f3b66c6959413ee78322fdf5",
-    "ir-x-sqkd_bt-threshold": "6fe3d766650a026af96ded0ce813591c64c4d80b762d84baa7007c63543b380f",
-    "em-rotation-w1": "a334dc55462fe41602cef72c43e2cdcba9d66c217b077e8cf7ea17b9510fd2a0",
-    "em-undetectable-sqkd_ct": "e0a70663068f345c2cb47a7734afe632100e179b9d532e396b758cad8e6219f9",
-    "em-marking-g_prime": "9bd9e98fbd4fea3e6b8c8d7593f72fbd89d0f039a1e1dda7aae4cbfcdd1441ae",
-    "forge-md-stubbed": "2c4a30adf0786cf39a63329167b26d50f588ef62abedffaf48106a6bdd402874",
-    "tamper-md-bit7": "a00caeaa449b0a4994b5c4ced78f46c382279c6caa120755317810d3c783519c",
-    "withhold-M_B": "f2cbb0fb9cca96cc96697cb41560c3c5a9143657700013c9ec725e179ee364c1",
-    "withhold-M_C-stubbed": "6be79063b812dc64d586e0a4f5ca0e580a0abcc65072b8964cd5209d162314c8",
-    "rows-em2-xi_m": "cdb5a4d05245e5ab71c93178cfdaa8f03ac0ee7a494872634f323b857e1d3a5b",
-    "rows-em2-w1": "25edb035cb57f409b23c624c7464a4d71bfa486a6388f3cad8dae732c3bba4a9",
-    "rows-em2-w2": "2e964a88c7bb1ddc7b57ea1cadd81d580721b3915f3ab4a7a028ee3231201001",
-    "rows-em2-w4": "45300e6a28bddcc08f7dcba034aada7dd6cd446c2af39dc6d8eeff948f284b07",
-    "rows-em4-xi_m": "d573202d2df3174424700a2b770de1747bfcd4217217a7a667712744ba4f0d9a",
-    "rows-em4-w1": "dea4cc8db61c93daf55eee45a8d8f78ae76014c1e228d782e6bada70bc0568b4",
-    "rows-em4-w2": "4169c6f1d08b347209c0d255041d64e0f4af561f4d4172a2c43a152a068dea7d",
-    "rows-em4-w4": "cb4867902361d625ad3ed3dd86575be476e6d5bf63534653a04b5cc20190b379",
-    "rows-ir-xi_m": "c11a489df3a94126677dec9a183ead21120e6f01b44a0eabe67fd3fa0c137aac",
-    "rows-ir-w1": "f8167dbcd41cab5527f0733b689c6331f2e29262b47966d6134cbbe477a0d94b",
-    "rows-ir-w2": "017d7d1c8be675d62cb92704c8cc71c19202707c7eaed0eb607396cdf635a7db",
-    "rows-ir-w4": "e170b9b3910b23f5095109d3ba792e72eaca30c42efdeea0568c2f10080d3d4d",
-    "em4-bb84_dt": "9f9c36ead671a2aba7bc8ab899a10961f7e001a9b1c0b376e9bc60834afbea06",
-    "em-marking-xi_m-d20": "24e1db3429e17f29b0c0fea36aad39fc29b8c8028a6bf845a004ca6efab5d7d6",
+    "honest-sim-n4": "5a54c98d6696417005907f0faea6838579b4cea7354fce52d314a4cad97578db",
+    "honest-stubbed-n8": "cc4c2b906005e80f0e44036c7af9263ce3f475065bac0b661f8e489b06ac5919",
+    "honest-explicit-inputs": "c5e6658749222149622b70a9ffc07cba9b39a34646ce5ae6426a9791744e7293",
+    "ir-random-xi_m": "80e933f093a804abe66713200879991fc52c31927d53809a5cc989afc0557713",
+    "ir-z-bb84_dt": "2f6ca8f8afc467e93dee85d3f8b462e5bb2fe6ce91c918856af653766e7b8a5a",
+    "ir-x-sqkd_bt-threshold": "dc42640eec1f0f7a79ad23af34cea0360ca2bc5706892c9931ad0c099a66b097",
+    "em-rotation-w1": "28b61d9f6df6ac999de3b97072486a7a2b4ede1190cdb259fb161761e8d2140c",
+    "em-undetectable-sqkd_ct": "3bf0320718275845ea67e48c96ebe447047aec45a303dd53d754dd1036ed3490",
+    "em-marking-g_prime": "103a762a8b12eee4813f6d995ec4e8a357ccfe0ec630f2a40d1e7e0563f15fba",
+    "forge-md-stubbed": "53a60d12d6f1a33f03ea1e34aee0be1b0342a8b6d0cc89f4c5a58a4e600b9d9c",
+    "tamper-md-bit7": "2fdd97db11921c6333c395d2a4c88f37b7a2e696cbd03efdca084d916cf0927d",
+    "withhold-M_B": "172679c0471162fad199c6779b11c8dd477b119a6cb7195cfbf0e8d411e12e71",
+    "withhold-M_C-stubbed": "d82ca74138f3596a202a830812786a8d2d2d43b5afd5335fe423c23a064f7c5a",
+    "rows-em2-xi_m": "dc926ab0b9d7638695f7122c1fbf4228d7261140bf148a3854dc20b260e93056",
+    "rows-em2-w1": "9370c1d78ff651c476d1a45387455273851bb8b5acbfb21194d40170c1a47074",
+    "rows-em2-w2": "a38e1e901fb0f7cdcb9c9e756dbbbccf4424992ad9a69d1224d5feef8bc6599b",
+    "rows-em2-w4": "1c79490f29bf74a9e8f95277cb5db3553d8f27e5da0af59cca604d00d3414775",
+    "rows-em4-xi_m": "f18f7679d2bb66f8a380bbcfa24c9e7f19d65e75af0d18d62510c29ed084d82b",
+    "rows-em4-w1": "bdf0b7edd7718947f9aa9cf3c92d09eb47628c356f20c66305834535af906426",
+    "rows-em4-w2": "9eb94e523e2b781dca3462b7f2d9bda35e3d3589b9314dd0a6e4954b72d05ae1",
+    "rows-em4-w4": "25157eaf397348dd54cb36d6561ec12f644637cc3b28beb97d571ea55e660eae",
+    "rows-ir-xi_m": "1b8393323b11f65bb2438a43ff52eeb4aaa9502b873dc7e9182b3a5410a2e0aa",
+    "rows-ir-w1": "7dd6fbec6d0216befa1f2d58ee300cfa306968d0df317035b87af01a90e8ec27",
+    "rows-ir-w2": "7524e5de39ce59c8ef516a9f99b9dfd3d8439ecfcc26e18733d8df87404da61e",
+    "rows-ir-w4": "f6b726255e4f0d8febc01e64573b89003ef5edc6b185b95365f2f59e7fa43e65",
+    "em4-bb84_dt": "62d4f13c2641878a2cfa71c54fa26beecb40ddfd347b2627fa4a600178fbf9ac",
+    "em-marking-xi_m-d20": "480f7d6ac55fbd2c8ad97fd6acc7d59f358740170b999f9736bd069df65b5743",
 }
 
 # `--out` JSON of experiments, parsed and without its "version" key.
@@ -223,7 +223,7 @@ def audit_sha256() -> str:
 
 
 def test_tool_version_matches_the_pins():
-    assert TOOL_VERSION == "0.7.0"
+    assert TOOL_VERSION == "0.8.0"
 
 
 def test_pyproject_version_is_the_tool_version():

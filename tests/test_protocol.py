@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sqpbs.adversary import EveParams
+from sqpbs.analysis import instrumented_accounting
 from sqpbs.bits import Bits
 from sqpbs.errors import ConfigError, SemiquantumCapabilityError
 from sqpbs.protocol import Party, ProtocolRun, replay_difference, run_full
@@ -68,18 +69,16 @@ class TestHonestRuns:
         transcript = run_full(honest(4, 17))
         checks = transcript.events_of("decoy_check") + transcript.events_of("return_check")
         assert len(checks) == 5  # xi_m, w2 decoy checks; w1, w4, g_prime return checks
-        assert all(c["passed"] for c in checks)
+        assert transcript.verdict == "valid"  # a failed check would have aborted the run
 
     def test_counted_classical_bits_follow_the_accounting_rule(self):
         n = 6
         transcript = run_full(honest(n, 19, hash_bits=64))
-        assert transcript.accounting["classical_bits_counted"] == 64 + 4 * n
-        assert transcript.accounting["chi_qubits"] == 4 * n
-        assert transcript.accounting["xi_qubits"] == n
-        assert transcript.accounting["g_prime_qubits"] == n
-        assert transcript.accounting["signature_bits"] == 2 * n
-        assert transcript.accounting["bb84_key_bits"] == 2 * n
-        assert transcript.accounting["sqkd_key_bits"] == 2 * n
+        counted = instrumented_accounting(transcript)
+        assert counted["classical_bits"] == 64 + 4 * n
+        # 4n carrier, n message and n re-encoded qubits; 2n BB84 and 2n semiquantum key bits
+        assert counted["consumed_qubits"] == 4 * n + n + n + 4 * 2 * n + 8 * 2 * n
+        assert counted["signature_bits"] == 2 * n
 
 
 class TestDeterminismAndReplay:
@@ -103,6 +102,11 @@ class TestDeterminismAndReplay:
         recorded = run_full(config).to_dict()
         recorded["verdict"] = "invalid"
         assert replay_difference(config, recorded) is not None
+
+    def test_replay_of_a_malformed_record_names_a_section(self):
+        config = honest(2, 31)
+        assert replay_difference(config, []) == "transcript"
+        assert replay_difference(config, {**run_full(config).to_dict(), "meta": "0.8.0"}) == "meta"
 
     def test_transcript_is_json_serializable(self):
         payload = run_full(honest(3, 37)).to_dict()
@@ -298,7 +302,7 @@ def test_runs_leave_no_reference_cycles(config, verdict):
 class TestTranscriptRecord:
     def test_counted_classical_messages_follow_the_flow_diagram(self):
         transcript = run_full(honest(4, 53))
-        counted = [e for e in transcript.events_of("classical_send") if e["counted"]]
+        counted = transcript.events_of("classical_send")
         assert [(e["label"], e["sender"], e["receiver"]) for e in counted] == [
             ("H(g)", "alice", "charlie"),
             ("E_KBT[M_B]", "bob", "trent"),
@@ -331,7 +335,7 @@ class TestTranscriptRecord:
         from sqpbs.transcript import Transcript
 
         t = Transcript(meta={})
-        t.add("classical_send", sender="a", receiver="b", label="empty", bits=str(Bits("")), counted=True)
+        t.add("classical_send", sender="a", receiver="b", label="empty", bits=str(Bits("")))
         assert t.events[-1]["bits"] == ""
         json.loads(t.canonical_json())
 
@@ -363,6 +367,11 @@ class TestConfigValidation:
     def test_entangle_measure_needs_params(self):
         with pytest.raises(ConfigError):
             RunConfig(n=4, seed=1, attack=AttackSpec("entangle-measure")).validate()
+
+    @pytest.mark.parametrize("algorithm", [[], {}], ids=["list", "dict"])
+    def test_non_string_hash_algorithm_is_refused(self, algorithm):
+        with pytest.raises(ConfigError, match="unknown hash algorithm"):
+            RunConfig(n=2, seed=1, hash_algorithm=algorithm).validate()
 
     @pytest.mark.parametrize(
         "fields",

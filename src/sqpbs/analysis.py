@@ -251,9 +251,15 @@ class ExperimentResult:
         return {**asdict(self), "rate": self.rate, "stderr": self.stderr, "interval3": list(self.interval3)}
 
 
+# Most trials one experiment or audit may run; acceptance criterion 7 runs 10 000.
+MAX_TRIALS = 1_000_000
+
+
 def _require_trials(trials: int) -> None:
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"trials must be <= {MAX_TRIALS}, got {trials}")
 
 
 def _trial_seeds(seed: int, trials: int) -> list[int]:

@@ -261,6 +261,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_verify_corrections(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials > analysis.MAX_TRIALS:
+        raise ConfigError(f"--trials must be <= {analysis.MAX_TRIALS}, got {args.trials}")
     seed = _resolve_seed(args.seed)
     rng = new_rng(seed)
     table = None
@@ -275,8 +277,8 @@ def _cmd_verify_corrections(args: argparse.Namespace) -> int:
         table[key] = (coeffs, wrong)
         print(f"negative control: corrupted branch {key[0]}/{key[1].value}/{key[2]}")
     failures = 0
-    messages = [MessageQubit(1.0, 0.0)] + [MessageQubit.random(rng) for _ in range(args.trials - 1)]
-    for m in messages:
+    for trial in range(args.trials):
+        m = MessageQubit.random(rng) if trial else MessageQubit(1.0, 0.0)
         report = verify_correction_table(m, check_table=table)
         for bad in report.failures():
             failures += 1
@@ -288,9 +290,9 @@ def _cmd_verify_corrections(args: argparse.Namespace) -> int:
             )
         if table is not None and report.failures():
             break  # one corrupted audit is enough for the negative control
-    branches = len(messages) * 16 if table is None else 16
+    branches = args.trials * 16 if table is None else 16
     if failures == 0:
-        print(f"all {branches} branch checks passed over {len(messages)} message qubits (seed {seed})")
+        print(f"all {branches} branch checks passed over {args.trials} message qubits (seed {seed})")
         return EXIT_VALID
     print(f"{failures} branch check(s) failed")
     return EXIT_FAILURE

@@ -264,21 +264,19 @@ def measure_bell(state: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tup
 # tracer and the tests' references.  Measurements take one uniform draw per
 # row, ``u``, as one ``rng.random(rows)`` vector gives it, and drop the qubits
 # they measure; ``prepare_rows`` puts one back, in its outcome state.
-# ``born_rows`` reads one qubit's per-row Born probabilities without a
-# collapse, from the ``_born`` sums that ``measure_rows`` and ``postselect_rows``
-# share; ``apply_rows`` computes its transposes once per ``(n, targets)``.
+# ``_born`` (one qubit) and ``_bell_rows`` (a pair) give each row's
+# components in the measured basis as one ``(rows, k, rest)`` array with
+# their ``(rows, k)`` weights, and ``_collapse`` picks and renormalizes one
+# component per row for both.  ``born_rows`` reads one qubit's per-row Born
+# probabilities without a collapse, the same weights that ``measure_rows``
+# and ``postselect_rows`` use; ``apply_rows`` computes its transposes once
+# per ``(n, targets)``.
 
 
 def _check_rows(stack: np.ndarray, targets: Sequence[int]) -> None:
     if stack.ndim != 2:
         raise ValueError(f"expected a (rows, 2**k) stack, got shape {stack.shape}")
     _check_targets(num_qubits(stack[0]), targets)
-
-
-def _row_sumsq(block: np.ndarray) -> np.ndarray:
-    """Per-row sum of ``|amplitude|**2`` over a ``(rows, ...)`` block."""
-    sq = block.real**2 + block.imag**2
-    return sq.reshape(sq.shape[0], -1).sum(axis=1)
 
 
 def born_outcomes(p0: np.ndarray, p1: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -288,29 +286,34 @@ def born_outcomes(p0: np.ndarray, p1: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (one ^ (np.where(one, p1, p0) < ZERO_PROB)).astype(np.intp)
 
 
-def _born(stack: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's two component blocks along ``qubit`` in ``basis``, shaped ``(rows, left, right)``, and their weights."""
+def _born(stack: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's two components along ``qubit`` in ``basis`` as one ``(rows, 2, rest)`` array, the other
+    qubits in order along ``rest``, and their ``(rows, 2)`` weights.  ``comp`` is C-contiguous, so each weight
+    is a sum along a contiguous axis, whatever ``qubit`` is: the same sum for the same amplitudes."""
     _check_rows(stack, [qubit])
-    t = stack.reshape(stack.shape[0], 1 << qubit, 2, -1)
-    a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
-    c0, c1 = (a0, a1) if basis is Basis.Z else ((a0 + a1) * SQRT1_2, (a0 - a1) * SQRT1_2)
-    return c0, c1, _row_sumsq(c0), _row_sumsq(c1)
+    rows = stack.shape[0]
+    t = stack.reshape(rows, 1 << qubit, 2, -1)
+    if basis is Basis.Z:
+        comp = np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(rows, 2, -1)
+    else:
+        a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
+        comp = (np.stack((a0 + a1, a0 - a1), axis=1) * SQRT1_2).reshape(rows, 2, -1)
+    return comp, (comp.real**2 + comp.imag**2).sum(axis=2)
 
 
 def born_rows(stack: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     """Per-row Born probabilities ``(p0, p1)`` of ``qubit`` in ``basis``; no row collapses."""
-    return _born(stack, qubit, basis)[2:]
+    probs = _born(stack, qubit, basis)[1]
+    return probs[:, 0], probs[:, 1]
 
 
-def _collapse(
-    outcomes: np.ndarray, c0: np.ndarray, c1: np.ndarray, p0: np.ndarray, p1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``r``'s component for ``outcomes[r]``, renormalized, from its component blocks and their weights."""
-    rows = c0.shape[0]
-    zero = outcomes == 0
-    prob = np.where(zero, p0, p1)
+def _collapse(comp: np.ndarray, probs: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``r``'s component ``index[r]`` of ``(rows, k, rest)`` components with ``(rows, k)`` weights,
+    renormalized, and its weight; a component lighter than ``ZERO_PROB`` leaves all zeros."""
+    picked = np.arange(comp.shape[0]), index
+    prob = probs[picked]
     scale = np.divide(1.0, np.sqrt(prob), out=np.zeros_like(prob), where=prob >= ZERO_PROB)
-    return prob, (np.where(zero[:, None, None], c0, c1) * scale[:, None, None]).reshape(rows, -1)
+    return prob, comp[picked] * scale[:, None]
 
 
 def prepare_rows(rest: np.ndarray, qubit: int, basis: Basis, outcomes: np.ndarray) -> np.ndarray:
@@ -336,7 +339,7 @@ def postselect_rows(
     other qubits, in order.  A row whose outcome has less weight than
     ``ZERO_PROB`` shows it in its probability and leaves all zeros.
     """
-    return _collapse(outcomes, *_born(stack, qubit, basis))
+    return _collapse(*_born(stack, qubit, basis), outcomes)
 
 
 def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,9 +348,9 @@ def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> 
     Row ``r`` takes the outcome that ``born_outcomes`` gives for its Born
     probabilities and ``u[r]``.
     """
-    c0, c1, p0, p1 = _born(stack, qubit, basis)
-    outcome = born_outcomes(p0, p1, u)
-    return outcome, _collapse(outcome, c0, c1, p0, p1)[1]
+    comp, probs = _born(stack, qubit, basis)
+    outcome = born_outcomes(probs[:, 0], probs[:, 1], u)
+    return outcome, _collapse(comp, probs, outcome)[1]
 
 
 def _bell_rows(stack: np.ndarray, qubit_a: int, qubit_b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,14 +364,6 @@ def _bell_rows(stack: np.ndarray, qubit_a: int, qubit_b: int) -> tuple[np.ndarra
     return comp, np.sum(np.abs(comp) ** 2, axis=2)
 
 
-def _collapse_bell(comp: np.ndarray, probs: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``r``'s component for Bell state ``index[r]``, renormalized, from ``_bell_rows``' amplitudes and weights."""
-    picked = np.arange(comp.shape[0]), index
-    prob = probs[picked]
-    kept = comp[picked]
-    return prob, np.divide(kept, np.sqrt(prob)[:, None], out=np.zeros_like(kept), where=(prob >= ZERO_PROB)[:, None])
-
-
 def postselect_bell_rows(
     stack: np.ndarray, qubit_a: int, qubit_b: int, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +374,7 @@ def postselect_bell_rows(
     ``ZERO_PROB`` shows it in its probability and leaves all zeros.
     """
     _check_rows(stack, [qubit_a, qubit_b])
-    return _collapse_bell(*_bell_rows(stack, qubit_a, qubit_b), indices)
+    return _collapse(*_bell_rows(stack, qubit_a, qubit_b), indices)
 
 
 def measure_bell_rows(
@@ -396,7 +391,7 @@ def measure_bell_rows(
     weighted = probs >= ZERO_PROB
     hit = (u[:, None] < np.cumsum(probs, axis=1)) & weighted
     index = np.where(hit.any(axis=1), hit.argmax(axis=1), 3 - weighted[:, ::-1].argmax(axis=1))
-    return index, _collapse_bell(comp, probs, index)[1]
+    return index, _collapse(comp, probs, index)[1]
 
 
 def apply_1q_rows(stack: np.ndarray, qubit: int, matrices: np.ndarray) -> np.ndarray:

@@ -155,7 +155,8 @@ def _table_columns(table: dict) -> tuple[np.ndarray, np.ndarray]:
 
 _TABLE_COLUMNS = _table_columns(_TABLE)
 _CORRECTION_MATRICES = _TABLE_COLUMNS[1]
-_PAULI_STACK = np.array([p.matrix for p in PauliCorrection])
+_PAULIS = tuple(PauliCorrection)
+_PAULI_STACK = np.array([p.matrix for p in _PAULIS])
 
 
 def correction_matrices(z1: Sequence[int], bell_bits: Sequence[int], z4: Sequence[int]) -> np.ndarray:
@@ -227,34 +228,54 @@ class TableAuditReport:
         ]
 
 
-def forced_branches_particle3(m: MessageQubit, *, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _cascade(stack: np.ndarray, z_first: np.ndarray, bell: np.ndarray, z_last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project row ``r`` of a five-qubit stack: Z at column 1 onto ``z_first[r]``, then Bell on columns
+    (0, 1) onto ``bell[r]``, then Z at column 1 onto ``z_last[r]``.  Returns each row's probability, 0
+    where some projection left it without weight, and the one qubit left at column 3 of the input."""
+    # Each projection drops what it measures; the comments list the columns that remain.
+    prob = np.ones(stack.shape[0])
+    for project, where, outcomes in (
+        (postselect_rows, (1, Basis.Z), z_first),  # (0, 2, 3, 4)
+        (postselect_bell_rows, (0, 1), bell),  # (3, 4)
+        (postselect_rows, (1, Basis.Z), z_last),  # (3)
+    ):
+        p, stack = project(stack, *where, outcomes)
+        prob *= np.where(p < ZERO_PROB, 0.0, p)
+    return prob, stack
+
+
+def forced_branches_particle3(m: MessageQubit) -> tuple[np.ndarray, np.ndarray]:
     """Every branch's probability and particle 3's projected state, no sampling.
 
     First-principles route used by oracles: repeats the joint state into
-    16 rows, projects row ``r`` onto the outcome triple
-    ``all_outcomes()[r]``, which leaves particle 3, without consulting the
-    correction table's collapsed-state column.  Returns a (16,) array and
-    a (16, 2) stack; a branch that some projection leaves without weight
-    has probability 0 and a zero row.  ``reverse`` projects in the
-    opposite order.
+    16 rows and projects row ``r`` onto the outcome triple
+    ``all_outcomes()[r]`` in the sampled order (Z on particle 1, Bell on
+    (m, 2), Z on particle 4), which leaves particle 3, without consulting
+    the correction table's collapsed-state column.  Returns a (16,) array
+    and a (16, 2) stack; a branch that some projection leaves without
+    weight has probability 0 and a zero row.
     """
-    # Each projection drops what it measures; the comments list what remains.
-    forward = [
-        lambda s: postselect_rows(s, Q_1, Basis.Z, _Z1),  # (m, 2, 3, 4)
-        lambda s: postselect_bell_rows(s, 0, 1, _BELL),  # (3, 4)
-        lambda s: postselect_rows(s, 1, Basis.Z, _Z4),  # (3)
-    ]
-    backward = [
-        lambda s: postselect_rows(s, Q_4, Basis.Z, _Z4),  # (m, 1, 2, 3)
-        lambda s: postselect_bell_rows(s, Q_M, Q_2, _BELL),  # (1, 3)
-        lambda s: postselect_rows(s, 0, Basis.Z, _Z1),  # (3)
-    ]
-    prob = np.ones(len(_OUTCOMES))
-    stack = np.repeat(joint_state(m)[None], len(_OUTCOMES), axis=0)
-    for step in backward if reverse else forward:
-        p, stack = step(stack)
-        prob *= np.where(p < ZERO_PROB, 0.0, p)
-    return prob, stack
+    return _cascade(np.repeat(joint_state(m)[None], len(_OUTCOMES), axis=0), _Z1, _BELL, _Z4)
+
+
+# The audit projects both measurement orders in one 32-row stack.  Rows
+# 0-15 hold the joint state (m, 1, 2, 3, 4) and project particle 1 first;
+# rows 16-31 hold it with particles 1 and 4 trading places, on axes
+# (m, 4, 2, 3, 1), so the same column-wise cascade projects particle 4
+# first.  Row ``16 + r`` is branch ``r`` as well.
+_REVERSED_AXES = (Q_M, Q_4, Q_2, Q_3, Q_1)
+_BOTH_Z_FIRST = np.concatenate((_Z1, _Z4))
+_BOTH_BELL = np.concatenate((_BELL, _BELL))
+_BOTH_Z_LAST = np.concatenate((_Z4, _Z1))
+
+
+def _forced_both_orders(m: MessageQubit) -> tuple[np.ndarray, np.ndarray]:
+    """``forced_branches_particle3`` in both measurement orders: (32,) probabilities and a (32, 2) stack,
+    rows 0-15 projecting particle 1 first and rows 16-31 projecting particle 4 first."""
+    joint = joint_state(m)
+    relabeled = joint.reshape((2,) * 5).transpose(_REVERSED_AXES).reshape(-1)
+    stack = np.repeat(np.stack((joint, relabeled)), len(_OUTCOMES), axis=0)
+    return _cascade(stack, _BOTH_Z_FIRST, _BOTH_BELL, _BOTH_Z_LAST)
 
 
 def _fidelity_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -268,36 +289,37 @@ def verify_correction_table(
     """Brute-force audit of the correction table for one message qubit.
 
     Every one of the 16 branches is forced deterministically by
-    projection of the joint state (never sampled), all of them at once
-    as the rows of one stack.  Per branch this verifies: the branch
-    probability is exactly 1/16, the projected particle-3 state matches
-    the table's collapsed-state column, the table's correction recovers
-    the message up to phase, and the result is independent of the
-    measurement order (the stack is projected a second time, in reverse
-    order).  It also records which of the four corrections reach
-    fidelity 1, exposing degeneracies (for |a| = |b| two corrections tie)
-    instead of asserting uniqueness.
+    projection of the joint state (never sampled), in both measurement
+    orders at once: one 32-row stack projects particle 1 first in its
+    top half and particle 4 first in its bottom half.  Per branch this
+    verifies: the branch probability is exactly 1/16, the projected
+    particle-3 state matches the table's collapsed-state column, the
+    table's correction recovers the message up to phase, and the
+    probability and that recovery are the same in either order.  It also
+    records which of the four corrections reach fidelity 1, exposing
+    degeneracies (for |a| = |b| two corrections tie) instead of
+    asserting uniqueness.
 
     ``check_table`` substitutes an alternative lookup; the auditor then
     reports its failures (used for negative controls).
     """
     coeffs, matrices = _TABLE_COLUMNS if check_table is None else _table_columns(check_table)
     target = m.state()
-    prob, got3 = forced_branches_particle3(m)
+    both_prob, both3 = _forced_both_orders(m)
+    prob, got3 = both_prob[:16], both3[:16]
     if not prob.all():
         raise AssertionError(f"branch {_OUTCOMES[int(np.argmin(prob))]} unexpectedly has zero probability")
     collapsed_fid = _fidelity_rows(got3, coeffs[:, 0::2] * m.a + coeffs[:, 1::2] * m.b)
-    phase = (matrices @ got3[:, :, None])[:, :, 0] @ target.conj()
-    corrected_fid = np.abs(phase) ** 2
+    both_phase = (np.concatenate((matrices, matrices)) @ both3[:, :, None])[:, :, 0] @ target.conj()
+    both_fid = np.abs(both_phase) ** 2
+    phase, corrected_fid, rprob, rfid = both_phase[:16], both_fid[:16], both_prob[16:], both_fid[16:]
     winners = _fidelity_rows((_PAULI_STACK @ got3[:, None, :, None])[..., 0], target) >= 1 - tolerance
-    rprob, r3 = forced_branches_particle3(m, reverse=True)
-    rfid = _fidelity_rows((matrices @ r3[:, :, None])[:, :, 0], target)
     order_ok = (rprob != 0.0) & (np.abs(rprob - prob) <= 1e-12) & (np.abs(rfid - corrected_fid) <= tolerance)
     fields = (prob, collapsed_fid, corrected_fid, phase, winners, order_ok)
     audits = tuple(
         BranchAudit(
             outcomes=outcomes, probability=p, collapsed_fidelity=cf, corrected_fidelity=f, recovery_phase=ph,
-            fidelity_one_corrections=tuple(c for c, won in zip(PauliCorrection, row) if won), order_independent=ok,
+            fidelity_one_corrections=tuple(c for c, won in zip(_PAULIS, row) if won), order_independent=ok,
         )
         for outcomes, p, cf, f, ph, row, ok in zip(_OUTCOMES, *(a.tolist() for a in fields))
     )

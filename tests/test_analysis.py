@@ -156,6 +156,16 @@ class TestExperiments:
         result = experiment_detection(AttackSpec("none"), trials=50, seed=1)
         assert result.successes == 0
 
+    def test_detection_at_its_defaults_is_pinned(self):
+        # Only attack, trials and seed: n, decoy_count, threshold and scope take their defaults.
+        attack = AttackSpec("entangle-measure", "xi_m", eve=EveParams.rotation(0.25))
+        result = experiment_detection(attack, trials=200, seed=11)
+        assert result.successes == 136
+        assert result.config == {
+            "attack": attack.to_json_dict(), "n": 1, "decoy_count": 20, "threshold": 0.0, "seed": 11,
+            "scope": "channel",
+        }
+
     def test_detection_channel_scope_matches_formula(self):
         result = experiment_detection(
             AttackSpec("intercept-resend", "xi_m"), trials=800, seed=2, decoy_count=20

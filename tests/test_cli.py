@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
 import json
+import tracemalloc
 
 import pytest
 
+from sqpbs import cli
 from sqpbs.adversary import EveParams
+from sqpbs.analysis import MAX_TRIALS
 from sqpbs.cli import (
     EXIT_ABORTED,
     EXIT_CONFIG,
@@ -13,6 +16,8 @@ from sqpbs.cli import (
     EXIT_VALID,
     main,
 )
+from sqpbs.statevec import new_rng
+from sqpbs.teleport import MessageQubit
 from sqpbs.transcript import SIZE_BOUNDS, TOOL_VERSION, RunConfig
 from test_golden import GOLDEN_FILE
 
@@ -89,6 +94,33 @@ def test_bad_input_exits_4_with_one_line(argv, capsys, tmp_path):
     assert run_cli(*(str(eve_file) if a == "EVE_FILE" else a for a in argv)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify-corrections", "--trials", str(MAX_TRIALS + 1), "--seed", "1"),
+         f"--trials must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
+        (("experiment", "forgery", "--n", "2", "--trials", str(MAX_TRIALS + 1), "--seed", "1"),
+         f"trials must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
+        (("experiment", "forgery", "--n", "2", "--trials", str(10**30), "--seed", "1"),
+         f"trials must be <= {MAX_TRIALS}, got {10**30}"),
+        (("experiment", "detection", "--trials", str(MAX_TRIALS + 1), "--seed", "1"),
+         f"trials must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
+        (("experiment", "blindness", "--n", "2", "--trials", str(MAX_TRIALS + 1), "--seed", "1"),
+         f"trials must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
+    ],
+    ids=["verify-corrections", "forgery", "forgery-1e30", "detection", "blindness"],
+)
+def test_trials_past_the_bound_exit_4_before_any_allocation(argv, message, capsys):
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == EXIT_CONFIG
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert peak < 1 << 20  # one list or array of the trials' seeds or messages would take tens of MB
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -338,6 +370,20 @@ class TestVerifyCorrections:
         assert run_cli("verify-corrections", "--trials", "5", "--seed", "3") == EXIT_VALID
         out = capsys.readouterr().out
         assert "80 branch checks passed" in out
+
+    def test_messages_are_drawn_in_order_one_per_audit(self, monkeypatch, capsys):
+        audited = []
+
+        def audit(m, **kwargs):
+            audited.append(m)
+            return real_audit(m, **kwargs)
+
+        real_audit = cli.verify_correction_table
+        monkeypatch.setattr(cli, "verify_correction_table", audit)
+        assert run_cli("verify-corrections", "--trials", "4", "--seed", "3") == EXIT_VALID
+        rng = new_rng(3)
+        assert audited == [MessageQubit(1.0, 0.0)] + [MessageQubit.random(rng) for _ in range(3)]
+        assert capsys.readouterr().out == "all 64 branch checks passed over 4 message qubits (seed 3)\n"
 
     def test_corrupted_lookup_names_the_branch(self, capsys):
         code = run_cli("verify-corrections", "--trials", "3", "--seed", "3", "--corrupt-branch", "5")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from sqpbs import statevec
 from sqpbs.adversary import INTERCEPT_BASES, EntangleMeasure, EveParams
-from sqpbs.analysis import DETECTION_SCOPES, FORGERY_MODELS
+from sqpbs.analysis import DETECTION_SCOPES, FORGERY_MODELS, MAX_TRIALS
 from sqpbs.bits import Bits
 from sqpbs.channels import DecoyState, read_prepared, tap
 from sqpbs.cli import ATTACK_FLAGS, EXPERIMENT_FLAGS, main
@@ -161,6 +161,20 @@ def test_born_rows_are_the_postselect_rows_probabilities(stack, data, basis):
         assert prob.tobytes() == forced.tobytes()
         assert [prob[r] for r in range(len(stack))] == [postselect(s, qubit, basis, outcome)[0] for s in stack]
     np.testing.assert_array_equal(stack, before)
+
+
+@FAST
+@given(stacks(max_qubits=6), st.data(), st.sampled_from(Basis))
+def test_born_rows_sum_each_component_in_index_order(stack, data, basis):
+    """Each weight is the one contiguous sum of the component's squared magnitudes, in basis-index order,
+    byte for byte, whichever qubit is read."""
+    qubit = data.draw(st.integers(0, num_qubits(stack[0]) - 1))
+    t = stack.reshape(len(stack), 1 << qubit, 2, -1)
+    a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
+    components = (a0, a1) if basis is Basis.Z else ((a0 + a1) * statevec.SQRT1_2, (a0 - a1) * statevec.SQRT1_2)
+    for prob, c in zip(born_rows(stack, qubit, basis), components, strict=True):
+        sq = np.ascontiguousarray(c.real**2 + c.imag**2).reshape(len(stack), -1)
+        assert prob.tobytes() == sq.sum(axis=1).tobytes()
 
 
 @st.composite
@@ -454,7 +468,7 @@ def test_paired_flip_blindness(inputs, seed):
 # or, one time in four, an invalid one; all are small enough to run in
 # milliseconds.
 GOLDEN_FILE = str(Path(__file__).resolve().parent / "data" / "golden_run.json")
-TRIALS = {"--trials": (("1", "3"), ("0", "-2"))}
+TRIALS = {"--trials": (("1", "3"), ("0", "-2", str(MAX_TRIALS + 1), str(10**30)))}
 SHARED_FLAGS = {  # flag: (valid values, invalid values)
     "--n": (("1", "2", "4"), ("0", "x")),
     "--seed": (("0", "7"), ("-1", "x")),

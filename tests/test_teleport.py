@@ -8,6 +8,7 @@ import pytest
 
 from sqpbs import teleport
 from sqpbs.statevec import (
+    ZERO_PROB,
     Basis,
     BellState,
     PauliCorrection,
@@ -16,6 +17,8 @@ from sqpbs.statevec import (
     measure,
     measure_bell,
     new_rng,
+    postselect_bell_rows,
+    postselect_rows,
 )
 from sqpbs.teleport import (
     CHI_AMPLITUDE,
@@ -28,8 +31,13 @@ from sqpbs.teleport import (
     prepare_chi,
     run_teleportation,
     verify_correction_table,
+    _BELL,
     _TABLE,
     _TABLE_COLUMNS,
+    _Z1,
+    _Z4,
+    _forced_both_orders,
+    joint_state,
 )
 
 
@@ -258,6 +266,60 @@ class TestBranchAuditor:
         for prob, particle3, expected in zip(*forced_branches_particle3(m), table_states(m), strict=True):
             assert prob == pytest.approx(1 / 16, abs=1e-12)
             assert fidelity_up_to_phase(particle3, expected) == pytest.approx(1.0, abs=1e-10)
+
+
+def reverse_cascade(m: MessageQubit) -> tuple[np.ndarray, np.ndarray]:
+    """Every branch projected on the joint state (m, 1, 2, 3, 4) in reverse order, without relabeling:
+    Z on particle 4, Bell on (m, 2), then Z on particle 1."""
+    stack = np.repeat(joint_state(m)[None], 16, axis=0)
+    prob = np.ones(16)
+    for project, where, outcomes in (
+        (postselect_rows, (4, Basis.Z), _Z4),  # (m, 1, 2, 3) remain
+        (postselect_bell_rows, (0, 2), _BELL),  # (1, 3)
+        (postselect_rows, (0, Basis.Z), _Z1),  # (3)
+    ):
+        p, stack = project(stack, *where, outcomes)
+        prob *= np.where(p < ZERO_PROB, 0.0, p)
+    return prob, stack
+
+
+class TestBothOrders:
+    """The audit's 32-row stack: the top half in the sampled order, the bottom half relabeled to project
+    particle 4 first."""
+
+    def test_halves_are_the_forward_and_the_unrelabeled_reverse_cascade(self):
+        rng = new_rng(16)
+        for _ in range(20):
+            m = MessageQubit.random(rng)
+            prob, got3 = _forced_both_orders(m)
+            forward_prob, forward3 = forced_branches_particle3(m)
+            assert prob[:16].tobytes() == forward_prob.tobytes()
+            assert got3[:16].tobytes() == forward3.tobytes()
+            reverse_prob, reverse3 = reverse_cascade(m)
+            np.testing.assert_allclose(prob[16:], reverse_prob, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got3[16:], reverse3, rtol=0, atol=1e-12)
+
+    def test_a_wrong_relabeling_fails_the_order_check(self, monkeypatch):
+        # Particles 1 and 2 trade places instead of 1 and 4: the bottom half no longer measures the same branches.
+        monkeypatch.setattr(teleport, "_REVERSED_AXES", (0, 2, 1, 3, 4))
+        report = verify_correction_table(MessageQubit(0.6, 0.8))
+        out_of_order = [b for b in report.branches if not b.order_independent]
+        assert out_of_order
+        assert report.failures() == out_of_order
+        assert not report.all_pass()
+
+    def test_one_audit_makes_three_projection_calls(self, monkeypatch):
+        calls = {"postselect_rows": 0, "postselect_bell_rows": 0}
+        for name in calls:
+            kernel = getattr(teleport, name)
+
+            def counted(*args, kernel=kernel, name=name):
+                calls[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(teleport, name, counted)
+        assert verify_correction_table(MessageQubit.random(new_rng(17))).all_pass()
+        assert calls == {"postselect_rows": 2, "postselect_bell_rows": 1}
 
 
 class TestTamperedOutcome:

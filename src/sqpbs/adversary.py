@@ -3,7 +3,10 @@
 Both adversaries expose ``intercept(segments, rng)`` and are invoked
 once per transmission over an attacked channel (forward leg), with one
 ``(stack, column)`` per crossed stack: the qubit at ``column`` of every
-row crosses.
+row crosses.  Per transmission, random-basis intercept-resend draws one
+coin vector (``statevec.draw_bits``), then every intercept-resend draws
+one uniform vector for its reads, both from ``rng.random``; the
+entangle-measure attacker draws nothing.
 
 The entangle-measure attacker couples a private probe to each transiting
 qubit with a joint unitary E defined by its action on the computational
@@ -36,7 +39,7 @@ import numpy as np
 
 from .channels import DecoyState
 from .registers import Stack, merge
-from .statevec import Basis, Rng, apply_rows, born_rows, is_unitary, measure_rows, prepare_rows
+from .statevec import Basis, Rng, apply_rows, born_rows, draw_bits, is_unitary, measure_rows, prepare_rows
 
 INTERCEPT_BASES = ("random", "z", "x")
 
@@ -55,11 +58,11 @@ class InterceptResend:
         self.basis = basis
 
     def intercept(self, segments: list[tuple[Stack, int]], rng: Rng) -> None:
-        """A coin vector (random basis only), then a uniform vector, over all rows in segment order;
+        """A coin vector, ``floor(2u)`` (random basis only), then a uniform vector, over all rows in segment order;
         each segment's Z rows and X rows are measured out with one ``measure_rows`` each and
         the qubit is re-prepared in its outcome state, with ``prepare_rows``."""
         rows = [stack.rows for stack, _ in segments]
-        on_x = rng.integers(0, 2, size=sum(rows)) == 1 if self.basis == "random" else np.full(sum(rows), self.basis == "x")
+        on_x = draw_bits(rng, sum(rows), 1) == 1 if self.basis == "random" else np.full(sum(rows), self.basis == "x")
         cuts = np.cumsum(rows)[:-1]
         for (stack, column), x, u in zip(segments, np.split(on_x, cuts), np.split(rng.random(sum(rows)), cuts)):
             for basis, picked in ((Basis.Z, ~x), (Basis.X, x)):

@@ -3,6 +3,8 @@
 ``Bits(...)`` checks outside input (strings, JSON, CLI, ``RunConfig``).
 Values the package builds itself go through the unchecked
 ``Bits._trusted``; both store the same tuple of 0/1 ints.
+``Bits.random`` draws one coin per bit, from one ``rng.random(length)``
+(``statevec.draw_bits``).
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from operator import xor
 from typing import Iterable, Iterator, overload
 
 import numpy as np
+
+from .statevec import draw_bits
 
 # bytes(bits) holds the values 0/1; the string form holds the characters "0"/"1".
 _TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
@@ -46,7 +50,7 @@ class Bits:
     def random(cls, length: int, rng: np.random.Generator) -> "Bits":
         if length < 0:
             raise ValueError(f"length must be >= 0, got {length}")
-        return cls._trusted(rng.integers(0, 2, size=length).tolist())
+        return cls._trusted(draw_bits(rng, length, 1).tolist())  # one coin per bit
 
     @classmethod
     def zeros(cls, length: int) -> "Bits":

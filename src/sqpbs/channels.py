@@ -29,14 +29,17 @@ leg; return legs are modeled clean.
 
 An untapped prepared qubit read in its preparation basis returns its
 bit, so an untapped channel reads nothing and draws only what reaches
-its check's report.  ``send_with_decoys`` draws the decoy codes, then
-the adversary draws, decoys before payload, and nothing when untapped.
-``check_decoys`` reads the tapped decoys in their preparation bases.
+its check's report.  Every draw is one ``rng.random`` vector: a code is
+``floor(4u)`` and a coin ``floor(2u)`` (``statevec.draw_bits``).
+``send_with_decoys`` draws the decoy codes, then the adversary draws,
+decoys before payload, and nothing when untapped.  ``check_decoys``
+reads the tapped decoys in their preparation bases.
 ``semiquantum_return_check`` draws an untapped sequence's codes, then
-every SIFT/CTRL coin, then reads the tapped SIFTed decoys in Z and the
-reflected ones in their preparation bases.  ``read_prepared``, the one
-read of tapped prepared qubits, reads a step once, from the Born sums
-of its rows (``statevec.born_rows``), which it never collapses.
+every SIFT/CTRL coin, as two vectors, as a tapped send and its check
+do; then it reads the tapped SIFTed decoys in Z and the reflected ones
+in their preparation bases.  ``read_prepared``, the one read of tapped
+prepared qubits, reads a step once, from the Born sums of its rows
+(``statevec.born_rows``), which it never collapses.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import EavesdroppingDetected
 from .registers import Stack
-from .statevec import Basis, Rng, basis_state, born_outcomes, born_rows, ket_minus, ket_plus
+from .statevec import Basis, Rng, basis_state, born_outcomes, born_rows, draw_bits, ket_minus, ket_plus
 
 
 class DecoyState(Enum):
@@ -80,21 +83,22 @@ class DecoyState(Enum):
 _KETS = np.array([d.make_state() for d in DecoyState])
 
 
-def read_prepared(tapped: np.ndarray, x_basis: Sequence[int], rng: Rng) -> list[int]:
+def read_prepared(tapped: np.ndarray, x_basis: Sequence[int], rng: Rng) -> np.ndarray:
     """Measure each tapped prepared qubit in its basis after crossing.
 
     ``tapped`` holds row i for qubit i, the crossed qubit at column 0, as
     the adversary left it, and ``x_basis[i]`` is its measurement basis, 0
     for Z and 1 for X.  Each row picks its Born pair from the Z and X sums
     over the whole stack, which no read collapses; one ``rng.random``
-    feeds ``born_outcomes``, and an empty read takes none.
+    feeds ``born_outcomes``, and an empty read takes none.  Returns each
+    row's outcome bit.
     """
     if not len(tapped):
-        return []
+        return np.zeros(0, dtype=np.intp)
     u = rng.random(len(tapped))
     on_x = np.asarray(x_basis, dtype=bool)
     (z0, z1), (x0, x1) = born_rows(tapped, 0, Basis.Z), born_rows(tapped, 0, Basis.X)
-    return born_outcomes(np.where(on_x, x0, z0), np.where(on_x, x1, z1), u).tolist()
+    return born_outcomes(np.where(on_x, x0, z0), np.where(on_x, x1, z1), u)
 
 
 def tap(codes: Sequence[int], adversary, rng: Rng, payload: Sequence[Stack] = (), column: int = 0) -> Stack | None:
@@ -126,7 +130,7 @@ class TransmittedSequence:
 
     channel: str
     decoy_count: int
-    codes: list[int] | None
+    codes: np.ndarray | None
     tapped: Stack | None
 
 
@@ -151,7 +155,7 @@ def send_with_decoys(
         raise ValueError(f"decoy_count must be >= 1, got {decoy_count}")
     if adversary is None:
         return TransmittedSequence(channel, decoy_count, None, None)
-    codes = rng.integers(0, 4, size=decoy_count).tolist()
+    codes = draw_bits(rng, decoy_count, 2)
     return TransmittedSequence(channel, decoy_count, codes, tap(codes, adversary, rng, payload, column))
 
 
@@ -178,8 +182,7 @@ def check_decoys(
     errors = 0
     if seq.tapped is not None:
         codes = seq.codes
-        outcomes = read_prepared(seq.tapped.state, [c >> 1 for c in codes], rng)
-        errors = sum(outcome != (code & 1) for outcome, code in zip(outcomes, codes))
+        errors = int(np.count_nonzero(read_prepared(seq.tapped.state, codes >> 1, rng) != codes & 1))
     rate = errors / seq.decoy_count
     if rate > threshold:
         raise EavesdroppingDetected(seq.channel, "decoy", rate, threshold)
@@ -223,42 +226,41 @@ def semiquantum_return_check(
     ``threshold``.
     """
     tapped = seq.tapped
-    codes = rng.integers(0, 4, size=seq.decoy_count).tolist() if tapped is None else seq.codes
-    sift = rng.integers(0, 2, size=len(codes)).tolist()
-    sifted = [i for i, coin in enumerate(sift) if coin]
-    reflected = [i for i, coin in enumerate(sift) if not coin]
-    z_sifted = [i for i in sifted if codes[i] < 2]  # a Z code is its bit
-    returned_codes = [codes[i] for i in reflected]
-    on_x = [code >> 1 for code in returned_codes]
+    codes = draw_bits(rng, seq.decoy_count, 2) if tapped is None else seq.codes
+    sift = draw_bits(rng, len(codes), 1) == 1
+    on_z = codes < 2  # a Z code is its bit
+    sifted_count = int(np.count_nonzero(sift))
+    reflected_count = len(codes) - sifted_count
+    z_sift_count, x_count = int(np.count_nonzero(sift & on_z)), int(np.count_nonzero(~(sift | on_z)))
     reflected_errors = x_errors = z_sift_errors = 0  # untapped, every read returns the prepared bit
     if tapped is not None:
-        sift_bits = read_prepared(tapped.state[sifted], [0] * len(sifted), rng)
-        z_sift_errors = sum(bit != codes[i] for i, bit in zip(sifted, sift_bits) if codes[i] < 2)
+        sift_bits = read_prepared(tapped.state[sift], np.zeros(sifted_count, dtype=bool), rng)
+        z_sift_errors = int(np.count_nonzero((sift_bits != codes[sift]) & on_z[sift]))
         # The reflected particles travel back shuffled, and the receiver
         # reveals the order once the preparer holds them all.  A read takes
         # each row's Born pair and its own uniform from an i.i.d. vector, so
         # reading them in sending order changes no count's distribution.
-        outcomes = read_prepared(tapped.state[reflected], on_x, rng)
-        wrong = [outcome != (code & 1) for code, outcome in zip(returned_codes, outcomes)]
-        reflected_errors, x_errors = sum(wrong), sum(w for w, x in zip(wrong, on_x) if x)
-    x_count = sum(on_x)
-    reflected_rate = reflected_errors / len(reflected) if reflected else 0.0
-    z_rate = z_sift_errors / len(z_sifted) if z_sifted else 0.0
+        reflected = ~sift
+        on_x = ~on_z[reflected]
+        wrong = read_prepared(tapped.state[reflected], on_x, rng) != codes[reflected] & 1
+        reflected_errors, x_errors = int(np.count_nonzero(wrong)), int(np.count_nonzero(wrong & on_x))
+    reflected_rate = reflected_errors / reflected_count if reflected_count else 0.0
+    z_rate = z_sift_errors / z_sift_count if z_sift_count else 0.0
     if reflected_rate > threshold:
         raise EavesdroppingDetected(seq.channel, "reflected", reflected_rate, threshold)
     if z_rate > threshold:
         raise EavesdroppingDetected(seq.channel, "z-sift", z_rate, threshold)
     return ReturnCheckResult(
         channel=seq.channel,
-        reflected_count=len(reflected),
+        reflected_count=reflected_count,
         reflected_errors=reflected_errors,
         reflected_error_rate=reflected_rate,
-        z_sift_count=len(z_sifted),
+        z_sift_count=z_sift_count,
         z_sift_errors=z_sift_errors,
         z_sift_error_rate=z_rate,
-        sifted_count=len(sifted),
+        sifted_count=sifted_count,
         detail={
-            "reflected_z_count": len(reflected) - x_count,
+            "reflected_z_count": reflected_count - x_count,
             "reflected_z_errors": reflected_errors - x_errors,
             "reflected_x_count": x_count,
             "reflected_x_errors": x_errors,

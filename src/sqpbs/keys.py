@@ -11,13 +11,15 @@ Each key qubit crosses like a decoy, as its integer preparation code
 (``channels.DecoyState.index``), and BB84 and the semiquantum exchange
 share one batch loop, ``_agree``: they differ only in the batch factor
 (2 or 4) and in the rule that picks key positions and measurement
-bases.  Each batch draws its three coin arrays (one ``rng.integers``
-each); a tapped batch then draws the adversary draws of the one
-``channels.tap`` that sends the raw qubits it spends, and one
-``channels.read_prepared`` of them.  An untapped batch reads nothing:
-its key and CTRL positions are read in their preparation bases, which
-returns the prepared values.  After the last batch, BB84 draws its
-check sample.
+bases.  Each batch draws its qubits' (basis, value, coin) triples with
+one ``rng.random`` (``statevec.draw_bits``); a tapped batch then draws
+the adversary draws of the one ``channels.tap`` that sends the raw
+qubits it spends, and one ``channels.read_prepared`` of them.  An
+untapped batch reads nothing: its key and CTRL positions are read in
+their preparation bases, which returns the prepared values.  A batch is
+sized so that one is almost always enough.  After the last batch, BB84
+draws its check sample, one ``rng.random`` over the sifted positions
+(``statevec.draw_sample``).
 
 Runs that do not care about the key-agreement channel may skip it
 entirely and draw pre-shared keys ("stubbed" mode in the protocol
@@ -28,6 +30,7 @@ uniform random strings either way.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +38,7 @@ import numpy as np
 from .bits import Bits
 from .channels import read_prepared, tap
 from .errors import ConfigError, KeyEstablishmentError
-from .statevec import Rng
+from .statevec import Rng, draw_bits, draw_sample
 
 __all__ = [
     "HashConfig",
@@ -147,32 +150,35 @@ class KeyExchangeResult:
 def _agree(length: int, factor: int, rule, adversary, rng: Rng) -> tuple[np.ndarray, ...]:
     """The one batch loop of key agreement: raw qubits until ``length`` key positions.
 
-    A batch of ``max(16, factor * missing + 8)`` raw qubits draws three
-    0/1 coin arrays (preparation basis, value, the receiver's coin);
-    ``rule(bases, coins)`` gives its key positions as a mask and each
-    qubit's measurement basis.  The batch spends its prefix up to the
-    ``missing``-th key position, or all of it, which crosses through one
-    ``channels.tap`` and, tapped, is read with one ``channels.read_prepared``.
-    Untapped, its outcomes are the prepared values, exact at the key and
-    CTRL positions, the only ones a caller reads.  Returns the spent
-    qubits' bases, values, coins and outcomes, and the indices of the
-    ``length`` key positions among them.
+    A qubit is a key position with probability ``1 / factor``, so ``missing``
+    key positions take ``factor * missing`` raw qubits on average, with
+    standard deviation ``sqrt(factor * (factor - 1) * missing)``; a batch is
+    that mean plus about four deviations and 16 more, so a second batch is
+    rare.  A batch of ``k`` qubits draws ``statevec.draw_bits(rng, k, 3)``,
+    each qubit's (preparation basis, value, receiver's coin) as the three bits
+    of ``floor(8u)``, high to low; the top two are its preparation code.
+    ``rule(bases, coins)`` gives its key positions as a mask and each qubit's
+    measurement basis.  The batch spends its prefix up to the ``missing``-th
+    key position, or all of it, which crosses through one ``channels.tap``
+    and, tapped, is read with one ``channels.read_prepared``.  Untapped, its
+    outcomes are the prepared values, exact at the key and CTRL positions, the
+    only ones a caller reads.  Returns the spent qubits' bases, values, coins
+    and outcomes, and the indices of the ``length`` key positions among them.
     """
-    batches, keyed_parts, raw, found = [], [], 0, 0
+    batches, raw, found = [], 0, 0
     while found < length:
         missing = length - found
-        batch = max(16, factor * missing + 8)
-        bases, values, coins = (rng.integers(0, 2, size=batch) for _ in range(3))
+        triples = draw_bits(rng, factor * missing + 4 * math.isqrt(factor * (factor - 1) * missing) + 16, 3)
+        bases, values, coins = triples >> 2, (triples >> 1) & 1, triples & 1
         key, meas_bases = rule(bases, coins)
         keyed = np.flatnonzero(key)[:missing]
-        used = int(keyed[-1]) + 1 if keyed.size == missing else batch
-        tapped = tap(2 * bases[:used] + values[:used], adversary, rng)
-        outcomes = values[:used] if tapped is None else np.array(read_prepared(tapped.state, meas_bases[:used], rng))
-        batches.append((bases[:used], values[:used], coins[:used], outcomes))
-        keyed_parts.append(keyed + raw)
+        used = int(keyed[-1]) + 1 if keyed.size == missing else len(triples)
+        tapped = tap(triples[:used] >> 1, adversary, rng)
+        outcomes = values[:used] if tapped is None else read_prepared(tapped.state, meas_bases[:used], rng)
+        batches.append((bases[:used], values[:used], coins[:used], outcomes, keyed + raw))
         raw += used
         found += keyed.size
-    return *map(np.concatenate, zip(*batches)), np.concatenate(keyed_parts)
+    return batches[0] if len(batches) == 1 else tuple(map(np.concatenate, zip(*batches)))
 
 
 def establish_key_bb84(
@@ -186,8 +192,8 @@ def establish_key_bb84(
     """Qubit-level BB84: random bases, sifting, sampled error estimate.
 
     Generates sifted bits until ``length`` key bits plus ``check_bits``
-    sacrificial bits are available; the check sample (chosen at random
-    among the sifted positions) estimates the channel error rate.  An
+    sacrificial bits are available; the check sample, ``check_bits``
+    sifted positions drawn uniformly, estimates the channel error rate.  An
     honest noiseless channel yields identical keys and error rate 0; a
     full intercept-resend attacker pushes the sifted error rate to ~25%.
     Raises :class:`KeyEstablishmentError` above ``error_threshold``.
@@ -196,23 +202,23 @@ def establish_key_bb84(
         raise ValueError(f"key length must be >= 1, got {length}")
     if check_bits is None:
         check_bits = min(length, 64)
+    if check_bits < 0:
+        raise ValueError(f"check_bits must be >= 0, got {check_bits}")
     needed = length + check_bits
     # Sifting keeps the qubits whose receiver basis coin matches the preparation basis.
     _, values, _, outcomes, keyed = _agree(needed, 2, lambda bases, coins: (bases == coins, coins), adversary, rng)
-    sender_bits, receiver_bits = values[keyed].tolist(), outcomes[keyed].tolist()
-    errors = 0
-    check_positions: set[int] = set()
+    sender, receiver = values[keyed], outcomes[keyed]
+    check = np.zeros(needed, dtype=bool)
     if check_bits:
-        check_positions = set(int(i) for i in rng.choice(needed, size=check_bits, replace=False))
-        errors = sum(1 for i in check_positions if sender_bits[i] != receiver_bits[i])
+        check[draw_sample(rng, needed, check_bits)] = True
+    errors = int(np.count_nonzero(sender[check] != receiver[check]))
     error_rate = errors / check_bits if check_bits else 0.0
     if error_rate > error_threshold:
         raise KeyEstablishmentError("bb84", error_rate, error_threshold)
-    keep = [i for i in range(needed) if i not in check_positions][:length]
     return KeyExchangeResult(
         kind="bb84",
-        sender_key=Bits._trusted(sender_bits[i] for i in keep),
-        receiver_key=Bits._trusted(receiver_bits[i] for i in keep),
+        sender_key=Bits._trusted(sender[~check].tolist()),
+        receiver_key=Bits._trusted(receiver[~check].tolist()),
         error_rate=error_rate,
         raw_count=len(values),
         sifted_count=needed,
@@ -251,8 +257,8 @@ def establish_key_sqkd(
     ctrl = coins == 0
     mismatch = outcomes[ctrl] != values[ctrl]
     on_x = bases[ctrl] == 1
-    ctrl_total, ctrl_errors = int(ctrl.sum()), int(mismatch.sum())
-    ctrl_x_total, ctrl_x_errors = int(on_x.sum()), int(mismatch[on_x].sum())
+    ctrl_total, ctrl_errors = int(np.count_nonzero(ctrl)), int(np.count_nonzero(mismatch))
+    ctrl_x_total, ctrl_x_errors = int(np.count_nonzero(on_x)), int(np.count_nonzero(mismatch & on_x))
     error_rate = ctrl_errors / ctrl_total if ctrl_total else 0.0
     if error_rate > error_threshold:
         raise KeyEstablishmentError("sqkd", error_rate, error_threshold)

@@ -30,10 +30,11 @@ A run walks four phases:
    declares the signature valid iff it matches Alice's commitment.
 
 Determinism: a run consumes randomness exclusively from one generator
-seeded by ``config.seed``, in a fixed order (private inputs if not
-supplied, hash secret, key agreement, then per-channel decoy and
-measurement draws in protocol order).  Each measurement step draws
-once: M_B, M_D, M_C and Trent's X reads take one ``rng.random(n)``
+seeded by ``config.seed``, and only through ``rng.random``, in a fixed
+order (private inputs if not supplied, hash secret, key agreement, then
+per-channel decoy and measurement draws in protocol order).  Bits, coins,
+codes and samples are built from uniform vectors by the formulas of the
+``statevec`` draw section.  Each measurement step draws once: M_B, M_D, M_C and Trent's X reads take one ``rng.random(n)``
 each.  Reads whose outcomes an untapped channel fixes take no draw:
 Charlie's read of G', and the key-agreement and check reads of prepared
 qubits, one ``channels.read_prepared`` call a step when tapped (the
@@ -371,8 +372,8 @@ def replay_difference(config: RunConfig, recorded: Any) -> str | None:
     """Re-run ``config``: None if its canonical bytes equal ``recorded``'s, else where they first differ.
 
     ``recorded`` is a transcript read back from a file.  A different
-    ``meta.version`` is named first, as ``meta.version: 0.7.0 recorded,
-    0.8.0 re-executed``, since a file from another release differs for
+    ``meta.version`` is named first, as ``meta.version: 0.8.0 recorded,
+    0.9.0 re-executed``, since a file from another release differs for
     that reason.  Otherwise the first difference in canonical (sorted-key)
     order reads, for example, ``meta.n``, ``events[12] measurement_record:
     field bits``, ``events: 29 recorded, 31 re-executed`` or ``verdict``.

@@ -15,9 +15,11 @@ Conventions, fixed across the package:
 * States carry unit 2-norm; measurements renormalize, and every
   operation is required to keep the norm within 1e-12.
 * All randomness flows through an explicit ``numpy.random.Generator``
-  (PCG64, from ``new_rng``).  A projective measurement consumes exactly
-  one uniform draw, compared against cumulative Born probabilities, so
-  any run is reproducible bit-for-bit from its seed.
+  (PCG64, from ``new_rng``), and only its ``random`` method: the draw
+  section below builds coins, codes and samples from it.  A projective
+  measurement consumes exactly one uniform draw, compared against
+  cumulative Born probabilities, so any run is reproducible bit-for-bit
+  from its seed.
 * In the X basis, outcome bit 0 means ``|+>`` and bit 1 means ``|->``.
 
 Registers are capped at 8 qubits; the protocol layers above never need
@@ -53,6 +55,30 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT1_2
 def new_rng(seed: int | np.random.SeedSequence | None) -> Rng:
     """Create the package's deterministic random generator (PCG64)."""
     return np.random.default_rng(seed)
+
+
+# Draws.  Every random draw on a run's path is built from ``u = rng.random(k)``,
+# the one ``Generator`` method it calls.  ``random()`` returns m * 2**-53 with m
+# uniform below 2**53, so ``floor(2**j * u)`` is the top j bits of m: exactly
+# uniform below 2**j, independent across entries.
+#
+# * a coin is ``floor(2u)``;
+# * a decoy or key preparation code (``DecoyState.index``) is ``floor(4u)``;
+# * a key batch's (basis, value, coin) triple is the three bits of ``floor(8u)``,
+#   high to low, so its top two bits are the preparation code;
+# * a sample of k of ``population`` positions is the k positions with the
+#   smallest of ``population`` uniforms, found by a stable argsort.
+
+
+def draw_bits(rng: Rng, size: int, bits: int) -> np.ndarray:
+    """``size`` integers uniform below ``2**bits``: ``floor(2**bits * u)`` of ``u = rng.random(size)``."""
+    return (rng.random(size) * (1 << bits)).astype(np.intp)
+
+
+def draw_sample(rng: Rng, population: int, size: int) -> np.ndarray:
+    """``size`` distinct positions below ``population``, uniform: the positions of the ``size``
+    smallest of ``u = rng.random(population)``, in a stable ``argsort`` of ``u``."""
+    return np.argsort(rng.random(population), kind="stable")[:size]
 
 
 class Basis(Enum):

@@ -157,6 +157,9 @@ _TABLE_COLUMNS = _table_columns(_TABLE)
 _CORRECTION_MATRICES = _TABLE_COLUMNS[1]
 _PAULIS = tuple(PauliCorrection)
 _PAULI_STACK = np.array([p.matrix for p in _PAULIS])
+# A branch's fidelity-one corrections by its winners bitmask: bit k is set when _PAULIS[k] wins.
+_WINNER_BITS = 1 << np.arange(len(_PAULIS))
+_WINNER_SETS = tuple(tuple(p for k, p in enumerate(_PAULIS) if mask >> k & 1) for mask in range(1 << len(_PAULIS)))
 
 
 def correction_matrices(z1: Sequence[int], bell_bits: Sequence[int], z4: Sequence[int]) -> np.ndarray:
@@ -315,12 +318,9 @@ def verify_correction_table(
     phase, corrected_fid, rprob, rfid = both_phase[:16], both_fid[:16], both_prob[16:], both_fid[16:]
     winners = _fidelity_rows((_PAULI_STACK @ got3[:, None, :, None])[..., 0], target) >= 1 - tolerance
     order_ok = (rprob != 0.0) & (np.abs(rprob - prob) <= 1e-12) & (np.abs(rfid - corrected_fid) <= tolerance)
-    fields = (prob, collapsed_fid, corrected_fid, phase, winners, order_ok)
-    audits = tuple(
-        BranchAudit(
-            outcomes=outcomes, probability=p, collapsed_fidelity=cf, corrected_fidelity=f, recovery_phase=ph,
-            fidelity_one_corrections=tuple(c for c, won in zip(_PAULIS, row) if won), order_independent=ok,
-        )
-        for outcomes, p, cf, f, ph, row, ok in zip(_OUTCOMES, *(a.tolist() for a in fields))
-    )
+    won = [_WINNER_SETS[mask] for mask in (winners @ _WINNER_BITS).tolist()]
+    audits = tuple(map(
+        BranchAudit, _OUTCOMES, prob.tolist(), collapsed_fid.tolist(), corrected_fid.tolist(), phase.tolist(),
+        won, order_ok.tolist(),
+    ))
     return TableAuditReport(message=m, branches=audits, tolerance=tolerance)

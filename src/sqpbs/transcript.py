@@ -28,7 +28,7 @@ from .bits import Bits
 from .errors import ConfigError
 from .keys import HashConfig
 
-TOOL_VERSION = "0.8.0"
+TOOL_VERSION = "0.9.0"
 TRANSCRIPT_FORMAT = "sqpbs-transcript"
 
 # The AttackSpec fields each attack kind reads besides ``kind``; the

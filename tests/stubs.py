@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from sqpbs import channels, keys
+from sqpbs.channels import read_prepared
+
 
 class LastDraw:
     """Generator stub whose uniform draws are all the largest double below 1.
@@ -23,7 +26,11 @@ class PassThrough:
 
 
 class RecordingRng:
-    """A seeded generator that logs each draw as ``(method, size)``."""
+    """A seeded generator that logs each draw as ``(method, size)``.
+
+    It offers only ``random``, the one method the package may call: any
+    other draw fails.
+    """
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
@@ -33,31 +40,27 @@ class RecordingRng:
         self.calls.append(("random", size))
         return self._rng.random(size)
 
-    def integers(self, low, high, size=None):
-        self.calls.append(("integers", size))
-        return self._rng.integers(low, high, size=size)
-
-    def choice(self, a, size=None, replace=True):
-        self.calls.append(("choice", size))
-        return self._rng.choice(a, size=size, replace=replace)
-
 
 class ReadsApart:
-    """A seeded generator that serves its uniform draws, the reads, from a second stream.
+    """A seeded generator whose reads of tapped prepared qubits come from a second stream.
 
-    Its other draws follow the stream of the same seed, so a tapped run
-    draws them as an untapped run, which reads nothing, does.
+    ``install`` wraps ``read_prepared`` where the package calls it, so a
+    read handed this generator draws from ``reads``.  Every other draw
+    follows the stream of the same seed, so a tapped run draws them as an
+    untapped run, which reads nothing, does.
     """
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
-        self._reads = np.random.default_rng([seed, 1])
+        self.reads = np.random.default_rng([seed, 1])
 
     def random(self, size=None):
-        return self._reads.random(size)
+        return self._rng.random(size)
 
-    def integers(self, low, high, size=None):
-        return self._rng.integers(low, high, size=size)
+    @staticmethod
+    def install(monkeypatch):
+        def read_apart(tapped, x_basis, rng):
+            return read_prepared(tapped, x_basis, rng.reads if isinstance(rng, ReadsApart) else rng)
 
-    def choice(self, a, size=None, replace=True):
-        return self._rng.choice(a, size=size, replace=replace)
+        for module in (channels, keys):
+            monkeypatch.setattr(module, "read_prepared", read_apart)

@@ -37,12 +37,12 @@ PINNED_TRIALS = 100
 WORKLOAD_PINS = {
     ("audit-corrections", 1): "9f20f34b64490c924a8976b594a384a0687784405f8d52fab6dd8bd0bcf32737",
     ("audit-corrections", 20231030): "20b8c9cee47a2e9b0ae93d1f1ca5677c6e881d7126e15f5c008264efb6ab7959",
-    ("detect-em-d20", 1): "6c2f8e82405bf401d79518eb39bbf734f41c348c6385614f4afde3abbfd1596f",
-    ("detect-em-d20", 20231030): "b918db9bce8e8e6e9aef5e4a6d0f6fb13797a983fe2f59f8ef0acd107a216395",
-    ("forge-n8-stubbed", 1): "b37a4404b2950f6a8a6844aee5c7bf600eab76a2cf96cc29219686c44758f381",
-    ("forge-n8-stubbed", 20231030): "ceba7b4d3645af52f6e7140674c65edd9fa6a872cae7dda6c75b7439dcb30472",
-    ("honest-n64-sim", 1): "0786bd8973aba734ef21c0c793a063bfc7b94ec227b897806d1742f5b4a3ee77",
-    ("honest-n64-sim", 20231030): "12c21a3c2c402d4edee8d6db4be0b2e43dda2b34fe391033c8150397f43459f3",
+    ("detect-em-d20", 1): "d5f6f31f4dc5a5fca340f6bb6aba33b527029bcf0efeb13d4e45a088c59e3e4f",
+    ("detect-em-d20", 20231030): "ee6cc93c6a59f896d5f66126a9b127faae05a26da032b67854bd144db6f2595c",
+    ("forge-n8-stubbed", 1): "f2f5bd08cb6f2a05cc11df0953cb5c1097806ed64a06d927d51b5887630ef9a6",
+    ("forge-n8-stubbed", 20231030): "ab7415bf34be436a4f700a25313a59d293a326063962e72015ad1e17892a363c",
+    ("honest-n64-sim", 1): "70c736298705298ff4b3e5e8611170b0fb5790f44b1b6830ecf0b5eacabb9959",
+    ("honest-n64-sim", 20231030): "1459b7a28d1f2d78d74fc16bb988751086a69b08afc73e57c4a9f64db43f97cf",
 }
 
 

@@ -79,7 +79,7 @@ class TestUncheckedPath:
 
     def test_random_and_zeros_match_the_checked_path(self):
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        assert_same(Bits.random(50, rng), Bits(ref.integers(0, 2, size=50)))
+        assert_same(Bits.random(50, rng), Bits(np.floor(2 * ref.random(50)).astype(int)))
         assert_same(Bits.zeros(9), Bits("0" * 9))
         assert Bits.random(0, rng) == Bits()
 

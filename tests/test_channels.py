@@ -79,11 +79,11 @@ class TestSendWithDecoys:
         payload = [Stack(rows[:3].copy()), Stack(rows[3:].copy())]
         rng = RecordingRng(1)
         seq = send_with_decoys(payload, 4, rng, InterceptResend(basis), column=1)
-        coins = [("integers", 9)] if basis == "random" else []
-        assert rng.calls == [("integers", 4), *coins, ("random", 9)]
+        coins = [("random", 9)] if basis == "random" else []
+        assert rng.calls == [("random", 4), *coins, ("random", 9)]
         ref = new_rng(1)  # replays the stream; its scalar draws are the uniform vector's entries
-        ref.integers(0, 4, size=4)
-        on_x = iter(ref.integers(0, 2, size=9) if basis == "random" else [basis == "x"] * 9)
+        assert seq.codes.tolist() == np.floor(4 * ref.random(4)).astype(int).tolist()
+        on_x = iter(np.floor(2 * ref.random(9)) == 1 if basis == "random" else [basis == "x"] * 9)
         decoys = np.array([list(DecoyState)[code].make_state() for code in seq.codes])
         for stack, before, column in ((seq.tapped, decoys, 0), (payload[0], rows[:3], 1), (payload[1], rows[3:], 1)):
             for got, row in zip(stack.state, before, strict=True):
@@ -218,7 +218,8 @@ def test_untouched_decoys_match_the_register_path(check, decoy_count):
 @pytest.mark.parametrize("adversary", [None, PassThrough()], ids=["untouched", "registers"])
 def test_each_check_reads_once_per_step(adversary):
     """Tapped, check_decoys reads once, and the return check draws its coins, then reads the SIFTed
-    and the reflected decoys.  Untapped, nothing is read: the return check draws codes and coins."""
+    and the reflected decoys.  Untapped, nothing is read: the return check draws codes, then coins.
+    Every draw is one ``random`` vector."""
     d = 20
     seq = send_with_decoys(_plus_payload(3), d, new_rng(0), adversary)
     rng = RecordingRng(1)
@@ -228,4 +229,4 @@ def test_each_check_reads_once_per_step(adversary):
     k = semiquantum_return_check(seq, rng).sifted_count
     assert 0 < k < d
     reads = [("random", k), ("random", d - k)]
-    assert rng.calls == ([("integers", d)] * 2 if adversary is None else [("integers", d), *reads])
+    assert rng.calls == ([("random", d)] * 2 if adversary is None else [("random", d), *reads])

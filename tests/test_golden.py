@@ -98,7 +98,7 @@ ROW_ATTACKS = {
 }
 ROW_SEEDS = {
     ("em2", "xi_m"): 100, ("em2", "w1"): 100, ("em2", "w2"): 100, ("em2", "w4"): 100,
-    ("em4", "xi_m"): 102, ("em4", "w1"): 101, ("em4", "w2"): 105, ("em4", "w4"): 103,
+    ("em4", "xi_m"): 102, ("em4", "w1"): 100, ("em4", "w2"): 105, ("em4", "w4"): 103,
     ("ir", "xi_m"): 101, ("ir", "w1"): 102, ("ir", "w2"): 100, ("ir", "w4"): 100,
 }
 ROW_CONFIGS = {
@@ -121,33 +121,33 @@ CONFIGS.update({
 })
 
 PINS = {
-    "honest-sim-n4": "5a54c98d6696417005907f0faea6838579b4cea7354fce52d314a4cad97578db",
-    "honest-stubbed-n8": "cc4c2b906005e80f0e44036c7af9263ce3f475065bac0b661f8e489b06ac5919",
-    "honest-explicit-inputs": "c5e6658749222149622b70a9ffc07cba9b39a34646ce5ae6426a9791744e7293",
-    "ir-random-xi_m": "80e933f093a804abe66713200879991fc52c31927d53809a5cc989afc0557713",
-    "ir-z-bb84_dt": "2f6ca8f8afc467e93dee85d3f8b462e5bb2fe6ce91c918856af653766e7b8a5a",
-    "ir-x-sqkd_bt-threshold": "dc42640eec1f0f7a79ad23af34cea0360ca2bc5706892c9931ad0c099a66b097",
-    "em-rotation-w1": "28b61d9f6df6ac999de3b97072486a7a2b4ede1190cdb259fb161761e8d2140c",
-    "em-undetectable-sqkd_ct": "3bf0320718275845ea67e48c96ebe447047aec45a303dd53d754dd1036ed3490",
-    "em-marking-g_prime": "103a762a8b12eee4813f6d995ec4e8a357ccfe0ec630f2a40d1e7e0563f15fba",
-    "forge-md-stubbed": "53a60d12d6f1a33f03ea1e34aee0be1b0342a8b6d0cc89f4c5a58a4e600b9d9c",
-    "tamper-md-bit7": "2fdd97db11921c6333c395d2a4c88f37b7a2e696cbd03efdca084d916cf0927d",
-    "withhold-M_B": "172679c0471162fad199c6779b11c8dd477b119a6cb7195cfbf0e8d411e12e71",
-    "withhold-M_C-stubbed": "d82ca74138f3596a202a830812786a8d2d2d43b5afd5335fe423c23a064f7c5a",
-    "rows-em2-xi_m": "dc926ab0b9d7638695f7122c1fbf4228d7261140bf148a3854dc20b260e93056",
-    "rows-em2-w1": "9370c1d78ff651c476d1a45387455273851bb8b5acbfb21194d40170c1a47074",
-    "rows-em2-w2": "a38e1e901fb0f7cdcb9c9e756dbbbccf4424992ad9a69d1224d5feef8bc6599b",
-    "rows-em2-w4": "1c79490f29bf74a9e8f95277cb5db3553d8f27e5da0af59cca604d00d3414775",
-    "rows-em4-xi_m": "f18f7679d2bb66f8a380bbcfa24c9e7f19d65e75af0d18d62510c29ed084d82b",
-    "rows-em4-w1": "bdf0b7edd7718947f9aa9cf3c92d09eb47628c356f20c66305834535af906426",
-    "rows-em4-w2": "9eb94e523e2b781dca3462b7f2d9bda35e3d3589b9314dd0a6e4954b72d05ae1",
-    "rows-em4-w4": "25157eaf397348dd54cb36d6561ec12f644637cc3b28beb97d571ea55e660eae",
-    "rows-ir-xi_m": "1b8393323b11f65bb2438a43ff52eeb4aaa9502b873dc7e9182b3a5410a2e0aa",
-    "rows-ir-w1": "7dd6fbec6d0216befa1f2d58ee300cfa306968d0df317035b87af01a90e8ec27",
-    "rows-ir-w2": "7524e5de39ce59c8ef516a9f99b9dfd3d8439ecfcc26e18733d8df87404da61e",
-    "rows-ir-w4": "f6b726255e4f0d8febc01e64573b89003ef5edc6b185b95365f2f59e7fa43e65",
+    "honest-sim-n4": "e7979cd59d8171058581d7cf67b58bb234585cce7a016dc99c746310dec5cb7d",
+    "honest-stubbed-n8": "1050874441bfc85fd35be3e187e5967b3db56f2b3b54ef842cd6da454ab92f24",
+    "honest-explicit-inputs": "b9f2cea9cc16ba573e0bb93cc9464e49949123c09f15df066eb25aa5ac5273de",
+    "ir-random-xi_m": "0177074e27b1138132c4ed3dcda6f9604ca59477e6cb6a0fa6ceb9698f2d4903",
+    "ir-z-bb84_dt": "49c3c5b81807861a54144639ac5e07ee71dafdd60244f9348be1dbfc8aa2e965",
+    "ir-x-sqkd_bt-threshold": "350071d6c19375028127c18b97375128fc257ca09ea9bd4d69ce777f1a2c6442",
+    "em-rotation-w1": "10d7eeb3e058c6062e1d68fc61dc9f73d3bcdf1eb1f7585fcaee3d2842ff58bf",
+    "em-undetectable-sqkd_ct": "18c35c1937a19b5b59bbe992aec0ea970202ea4f8a20af141276c69781c53ca9",
+    "em-marking-g_prime": "2bdb8da1ba9a2c9cc72e898c8db7af5d26cbb1cee4b5b15a1812c4c1a3fce28f",
+    "forge-md-stubbed": "975cc8e93c39d5383228e4c50ffcb07e8e49e7884fb14a92b8fd7cd7bcc0e575",
+    "tamper-md-bit7": "5a43e2e6186de4b54739f6a161cc3565f87f21788ca5bf42c6cf3428c0fde620",
+    "withhold-M_B": "ede9286095507e1abaa98ede75761916935d7d229b7d09de3f655536f387be02",
+    "withhold-M_C-stubbed": "f231eee42c6d8aa45aa527eaec772d574264311ec20bea48863739ec1a5df7f7",
+    "rows-em2-xi_m": "3a7145f64354748d9f52ca2aadeaca49c51d2bbaac7d67b086611bab201f4864",
+    "rows-em2-w1": "b796052e9af44070f826e7751239671b79e668c941b58335fd04982741e1279e",
+    "rows-em2-w2": "5e0be36ca9e898a429ad32d264895b008052d97c996ad64a9d82e6016343ca2d",
+    "rows-em2-w4": "e3670e3761c7cf69cc1f169423f93383c0cc0989612be9bac1715926cd045f0b",
+    "rows-em4-xi_m": "5e098b97872eb2f3aaa1ce6864ac574bc01f6387dd295acbdb6ed2538241c4bc",
+    "rows-em4-w1": "277b74412b6976ef53e6d784a486462a903a81bec121034d1e5589b6c6b0f06b",
+    "rows-em4-w2": "268eb9f5392b71052c2160918b8542f22cdf29f752787fff28924129efd51600",
+    "rows-em4-w4": "e50b575433007c721116d3c22c020a6fad96b1aab18d1b9486c7c9dc81c490e2",
+    "rows-ir-xi_m": "0b5c5e9e2935d5304b1e847e870b50d8e52486356a0c52358b92044ad34f620c",
+    "rows-ir-w1": "d65d21ac86d5ffefb4d54453c4ff1199ae87bfa88793d6775e42a69a45b974eb",
+    "rows-ir-w2": "c563d0511f598a2a5a7383382d5a0fb33a6b0fcf46f3cbef9512f0b7f682a2f9",
+    "rows-ir-w4": "78cf773d1f4c321fdea66756177f36865f6fb01cf9b6cdfb3410c7b81fd2849f",
     "em4-bb84_dt": "62d4f13c2641878a2cfa71c54fa26beecb40ddfd347b2627fa4a600178fbf9ac",
-    "em-marking-xi_m-d20": "480f7d6ac55fbd2c8ad97fd6acc7d59f358740170b999f9736bd069df65b5743",
+    "em-marking-xi_m-d20": "9513cfc2bd367163a9fb833bfad8e5991fb5f2f2831a6e9d24ebbfbb63fecaea",
 }
 
 # `--out` JSON of experiments, parsed and without its "version" key.
@@ -166,7 +166,7 @@ OUT_ARGV = {
 OUT_PINS = {
     "efficiency-n16-l256": "3a5aad2154ed922d0778feaa50a7ff24cd464edbfbf06eab87d9c98b4fc44376",
     "detection-ir-d5": "6be5f871423d2485360e8d2a7f843510ae04aa54822dc20970af9e5886dc193a",
-    "detection-em-d20": "7bb6b3d03ebed9fb5cf7e0ffd329bb71005ae7b8ccca6ae5069c3ac3abb49168",
+    "detection-em-d20": "4d0a20344ab0d7d3813fe8296b8f5521c5c1ac831a0e7da4531e22394c740794",
 }
 
 AUDIT_PIN = "581ec5664374af6a350bb38fdc6df03dceb244995d5192a703403783da101638"
@@ -223,7 +223,7 @@ def audit_sha256() -> str:
 
 
 def test_tool_version_matches_the_pins():
-    assert TOOL_VERSION == "0.8.0"
+    assert TOOL_VERSION == "0.9.0"
 
 
 def test_pyproject_version_is_the_tool_version():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from sqpbs.adversary import InterceptResend
@@ -224,9 +225,10 @@ class TestSQKD:
 
 @pytest.mark.parametrize("establish", [establish_key_bb84, establish_key_sqkd], ids=["bb84", "sqkd"])
 @pytest.mark.parametrize("length", [1, 2, 64, 200])
-def test_untouched_channel_matches_the_register_path(establish, length):
+def test_untouched_channel_matches_the_register_path(establish, length, monkeypatch):
     """The untapped path reports what the ``PassThrough`` path does when its reads come from a
     stream of their own: the same coins, keys and counts, matching keys and no error."""
+    ReadsApart.install(monkeypatch)
     for seed in range(10):
         rng_table, rng_registers = new_rng(seed), ReadsApart(seed)
         table = establish(length, rng_table)
@@ -234,24 +236,68 @@ def test_untouched_channel_matches_the_register_path(establish, length):
         for name in ("sender_key", "receiver_key", "raw_count", "sifted_count", "error_rate", "detail"):
             assert getattr(table, name) == getattr(registers, name), (seed, name)
         assert table.sender_key == table.receiver_key and table.error_rate == 0.0, seed
-        assert rng_table.integers(0, 2**32) == rng_registers.integers(0, 2**32), seed
+        assert rng_table.random() == rng_registers.random(), seed
 
 
 @pytest.mark.parametrize("establish", [establish_key_bb84, establish_key_sqkd], ids=["bb84", "sqkd"])
 @pytest.mark.parametrize("length", [1, 64, 200])
 def test_each_batch_reads_its_qubits_with_one_draw(establish, length):
-    """Every batch draws its three coin arrays; tapped, it then reads all its qubits with one
-    ``random``, and untapped it reads nothing."""
+    """Every batch draws its qubits' triples with one ``random``; tapped, it then reads the qubits it
+    spends with one more, and untapped it reads nothing.  BB84 ends with one ``random`` over its
+    sifted positions, for the check sample."""
     for adversary in (None, PassThrough()):
         rng = RecordingRng(3)
         result = establish(length, rng, adversary)
         calls = rng.calls
+        assert {method for method, _ in calls} == {"random"}, calls
         if establish is establish_key_bb84:
-            assert calls[-1][0] == "choice"
+            assert calls[-1][1] == result.sifted_count
             calls = calls[:-1]
-        step = 3 if adversary is None else 4
+        step = 1 if adversary is None else 2
         batches = [calls[i : i + step] for i in range(0, len(calls), step)]
-        for batch in batches:
-            assert [method for method, _ in batch] == ["integers"] * 3 + ["random"] * (step - 3), calls
         if adversary is not None:
-            assert sum(batch[3][1] for batch in batches) == result.raw_count
+            assert all(drawn >= spent for (_, drawn), (_, spent) in batches), calls
+            assert sum(batch[1][1] for batch in batches) == result.raw_count
+
+
+@pytest.mark.parametrize("establish, length", [(establish_key_bb84, 128), (establish_key_sqkd, 64), (establish_key_sqkd, 1)])
+def test_one_batch_almost_always_suffices(establish, length):
+    """A batch holds the mean number of raw qubits for its key positions plus about four standard
+    deviations, so none of 200 seeded agreements draws a second batch."""
+    for seed in range(200):
+        rng = RecordingRng(seed)
+        establish(length, rng)
+        assert len(rng.calls) == 1 + (establish is establish_key_bb84), seed
+
+
+class StarvedFirstBatch:
+    """A seeded generator whose first ``random`` call returns ``u`` in each of its ``first`` entries."""
+
+    def __init__(self, seed, u):
+        self._rng, self._u, self.first = new_rng(seed), u, None
+
+    def random(self, size=None):
+        if self.first is not None:
+            return self._rng.random(size)
+        self.first = size
+        return np.full(size, self._u)
+
+
+@pytest.mark.parametrize("establish, u", [(establish_key_bb84, 0.2), (establish_key_sqkd, 0.1)], ids=["bb84", "sqkd"])
+def test_a_batch_without_key_positions_is_followed_by_another(establish, u):
+    """A first batch that holds no key position (BB84: ``floor(8u)`` = 1, a Z preparation under an X
+    coin; SQKD: 0, a Z CTRL) is spent whole, and the second agrees the key a fresh agreement would."""
+    for seed in range(5):
+        ref = establish(64, new_rng(seed))
+        rng = StarvedFirstBatch(seed, u)
+        got = establish(64, rng)
+        assert got.sender_key == got.receiver_key == ref.sender_key, seed
+        assert got.raw_count == rng.first + ref.raw_count, seed
+        if establish is establish_key_sqkd:
+            assert got.detail == {**ref.detail, "ctrl_total": ref.detail["ctrl_total"] + rng.first}, seed
+
+
+@pytest.mark.parametrize("check_bits", [-1, -5])
+def test_bb84_refuses_a_negative_check_sample(check_bits):
+    with pytest.raises(ValueError, match="check_bits must be >= 0"):
+        establish_key_bb84(5, new_rng(0), check_bits=check_bits)

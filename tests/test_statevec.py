@@ -17,6 +17,8 @@ from sqpbs.statevec import (
     apply_unitary,
     basis_state,
     born_outcomes,
+    draw_bits,
+    draw_sample,
     fidelity_up_to_phase,
     ket_minus,
     ket_plus,
@@ -29,7 +31,7 @@ from sqpbs.statevec import (
     tensor,
 )
 from sqpbs.teleport import prepare_chi
-from stubs import LastDraw
+from stubs import LastDraw, RecordingRng
 
 SQRT1_2 = 1 / math.sqrt(2)
 # Largest double below 1: squared, it rounds to 1 - 2**-52.
@@ -350,3 +352,23 @@ class TestPauliCorrections:
 
     def test_hadamard_squares_to_identity(self):
         np.testing.assert_allclose(HADAMARD @ HADAMARD, np.eye(2), atol=1e-12)
+
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_draw_is_its_formula_on_one_uniform_vector(self, seed):
+        """Coins, codes and key triples are ``floor(2**j u)``; a sample of k is the k positions with
+        the smallest uniforms, ties kept in position order.  Each takes one ``random``."""
+        k = 40
+        u = np.random.default_rng(seed).random(k).tolist()
+        for bits in (1, 2, 3):
+            rng = RecordingRng(seed)
+            assert draw_bits(rng, k, bits).tolist() == [math.floor(2**bits * x) for x in u]
+            assert rng.calls == [("random", k)]
+        for size in (0, 1, 7, k):
+            rng = RecordingRng(seed)
+            assert draw_sample(rng, k, size).tolist() == sorted(range(k), key=u.__getitem__)[:size]
+            assert rng.calls == [("random", k)]
+
+    def test_the_top_bits_of_the_largest_uniform_stay_in_range(self):
+        assert [draw_bits(LastDraw(), 1, bits).tolist() for bits in (1, 2, 3)] == [[1], [3], [7]]

@@ -178,7 +178,7 @@ def _agree(length: int, factor: int, rule, adversary, rng: Rng) -> tuple[np.ndar
         batches.append((bases[:used], values[:used], coins[:used], outcomes, keyed + raw))
         raw += used
         found += keyed.size
-    return batches[0] if len(batches) == 1 else tuple(map(np.concatenate, zip(*batches)))
+    return tuple(map(np.concatenate, zip(*batches)))
 
 
 def establish_key_bb84(

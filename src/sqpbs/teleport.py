@@ -318,9 +318,12 @@ def verify_correction_table(
     phase, corrected_fid, rprob, rfid = both_phase[:16], both_fid[:16], both_prob[16:], both_fid[16:]
     winners = _fidelity_rows((_PAULI_STACK @ got3[:, None, :, None])[..., 0], target) >= 1 - tolerance
     order_ok = (rprob != 0.0) & (np.abs(rprob - prob) <= 1e-12) & (np.abs(rfid - corrected_fid) <= tolerance)
-    won = [_WINNER_SETS[mask] for mask in (winners @ _WINNER_BITS).tolist()]
-    audits = tuple(map(
-        BranchAudit, _OUTCOMES, prob.tolist(), collapsed_fid.tolist(), corrected_fid.tolist(), phase.tolist(),
-        won, order_ok.tolist(),
-    ))
+    fields = (prob, collapsed_fid, corrected_fid, phase, winners @ _WINNER_BITS, order_ok)
+    audits = tuple(
+        BranchAudit(
+            outcomes=outcomes, probability=p, collapsed_fidelity=cf, corrected_fidelity=f, recovery_phase=ph,
+            fidelity_one_corrections=_WINNER_SETS[mask], order_independent=ok,
+        )
+        for outcomes, p, cf, f, ph, mask, ok in zip(_OUTCOMES, *(a.tolist() for a in fields))
+    )
     return TableAuditReport(message=m, branches=audits, tolerance=tolerance)

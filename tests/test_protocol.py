@@ -13,6 +13,7 @@ from sqpbs.errors import ConfigError, SemiquantumCapabilityError
 from sqpbs.protocol import Party, ProtocolRun, replay_difference, run_full
 from sqpbs.registers import merge, new_qubit
 from sqpbs.statevec import HADAMARD, Basis, BellState, fidelity_1q_rows, ket_minus, ket_plus, new_rng
+from sqpbs.teleport import correction_matrices
 from sqpbs.transcript import CHANNELS, AttackSpec, RunConfig
 from stubs import RecordingRng
 from test_golden import CONFIGS, canonical_transcript
@@ -211,18 +212,28 @@ class TestAttacks:
 
     def test_each_party_pads_with_its_own_key_copy(self):
         # A tapped BB84 exchange under a lax threshold leaves David's key copy
-        # unlike Trent's; Trent then reads another M_D than David recorded.
-        unlike = 0
+        # unlike Trent's; Trent then reads another M_D than David recorded and
+        # corrects particle 3 with another Pauli than the right one.  His X read
+        # flips exactly where that residual Pauli has a Z part, and any flip
+        # fails Charlie's hash check: each verdict follows from the two copies.
+        verdicts = []
         for seed in range(10):
             run = ProtocolRun(
                 honest(8, seed, error_threshold=0.5, attack=AttackSpec("intercept-resend", "bb84_dt"))
             )
             transcript = run.run()
+            if transcript.verdict == "aborted:key-establishment":
+                continue  # the tapped exchange failed its check: no pads, no signature
             trent_pad, david_pad = run.pads["david"]
-            (record,) = [e for e in transcript.events_of("measurement_record") if e["label"] == "M_D"]
-            assert (run.m_d == Bits(record["bits"])) == (trent_pad.key == david_pad.key)
-            unlike += trent_pad.key != david_pad.key
-        assert unlike >= 8
+            records = {e["label"]: Bits(e["bits"]) for e in transcript.events_of("measurement_record")}
+            assert (run.m_d == records["M_D"]) == (trent_pad.key == david_pad.key)
+            right = correction_matrices(records["M_B"], records["M_D"], records["M_C"])
+            residual = correction_matrices(run.m_b, run.m_d, run.m_c) @ np.linalg.inv(right)
+            flips = Bits((np.abs(ket_minus().conj() @ residual @ ket_plus()) > 0.5).astype(int).tolist())
+            assert run.g_prime == run.g ^ flips
+            assert transcript.verdict == ("invalid" if any(flips) else "valid")
+            verdicts.append(transcript.verdict)
+        assert "invalid" in verdicts
 
     def test_forged_signature_record_rejected(self):
         rejected = 0

@@ -19,7 +19,7 @@ untapped batch reads nothing: its key and CTRL positions are read in
 their preparation bases, which returns the prepared values.  A batch is
 sized so that one is almost always enough.  After the last batch, BB84
 draws its check sample, one ``rng.random`` over the sifted positions
-(``statevec.draw_sample``).
+(``statevec.draw_sample``).  Each key copy is the ``Bits`` of an array.
 
 Runs that do not care about the key-agreement channel may skip it
 entirely and draw pre-shared keys ("stubbed" mode in the protocol
@@ -217,8 +217,8 @@ def establish_key_bb84(
         raise KeyEstablishmentError("bb84", error_rate, error_threshold)
     return KeyExchangeResult(
         kind="bb84",
-        sender_key=Bits._trusted(sender[~check].tolist()),
-        receiver_key=Bits._trusted(receiver[~check].tolist()),
+        sender_key=Bits._trusted(sender[~check]),
+        receiver_key=Bits._trusted(receiver[~check]),
         error_rate=error_rate,
         raw_count=len(values),
         sifted_count=needed,
@@ -264,8 +264,8 @@ def establish_key_sqkd(
         raise KeyEstablishmentError("sqkd", error_rate, error_threshold)
     return KeyExchangeResult(
         kind="sqkd",
-        sender_key=Bits._trusted(values[keyed].tolist()),
-        receiver_key=Bits._trusted(outcomes[keyed].tolist()),
+        sender_key=Bits._trusted(values[keyed]),
+        receiver_key=Bits._trusted(outcomes[keyed]),
         error_rate=error_rate,
         raw_count=len(values),
         sifted_count=length,

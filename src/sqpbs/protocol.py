@@ -25,7 +25,7 @@ A run walks four phases:
    Each measurement drops the particles it measures, so Trent corrects
    and reads particle 3 alone (with a probe, if one rides on it).  His
    recovery record publishes only G'; ``recovered`` keeps his corrected
-   stack.
+   stack.  Each record is the ``Bits`` of its measurement's outcome array.
 4. verifying — Charlie Z-measures G', recomputes the keyed hash, and
    declares the signature valid iff it matches Alice's commitment.
 
@@ -34,13 +34,13 @@ seeded by ``config.seed``, and only through ``rng.random``, in a fixed
 order (private inputs if not supplied, hash secret, key agreement, then
 per-channel decoy and measurement draws in protocol order).  Bits, coins,
 codes and samples are built from uniform vectors by the formulas of the
-``statevec`` draw section.  Each measurement step draws once: M_B, M_D, M_C and Trent's X reads take one ``rng.random(n)``
-each.  Reads whose outcomes an untapped channel fixes take no draw:
-Charlie's read of G', and the key-agreement and check reads of prepared
-qubits, one ``channels.read_prepared`` call a step when tapped (the
-``keys`` and ``channels`` docstrings give the order of the steps).  Two
-runs with the same config are therefore bit-identical, which is the
-replay contract.
+``statevec`` draw section.  Each measurement step draws once: M_B, M_D,
+M_C and Trent's X reads take one ``rng.random(n)`` each.  Reads whose
+outcomes an untapped channel fixes take no draw: Charlie's read of G',
+and the key-agreement and check reads of prepared qubits, one
+``channels.read_prepared`` call a step when tapped (the ``keys`` and
+``channels`` docstrings give the order of the steps).  Two runs with the
+same config are therefore bit-identical, which is the replay contract.
 """
 
 from __future__ import annotations
@@ -98,21 +98,21 @@ class Party:
                 f"{self.name} is semiquantum and cannot perform {operation}"
             )
 
-    def measure(self, stack: Stack, column: int, basis: Basis, rng: Rng) -> list[int]:
-        """Measure the qubit at ``column`` of every row, with one ``rng.random(rows)``, and drop it."""
+    def measure(self, stack: Stack, column: int, basis: Basis, rng: Rng) -> np.ndarray:
+        """Measure the qubit at ``column`` of every row, with one ``rng.random(rows)``, and drop it: the outcomes."""
         if basis is not Basis.Z:
             self._require_quantum(f"a {basis.value}-basis measurement")
         outcomes, stack.state = measure_rows(stack.state, column, basis, rng.random(stack.rows))
-        return outcomes.tolist()
+        return outcomes
 
-    def measure_bell(self, stack: Stack, qubit_a: int, qubit_b: int, rng: Rng) -> list[int]:
+    def measure_bell(self, stack: Stack, qubit_a: int, qubit_b: int, rng: Rng) -> np.ndarray:
         """Bell-measure the pair (a, b) of every row: each row's Bell index (``BellState`` order)."""
         self._require_quantum("a Bell-basis measurement")
         return measure_qubits_bell(stack, qubit_a, qubit_b, rng)
 
     def prepare_z(self, bits: Bits) -> Stack:
         """One row per bit: ``|bit>``."""
-        return Stack(np.eye(2, dtype=complex)[list(bits)])
+        return Stack(np.eye(2, dtype=complex)[np.asarray(bits)])
 
     def prepare_state(self, states: np.ndarray) -> Stack:
         """One row per state of the ``(rows, 2**k)`` array ``states``."""
@@ -229,7 +229,7 @@ class ProtocolRun:
     # -- phase 2: blindness ------------------------------------------------------
 
     def phase_blind(self) -> None:
-        self.xi = self.alice.prepare_state(np.array([ket_plus(), ket_minus()])[list(self.g)])
+        self.xi = self.alice.prepare_state(np.array([ket_plus(), ket_minus()])[np.asarray(self.g)])
         self.transcript.add("xi_prepared", party="alice", qubits=self.n)
         self.phase = "signing"
 
@@ -297,7 +297,8 @@ class ProtocolRun:
         shift = self.xi.num_qubits
         joint = merge(self.xi, self.carriers)
         bells = self.david.measure_bell(joint, 0, shift, rng)
-        self.m_d = self._report(self.david, "M_D", "Bell", Bits._trusted(bit for i in bells for bit in (i >> 1, i & 1)))
+        # Each Bell index gives two bits of M_D, high bit then low bit.
+        self.m_d = self._report(self.david, "M_D", "Bell", Bits._trusted(((bells[:, None] >> [1, 0]) & 1).ravel()))
         self._notice("trent", "charlie", "measure-request")
 
         # Step 8: Charlie clears w4 with the return check and measures in Z.

@@ -76,7 +76,7 @@ def measure_qubit(stack: Stack, row: int, column: int, basis: Basis, rng: Rng) -
     return outcome
 
 
-def measure_qubits_bell(stack: Stack, qubit_a: int, qubit_b: int, rng: Rng) -> list[int]:
+def measure_qubits_bell(stack: Stack, qubit_a: int, qubit_b: int, rng: Rng) -> np.ndarray:
     """Bell-measure the pair (a, b) of every row, with one ``rng.random(rows)``, and drop it: each row's Bell index."""
     indices, stack.state = measure_bell_rows(stack.state, qubit_a, qubit_b, rng.random(stack.rows))
-    return indices.tolist()
+    return indices

@@ -180,10 +180,9 @@ class RunConfig:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.g_a is not None and len(self.g_a) != self.n:
-            raise ConfigError(f"g_a has {len(self.g_a)} bits, expected n={self.n}")
-        if self.k_a is not None and len(self.k_a) != self.n:
-            raise ConfigError(f"k_a has {len(self.k_a)} bits, expected n={self.n}")
+        for name, value in (("g_a", self.g_a), ("k_a", self.k_a)):
+            if value is not None and not (isinstance(value, Bits) and len(value) == self.n):
+                raise ConfigError(f"{name} must be Bits of n={self.n} bits, got {value!r}")
         if self.decoy_count is not None and self.decoy_count < 1:
             raise ConfigError(f"decoy_count must be >= 1, got {self.decoy_count}")
         if not 0.0 <= self.error_threshold < 1.0:

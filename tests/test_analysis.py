@@ -26,6 +26,7 @@ from sqpbs.analysis import (
     instrumented_accounting,
     qubit_efficiency,
 )
+from sqpbs.errors import ConfigError
 from sqpbs.protocol import run_full
 from sqpbs.transcript import CHANNELS, AttackSpec, RunConfig
 from test_golden import CONFIGS
@@ -216,6 +217,21 @@ class TestExperiments:
         a = experiment_forgery(n=4, trials=50, seed=7)
         b = experiment_forgery(n=4, trials=50, seed=7)
         assert a.successes == b.successes
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            lambda trials: experiment_detection(AttackSpec("none"), trials=trials, seed=1),
+            lambda trials: experiment_detection(AttackSpec("none"), trials=trials, seed=1, n=2, scope="full"),
+            lambda trials: experiment_forgery(n=2, trials=trials, seed=1),
+            lambda trials: experiment_blindness(n=2, trials=trials, seed=1),
+        ],
+        ids=["detection-channel", "detection-full", "forgery", "blindness"],
+    )
+    def test_one_trial_runs_and_none_is_refused(self, experiment):
+        assert experiment(1).trials == 1
+        with pytest.raises(ConfigError, match="trials must be >= 1, got 0"):
+            experiment(0)
 
     def test_interval_and_serialization(self):
         result = experiment_detection(AttackSpec("none"), trials=10, seed=8)

@@ -60,7 +60,8 @@ class TestUncheckedPath:
     @FAST
     @given(bit_lists)
     def test_checked_and_unchecked_agree(self, values):
-        assert_same(Bits(values), Bits._trusted(values))
+        for dtype in (np.intp, np.uint8, bool):
+            assert_same(Bits(values), Bits._trusted(np.array(values, dtype=dtype)))
         assert_same(Bits(values), Bits("".join(map(str, values))))
 
     @FAST
@@ -77,11 +78,45 @@ class TestUncheckedPath:
             i = data.draw(st.integers(0, len(values) - 1))
             assert_same(bits.flip(i), Bits(values[:i] + [1 - values[i]] + values[i + 1:]))
 
-    def test_random_and_zeros_match_the_checked_path(self):
+    def test_random_matches_the_checked_path(self):
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         assert_same(Bits.random(50, rng), Bits(np.floor(2 * ref.random(50)).astype(int)))
-        assert_same(Bits.zeros(9), Bits("0" * 9))
         assert Bits.random(0, rng) == Bits()
+
+
+class TestArrayBoundary:
+    @FAST
+    @given(bit_lists)
+    def test_array_is_a_read_only_uint8_view(self, values):
+        bits = Bits(values)
+        view = np.asarray(bits)
+        assert view.dtype == np.uint8 and view.tolist() == values
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[...] = 1
+        assert_same(Bits._trusted(view), bits)
+
+    @FAST
+    @given(bit_lists)
+    def test_array_honours_dtype_and_copy(self, values):
+        bits = Bits(values)
+        assert np.asarray(bits, dtype=float).tolist() == values
+        copied = np.array(bits)
+        assert copied.flags.writeable and copied.tolist() == values
+        with pytest.raises(ValueError):
+            np.asarray(bits, dtype=np.intp, copy=False)
+
+    def test_the_view_shares_the_stored_bytes(self):
+        bits = Bits("1011")
+        assert np.shares_memory(np.asarray(bits), np.asarray(bits, copy=False))
+        assert not np.shares_memory(np.array(bits), np.asarray(bits))
+
+    def test_empty_crosses_both_ways(self):
+        view = np.asarray(Bits())
+        assert view.shape == (0,) and view.dtype == np.uint8 and not view.flags.writeable
+        for dtype in (np.intp, np.uint8, bool):
+            assert_same(Bits._trusted(np.zeros(0, dtype=dtype)), Bits())
+        assert_same(Bits._trusted(view), Bits())
 
 
 class TestByteLayout:

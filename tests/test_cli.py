@@ -371,6 +371,13 @@ class TestVerifyCorrections:
         out = capsys.readouterr().out
         assert "80 branch checks passed" in out
 
+    def test_exactly_max_trials_is_accepted(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.analysis, "MAX_TRIALS", 2)
+        assert run_cli("verify-corrections", "--trials", "2", "--seed", "3") == EXIT_VALID
+        assert "32 branch checks passed" in capsys.readouterr().out
+        assert run_cli("verify-corrections", "--trials", "3", "--seed", "3") == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --trials must be <= 2, got 3\n"
+
     def test_messages_are_drawn_in_order_one_per_audit(self, monkeypatch, capsys):
         audited = []
 

@@ -147,15 +147,15 @@ class TestSemiquantumEnforcement:
                 party.apply_gates(pair, 0, HADAMARD[None])
             with pytest.raises(SemiquantumCapabilityError):
                 party.prepare_state(ket_plus()[None])
-            assert party.measure(party.prepare_z(Bits("01")), 0, Basis.Z, rng) == [0, 1]
+            assert party.measure(party.prepare_z(Bits("01")), 0, Basis.Z, rng).tolist() == [0, 1]
             assert abs(party.prepare_z(Bits("1")).state[0, 1]) ** 2 == 1.0
 
     def test_quantum_party_allowed(self):
         david = Party("david", quantum=True)
         rng = new_rng(0)
-        assert david.measure(david.prepare_state(ket_plus()[None]), 0, Basis.X, rng) == [0]
+        assert david.measure(david.prepare_state(ket_plus()[None]), 0, Basis.X, rng).tolist() == [0]
         pairs = merge(david.prepare_z(Bits("00")), david.prepare_z(Bits("00")))
-        assert david.measure_bell(pairs, 0, 1, rng) == [BellState.PHI_PLUS.index] * 2
+        assert david.measure_bell(pairs, 0, 1, rng).tolist() == [BellState.PHI_PLUS.index] * 2
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_transcript_attributes_only_z_to_semiquantum_parties(self, n):
@@ -280,6 +280,20 @@ class TestAttacks:
         )
         assert transcript.verdict == "aborted:eavesdropping"
 
+    def test_charlie_reads_g_prime_through_a_marking_probe(self):
+        # A marking probe leaves Z states unchanged: every run whose return
+        # check passes ends valid, with Charlie's read equal to Trent's G'.
+        # (Near phi = pi/2 the probe copies the Z bit, and a read of the
+        # probe instead of the qubit would pass too.)
+        attack = AttackSpec("entangle-measure", "g_prime", eve=EveParams.probe_marking(0.8))
+        verdicts = []
+        for seed in range(40):
+            run = ProtocolRun(honest(8, seed, key_mode="stubbed", attack=attack))
+            verdicts.append(run.run().verdict)
+            if verdicts[-1] != "aborted:eavesdropping":
+                assert verdicts[-1] == "valid" and run.g_prime == run.g_prime_trent == run.g
+        assert verdicts.count("valid") >= 20
+
 
 UNDETECTABLE = EveParams.undetectable((0.6, 0.8))
 
@@ -368,6 +382,13 @@ class TestConfigValidation:
     def test_message_length_must_match(self):
         with pytest.raises(ConfigError):
             RunConfig(n=4, seed=1, g_a=Bits("101")).validate()
+
+    @pytest.mark.parametrize("field", ["g_a", "k_a"])
+    @pytest.mark.parametrize("value", ["101", [1, 0, 1], (1, 0, 2)], ids=["str", "list", "tuple"])
+    def test_private_inputs_must_be_bits(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be Bits of n=3 bits") as refused:
+            run_full(RunConfig(n=3, seed=1, **{field: value}))
+        assert "\n" not in str(refused.value)
 
     def test_attack_kind_checked(self):
         with pytest.raises(ConfigError):

@@ -158,7 +158,7 @@ def test_last_draw_takes_the_outcome_with_weight(n):
         stack = Stack(pairs.copy())
         got = measure_qubits_bell(stack, 0, 1, LastDraw())
         want = [measure_bell(s, 0, 1, LastDraw()) for s in pairs]
-        assert got == [b.index for b, _ in want] == [BellState.PHI_PLUS.index] * len(pairs)
+        assert got.tolist() == [b.index for b, _ in want] == [BellState.PHI_PLUS.index] * len(pairs)
         for row, (_, state) in zip(stack.state, want, strict=True):
             assert row.tobytes() == state.tobytes()
 

@@ -3,10 +3,11 @@
 Both adversaries expose ``intercept(segments, rng)`` and are invoked
 once per transmission over an attacked channel (forward leg), with one
 ``(stack, column)`` per crossed stack: the qubit at ``column`` of every
-row crosses.  Per transmission, random-basis intercept-resend draws one
-coin vector (``statevec.draw_bits``), then every intercept-resend draws
-one uniform vector for its reads, both from ``rng.random``; the
-entangle-measure attacker draws nothing.
+row crosses.  It returns the crossed stacks, in segment order, and
+writes into none it is given.  Per transmission, random-basis
+intercept-resend draws one coin vector (``statevec.draw_bits``), then
+every intercept-resend draws one uniform vector for its reads, both from
+``rng.random``; the entangle-measure attacker draws nothing.
 
 The entangle-measure attacker couples a private probe to each transiting
 qubit with a joint unitary E defined by its action on the computational
@@ -38,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import DecoyState
-from .registers import Stack, merge
-from .statevec import Basis, Rng, apply_rows, born_rows, draw_bits, is_unitary, measure_rows, prepare_rows
+from .registers import merge
+from .statevec import Basis, Rng, apply_rows, born_rows, draw_bits, is_unitary, measure_rows, num_qubits, prepare_rows
 
 INTERCEPT_BASES = ("random", "z", "x")
 
@@ -57,18 +58,20 @@ class InterceptResend:
             raise ValueError(f"basis must be one of {INTERCEPT_BASES}, got {basis!r}")
         self.basis = basis
 
-    def intercept(self, segments: list[tuple[Stack, int]], rng: Rng) -> None:
+    def intercept(self, segments: list[tuple[np.ndarray, int]], rng: Rng) -> list[np.ndarray]:
         """A coin vector, ``floor(2u)`` (random basis only), then a uniform vector, over all rows in segment order;
         each segment's Z rows and X rows are measured out with one ``measure_rows`` each and
         the qubit is re-prepared in its outcome state, with ``prepare_rows``."""
-        rows = [stack.rows for stack, _ in segments]
+        rows = [len(stack) for stack, _ in segments]
         on_x = draw_bits(rng, sum(rows), 1) == 1 if self.basis == "random" else np.full(sum(rows), self.basis == "x")
         cuts = np.cumsum(rows)[:-1]
-        for (stack, column), x, u in zip(segments, np.split(on_x, cuts), np.split(rng.random(sum(rows)), cuts)):
+        crossed = [stack.copy() for stack, _ in segments]
+        for (stack, column), out, x, u in zip(segments, crossed, np.split(on_x, cuts), np.split(rng.random(sum(rows)), cuts)):
             for basis, picked in ((Basis.Z, ~x), (Basis.X, x)):
                 if picked.any():
-                    outcomes, rest = measure_rows(stack.state[picked], column, basis, u[picked])
-                    stack.state[picked] = prepare_rows(rest, column, basis, outcomes)
+                    outcomes, rest = measure_rows(stack[picked], column, basis, u[picked])
+                    out[picked] = prepare_rows(rest, column, basis, outcomes)
+        return crossed
 
 
 def _as_probe_vector(v, dim: int) -> np.ndarray:
@@ -167,8 +170,8 @@ class EveParams:
 
     def _coupled_decoys(self) -> np.ndarray:
         """E (|s> x |e>) for the four ``DecoyState``s, one row each in definition order."""
-        stack = merge(Stack(np.array([d.make_state() for d in DecoyState])), Stack(self.initial_probe()[None]))
-        return apply_rows(stack.state, list(range(stack.num_qubits)), self._unitary)
+        stack = merge(np.array([d.make_state() for d in DecoyState]), self.initial_probe()[None])
+        return apply_rows(stack, list(range(num_qubits(stack[0]))), self._unitary)
 
     def expected_error_rates(self) -> dict[str, float]:
         """Exact disturbance probability for each of the four decoy states.
@@ -277,12 +280,10 @@ class EntangleMeasure:
     def __init__(self, params: EveParams):
         self.params = params
 
-    def intercept(self, segments: list[tuple[Stack, int]], rng: Rng) -> None:
-        probe, coupling = self.params.initial_probe(), self.params.coupling_unitary()
-        for stack, column in segments:
-            width = stack.num_qubits
-            merge(stack, Stack(probe[None]))
-            stack.state = apply_rows(stack.state, [column, *range(width, stack.num_qubits)], coupling)
+    def intercept(self, segments: list[tuple[np.ndarray, int]], rng: Rng) -> list[np.ndarray]:
+        probe, coupling = self.params.initial_probe()[None], self.params.coupling_unitary()
+        widened = [(merge(stack, probe), column, num_qubits(stack[0])) for stack, column in segments]
+        return [apply_rows(wide, [column, *range(width, num_qubits(wide[0]))], coupling) for wide, column, width in widened]
 
 
 def violation_grid(points_per_family: int = 10) -> list[EveParams]:

@@ -31,7 +31,6 @@ from .bits import Bits
 from .channels import check_decoys, semiquantum_return_check, send_with_decoys
 from .errors import ConfigError, EavesdroppingDetected
 from .protocol import run_full
-from .registers import Stack
 from .statevec import ket_plus, new_rng
 from .teleport import MessageQubit, all_outcomes, correction_matrices, forced_branches_particle3
 from .transcript import CHANNELS, KEY_GUARDS, QUANTUM_ATTACKS, AttackSpec, RunConfig, Transcript
@@ -304,7 +303,7 @@ def experiment_detection(
         master = new_rng(seed)
         for _ in range(trials):
             adversary = attack.adversary(attack.channel)
-            payload = Stack(np.tile(ket_plus(), (n, 1)))
+            payload = np.tile(ket_plus(), (n, 1))
             seq = send_with_decoys([payload], decoy_count, master, adversary, channel=attack.channel)
             try:
                 check(seq, master, threshold=threshold)

@@ -34,10 +34,11 @@ class Bits:
         if isinstance(bits, Bits):
             self._bits = bits._bits
             return
-        values = tuple(int(b) for b in bits)  # a str iterates over its characters
-        if any(b not in (0, 1) for b in values):
+        values = tuple(bits)  # a str iterates over its characters; anything else holds integers, no float or bool
+        kinds = str if isinstance(bits, str) else (int, np.integer)
+        if any(not isinstance(b, kinds) or isinstance(b, bool) or b not in ("0", "1", 0, 1) for b in values):
             raise ValueError(f"bits must be 0 or 1, got {values}")
-        self._bits = bytes(values)
+        self._bits = bytes(map(int, values))
 
     @classmethod
     def _trusted(cls, values: "np.ndarray | bytes") -> "Bits":

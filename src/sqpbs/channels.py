@@ -22,10 +22,11 @@ stack per transmission, row i for prepared qubit i, for
 qubits stay in the stacks they already inhabit.  Honest operations
 never entangle the two, so the factorization is exact.  An adversary
 sees each transmission once, as one ``intercept(segments, rng)`` call:
-the prepared qubits' stack, then each payload stack.  Both adversaries
-treat every qubit alike, so where the decoys sit among the payload
-qubits never matters, and it is not drawn.  They act on the forward
-leg; return legs are modeled clean.
+the prepared qubits' stack, then each payload stack; it returns them as
+they arrive, and writes into none of them.  Both adversaries treat
+every qubit alike, so where the decoys sit among the payload qubits
+never matters, and it is not drawn.  They act on the forward leg;
+return legs are modeled clean.
 
 An untapped prepared qubit read in its preparation basis returns its
 bit, so an untapped channel reads nothing and draws only what reaches
@@ -51,7 +52,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EavesdroppingDetected
-from .registers import Stack
 from .statevec import Basis, Rng, basis_state, born_outcomes, born_rows, draw_bits, ket_minus, ket_plus
 
 
@@ -101,41 +101,44 @@ def read_prepared(tapped: np.ndarray, x_basis: Sequence[int], rng: Rng) -> np.nd
     return born_outcomes(np.where(on_x, x0, z0), np.where(on_x, x1, z1), u)
 
 
-def tap(codes: Sequence[int], adversary, rng: Rng, payload: Sequence[Stack] = (), column: int = 0) -> Stack | None:
+def tap(
+    codes: Sequence[int], adversary, rng: Rng, payload: Sequence[np.ndarray] = (), column: int = 0
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
     """Send prepared qubits through an adversary: the one tap of decoys and key qubits.
 
     Qubit i, prepared as ``codes[i]``, becomes row i of one stack.  The
     adversary sees the transmission as segments: that stack at column 0,
     then the qubit at ``column`` of every row of each ``payload`` stack.
-    Returns the stack of the prepared qubits as the adversary left them,
-    or None when there is no adversary.
+    Returns the stack of the prepared qubits and the payload stacks, as
+    they arrived; without an adversary, None and the payload as given.
     """
     if adversary is None:
-        return None
-    tapped = Stack(_KETS[codes])
-    segments = [(tapped, 0), *((stack, column) for stack in payload)]
-    adversary.intercept([(stack, c) for stack, c in segments if stack.rows], rng)  # an empty stack does not cross
-    return tapped
+        return None, list(payload)
+    sent = [_KETS[codes], *payload]
+    crossed = iter(adversary.intercept([(s, column if i else 0) for i, s in enumerate(sent) if len(s)], rng))
+    arrived = [next(crossed) if len(s) else s for s in sent]  # an empty stack does not cross
+    return arrived[0], arrived[1:]
 
 
 @dataclass
 class TransmittedSequence:
-    """The decoys sent along with one payload, as they crossed the channel.
+    """The decoys sent along with one payload, and the payload, as they crossed the channel.
 
     On a tapped channel decoy i was prepared as ``codes[i]`` (a
     ``DecoyState.index``) and is row i of ``tapped``, the stack the
     adversary left.  An untapped sequence keeps only its ``decoy_count``:
-    both are None.
+    both are None.  ``payload`` holds the payload stacks as they arrived.
     """
 
     channel: str
     decoy_count: int
     codes: np.ndarray | None
-    tapped: Stack | None
+    tapped: np.ndarray | None
+    payload: list[np.ndarray]
 
 
 def send_with_decoys(
-    payload: Sequence[Stack],
+    payload: Sequence[np.ndarray],
     decoy_count: int,
     rng: Rng,
     adversary=None,
@@ -154,9 +157,9 @@ def send_with_decoys(
     if decoy_count < 1:
         raise ValueError(f"decoy_count must be >= 1, got {decoy_count}")
     if adversary is None:
-        return TransmittedSequence(channel, decoy_count, None, None)
+        return TransmittedSequence(channel, decoy_count, None, None, list(payload))
     codes = draw_bits(rng, decoy_count, 2)
-    return TransmittedSequence(channel, decoy_count, codes, tap(codes, adversary, rng, payload, column))
+    return TransmittedSequence(channel, decoy_count, codes, *tap(codes, adversary, rng, payload, column))
 
 
 @dataclass
@@ -182,7 +185,7 @@ def check_decoys(
     errors = 0
     if seq.tapped is not None:
         codes = seq.codes
-        errors = int(np.count_nonzero(read_prepared(seq.tapped.state, codes >> 1, rng) != codes & 1))
+        errors = int(np.count_nonzero(read_prepared(seq.tapped, codes >> 1, rng) != codes & 1))
     rate = errors / seq.decoy_count
     if rate > threshold:
         raise EavesdroppingDetected(seq.channel, "decoy", rate, threshold)
@@ -234,7 +237,7 @@ def semiquantum_return_check(
     z_sift_count, x_count = int(np.count_nonzero(sift & on_z)), int(np.count_nonzero(~(sift | on_z)))
     reflected_errors = x_errors = z_sift_errors = 0  # untapped, every read returns the prepared bit
     if tapped is not None:
-        sift_bits = read_prepared(tapped.state[sift], np.zeros(sifted_count, dtype=bool), rng)
+        sift_bits = read_prepared(tapped[sift], np.zeros(sifted_count, dtype=bool), rng)
         z_sift_errors = int(np.count_nonzero((sift_bits != codes[sift]) & on_z[sift]))
         # The reflected particles travel back shuffled, and the receiver
         # reveals the order once the preparer holds them all.  A read takes
@@ -242,7 +245,7 @@ def semiquantum_return_check(
         # reading them in sending order changes no count's distribution.
         reflected = ~sift
         on_x = ~on_z[reflected]
-        wrong = read_prepared(tapped.state[reflected], on_x, rng) != codes[reflected] & 1
+        wrong = read_prepared(tapped[reflected], on_x, rng) != codes[reflected] & 1
         reflected_errors, x_errors = int(np.count_nonzero(wrong)), int(np.count_nonzero(wrong & on_x))
     reflected_rate = reflected_errors / reflected_count if reflected_count else 0.0
     z_rate = z_sift_errors / z_sift_count if z_sift_count else 0.0

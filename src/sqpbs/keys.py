@@ -173,8 +173,8 @@ def _agree(length: int, factor: int, rule, adversary, rng: Rng) -> tuple[np.ndar
         key, meas_bases = rule(bases, coins)
         keyed = np.flatnonzero(key)[:missing]
         used = int(keyed[-1]) + 1 if keyed.size == missing else len(triples)
-        tapped = tap(triples[:used] >> 1, adversary, rng)
-        outcomes = values[:used] if tapped is None else read_prepared(tapped.state, meas_bases[:used], rng)
+        tapped = tap(triples[:used] >> 1, adversary, rng)[0]
+        outcomes = values[:used] if tapped is None else read_prepared(tapped, meas_bases[:used], rng)
         batches.append((bases[:used], values[:used], coins[:used], outcomes, keyed + raw))
         raw += used
         found += keyed.size

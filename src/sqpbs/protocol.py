@@ -69,7 +69,7 @@ from .keys import (
     keyed_hash,
     xor_blind,
 )
-from .registers import Stack, measure_qubits_bell, merge
+from .registers import measure_qubits_bell, merge
 from .statevec import (
     Basis,
     Rng,
@@ -78,6 +78,7 @@ from .statevec import (
     ket_plus,
     measure_rows,
     new_rng,
+    num_qubits,
 )
 from .teleport import correction_matrices, prepare_chi
 from .transcript import CHANNELS, PRIVATE_FIELDS, RunConfig, TOOL_VERSION, Transcript, canonical
@@ -98,31 +99,30 @@ class Party:
                 f"{self.name} is semiquantum and cannot perform {operation}"
             )
 
-    def measure(self, stack: Stack, column: int, basis: Basis, rng: Rng) -> np.ndarray:
-        """Measure the qubit at ``column`` of every row, with one ``rng.random(rows)``, and drop it: the outcomes."""
+    def measure(self, stack: np.ndarray, column: int, basis: Basis, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+        """Measure the qubit at ``column`` of every row, with one ``rng.random(rows)``: the outcomes, and the rest."""
         if basis is not Basis.Z:
             self._require_quantum(f"a {basis.value}-basis measurement")
-        outcomes, stack.state = measure_rows(stack.state, column, basis, rng.random(stack.rows))
-        return outcomes
+        return measure_rows(stack, column, basis, rng.random(len(stack)))
 
-    def measure_bell(self, stack: Stack, qubit_a: int, qubit_b: int, rng: Rng) -> np.ndarray:
-        """Bell-measure the pair (a, b) of every row: each row's Bell index (``BellState`` order)."""
+    def measure_bell(self, stack: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+        """Bell-measure the pair (a, b) of every row: each row's Bell index (``BellState`` order), and the rest."""
         self._require_quantum("a Bell-basis measurement")
         return measure_qubits_bell(stack, qubit_a, qubit_b, rng)
 
-    def prepare_z(self, bits: Bits) -> Stack:
+    def prepare_z(self, bits: Bits) -> np.ndarray:
         """One row per bit: ``|bit>``."""
-        return Stack(np.eye(2, dtype=complex)[np.asarray(bits)])
+        return np.eye(2, dtype=complex)[np.asarray(bits)]
 
-    def prepare_state(self, states: np.ndarray) -> Stack:
+    def prepare_state(self, states: np.ndarray) -> np.ndarray:
         """One row per state of the ``(rows, 2**k)`` array ``states``."""
         self._require_quantum("arbitrary state preparation")
-        return Stack(np.array(states, dtype=complex))
+        return np.array(states, dtype=complex)
 
-    def apply_gates(self, stack: Stack, column: int, matrices: np.ndarray) -> None:
-        """Apply ``matrices[r]`` to the qubit at ``column`` of row ``r``."""
+    def apply_gates(self, stack: np.ndarray, column: int, matrices: np.ndarray) -> np.ndarray:
+        """Apply ``matrices[r]`` to the qubit at ``column`` of row ``r``: the new stack."""
         self._require_quantum("a unitary operation")
-        stack.state = apply_1q_rows(stack.state, column, matrices)
+        return apply_1q_rows(stack, column, matrices)
 
 
 VERDICT_VALID = "valid"
@@ -173,12 +173,12 @@ class ProtocolRun:
             self.pads[receiver] = tuple(OtpKey(copy, label) for copy in self._establish(channel, bits))
 
         # One carrier per row, particles 1..4 at columns 0..3.
-        self.carriers = Stack(np.tile(prepare_chi(), (n, 1)))
+        self.carriers = np.tile(prepare_chi(), (n, 1))
         self.transcript.add("chi_prepared", party="trent", instances=n, qubits=4 * n)
 
-        self.w1_seq = self._dispatch("w1", self.carriers, 0)
-        self.w2_seq = self._dispatch("w2", self.carriers, 1)
-        self.w4_seq = self._dispatch("w4", self.carriers, 3)
+        self.w1_seq, self.carriers = self._dispatch("w1", self.carriers, 0)
+        self.w2_seq, self.carriers = self._dispatch("w2", self.carriers, 1)
+        self.w4_seq, self.carriers = self._dispatch("w4", self.carriers, 3)
 
         self.g = xor_blind(self.g_a, self.k_a)
         self.h_g = keyed_hash(cfg.hash_config, self.hash_secret, self.g)
@@ -207,8 +207,8 @@ class ProtocolRun:
             )
         return copies
 
-    def _dispatch(self, channel: str, payload: Stack, column: int) -> TransmittedSequence:
-        """Send the qubit at ``column`` of every row of ``payload`` over ``channel``."""
+    def _dispatch(self, channel: str, payload: np.ndarray, column: int) -> tuple[TransmittedSequence, np.ndarray]:
+        """Send the qubit at ``column`` of every row over ``channel``: the sequence and the payload as it arrived."""
         sender, receiver, _ = CHANNELS[channel]
         seq = send_with_decoys(
             [payload], self.d, self.rng, self.config.attack.adversary(channel),
@@ -216,9 +216,9 @@ class ProtocolRun:
         )
         self.transcript.add(
             "quantum_send", channel=channel, sender=sender, receiver=receiver,
-            payload_qubits=payload.rows, decoy_qubits=self.d,
+            payload_qubits=len(payload), decoy_qubits=self.d,
         )
-        return seq
+        return seq, seq.payload[0]
 
     def _classical(self, sender: str, receiver: str, label: str, payload: Bits) -> None:
         self.transcript.add("classical_send", sender=sender, receiver=receiver, label=label, bits=str(payload))
@@ -274,7 +274,7 @@ class ProtocolRun:
         rng = self.rng
 
         # Step 1-2: Alice ships the blinded states to David; decoy check.
-        self.xi_seq = self._dispatch("xi_m", self.xi, 0)
+        self.xi_seq, self.xi = self._dispatch("xi_m", self.xi, 0)
         self._check(self.xi_seq)
         self._notice("david", "bob", "signing-approval-request")
 
@@ -284,8 +284,8 @@ class ProtocolRun:
         # Step 4: Bob authorizes by measuring his particle sequence in Z.
         # Step 5: Trent decrypts and triggers the proxy signature.
         self._notice("bob", "david", "signing-approved")
-        m_b = Bits._trusted(self.bob.measure(self.carriers, 0, Basis.Z, rng))
-        self.m_b = self._report(self.bob, "M_B", "Z", m_b)
+        m_b, self.carriers = self.bob.measure(self.carriers, 0, Basis.Z, rng)
+        self.m_b = self._report(self.bob, "M_B", "Z", Bits._trusted(m_b))
         self._notice("trent", "david", "sign-request")
 
         # Step 6: David clears w2, Bell-measures each (message, carrier-2) pair.
@@ -294,9 +294,8 @@ class ProtocolRun:
         # joins each carrier to its message qubit, whose row may carry a
         # probe; particle c then sits at column shift + c - 2.
         self._check(self.w2_seq)
-        shift = self.xi.num_qubits
-        joint = merge(self.xi, self.carriers)
-        bells = self.david.measure_bell(joint, 0, shift, rng)
+        shift = num_qubits(self.xi[0])
+        bells, joint = self.david.measure_bell(merge(self.xi, self.carriers), 0, shift, rng)
         # Each Bell index gives two bits of M_D, high bit then low bit.
         self.m_d = self._report(self.david, "M_D", "Bell", Bits._trusted(((bells[:, None] >> [1, 0]) & 1).ravel()))
         self._notice("trent", "charlie", "measure-request")
@@ -305,18 +304,16 @@ class ProtocolRun:
         # The Bell step dropped the message and particle 2: particle c now
         # sits at column shift + c - 4.
         self._check(self.w4_seq)
-        m_c = Bits._trusted(self.charlie.measure(joint, shift, Basis.Z, rng))
-        self.m_c = self._report(self.charlie, "M_C", "Z", m_c)
+        m_c, joint = self.charlie.measure(joint, shift, Basis.Z, rng)
+        self.m_c = self._report(self.charlie, "M_C", "Z", Bits._trusted(m_c))
 
         # Step 9: Trent corrects each particle 3, reads it out in X, and
         # re-encodes the result as Z states for Charlie.
         particle3 = shift - 1
-        self.trent.apply_gates(joint, particle3, correction_matrices(self.m_b, self.m_d, self.m_c))
-        self.recovered = joint.state
-        self.g_prime_trent = Bits._trusted(self.trent.measure(joint, particle3, Basis.X, rng))
+        self.recovered = self.trent.apply_gates(joint, particle3, correction_matrices(self.m_b, self.m_d, self.m_c))
+        self.g_prime_trent = Bits._trusted(self.trent.measure(self.recovered, particle3, Basis.X, rng)[0])
         self.transcript.add("recovery_record", party="trent", g_prime=str(self.g_prime_trent))
-        self.g_prime_qubits = self.trent.prepare_z(self.g_prime_trent)
-        self.g_seq = self._dispatch("g_prime", self.g_prime_qubits, 0)
+        self.g_seq, self.g_prime_qubits = self._dispatch("g_prime", self.trent.prepare_z(self.g_prime_trent), 0)
         self.phase = "verifying"
 
     # -- phase 4: verifying ---------------------------------------------------------
@@ -325,7 +322,7 @@ class ProtocolRun:
         self._check(self.g_seq)
         g_prime = self.g_prime_trent  # Charlie's Z read of Trent's Z states, when untapped
         if self.g_seq.tapped is not None:
-            g_prime = Bits._trusted(self.charlie.measure(self.g_prime_qubits, 0, Basis.Z, self.rng))
+            g_prime = Bits._trusted(self.charlie.measure(self.g_prime_qubits, 0, Basis.Z, self.rng)[0])
         self.g_prime = g_prime
         self.transcript.add("measurement_record", party="charlie", label="g_prime", basis="Z", bits=str(g_prime))
         h_g_prime = keyed_hash(self.config.hash_config, self.hash_secret, g_prime)

@@ -457,15 +457,6 @@ def apply_rows(stack: np.ndarray, targets: Sequence[int], matrix: np.ndarray) ->
     return np.ascontiguousarray(block.reshape((rows,) + (2,) * n).transpose(inverse)).reshape(rows, -1)
 
 
-def fidelity_1q_rows(stack: np.ndarray, qubit: int, targets: np.ndarray) -> np.ndarray:
-    """<target_r| rho_r |target_r> for ``qubit`` of each row ``r`` (``rho_r`` its reduced state)."""
-    _check_rows(stack, [qubit])
-    rows = stack.shape[0]
-    block = np.swapaxes(stack.reshape(rows, 1 << qubit, 2, -1), 1, 2).reshape(rows, 2, -1)
-    rho = block @ np.swapaxes(block.conj(), 1, 2)
-    return np.real(targets.conj()[:, None, :] @ rho @ targets[:, :, None]).reshape(rows)
-
-
 def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 — equality predicate that ignores global phase."""
     if num_qubits(a) != num_qubits(b):

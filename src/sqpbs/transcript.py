@@ -214,6 +214,8 @@ class RunConfig:
         data = dict(data)
         for name in PRIVATE_FIELDS:
             if data.get(name) is not None:
+                if not (isinstance(data[name], str) and set(data[name]) <= {"0", "1"}):
+                    raise ConfigError(f"{name} must be a 0/1 string, got {data[name]!r}")
                 data[name] = Bits(data[name])
         if "attack" in data:
             data["attack"] = AttackSpec.from_json_dict(data["attack"])

@@ -22,7 +22,7 @@ class PassThrough:
     """Adversary that leaves every segment alone; its presence forces a tapped stack."""
 
     def intercept(self, segments, rng):
-        pass
+        return [stack for stack, _ in segments]
 
 
 class RecordingRng:

@@ -8,24 +8,23 @@ import pytest
 
 from sqpbs.adversary import EntangleMeasure, EveParams, InterceptResend, violation_grid
 from sqpbs.channels import DecoyState
-from sqpbs.registers import Stack, measure_qubit, new_qubit
+from sqpbs.registers import measure_qubit, new_qubit
 from sqpbs.statevec import (
     Basis,
     apply_unitary,
     fidelity_up_to_phase,
     ket_plus,
     new_rng,
+    num_qubits,
     postselect,
     tensor,
 )
 from test_golden import FOUR_DIM_EVE
 
 
-def tap(attacker, state, rng) -> Stack:
+def tap(attacker, state, rng) -> np.ndarray:
     """A one-row stack around ``state``, sent past ``attacker`` once."""
-    stack = new_qubit(state)
-    attacker.intercept([(stack, 0)], rng)
-    return stack
+    return attacker.intercept([(new_qubit(state), 0)], rng)[0]
 
 
 def closed_form_rates(params: EveParams) -> dict[str, float]:
@@ -246,10 +245,10 @@ class TestEntangleMeasureHook:
     @pytest.mark.parametrize("params", [EveParams.probe_marking(0.8), FOUR_DIM_EVE], ids=["probe2", "probe4"])
     def test_probe_widens_each_crossed_stack_once(self, params):
         probe_qubits = int(math.log2(params.probe_dim))
-        carriers, decoys = Stack(np.tile(ket_plus(), (3, 1))), Stack(np.tile(ket_plus(), (2, 1)))
-        EntangleMeasure(params).intercept([(decoys, 0), (carriers, 0)], new_rng(4))
-        assert carriers.num_qubits == decoys.num_qubits == 1 + probe_qubits
-        assert carriers.rows == 3 and decoys.rows == 2
+        carriers, decoys = np.tile(ket_plus(), (3, 1)), np.tile(ket_plus(), (2, 1))
+        decoys, carriers = EntangleMeasure(params).intercept([(decoys, 0), (carriers, 0)], new_rng(4))
+        assert num_qubits(carriers[0]) == num_qubits(decoys[0]) == 1 + probe_qubits
+        assert len(carriers) == 3 and len(decoys) == 2
 
     @pytest.mark.parametrize("params", [EveParams.probe_marking(1.2), FOUR_DIM_EVE], ids=["probe2", "probe4"])
     @pytest.mark.parametrize("width", [1, 4])
@@ -259,10 +258,9 @@ class TestEntangleMeasureHook:
         rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         probe = params.initial_probe()
         for column in range(width):
-            stack = Stack(rows.copy())
-            EntangleMeasure(params).intercept([(stack, column)], rng)
+            stack = EntangleMeasure(params).intercept([(rows.copy(), column)], rng)[0]
             wide = width + int(math.log2(params.probe_dim))
-            for got, row in zip(stack.state, rows, strict=True):
+            for got, row in zip(stack, rows, strict=True):
                 want = apply_unitary(tensor(row, probe), [column, *range(width, wide)], params.coupling_unitary())
                 assert got.tobytes() == want.tobytes()
 
@@ -274,10 +272,9 @@ class TestEntangleMeasureHook:
         raw = rng.normal(size=(5, 1 << width)) + 1j * rng.normal(size=(5, 1 << width))
         rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         for column in range(width):
-            full, masked = Stack(rows.copy()), Stack(rows.copy())
-            EntangleMeasure(params).intercept([(full, column)], rng)
-            EntangleMeasure(OnlyDefiningColumns(params)).intercept([(masked, column)], rng)
-            assert np.array_equal(full.state, masked.state)
+            full = EntangleMeasure(params).intercept([(rows.copy(), column)], rng)[0]
+            masked = EntangleMeasure(OnlyDefiningColumns(params)).intercept([(rows.copy(), column)], rng)[0]
+            assert np.array_equal(full, masked)
 
     def test_undetectable_attack_never_disturbs_decoys(self):
         params = EveParams.undetectable((0.6, 0.8))

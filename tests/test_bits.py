@@ -50,6 +50,25 @@ class TestCheckedConstructor:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        ("value", "error"),
+        [([1.5, 0, 1], ValueError), ([True, False, True], ValueError), (101, TypeError)],
+        ids=["floats", "bools", "json-number"],
+    )
+    def test_truncatable_values_are_refused_directly_and_in_a_replay(self, tmp_path, capsys, value, error):
+        """Each value once read as ``Bits('101')``; a recorded run whose ``g_a`` holds it is a config error naming g_a."""
+        with pytest.raises(error, match="bits must be 0 or 1" if error is ValueError else None):
+            Bits(value)
+        run = tmp_path / "run.json"
+        assert main(["run", "--n", "3", "--seed", "1", "--message", "101", "--out", str(run)]) == 0
+        data = json.loads(run.read_text())
+        data["config"]["g_a"] = value
+        run.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["replay", str(run)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: g_a must be a 0/1 string, got {value!r}\n", err
+
 
 def assert_same(a: Bits, b: Bits) -> None:
     assert a == b and hash(a) == hash(b)

@@ -14,10 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sqpbs"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-ALLOWED = {
-    "fidelity_1q_rows": "the fidelity tests read Trent's corrected stack with it, "
-                        "and a diagnostic trace of a run may call it",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def uncalled(sources: dict[str, str], exported: set[str], outside: str) -> list[str]:

@@ -13,12 +13,12 @@ from sqpbs.channels import (
     send_with_decoys,
 )
 from sqpbs.errors import EavesdroppingDetected
-from sqpbs.registers import Stack, measure_qubit, new_qubit
+from sqpbs.registers import measure_qubit, new_qubit
 from sqpbs.statevec import Basis, ket_plus, new_rng
 from stubs import PassThrough, RecordingRng
 
 def _plus_payload(k):
-    return [Stack(np.tile(ket_plus(), (k, 1)))]
+    return [np.tile(ket_plus(), (k, 1))]
 
 
 class TestDecoyStates:
@@ -62,7 +62,8 @@ class TestSendWithDecoys:
             calls = []
 
             def intercept(self, segments, rng):
-                Counter.calls.append(sum(stack.rows for stack, _ in segments))
+                Counter.calls.append(sum(len(stack) for stack, _ in segments))
+                return [stack for stack, _ in segments]
 
         rng = new_rng(7)
         send_with_decoys(_plus_payload(3), 5, rng, Counter())
@@ -76,7 +77,7 @@ class TestSendWithDecoys:
         draw = new_rng(3)
         raw = draw.normal(size=(5, 4)) + 1j * draw.normal(size=(5, 4))
         rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        payload = [Stack(rows[:3].copy()), Stack(rows[3:].copy())]
+        payload = [rows[:3].copy(), rows[3:].copy()]
         rng = RecordingRng(1)
         seq = send_with_decoys(payload, 4, rng, InterceptResend(basis), column=1)
         coins = [("random", 9)] if basis == "random" else []
@@ -85,11 +86,11 @@ class TestSendWithDecoys:
         assert seq.codes.tolist() == np.floor(4 * ref.random(4)).astype(int).tolist()
         on_x = iter(np.floor(2 * ref.random(9)) == 1 if basis == "random" else [basis == "x"] * 9)
         decoys = np.array([list(DecoyState)[code].make_state() for code in seq.codes])
-        for stack, before, column in ((seq.tapped, decoys, 0), (payload[0], rows[:3], 1), (payload[1], rows[3:], 1)):
-            for got, row in zip(stack.state, before, strict=True):
-                want = Stack(row[None].copy())
+        for stack, before, column in ((seq.tapped, decoys, 0), (seq.payload[0], rows[:3], 1), (seq.payload[1], rows[3:], 1)):
+            for got, row in zip(stack, before, strict=True):
+                want = row[None].copy()
                 measure_qubit(want, 0, column, Basis.X if next(on_x) else Basis.Z, ref)
-                assert got.tobytes() == want.state[0].tobytes()
+                assert got.tobytes() == want[0].tobytes()
 
 
 class TestCheckDecoys:
@@ -210,7 +211,7 @@ def test_untouched_decoys_match_the_register_path(check, decoy_count):
         rng_table, rng_registers = new_rng(seed), new_rng(seed)
         table = send_with_decoys(_plus_payload(3), decoy_count, rng_table)
         registers = send_with_decoys(_plus_payload(3), decoy_count, rng_registers, PassThrough())
-        assert table.tapped is None and registers.tapped.rows == decoy_count
+        assert table.tapped is None and len(registers.tapped) == decoy_count
         result = check(table, rng_table)  # returns at threshold 0: no error on either path
         assert result == check(registers, rng_registers), seed
 

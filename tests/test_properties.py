@@ -366,8 +366,8 @@ def test_decoy_state_measure_matches_the_array_path(length, seed):
     for state, basis in zip(states, bases):
         assert_one_qubit_path_matches_array_path(state, basis, seed)
     stack_rng, ref_rng = (LastDraw(), LastDraw()) if seed is None else (RecordingRng(seed), new_rng(seed))
-    stack = tap(codes, PassThrough(), stack_rng)
-    outcomes = read_prepared(stack.state, x_basis, stack_rng).tolist()
+    stack = tap(codes, PassThrough(), stack_rng)[0]
+    outcomes = read_prepared(stack, x_basis, stack_rng).tolist()
     assert outcomes == [measure_qubit(new_qubit(s), 0, 0, b, ref_rng) for s, b in zip(states, bases)]
     if seed is not None:  # one draw per read, and none for an empty read
         assert stack_rng.calls == ([("random", length)] if length else [])
@@ -403,7 +403,7 @@ def test_tapped_read_matches_one_measurement_per_basis(length, eve, seed):
     collapsing measurement per basis, draw for draw, and an empty read takes no draw."""
     draw = new_rng(length)
     codes, x_basis = draw.integers(0, 4, length).tolist(), draw.integers(0, 2, length).tolist()
-    stack = tap(codes, EntangleMeasure(TAPS[eve]), new_rng(0)).state
+    stack = tap(codes, EntangleMeasure(TAPS[eve]), new_rng(0))[0]
     sifted = np.flatnonzero(draw.integers(0, 2, length)).tolist()
     reflected = sorted(set(range(length)) - set(sifted))
     reads = [

@@ -12,7 +12,7 @@ from sqpbs.bits import Bits
 from sqpbs.errors import ConfigError, SemiquantumCapabilityError
 from sqpbs.protocol import Party, ProtocolRun, replay_difference, run_full
 from sqpbs.registers import merge, new_qubit
-from sqpbs.statevec import HADAMARD, Basis, BellState, fidelity_1q_rows, ket_minus, ket_plus, new_rng
+from sqpbs.statevec import HADAMARD, Basis, BellState, ket_minus, ket_plus, new_rng
 from sqpbs.teleport import correction_matrices
 from sqpbs.transcript import CHANNELS, AttackSpec, RunConfig
 from stubs import RecordingRng
@@ -26,13 +26,23 @@ def honest(n, seed, **kwargs):
 def recovery_fidelities(run: ProtocolRun) -> list[float]:
     """Per instance, Trent's corrected particle 3 against Alice's blind state: |+> for a 0 of g, |-> for a 1.
 
-    Particle 3 is column 0 of ``run.recovered`` when no probe rides on the message qubits.
+    Particle 3 is column 0, the most significant qubit, of ``run.recovered`` when no probe rides on
+    the message qubits, so <t|rho|t> is the squared norm of <t|_3 on each row.
     """
     targets = np.array([ket_plus(), ket_minus()])[list(run.g)]
-    return fidelity_1q_rows(run.recovered, 0, targets).tolist()
+    projected = np.einsum("ri,rij->rj", targets.conj(), run.recovered.reshape(len(targets), 2, -1))
+    return (np.abs(projected) ** 2).sum(axis=1).tolist()
 
 
 class TestHonestRuns:
+    def test_stacks_are_plain_arrays_held_once(self):
+        """The Bell step joins copies: Alice's blinded qubits keep their (n, 2) stack, and no two stacks alias."""
+        run = ProtocolRun(honest(3, 5))
+        assert run.run().verdict == "valid"
+        assert run.xi.shape == (3, 2)
+        stacks = [value for value in vars(run).values() if isinstance(value, np.ndarray)]
+        assert len(stacks) == 4 and len({id(stack) for stack in stacks}) == 4  # carriers, xi, recovered, g_prime_qubits
+
     def test_smallest_instance(self):
         run = ProtocolRun(honest(1, 1))
         transcript = run.run()
@@ -147,15 +157,15 @@ class TestSemiquantumEnforcement:
                 party.apply_gates(pair, 0, HADAMARD[None])
             with pytest.raises(SemiquantumCapabilityError):
                 party.prepare_state(ket_plus()[None])
-            assert party.measure(party.prepare_z(Bits("01")), 0, Basis.Z, rng).tolist() == [0, 1]
-            assert abs(party.prepare_z(Bits("1")).state[0, 1]) ** 2 == 1.0
+            assert party.measure(party.prepare_z(Bits("01")), 0, Basis.Z, rng)[0].tolist() == [0, 1]
+            assert abs(party.prepare_z(Bits("1"))[0, 1]) ** 2 == 1.0
 
     def test_quantum_party_allowed(self):
         david = Party("david", quantum=True)
         rng = new_rng(0)
-        assert david.measure(david.prepare_state(ket_plus()[None]), 0, Basis.X, rng).tolist() == [0]
+        assert david.measure(david.prepare_state(ket_plus()[None]), 0, Basis.X, rng)[0].tolist() == [0]
         pairs = merge(david.prepare_z(Bits("00")), david.prepare_z(Bits("00")))
-        assert david.measure_bell(pairs, 0, 1, rng).tolist() == [BellState.PHI_PLUS.index] * 2
+        assert david.measure_bell(pairs, 0, 1, rng)[0].tolist() == [BellState.PHI_PLUS.index] * 2
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_transcript_attributes_only_z_to_semiquantum_parties(self, n):
@@ -200,7 +210,7 @@ class TestAttacks:
             assert seq.tapped is None, seq.channel
         run = ProtocolRun(honest(2, 5, attack=AttackSpec("intercept-resend", "w1")))
         run.run()
-        assert run.w1_seq.tapped.rows == len(run.w1_seq.codes)
+        assert len(run.w1_seq.tapped) == len(run.w1_seq.codes)
         for seq in (run.w2_seq, run.w4_seq):
             assert seq.tapped is None, seq.channel
 

@@ -20,7 +20,11 @@ with |a00|^2 + |a01|^2 = |a10|^2 + |a11|^2 = 1.  Unitarity additionally
 forces the two right-hand sides to be orthogonal; the constructor
 validates this and completes E to a full unitary on (qubit x probe) with
 one QR factorization.  Every probe starts in |e>, so only E's two
-defining columns ever reach an output; the completion is arbitrary.
+defining columns ever reach an output: the attacker sends each crossing
+qubit through them alone, as the isometry |b> -> E|b>|e>
+(``statevec.couple_rows``), and the completion serves the exact analysis,
+which couples the decoy states through the full unitary as an independent
+route to the same states.
 
 Such an attacker escapes decoy detection on all four decoy states if
 and only if a01 = a10 = 0 and a00|p00> = a11|p11>; its probe then ends
@@ -40,7 +44,7 @@ import numpy as np
 
 from .channels import DecoyState
 from .registers import merge
-from .statevec import Basis, Rng, apply_rows, born_rows, draw_bits, is_unitary, measure_rows, num_qubits, prepare_rows
+from .statevec import Basis, Rng, apply_rows, born_rows, couple_rows, draw_bits, is_unitary, measure_rows, num_qubits, prepare_rows
 
 INTERCEPT_BASES = ("random", "z", "x")
 
@@ -102,6 +106,7 @@ class EveParams:
     eps_10: tuple[complex, ...]
     eps_11: tuple[complex, ...]
     _unitary: np.ndarray = field(init=False, repr=False, compare=False)
+    _images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("alpha_00", "alpha_01", "alpha_10", "alpha_11"):
@@ -130,6 +135,7 @@ class EveParams:
         object.__setattr__(self, "eps_10", tuple(vecs[2]))
         object.__setattr__(self, "eps_11", tuple(vecs[3]))
         object.__setattr__(self, "_unitary", self._build_unitary(vecs, dim))
+        object.__setattr__(self, "_images", self._unitary[:, [0, dim]].T.copy())
 
     def _build_unitary(self, vecs: list[np.ndarray], dim: int) -> np.ndarray:
         col0 = np.concatenate([self.alpha_00 * vecs[0], self.alpha_01 * vecs[1]])
@@ -166,12 +172,17 @@ class EveParams:
         """
         return self._unitary.copy()
 
+    def coupling_images(self) -> np.ndarray:
+        """E|0>|e> and E|1>|e>, the completed unitary's columns 0 and ``probe_dim``, as the rows of a
+        ``(2, 2 * probe_dim)`` array: the isometry that every crossing qubit goes through."""
+        return self._images.copy()
+
     # -- exact analysis helpers (no sampling) --------------------------------
 
     def _coupled_decoys(self) -> np.ndarray:
         """E (|s> x |e>) for the four ``DecoyState``s, one row each in definition order."""
         stack = merge(np.array([d.make_state() for d in DecoyState]), self.initial_probe()[None])
-        return apply_rows(stack, list(range(num_qubits(stack[0]))), self._unitary)
+        return apply_rows(stack, list(range(num_qubits(stack))), self._unitary)
 
     def expected_error_rates(self) -> dict[str, float]:
         """Exact disturbance probability for each of the four decoy states.
@@ -180,9 +191,8 @@ class EveParams:
         measuring in the preparation basis after the coupling, sees the
         orthogonal outcome.
         """
-        rows = self._coupled_decoys()
-        born = {basis: born_rows(rows, 0, basis) for basis in Basis}
-        return {d.label: float(born[d.basis][1 - d.bit][d.index]) for d in DecoyState}
+        born = born_rows(self._coupled_decoys(), 0, [d.basis is Basis.X for d in DecoyState])
+        return {d.label: float(born[1 - d.bit][d.index]) for d in DecoyState}
 
     def probe_states(self) -> dict[str, np.ndarray]:
         """Reduced probe density matrix after coupling, per input state."""
@@ -272,18 +282,18 @@ class EveParams:
 class EntangleMeasure:
     """Attack hook that couples a fresh probe to every transiting qubit.
 
-    It draws nothing.  Each segment's stack is widened once by one probe
-    per row, as its least significant qubits, so no column moves; one
-    whole-stack apply then couples every row to its probe.
+    It draws nothing.  Each segment goes through one ``couple_rows`` call
+    with E's two defining columns: the crossing qubit of every row becomes
+    E|b>|e>, its probe joining the row as the least significant qubits, so
+    no column moves.
     """
 
     def __init__(self, params: EveParams):
         self.params = params
 
     def intercept(self, segments: list[tuple[np.ndarray, int]], rng: Rng) -> list[np.ndarray]:
-        probe, coupling = self.params.initial_probe()[None], self.params.coupling_unitary()
-        widened = [(merge(stack, probe), column, num_qubits(stack[0])) for stack, column in segments]
-        return [apply_rows(wide, [column, *range(width, num_qubits(wide[0]))], coupling) for wide, column, width in widened]
+        images = self.params.coupling_images()
+        return [couple_rows(stack, column, images) for stack, column in segments]
 
 
 def violation_grid(points_per_family: int = 10) -> list[EveParams]:

@@ -283,9 +283,15 @@ def experiment_detection(
     ``scope="full"`` runs the entire protocol and counts eavesdropping
     and key-agreement aborts.  A random-basis intercept-resend attacker
     disturbs each decoy of a decoy check with probability 1/4, so there
-    detection approaches 1 - (3/4)^d, reported as a detail.  An attack
-    kind that taps no channel is a ConfigError; ``none`` is the
-    false-alarm control.
+    detection approaches 1 - (3/4)^d, reported as a detail.  In channel
+    scope at threshold 0, an entangle-measure attacker is caught on each
+    decoy with probability q from its exact per-state disturbances e
+    (``EveParams.expected_error_rates``): q = mean(e) under a decoy check,
+    which reads each decoy in its preparation basis, and q = (e0 + e1)/4 +
+    (e+ + e-)/8 under a return check, which reads a Z decoy on CTRL and on
+    SIFT and an X decoy on CTRL only, each half the time; detection is
+    1 - (1 - q)^d, reported as a detail.  An attack kind that taps no
+    channel is a ConfigError; ``none`` is the false-alarm control.
     """
     _require_trials(trials)
     if scope not in DETECTION_SCOPES:
@@ -316,6 +322,10 @@ def experiment_detection(
     detail = {}
     if attack.kind == "intercept-resend" and guard == "decoy" and threshold == 0:
         detail["expected_intercept_resend"] = 1.0 - 0.75**decoy_count
+    if attack.kind == "entangle-measure" and scope == "channel" and threshold == 0:
+        e = attack.eve.expected_error_rates()
+        q = sum(e.values()) / 4 if guard == "decoy" else (e["0"] + e["1"]) / 4 + (e["+"] + e["-"]) / 8
+        detail["expected_entangle_measure"] = 1.0 - (1.0 - q) ** decoy_count
     return ExperimentResult(
         kind="detection",
         trials=trials,

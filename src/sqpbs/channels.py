@@ -39,8 +39,9 @@ reads the tapped decoys in their preparation bases.
 every SIFT/CTRL coin, as two vectors, as a tapped send and its check
 do; then it reads the tapped SIFTed decoys in Z and the reflected ones
 in their preparation bases.  ``read_prepared``, the one read of tapped
-prepared qubits, reads a step once, from the Born sums of its rows
-(``statevec.born_rows``), which it never collapses.
+prepared qubits, reads a step once, from one ``statevec.born_rows`` pass
+that gives each row's Born pair in that row's own basis; it never
+collapses a row.
 """
 
 from __future__ import annotations
@@ -88,17 +89,15 @@ def read_prepared(tapped: np.ndarray, x_basis: Sequence[int], rng: Rng) -> np.nd
 
     ``tapped`` holds row i for qubit i, the crossed qubit at column 0, as
     the adversary left it, and ``x_basis[i]`` is its measurement basis, 0
-    for Z and 1 for X.  Each row picks its Born pair from the Z and X sums
-    over the whole stack, which no read collapses; one ``rng.random``
-    feeds ``born_outcomes``, and an empty read takes none.  Returns each
-    row's outcome bit.
+    for Z and 1 for X.  One ``born_rows`` pass gives each row's Born pair in
+    its basis, and no read collapses a row; one ``rng.random`` feeds
+    ``born_outcomes``, and an empty read takes none.  Returns each row's
+    outcome bit.
     """
     if not len(tapped):
         return np.zeros(0, dtype=np.intp)
     u = rng.random(len(tapped))
-    on_x = np.asarray(x_basis, dtype=bool)
-    (z0, z1), (x0, x1) = born_rows(tapped, 0, Basis.Z), born_rows(tapped, 0, Basis.X)
-    return born_outcomes(np.where(on_x, x0, z0), np.where(on_x, x1, z1), u)
+    return born_outcomes(*born_rows(tapped, 0, x_basis), u)
 
 
 def tap(
@@ -114,9 +113,7 @@ def tap(
     """
     if adversary is None:
         return None, list(payload)
-    sent = [_KETS[codes], *payload]
-    crossed = iter(adversary.intercept([(s, column if i else 0) for i, s in enumerate(sent) if len(s)], rng))
-    arrived = [next(crossed) if len(s) else s for s in sent]  # an empty stack does not cross
+    arrived = adversary.intercept([(_KETS[codes], 0), *((stack, column) for stack in payload)], rng)
     return arrived[0], arrived[1:]
 
 

@@ -46,10 +46,10 @@ def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise ValueError(f"expected a (rows, 2**k) array, got shape {stack.shape}")
     if len(b) not in (1, len(a)):
         raise ValueError(f"cannot merge a stack of {len(b)} rows into one of {len(a)}")
-    n = num_qubits(a[0]) + num_qubits(b[0])
+    n = num_qubits(a) + num_qubits(b)
     if n > MAX_QUBITS:
         raise ValueError(f"tensor product would need {n} qubits (max {MAX_QUBITS})")
-    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), a.shape[1] * b.shape[1])
 
 
 def measure_qubit(stack: np.ndarray, row: int, column: int, basis: Basis, rng: Rng) -> int:

@@ -161,8 +161,8 @@ _PAULI_MATRICES = {
 
 
 def num_qubits(state: np.ndarray) -> int:
-    """Number of qubits of a state array of length ``2**n``."""
-    return state.size.bit_length() - 1
+    """Number of qubits of a state array of length ``2**n``, or of each row of a ``(rows, 2**n)`` stack."""
+    return state.shape[-1].bit_length() - 1 if state.ndim else 0
 
 
 def basis_state(num_qubits: int, index: int) -> np.ndarray:
@@ -287,22 +287,27 @@ def measure_bell(state: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tup
 # ``postselect``, ``postselect_bell`` and ``apply_unitary`` are the kernels
 # on one row.  No package module but ``registers.measure_qubit`` calls one
 # of those one-state forms: they stay for outside callers, the benchmark's
-# tracer and the tests' references.  Measurements take one uniform draw per
-# row, ``u``, as one ``rng.random(rows)`` vector gives it, and drop the qubits
-# they measure; ``prepare_rows`` puts one back, in its outcome state.
-# ``_born`` (one qubit) and ``_bell_rows`` (a pair) give each row's
-# components in the measured basis as one ``(rows, k, rest)`` array with
-# their ``(rows, k)`` weights, and ``_collapse`` picks and renormalizes one
-# component per row for both.  ``born_rows`` reads one qubit's per-row Born
-# probabilities without a collapse, the same weights that ``measure_rows``
-# and ``postselect_rows`` use; ``apply_rows`` computes its transposes once
-# per ``(n, targets)``.
+# tracer and the tests' references.  Kernels read a stack's width from its
+# shape and reshape with explicit sizes, so a stack of no rows gives one of
+# no rows.  Measurements take one uniform draw per row, ``u``, as one
+# ``rng.random(rows)`` vector gives it, and drop the qubits they measure;
+# ``prepare_rows`` puts one back, in its outcome state.  ``_born`` (one
+# qubit) and ``_bell_rows`` (a pair) give each row's components in the
+# measured basis as one ``(rows, k, rest)`` array with their ``(rows, k)``
+# weights, and ``_collapse`` picks and renormalizes one component per row
+# for both.  ``born_rows`` reads one qubit's per-row Born probabilities
+# without a collapse, each row in its own basis, from one array of the Z
+# and X components: the same weights that ``measure_rows`` and
+# ``postselect_rows`` use.  ``apply_rows`` computes its transposes once per
+# ``(n, targets)``.  ``couple_rows`` sends one qubit of every row through a
+# 2 -> 2d isometry, such as an attacker's coupling to a probe that starts in
+# a fixed state, with one matrix product over all rows.
 
 
 def _check_rows(stack: np.ndarray, targets: Sequence[int]) -> None:
     if stack.ndim != 2:
         raise ValueError(f"expected a (rows, 2**k) stack, got shape {stack.shape}")
-    _check_targets(num_qubits(stack[0]), targets)
+    _check_targets(num_qubits(stack), targets)
 
 
 def born_outcomes(p0: np.ndarray, p1: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -317,20 +322,34 @@ def _born(stack: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, np.n
     qubits in order along ``rest``, and their ``(rows, 2)`` weights.  ``comp`` is C-contiguous, so each weight
     is a sum along a contiguous axis, whatever ``qubit`` is: the same sum for the same amplitudes."""
     _check_rows(stack, [qubit])
-    rows = stack.shape[0]
-    t = stack.reshape(rows, 1 << qubit, 2, -1)
+    rows, width = stack.shape
+    t = stack.reshape(rows, 1 << qubit, 2, width >> (qubit + 1))
     if basis is Basis.Z:
-        comp = np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(rows, 2, -1)
+        comp = np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(rows, 2, width >> 1)
     else:
         a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
-        comp = (np.stack((a0 + a1, a0 - a1), axis=1) * SQRT1_2).reshape(rows, 2, -1)
+        comp = (np.stack((a0 + a1, a0 - a1), axis=1) * SQRT1_2).reshape(rows, 2, width >> 1)
     return comp, (comp.real**2 + comp.imag**2).sum(axis=2)
 
 
-def born_rows(stack: np.ndarray, qubit: int, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row Born probabilities ``(p0, p1)`` of ``qubit`` in ``basis``; no row collapses."""
-    probs = _born(stack, qubit, basis)[1]
-    return probs[:, 0], probs[:, 1]
+def born_rows(stack: np.ndarray, qubit: int, x_basis: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row Born probabilities ``(p0, p1)`` of ``qubit``, row ``r`` in X where ``x_basis[r]`` is true and
+    in Z elsewhere; no row collapses.
+
+    One ``(4, rows, rest)`` array holds every row's Z components, then its
+    X components, each the same amplitudes that ``_born`` gives, and each
+    weight is the same contiguous sum; each row then keeps its basis' pair.
+    """
+    _check_rows(stack, [qubit])
+    rows, width = stack.shape
+    comp = np.empty((4, rows, 1 << qubit, width >> (qubit + 1)), dtype=complex)
+    comp[:2] = stack.reshape(rows, 1 << qubit, 2, width >> (qubit + 1)).transpose(2, 0, 1, 3)
+    np.add(comp[0], comp[1], out=comp[2])
+    np.subtract(comp[0], comp[1], out=comp[3])
+    comp[2:] *= SQRT1_2
+    probs = (comp.real**2 + comp.imag**2).reshape(4, rows, width >> 1).sum(axis=2)
+    on_x = np.asarray(x_basis, dtype=bool)
+    return np.where(on_x, probs[2], probs[0]), np.where(on_x, probs[3], probs[1])
 
 
 def _collapse(comp: np.ndarray, probs: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,15 +364,15 @@ def _collapse(comp: np.ndarray, probs: np.ndarray, index: np.ndarray) -> tuple[n
 def prepare_rows(rest: np.ndarray, qubit: int, basis: Basis, outcomes: np.ndarray) -> np.ndarray:
     """Insert a qubit at column ``qubit`` of row ``r`` of ``rest``, prepared in ``basis`` as bit ``outcomes[r]``:
     of what ``measure_rows`` returns, this makes the collapsed stack."""
-    rows = rest.shape[0]
-    v = rest.reshape(rows, 1 << qubit, -1)
+    rows, width = rest.shape
+    v = rest.reshape(rows, 1 << qubit, width >> qubit)
     out = np.zeros((rows, v.shape[1], 2, v.shape[2]), dtype=complex)
     if basis is Basis.Z:
         out[np.arange(rows), :, outcomes, :] = v
     else:
         out[:, :, 0, :] = v * SQRT1_2
         out[:, :, 1, :] = v * np.where(outcomes == 0, SQRT1_2, -SQRT1_2)[:, None, None]
-    return out.reshape(rows, -1)
+    return out.reshape(rows, 2 * width)
 
 
 def postselect_rows(
@@ -379,14 +398,19 @@ def measure_rows(stack: np.ndarray, qubit: int, basis: Basis, u: np.ndarray) -> 
     return outcome, _collapse(comp, probs, outcome)[1]
 
 
+# Column i is the conjugate of Bell vector i, so ``pairs @ _BELL_BRAS`` gives each pair's Bell components.
+_BELL_BRAS = BELL_MATRIX.conj()
+
+
 def _bell_rows(stack: np.ndarray, qubit_a: int, qubit_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's pair (a, b) in the Bell basis: ``(rows, 4, rest)`` amplitudes, the other qubits in
     order along ``rest``, and their ``(rows, 4)`` weights."""
-    rows = stack.shape[0]
+    rows, width = stack.shape
     lo, hi = sorted((qubit_a, qubit_b))
-    t = stack.reshape(rows, 1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-    t = t.transpose(0, 2, 4, 1, 3, 5) if qubit_a < qubit_b else t.transpose(0, 4, 2, 1, 3, 5)
-    comp = BELL_MATRIX.conj().T @ t.reshape(rows, 4, -1)
+    t = stack.reshape(rows, 1 << lo, 2, 1 << (hi - lo - 1), 2, width >> (hi + 1))
+    t = t.transpose(0, 1, 3, 5, 2, 4) if qubit_a < qubit_b else t.transpose(0, 1, 3, 5, 4, 2)
+    rest = width >> 2
+    comp = np.ascontiguousarray((t.reshape(rows * rest, 4) @ _BELL_BRAS).reshape(rows, rest, 4).transpose(0, 2, 1))
     return comp, np.sum(np.abs(comp) ** 2, axis=2)
 
 
@@ -423,14 +447,14 @@ def measure_bell_rows(
 def apply_1q_rows(stack: np.ndarray, qubit: int, matrices: np.ndarray) -> np.ndarray:
     """Apply row ``r``'s trusted 2x2 ``matrices[r]`` to ``qubit`` of row ``r``."""
     _check_rows(stack, [qubit])
-    rows = stack.shape[0]
-    t = stack.reshape(rows, 1 << qubit, 2, -1)
+    rows, width = stack.shape
+    t = stack.reshape(rows, 1 << qubit, 2, width >> (qubit + 1))
     a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
     m = matrices[:, :, :, None, None]
     out = np.empty_like(t)
     out[:, :, 0, :] = m[:, 0, 0] * a0 + m[:, 0, 1] * a1
     out[:, :, 1, :] = m[:, 1, 0] * a0 + m[:, 1, 1] * a1
-    return out.reshape(rows, -1)
+    return out.reshape(rows, width)
 
 
 @functools.cache
@@ -450,11 +474,31 @@ def apply_rows(stack: np.ndarray, targets: Sequence[int], matrix: np.ndarray) ->
     k = len(targets)
     if k == 1:
         return apply_1q_rows(stack, targets[0], matrix[None])
-    rows = stack.shape[0]
-    n = num_qubits(stack[0])
+    rows, width = stack.shape
+    n = num_qubits(stack)
     forward, inverse = _target_axes(n, tuple(targets))
-    block = matrix @ stack.reshape((rows,) + (2,) * n).transpose(forward).reshape(rows, 1 << k, -1)
-    return np.ascontiguousarray(block.reshape((rows,) + (2,) * n).transpose(inverse)).reshape(rows, -1)
+    block = matrix @ stack.reshape((rows,) + (2,) * n).transpose(forward).reshape(rows, 1 << k, width >> k)
+    return np.ascontiguousarray(block.reshape((rows,) + (2,) * n).transpose(inverse)).reshape(rows, width)
+
+
+def couple_rows(stack: np.ndarray, column: int, images: np.ndarray) -> np.ndarray:
+    """Send the qubit at ``column`` of every row through a trusted 2 -> 2d isometry; a new, wider stack.
+
+    Row ``b`` of the ``(2, 2d)`` array ``images`` is the image of ``|b>``:
+    for an attacker's coupling E with its probe in |e>, E|b>|e>, the qubit
+    as its most significant bit.  The qubit keeps its column and the
+    d-dimensional factor joins every row as its least significant qubits,
+    as ``registers.merge`` joins a stack.  Each amplitude pair goes through
+    the same 2-D product ``pair @ images``, in one product for all rows.
+    """
+    _check_rows(stack, [column])
+    n = num_qubits(stack) + num_qubits(images) - 1
+    if n > MAX_QUBITS:
+        raise ValueError(f"tensor product would need {n} qubits (max {MAX_QUBITS})")
+    rows, width = stack.shape
+    dim = images.shape[1] >> 1
+    pairs = stack.reshape(rows << column, 2, width >> (column + 1)).transpose(0, 2, 1).reshape(-1, 2)
+    return (pairs @ images).reshape(rows << column, width >> (column + 1), 2, dim).transpose(0, 2, 1, 3).reshape(rows, width * dim)
 
 
 def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:

@@ -8,9 +8,10 @@ import pytest
 
 from sqpbs.adversary import EntangleMeasure, EveParams, InterceptResend, violation_grid
 from sqpbs.channels import DecoyState
-from sqpbs.registers import measure_qubit, new_qubit
+from sqpbs.registers import measure_qubit, merge, new_qubit
 from sqpbs.statevec import (
     Basis,
+    apply_rows,
     apply_unitary,
     fidelity_up_to_phase,
     ket_plus,
@@ -66,12 +67,15 @@ class OnlyDefiningColumns:
 
     def __init__(self, params: EveParams):
         self.initial_probe = params.initial_probe
-        u, kept = params.coupling_unitary(), [0, params.probe_dim]
+        u, self.kept = params.coupling_unitary(), [0, params.probe_dim]
         self.unitary = np.zeros_like(u)
-        self.unitary[:, kept] = u[:, kept]
+        self.unitary[:, self.kept] = u[:, self.kept]
 
     def coupling_unitary(self) -> np.ndarray:
         return self.unitary
+
+    def coupling_images(self) -> np.ndarray:
+        return self.unitary[:, self.kept].T.copy()
 
 
 ANALYSED = [*violation_grid(10), FOUR_DIM_EVE, EveParams.undetectable((0.6, 0.8)), EveParams.undetectable((1j, 0))]
@@ -273,8 +277,11 @@ class TestEntangleMeasureHook:
         rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         for column in range(width):
             full = EntangleMeasure(params).intercept([(rows.copy(), column)], rng)[0]
-            masked = EntangleMeasure(OnlyDefiningColumns(params)).intercept([(rows.copy(), column)], rng)[0]
-            assert np.array_equal(full, masked)
+            masked = OnlyDefiningColumns(params)
+            assert np.array_equal(full, EntangleMeasure(masked).intercept([(rows.copy(), column)], rng)[0])
+            wide = merge(rows, params.initial_probe()[None])
+            zeroed = apply_rows(wide, [column, *range(width, num_qubits(wide[0]))], masked.coupling_unitary())
+            assert np.array_equal(full, zeroed)
 
     def test_undetectable_attack_never_disturbs_decoys(self):
         params = EveParams.undetectable((0.6, 0.8))

@@ -28,7 +28,7 @@ from sqpbs.analysis import (
 )
 from sqpbs.errors import ConfigError
 from sqpbs.protocol import run_full
-from sqpbs.transcript import CHANNELS, AttackSpec, RunConfig
+from sqpbs.transcript import AttackSpec, RunConfig
 from test_golden import CONFIGS
 
 
@@ -268,10 +268,10 @@ def test_intercept_resend_channel_cell_matches_its_exact_rate(channel, basis, q)
     assert abs(result.rate - p) < CELL_SIGMAS * math.sqrt(p * (1 - p) / result.trials)
 
 
-# Entangle-measure couplings, channel scope, d = 4: q from the exact
-# per-state disturbances e of ``EveParams.expected_error_rates``.  The
-# decoy guard reads each decoy in its preparation basis, q = mean(e); the
-# return guard gives the weights above.
+# Entangle-measure couplings, channel scope, d = 4: the run reports its
+# exact rate, 1 - (1 - q)^d, with q from the per-state disturbances e of
+# ``EveParams.expected_error_rates`` (``experiment_detection`` gives the
+# weights of each guard).
 EM_CHANNEL_CELLS = [
     ("xi_m", "rotation", EveParams.rotation(0.8)), ("w1", "rotation", EveParams.rotation(0.8)),
     ("w2", "marking", EveParams.probe_marking(1.2)), ("w4", "marking", EveParams.probe_marking(1.2)),
@@ -280,14 +280,35 @@ EM_CHANNEL_CELLS = [
 
 @pytest.mark.parametrize("channel,_,eve", EM_CHANNEL_CELLS, ids=[f"{c}-{k}" for c, k, _ in EM_CHANNEL_CELLS])
 def test_entangle_measure_channel_cell_matches_its_exact_rate(channel, _, eve):
-    d = 4
-    e = eve.expected_error_rates()
-    q = sum(e.values()) / 4 if CHANNELS[channel][2] == "decoy" else (e["0"] + e["1"]) / 4 + (e["+"] + e["-"]) / 8
     result = experiment_detection(
-        AttackSpec("entangle-measure", channel, eve=eve), trials=2000, seed=CELL_SEED, decoy_count=d
+        AttackSpec("entangle-measure", channel, eve=eve), trials=2000, seed=CELL_SEED, decoy_count=4
     )
-    p = 1 - (1 - q) ** d
+    p = result.detail["expected_entangle_measure"]
     assert abs(result.rate - p) < CELL_SIGMAS * math.sqrt(p * (1 - p) / result.trials)
+
+
+# The same q in closed form: a rotation by theta disturbs every decoy state
+# with probability sin^2 theta, a probe marking by phi only the X states,
+# with probability sin^2 (phi / 2).
+EM_CLOSED_FORM_Q = {
+    "xi_m": math.sin(0.8) ** 2,
+    "w1": 3 / 4 * math.sin(0.8) ** 2,
+    "w2": math.sin(0.6) ** 2 / 2,
+    "w4": math.sin(0.6) ** 2 / 4,
+}
+
+
+@pytest.mark.parametrize("channel,_,eve", EM_CHANNEL_CELLS, ids=[f"{c}-{k}" for c, k, _ in EM_CHANNEL_CELLS])
+def test_entangle_measure_reported_rate_is_its_closed_form(channel, _, eve):
+    result = experiment_detection(AttackSpec("entangle-measure", channel, eve=eve), trials=1, seed=1, decoy_count=4)
+    assert result.detail["expected_entangle_measure"] == pytest.approx(1 - (1 - EM_CLOSED_FORM_Q[channel]) ** 4, abs=1e-12)
+
+
+@pytest.mark.parametrize("threshold,scope", [(0.1, "channel"), (0.0, "full")])
+def test_entangle_measure_rate_is_reported_only_in_channel_scope_at_threshold_0(threshold, scope):
+    attack = AttackSpec("entangle-measure", "xi_m", eve=EveParams.rotation(0.8))
+    result = experiment_detection(attack, trials=1, seed=1, threshold=threshold, scope=scope)
+    assert "expected_entangle_measure" not in result.detail
 
 
 @pytest.mark.parametrize("basis", ["random", "z", "x"])

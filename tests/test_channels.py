@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from sqpbs.adversary import INTERCEPT_BASES, InterceptResend
+from sqpbs.adversary import INTERCEPT_BASES, EntangleMeasure, EveParams, InterceptResend
 from sqpbs.channels import (
     DecoyState,
     check_decoys,
+    read_prepared,
     semiquantum_return_check,
     send_with_decoys,
+    tap,
 )
 from sqpbs.errors import EavesdroppingDetected
 from sqpbs.registers import measure_qubit, new_qubit
@@ -231,3 +233,14 @@ def test_each_check_reads_once_per_step(adversary):
     assert 0 < k < d
     reads = [("random", k), ("random", d - k)]
     assert rng.calls == ([("random", d)] * 2 if adversary is None else [("random", d), *reads])
+
+
+@pytest.mark.parametrize("adversary", [InterceptResend(), EntangleMeasure(EveParams.probe_marking(0.8))], ids=["intercept", "entangle"])
+def test_a_tap_of_no_prepared_qubits_crosses_and_reads_without_a_draw(adversary):
+    """No prepared qubits cross as a stack of no rows beside the payload, and reading them takes no draw."""
+    rng = new_rng(6)
+    before = rng.bit_generator.state
+    tapped, payload = tap([], adversary, rng)
+    assert tapped.shape[0] == 0 and payload == []
+    assert read_prepared(tapped, [], rng).shape == (0,)
+    assert rng.bit_generator.state == before

@@ -166,7 +166,7 @@ OUT_ARGV = {
 OUT_PINS = {
     "efficiency-n16-l256": "3a5aad2154ed922d0778feaa50a7ff24cd464edbfbf06eab87d9c98b4fc44376",
     "detection-ir-d5": "6be5f871423d2485360e8d2a7f843510ae04aa54822dc20970af9e5886dc193a",
-    "detection-em-d20": "4d0a20344ab0d7d3813fe8296b8f5521c5c1ac831a0e7da4531e22394c740794",
+    "detection-em-d20": "9d18247f44a48d703a67aa6ceb82ff39ca17d519eb81c1f5ea7477f2f3edbb1a",
 }
 
 AUDIT_PIN = "581ec5664374af6a350bb38fdc6df03dceb244995d5192a703403783da101638"

@@ -149,13 +149,18 @@ def test_postselect_rows_is_postselect_row_by_row(stack, data, basis):
     np.testing.assert_array_equal(stack, before)
 
 
+def in_basis(stack: np.ndarray, basis: Basis) -> np.ndarray:
+    """``born_rows``' per-row basis that reads every row of ``stack`` in ``basis``."""
+    return np.full(len(stack), basis is Basis.X)
+
+
 @FAST
 @given(stacks(), st.data(), st.sampled_from(Basis))
 def test_born_rows_are_the_postselect_rows_probabilities(stack, data, basis):
     qubit = data.draw(st.integers(0, num_qubits(stack[0]) - 1))
     before = stack.copy()
     with np.errstate(all="raise"):
-        probs = born_rows(stack, qubit, basis)
+        probs = born_rows(stack, qubit, in_basis(stack, basis))
     for outcome, prob in enumerate(probs):
         forced = postselect_rows(stack, qubit, basis, np.full(len(stack), outcome))[0]
         assert prob.tobytes() == forced.tobytes()
@@ -172,9 +177,24 @@ def test_born_rows_sum_each_component_in_index_order(stack, data, basis):
     t = stack.reshape(len(stack), 1 << qubit, 2, -1)
     a0, a1 = t[:, :, 0, :], t[:, :, 1, :]
     components = (a0, a1) if basis is Basis.Z else ((a0 + a1) * statevec.SQRT1_2, (a0 - a1) * statevec.SQRT1_2)
-    for prob, c in zip(born_rows(stack, qubit, basis), components, strict=True):
+    for prob, c in zip(born_rows(stack, qubit, in_basis(stack, basis)), components, strict=True):
         sq = np.ascontiguousarray(c.real**2 + c.imag**2).reshape(len(stack), -1)
         assert prob.tobytes() == sq.sum(axis=1).tobytes()
+
+
+@FAST
+@given(stacks(max_qubits=6), st.data())
+def test_born_rows_read_each_row_in_its_own_basis(stack, data):
+    """Under a mixed per-row basis, row ``r``'s pair is ``postselect_rows``' probabilities in row ``r``'s
+    basis, byte for byte."""
+    qubit = data.draw(st.integers(0, num_qubits(stack[0]) - 1))
+    on_x = np.array(data.draw(st.lists(st.booleans(), min_size=len(stack), max_size=len(stack))))
+    with np.errstate(all="raise"):
+        probs = born_rows(stack, qubit, on_x)
+    for outcome, prob in enumerate(probs):
+        for basis, rows in ((Basis.Z, ~on_x), (Basis.X, on_x)):
+            forced = postselect_rows(stack, qubit, basis, np.full(len(stack), outcome))[0]
+            assert prob[rows].tobytes() == forced[rows].tobytes()
 
 
 @st.composite
@@ -419,6 +439,31 @@ def test_tapped_read_matches_one_measurement_per_basis(length, eve, seed):
         if seed is not None:
             assert rng.calls == ([("random", len(tapped))] if len(tapped) else [])
         assert rng.random() == ref_rng.random()
+
+
+couplings = st.one_of(
+    st.floats(-10.0, 10.0, allow_nan=False).flatmap(lambda a: st.sampled_from([EveParams.rotation(a), EveParams.probe_marking(a)])),
+    st.just(FOUR_DIM_EVE),
+)
+
+
+@FAST
+@given(stacks(max_qubits=4), couplings)
+@example(np.array([[0.6, 0.8j], [1.0, 0.0]]), EveParams.rotation(0.8))
+def test_couple_rows_is_its_one_row_result_and_the_full_unitary(stack, params):
+    """Every column of every row through E's defining columns: the stack's row ``r`` is the kernel's
+    one-row result byte for byte, and equals, in value, the completed unitary applied to the row
+    joined with the probe (which may write -0.0 where the product writes +0.0)."""
+    width = num_qubits(stack[0])
+    wide = width + num_qubits(params.initial_probe())
+    images, unitary, probe = params.coupling_images(), params.coupling_unitary(), params.initial_probe()
+    for column in range(width):
+        with np.errstate(all="raise"):
+            out = statevec.couple_rows(stack, column, images)
+        assert out.shape == (len(stack), 1 << wide)
+        for r, row in enumerate(stack):
+            assert out[r].tobytes() == statevec.couple_rows(stack[r : r + 1], column, images)[0].tobytes()
+            assert np.array_equal(out[r], apply_unitary(tensor(row, probe), [column, *range(width, wide)], unitary))
 
 
 @FAST

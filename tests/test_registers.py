@@ -1,5 +1,6 @@
 """Row stacks: merges, the register-size limit, the row kernels against
-the one-state forms, row by row, and operations that leave their inputs alone."""
+the one-state forms, row by row, operations that leave their inputs alone,
+and stacks of no rows."""
 
 import itertools
 
@@ -16,20 +17,26 @@ from sqpbs.statevec import (
     Basis,
     BellState,
     apply_1q_rows,
+    apply_rows,
     apply_unitary,
     basis_state,
+    born_rows,
+    couple_rows,
     ket_plus,
     measure,
     measure_bell,
+    measure_bell_rows,
     measure_rows,
     new_rng,
     num_qubits,
     postselect,
     postselect_bell_rows,
+    postselect_rows,
     prepare_rows,
     tensor,
 )
 from stubs import LastDraw
+from test_golden import FOUR_DIM_EVE
 
 SIZES = (1, 2, 1)  # stacks a, b, c
 ROWS = (1, 2, 8)
@@ -204,3 +211,58 @@ def test_apply_1q_rows_matches_the_one_state_form(n):
         applied = apply_1q_rows(states, position, matrices)
         for got, state, m in zip(applied, states, matrices, strict=True):
             assert got.tobytes() == apply_unitary(state, [position], m).tobytes()
+
+
+# -- stacks of no rows ----------------------------------------------------------
+
+
+def no_rows(n: int) -> np.ndarray:
+    return np.zeros((0, 1 << n), dtype=complex)
+
+
+EMPTY = np.zeros(0, dtype=np.intp)
+ROW_KERNELS = {
+    "born_rows": (lambda s: np.array(born_rows(s, 1, EMPTY)), (2, 0)),
+    "postselect_rows": (lambda s: postselect_rows(s, 1, Basis.X, EMPTY)[1], (0, 4)),
+    "measure_rows": (lambda s: measure_rows(s, 1, Basis.Z, np.zeros(0))[1], (0, 4)),
+    "prepare_rows": (lambda s: prepare_rows(s, 1, Basis.X, EMPTY), (0, 16)),
+    "postselect_bell_rows": (lambda s: postselect_bell_rows(s, 2, 0, EMPTY)[1], (0, 2)),
+    "measure_bell_rows": (lambda s: measure_bell_rows(s, 0, 2, np.zeros(0))[1], (0, 2)),
+    "apply_1q_rows": (lambda s: apply_1q_rows(s, 1, np.zeros((0, 2, 2), dtype=complex)), (0, 8)),
+    "apply_rows": (lambda s: apply_rows(s, [2, 0], np.eye(4, dtype=complex)), (0, 8)),
+    "couple_rows": (lambda s: couple_rows(s, 1, FOUR_DIM_EVE.coupling_images()), (0, 32)),
+    "merge-one-row": (lambda s: merge(s, random_stack(1, 1, 0)), (0, 16)),
+    "merge-no-rows": (lambda s: merge(s, no_rows(2)), (0, 32)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(ROW_KERNELS))
+def test_every_row_kernel_maps_no_rows_to_no_rows(kernel):
+    run, shape = ROW_KERNELS[kernel]
+    with np.errstate(all="raise"):
+        assert run(no_rows(3)).shape == shape
+
+
+def test_a_bell_step_on_no_rows_takes_no_draw():
+    rng = new_rng(1)
+    before = rng.bit_generator.state
+    indices, rest = measure_qubits_bell(no_rows(3), 0, 2, rng)
+    assert indices.shape == (0,) and rest.shape == (0, 2)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("attacker", ATTACKERS, ids=[*(f"intercept-{b}" for b in INTERCEPT_BASES), "entangle"])
+def test_both_adversaries_cross_no_rows_without_a_draw(attacker):
+    """Segments of no rows cross as segments of no rows and take no draw; beside a segment with rows,
+    they change neither its crossing nor the draws."""
+    wider = 1 if isinstance(attacker, InterceptResend) else 2  # the entangle attacker's probe is 2-dimensional
+    rng = new_rng(2)
+    before = rng.bit_generator.state
+    crossed = attacker.intercept([(no_rows(1), 0), (no_rows(3), 2)], rng)
+    assert [stack.shape for stack in crossed] == [(0, 2 * wider), (0, 8 * wider)]
+    assert rng.bit_generator.state == before
+    stack, alone, beside = random_stack(2, 5, 3), new_rng(4), new_rng(4)
+    want = attacker.intercept([(stack, 1)], alone)[0]
+    got = attacker.intercept([(no_rows(1), 0), (stack, 1), (no_rows(2), 0)], beside)
+    assert got[1].tobytes() == want.tobytes()
+    assert beside.bit_generator.state == alone.bit_generator.state

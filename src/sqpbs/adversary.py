@@ -44,7 +44,7 @@ import numpy as np
 
 from .channels import DecoyState
 from .registers import merge
-from .statevec import Basis, Rng, apply_rows, born_rows, couple_rows, draw_bits, is_unitary, measure_rows, num_qubits, prepare_rows
+from .statevec import KETS, Basis, Rng, apply_rows, born_rows, couple_rows, draw_bits, is_unitary, measure_rows, num_qubits, prepare_rows
 
 INTERCEPT_BASES = ("random", "z", "x")
 
@@ -65,7 +65,7 @@ class InterceptResend:
     def intercept(self, segments: list[tuple[np.ndarray, int]], rng: Rng) -> list[np.ndarray]:
         """A coin vector, ``floor(2u)`` (random basis only), then a uniform vector, over all rows in segment order;
         each segment's Z rows and X rows are measured out with one ``measure_rows`` each and
-        the qubit is re-prepared in its outcome state, with ``prepare_rows``."""
+        the qubit is re-prepared as its code, 2 * basis + outcome, with ``prepare_rows``."""
         rows = [len(stack) for stack, _ in segments]
         on_x = draw_bits(rng, sum(rows), 1) == 1 if self.basis == "random" else np.full(sum(rows), self.basis == "x")
         cuts = np.cumsum(rows)[:-1]
@@ -74,8 +74,18 @@ class InterceptResend:
             for basis, picked in ((Basis.Z, ~x), (Basis.X, x)):
                 if picked.any():
                     outcomes, rest = measure_rows(stack[picked], column, basis, u[picked])
-                    out[picked] = prepare_rows(rest, column, basis, outcomes)
+                    out[picked] = prepare_rows(rest, column, 2 * x[picked] + outcomes)
         return crossed
+
+    def expected_error_rates(self) -> dict[str, float]:
+        """Exact disturbance probability for each of the four decoy states, keyed as ``EveParams``' rates.
+
+        A read in a state's own basis resends it unchanged, and one in the
+        other basis resends a state that the receiver reads wrong half the
+        time; the random basis is the other one half the time.
+        """
+        other = {"random": (0.5, 0.5), "z": (0.0, 1.0), "x": (1.0, 0.0)}[self.basis]  # per Z state, X state
+        return {d.label: 0.5 * other[d.index >> 1] for d in DecoyState}
 
 
 def _as_probe_vector(v, dim: int) -> np.ndarray:
@@ -181,7 +191,7 @@ class EveParams:
 
     def _coupled_decoys(self) -> np.ndarray:
         """E (|s> x |e>) for the four ``DecoyState``s, one row each in definition order."""
-        stack = merge(np.array([d.make_state() for d in DecoyState]), self.initial_probe()[None])
+        stack = merge(KETS, self.initial_probe()[None])
         return apply_rows(stack, list(range(num_qubits(stack))), self._unitary)
 
     def expected_error_rates(self) -> dict[str, float]:
@@ -296,7 +306,7 @@ class EntangleMeasure:
         return [couple_rows(stack, column, images) for stack, column in segments]
 
 
-def violation_grid(points_per_family: int = 10) -> list[EveParams]:
+def violation_grid(points_per_family: int) -> list[EveParams]:
     """A grid of detectable entangle-measure parameter sets.
 
     Two families: coupling rotations (violating the zero-crosstalk

@@ -31,7 +31,7 @@ from .bits import Bits
 from .channels import check_decoys, semiquantum_return_check, send_with_decoys
 from .errors import ConfigError, EavesdroppingDetected
 from .protocol import run_full
-from .statevec import ket_plus, new_rng
+from .statevec import KETS, new_rng
 from .teleport import MessageQubit, all_outcomes, correction_matrices, forced_branches_particle3
 from .transcript import CHANNELS, KEY_GUARDS, QUANTUM_ATTACKS, AttackSpec, RunConfig, Transcript
 
@@ -281,17 +281,18 @@ def experiment_detection(
     ``scope="channel"`` replays just the attacked transfer and the guard
     its receiver runs (decoy or return check; not for key channels);
     ``scope="full"`` runs the entire protocol and counts eavesdropping
-    and key-agreement aborts.  A random-basis intercept-resend attacker
-    disturbs each decoy of a decoy check with probability 1/4, so there
-    detection approaches 1 - (3/4)^d, reported as a detail.  In channel
-    scope at threshold 0, an entangle-measure attacker is caught on each
-    decoy with probability q from its exact per-state disturbances e
-    (``EveParams.expected_error_rates``): q = mean(e) under a decoy check,
-    which reads each decoy in its preparation basis, and q = (e0 + e1)/4 +
-    (e+ + e-)/8 under a return check, which reads a Z decoy on CTRL and on
-    SIFT and an X decoy on CTRL only, each half the time; detection is
-    1 - (1 - q)^d, reported as a detail.  An attack kind that taps no
-    channel is a ConfigError; ``none`` is the false-alarm control.
+    and key-agreement aborts.  On a payload channel at threshold 0, in
+    either scope, only the tapped channel's guard can abort, and each of
+    its d decoys is caught with probability q from the attacker's exact
+    per-state disturbances e (``expected_error_rates`` of
+    ``InterceptResend`` or ``EveParams``): q = mean(e) under a decoy
+    check, which reads each decoy in its preparation basis, and q =
+    (e0 + e1)/4 + (e+ + e-)/8 under a return check, which reads a Z decoy
+    on CTRL and on SIFT and an X decoy on CTRL only, each half the time.
+    Detection is then 1 - (1 - q)^d, reported as the detail
+    ``expected_intercept_resend`` or ``expected_entangle_measure``.  An
+    attack kind that taps no channel is a ConfigError; ``none`` is the
+    false-alarm control.
     """
     _require_trials(trials)
     if scope not in DETECTION_SCOPES:
@@ -309,7 +310,7 @@ def experiment_detection(
         master = new_rng(seed)
         for _ in range(trials):
             adversary = attack.adversary(attack.channel)
-            payload = np.tile(ket_plus(), (n, 1))
+            payload = np.tile(KETS[2], (n, 1))
             seq = send_with_decoys([payload], decoy_count, master, adversary, channel=attack.channel)
             try:
                 check(seq, master, threshold=threshold)
@@ -320,12 +321,11 @@ def experiment_detection(
             transcript = run_full(replace(base, seed=trial_seed))
             detections += transcript.verdict in ("aborted:eavesdropping", "aborted:key-establishment")
     detail = {}
-    if attack.kind == "intercept-resend" and guard == "decoy" and threshold == 0:
-        detail["expected_intercept_resend"] = 1.0 - 0.75**decoy_count
-    if attack.kind == "entangle-measure" and scope == "channel" and threshold == 0:
-        e = attack.eve.expected_error_rates()
+    if attack.kind != "none" and guard not in KEY_GUARDS and threshold == 0:
+        attacker = attack.eve if attack.kind == "entangle-measure" else attack.adversary(attack.channel)
+        e = attacker.expected_error_rates()
         q = sum(e.values()) / 4 if guard == "decoy" else (e["0"] + e["1"]) / 4 + (e["+"] + e["-"]) / 8
-        detail["expected_entangle_measure"] = 1.0 - (1.0 - q) ** decoy_count
+        detail[f"expected_{attack.kind.replace('-', '_')}"] = 1.0 - (1.0 - q) ** decoy_count
     return ExperimentResult(
         kind="detection",
         trials=trials,

@@ -17,8 +17,8 @@ A prepared qubit, decoy or key qubit, travels as its integer code,
 ``DecoyState.index`` = 2 * basis + bit (basis 0 is Z, 1 is X), from its
 draw to its read.  Prepared qubits get a row stack only when an
 adversary acts on them: ``tap`` is the one place that builds it, one
-stack per transmission, row i for prepared qubit i, for
-``send_with_decoys`` and the key-agreement batches alike.  Payload
+stack per transmission, row i the ``statevec.KETS`` row of qubit i's
+code, for ``send_with_decoys`` and the key-agreement batches alike.  Payload
 qubits stay in the stacks they already inhabit.  Honest operations
 never entangle the two, so the factorization is exact.  An adversary
 sees each transmission once, as one ``intercept(segments, rng)`` call:
@@ -53,15 +53,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EavesdroppingDetected
-from .statevec import Basis, Rng, basis_state, born_outcomes, born_rows, draw_bits, ket_minus, ket_plus
+from .statevec import KETS, Basis, Rng, born_outcomes, born_rows, draw_bits
 
 
 class DecoyState(Enum):
     """The four BB84/decoy preparations: label, basis and encoded bit.
 
-    This table is the single definition of the four states; the
-    entangle-measure analysis uses it too.  A member's ``index`` is the
-    integer code that the channels and key agreement carry in its place.
+    A member's ``index`` is the integer code that the channels and key
+    agreement carry in its place, and its state is ``statevec.KETS[index]``.
     """
 
     ZERO = ("0", Basis.Z, 0)
@@ -74,14 +73,6 @@ class DecoyState(Enum):
         self.basis = basis
         self.bit = bit  # expected outcome when measured in the preparation basis
         self.index = 2 * (basis is Basis.X) + bit  # definition order; index >> 1 is the basis
-
-    def make_state(self) -> np.ndarray:
-        if self.basis is Basis.Z:
-            return basis_state(1, self.bit)
-        return ket_minus() if self.bit else ket_plus()
-
-
-_KETS = np.array([d.make_state() for d in DecoyState])
 
 
 def read_prepared(tapped: np.ndarray, x_basis: Sequence[int], rng: Rng) -> np.ndarray:
@@ -113,7 +104,7 @@ def tap(
     """
     if adversary is None:
         return None, list(payload)
-    arrived = adversary.intercept([(_KETS[codes], 0), *((stack, column) for stack in payload)], rng)
+    arrived = adversary.intercept([(KETS[codes], 0), *((stack, column) for stack in payload)], rng)
     return arrived[0], arrived[1:]
 
 

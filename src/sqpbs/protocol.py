@@ -71,11 +71,10 @@ from .keys import (
 )
 from .registers import measure_qubits_bell, merge
 from .statevec import (
+    KETS,
     Basis,
     Rng,
     apply_1q_rows,
-    ket_minus,
-    ket_plus,
     measure_rows,
     new_rng,
     num_qubits,
@@ -111,8 +110,8 @@ class Party:
         return measure_qubits_bell(stack, qubit_a, qubit_b, rng)
 
     def prepare_z(self, bits: Bits) -> np.ndarray:
-        """One row per bit: ``|bit>``."""
-        return np.eye(2, dtype=complex)[np.asarray(bits)]
+        """One row per bit: ``|bit>``, the ``KETS`` row of Z code ``bit``."""
+        return KETS[np.asarray(bits)]
 
     def prepare_state(self, states: np.ndarray) -> np.ndarray:
         """One row per state of the ``(rows, 2**k)`` array ``states``."""
@@ -229,7 +228,7 @@ class ProtocolRun:
     # -- phase 2: blindness ------------------------------------------------------
 
     def phase_blind(self) -> None:
-        self.xi = self.alice.prepare_state(np.array([ket_plus(), ket_minus()])[np.asarray(self.g)])
+        self.xi = self.alice.prepare_state(KETS[2 + np.asarray(self.g)])
         self.transcript.add("xi_prepared", party="alice", qubits=self.n)
         self.phase = "signing"
 

@@ -55,7 +55,7 @@ def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def measure_qubit(stack: np.ndarray, row: int, column: int, basis: Basis, rng: Rng) -> int:
     """Measure the qubit at ``column`` of one row of ``stack``; the row collapses in place, the qubit kept."""
     outcome, rest = measure(stack[row], column, basis, rng)
-    stack[row] = prepare_rows(rest[None], column, basis, np.array([outcome]))[0]
+    stack[row] = prepare_rows(rest[None], column, np.array([2 * (basis is Basis.X) + outcome]))[0]
     return outcome
 
 

@@ -21,6 +21,10 @@ Conventions, fixed across the package:
   cumulative Born probabilities, so any run is reproducible bit-for-bit
   from its seed.
 * In the X basis, outcome bit 0 means ``|+>`` and bit 1 means ``|->``.
+* A prepared qubit is its code ``2 * basis + bit`` (basis 0 is Z, 1 is
+  X), and its state is row ``code`` of the read-only table ``KETS``:
+  ``|0>``, ``|1>``, ``|+>``, ``|->``.  Decoys, key qubits, the blinded
+  message, re-encoded and re-prepared qubits all index it.
 
 Registers are capped at 8 qubits; the protocol layers above never need
 more (the largest system that occurs is a five-qubit carrier register
@@ -50,6 +54,10 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 I_SIGMA_Y = np.array([[0, 1], [-1, 0]], dtype=complex)  # |0><1| - |1><0|
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT1_2
+
+# Row ``2 * basis + bit``: |0>, |1>, |+>, |->, the one definition of every prepared one-qubit state.
+KETS = np.array([[1, 0], [0, 1], [SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=complex)
+KETS.flags.writeable = False
 
 
 def new_rng(seed: int | np.random.SeedSequence | None) -> Rng:
@@ -177,11 +185,8 @@ def basis_state(num_qubits: int, index: int) -> np.ndarray:
 
 
 def ket_plus() -> np.ndarray:
-    return np.array([SQRT1_2, SQRT1_2], dtype=complex)
-
-
-def ket_minus() -> np.ndarray:
-    return np.array([SQRT1_2, -SQRT1_2], dtype=complex)
+    """A fresh copy of ``|+>``, ``KETS[2]``."""
+    return KETS[2].copy()
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -291,13 +296,14 @@ def measure_bell(state: np.ndarray, qubit_a: int, qubit_b: int, rng: Rng) -> tup
 # shape and reshape with explicit sizes, so a stack of no rows gives one of
 # no rows.  Measurements take one uniform draw per row, ``u``, as one
 # ``rng.random(rows)`` vector gives it, and drop the qubits they measure;
-# ``prepare_rows`` puts one back, in its outcome state.  ``_born`` (one
-# qubit) and ``_bell_rows`` (a pair) give each row's components in the
-# measured basis as one ``(rows, k, rest)`` array with their ``(rows, k)``
-# weights, and ``_collapse`` picks and renormalizes one component per row
-# for both.  ``born_rows`` reads one qubit's per-row Born probabilities
-# without a collapse, each row in its own basis, from one array of the Z
-# and X components: the same weights that ``measure_rows`` and
+# ``prepare_rows`` puts one back, each row's as the ``KETS`` row of its code,
+# in one broadcast product.  ``_born`` (one qubit) and ``_bell_rows`` (a
+# pair) give each row's components in the measured basis as one
+# ``(rows, k, rest)`` array with their ``(rows, k)`` weights, and
+# ``_collapse`` picks and renormalizes one component per row for both.
+# ``born_rows`` reads one qubit's per-row Born probabilities without a
+# collapse, each row in its own basis, from one array of the Z and X
+# components: the same weights that ``measure_rows`` and
 # ``postselect_rows`` use.  ``apply_rows`` computes its transposes once per
 # ``(n, targets)``.  ``couple_rows`` sends one qubit of every row through a
 # 2 -> 2d isometry, such as an attacker's coupling to a probe that starts in
@@ -361,18 +367,12 @@ def _collapse(comp: np.ndarray, probs: np.ndarray, index: np.ndarray) -> tuple[n
     return prob, comp[picked] * scale[:, None]
 
 
-def prepare_rows(rest: np.ndarray, qubit: int, basis: Basis, outcomes: np.ndarray) -> np.ndarray:
-    """Insert a qubit at column ``qubit`` of row ``r`` of ``rest``, prepared in ``basis`` as bit ``outcomes[r]``:
-    of what ``measure_rows`` returns, this makes the collapsed stack."""
+def prepare_rows(rest: np.ndarray, qubit: int, codes: np.ndarray) -> np.ndarray:
+    """Insert a qubit at column ``qubit`` of row ``r`` of ``rest``, in state ``KETS[codes[r]]``: of what
+    ``measure_rows`` returns, the code ``2 * basis + outcome`` makes the collapsed stack."""
     rows, width = rest.shape
-    v = rest.reshape(rows, 1 << qubit, width >> qubit)
-    out = np.zeros((rows, v.shape[1], 2, v.shape[2]), dtype=complex)
-    if basis is Basis.Z:
-        out[np.arange(rows), :, outcomes, :] = v
-    else:
-        out[:, :, 0, :] = v * SQRT1_2
-        out[:, :, 1, :] = v * np.where(outcomes == 0, SQRT1_2, -SQRT1_2)[:, None, None]
-    return out.reshape(rows, 2 * width)
+    v = rest.reshape(rows, 1 << qubit, 1, width >> qubit)
+    return (v * KETS[codes][:, None, :, None]).reshape(rows, 2 * width)
 
 
 def postselect_rows(

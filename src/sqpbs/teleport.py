@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .statevec import (
+    KETS,
     ZERO_PROB,
     Basis,
     BellState,
@@ -44,13 +45,13 @@ from .statevec import (
 
 CHI_AMPLITUDE = 1.0 / (2.0 * math.sqrt(2.0))
 
-_CHI_PLUS_KETS = (0b0000, 0b0011, 0b0110, 0b1001, 0b1010, 0b1100)
-_CHI_MINUS_KETS = (0b0101, 0b1111)
+_CHI_PLUS_INDICES = (0b0000, 0b0011, 0b0110, 0b1001, 0b1010, 0b1100)
+_CHI_MINUS_INDICES = (0b0101, 0b1111)
 
 _CHI_AMPS = np.zeros(16, dtype=complex)
-for _ket in _CHI_PLUS_KETS:
+for _ket in _CHI_PLUS_INDICES:
     _CHI_AMPS[_ket] = CHI_AMPLITUDE
-for _ket in _CHI_MINUS_KETS:
+for _ket in _CHI_MINUS_INDICES:
     _CHI_AMPS[_ket] = -CHI_AMPLITUDE
 
 
@@ -76,13 +77,11 @@ class MessageQubit:
 
     @classmethod
     def plus(cls) -> "MessageQubit":
-        s = 1.0 / math.sqrt(2.0)
-        return cls(s, s)
+        return cls(*KETS[2])
 
     @classmethod
     def minus(cls) -> "MessageQubit":
-        s = 1.0 / math.sqrt(2.0)
-        return cls(s, -s)
+        return cls(*KETS[3])
 
     @classmethod
     def random(cls, rng: Rng) -> "MessageQubit":

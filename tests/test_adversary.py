@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from sqpbs.adversary import EntangleMeasure, EveParams, InterceptResend, violation_grid
+from sqpbs.adversary import INTERCEPT_BASES, EntangleMeasure, EveParams, InterceptResend, violation_grid
 from sqpbs.channels import DecoyState
 from sqpbs.registers import measure_qubit, merge, new_qubit
 from sqpbs.statevec import (
+    KETS,
     Basis,
     apply_rows,
     apply_unitary,
@@ -59,7 +60,7 @@ def coupled_decoys(params: EveParams) -> dict[DecoyState, np.ndarray]:
     """One-state reference of the exact analysis: E(|s>|e>) per decoy state, one state at a time."""
     targets = list(range(1 + int(math.log2(params.probe_dim))))
     u = params.coupling_unitary()
-    return {decoy: apply_unitary(tensor(decoy.make_state(), params.initial_probe()), targets, u) for decoy in DecoyState}
+    return {decoy: apply_unitary(tensor(KETS[decoy.index], params.initial_probe()), targets, u) for decoy in DecoyState}
 
 
 class OnlyDefiningColumns:
@@ -92,15 +93,30 @@ class TestInterceptResend:
         attacker = InterceptResend("z")
         for bit in (0, 1):
             for _ in range(20):
-                stack = tap(attacker, DecoyState.ONE.make_state() if bit else DecoyState.ZERO.make_state(), rng)
+                stack = tap(attacker, KETS[bit], rng)
                 assert measure_qubit(stack, 0, 0, Basis.Z, rng) == bit
 
     def test_x_tap_never_disturbs_x_states(self):
         rng = new_rng(2)
         attacker = InterceptResend("x")
         for _ in range(20):
-            stack = tap(attacker, DecoyState.MINUS.make_state(), rng)
+            stack = tap(attacker, KETS[DecoyState.MINUS.index], rng)
             assert measure_qubit(stack, 0, 0, Basis.X, rng) == 1
+
+    @pytest.mark.parametrize("basis", INTERCEPT_BASES)
+    def test_expected_error_rates_match_forced_branches(self, basis):
+        # Each of the attacker's bases and outcomes forced by projection, the
+        # resent state then read in the decoy's own basis.
+        eve_bases = {"random": [Basis.Z, Basis.X], "z": [Basis.Z], "x": [Basis.X]}[basis]
+        rates = InterceptResend(basis).expected_error_rates()
+        for state in DecoyState:
+            wrong = 0.0
+            for b in eve_bases:
+                for outcome in (0, 1):
+                    resent = KETS[2 * (b is Basis.X) + outcome]
+                    p_read = postselect(KETS[state.index], 0, b, outcome)[0]
+                    wrong += p_read / len(eve_bases) * postselect(resent, 0, state.basis, 1 - state.bit)[0]
+            assert rates[state.label] == pytest.approx(wrong, abs=1e-12)
 
     def test_random_tap_consumes_fresh_coin_per_qubit(self):
         rng = new_rng(3)
@@ -289,7 +305,7 @@ class TestEntangleMeasureHook:
         attacker = EntangleMeasure(params)
         for _ in range(200):
             state = list(DecoyState)[int(rng.integers(0, 4))]
-            assert measure_qubit(tap(attacker, state.make_state(), rng), 0, 0, state.basis, rng) == state.bit
+            assert measure_qubit(tap(attacker, KETS[state.index], rng), 0, 0, state.basis, rng) == state.bit
 
     def test_marking_attack_flips_x_decoys_half_the_time(self):
         params = EveParams(1.0, 0.0, 0.0, 1.0, eps_00=(1, 0), eps_01=(1, 0), eps_10=(1, 0), eps_11=(0, 1))
@@ -308,4 +324,4 @@ class TestEntangleMeasureHook:
         attacker = EntangleMeasure(params)
         for bit, state in ((0, DecoyState.ZERO), (1, DecoyState.ONE)):
             for _ in range(50):
-                assert measure_qubit(tap(attacker, state.make_state(), rng), 0, 0, Basis.Z, rng) == bit
+                assert measure_qubit(tap(attacker, KETS[state.index], rng), 0, 0, Basis.Z, rng) == bit

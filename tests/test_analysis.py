@@ -13,6 +13,7 @@ import pytest
 
 from sqpbs.adversary import EveParams
 from sqpbs.analysis import (
+    DETECTION_SCOPES,
     GHZ5_REFERENCE,
     THIS_PROTOCOL,
     WSTATE_REFERENCE,
@@ -191,7 +192,7 @@ class TestExperiments:
         p = 1 - (13 / 16) ** 4
         sigma = math.sqrt(p * (1 - p) / result.trials)
         assert abs(result.rate - p) < 3 * sigma
-        assert "expected_intercept_resend" not in result.detail
+        assert result.detail["expected_intercept_resend"] == p
 
     def test_detection_full_scope_counts_key_agreement_aborts(self):
         result = experiment_detection(
@@ -251,7 +252,8 @@ CELL_SEED = 17
 # check reads a Z decoy on CTRL and on SIFT and an X decoy on CTRL only,
 # each half the time: q = (e0 + e1)/4 + (e+ + e-)/8 from the attacker's
 # per-state disturbances e.  Channels that share a guard draw alike, so
-# one channel stands for each guard.
+# one channel stands for each guard.  The run reports 1 - (1 - q)^d from
+# ``InterceptResend.expected_error_rates``; it must equal the listed q's.
 IR_CHANNEL_CELLS = [
     ("xi_m", "random", 1 / 4), ("xi_m", "z", 1 / 4), ("xi_m", "x", 1 / 4),
     ("w1", "random", 3 / 16), ("w1", "z", 1 / 8), ("w1", "x", 1 / 4),
@@ -264,7 +266,8 @@ def test_intercept_resend_channel_cell_matches_its_exact_rate(channel, basis, q)
     result = experiment_detection(
         AttackSpec("intercept-resend", channel, basis=basis), trials=2000, seed=CELL_SEED, decoy_count=d
     )
-    p = 1 - (1 - q) ** d
+    p = result.detail["expected_intercept_resend"]
+    assert p == pytest.approx(1 - (1 - q) ** d, abs=1e-12)
     assert abs(result.rate - p) < CELL_SIGMAS * math.sqrt(p * (1 - p) / result.trials)
 
 
@@ -305,10 +308,26 @@ def test_entangle_measure_reported_rate_is_its_closed_form(channel, _, eve):
 
 
 @pytest.mark.parametrize("threshold,scope", [(0.1, "channel"), (0.0, "full")])
-def test_entangle_measure_rate_is_reported_only_in_channel_scope_at_threshold_0(threshold, scope):
+def test_entangle_measure_rate_is_reported_only_at_threshold_0(threshold, scope):
     attack = AttackSpec("entangle-measure", "xi_m", eve=EveParams.rotation(0.8))
     result = experiment_detection(attack, trials=1, seed=1, threshold=threshold, scope=scope)
-    assert "expected_entangle_measure" not in result.detail
+    assert ("expected_entangle_measure" in result.detail) == (threshold == 0)
+
+
+@pytest.mark.parametrize("channel", ["xi_m", "w1"])
+def test_intercept_resend_rate_is_reported_alike_in_either_scope(channel):
+    # Only the tapped channel's guard can abort a full run, so the rate is the channel's.
+    attack = AttackSpec("intercept-resend", channel)
+    rates = [
+        experiment_detection(attack, trials=1, seed=1, decoy_count=4, scope=scope).detail["expected_intercept_resend"]
+        for scope in DETECTION_SCOPES
+    ]
+    assert rates[0] == rates[1]
+
+
+def test_no_rate_is_reported_on_a_key_channel():
+    result = experiment_detection(AttackSpec("intercept-resend", "bb84_dt"), trials=1, seed=1, scope="full")
+    assert result.detail == {}
 
 
 @pytest.mark.parametrize("basis", ["random", "z", "x"])

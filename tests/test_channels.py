@@ -16,7 +16,7 @@ from sqpbs.channels import (
 )
 from sqpbs.errors import EavesdroppingDetected
 from sqpbs.registers import measure_qubit, new_qubit
-from sqpbs.statevec import Basis, ket_plus, new_rng
+from sqpbs.statevec import KETS, Basis, ket_plus, new_rng
 from stubs import PassThrough, RecordingRng
 
 def _plus_payload(k):
@@ -33,7 +33,18 @@ class TestDecoyStates:
     def test_prepared_state_measures_to_its_bit(self):
         rng = new_rng(2)
         for state in DecoyState:
-            assert measure_qubit(new_qubit(state.make_state()), 0, 0, state.basis, rng) == state.bit
+            assert measure_qubit(new_qubit(KETS[state.index]), 0, 0, state.basis, rng) == state.bit
+
+    def test_kets_are_the_textbook_states_in_decoy_order(self):
+        s = 1 / math.sqrt(2)
+        textbook = {"0": [1, 0], "1": [0, 1], "+": [s, s], "-": [s, -s]}
+        assert KETS.shape == (4, 2) and KETS.dtype == complex
+        for state in DecoyState:
+            assert KETS[state.index].tolist() == textbook[state.label]
+
+    def test_kets_refuse_a_write(self):
+        with pytest.raises(ValueError, match="read-only"):
+            KETS[0, 0] = 0
 
 
 class TestSendWithDecoys:
@@ -87,7 +98,7 @@ class TestSendWithDecoys:
         ref = new_rng(1)  # replays the stream; its scalar draws are the uniform vector's entries
         assert seq.codes.tolist() == np.floor(4 * ref.random(4)).astype(int).tolist()
         on_x = iter(np.floor(2 * ref.random(9)) == 1 if basis == "random" else [basis == "x"] * 9)
-        decoys = np.array([list(DecoyState)[code].make_state() for code in seq.codes])
+        decoys = KETS[seq.codes]
         for stack, before, column in ((seq.tapped, decoys, 0), (seq.payload[0], rows[:3], 1), (seq.payload[1], rows[3:], 1)):
             for got, row in zip(stack, before, strict=True):
                 want = row[None].copy()

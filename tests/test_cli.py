@@ -52,6 +52,8 @@ THREE_PART_COMPLEX_EVE = {**GOOD_EVE, "alpha": [[*p, 0.0] for p in GOOD_EVE["alp
         ("experiment", "detection", "--n", "0", "--trials", "2", "--seed", "1"),
         ("experiment", "detection", "--threshold", "2", "--trials", "2", "--seed", "1"),
         ("experiment", "detection", "--threshold", "-0.5", "--trials", "2", "--seed", "1"),
+        ("experiment", "detection", "--threshold", "1", "--trials", "2", "--seed", "1"),
+        ("run", "--n", "2", "--seed", "1", "--threshold", "1"),
         ("run", "--n", "2", "--seed", "1", "--key-mode", "stubbed", "--attack", "intercept-resend",
          "--attack-channel", "bb84_dt"),
         ("experiment", "detection", "--attack", "intercept-resend", "--attack-channel", "sqkd_ct",

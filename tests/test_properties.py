@@ -18,7 +18,7 @@ from sqpbs import statevec
 from sqpbs.adversary import INTERCEPT_BASES, EntangleMeasure, EveParams
 from sqpbs.analysis import DETECTION_SCOPES, FORGERY_MODELS, MAX_TRIALS
 from sqpbs.bits import Bits
-from sqpbs.channels import DecoyState, read_prepared, tap
+from sqpbs.channels import read_prepared, tap
 from sqpbs.cli import ATTACK_FLAGS, EXPERIMENT_FLAGS, main
 from sqpbs.keys import otp_decrypt, otp_encrypt
 from sqpbs.protocol import run_full
@@ -48,7 +48,6 @@ from sqpbs.transcript import ATTACK_KINDS, KEY_MODES, QUANTUM_CHANNELS, WITHHOLD
 from stubs import LastDraw, PassThrough, RecordingRng
 from test_golden import FOUR_DIM_EVE
 
-DECOYS = list(DecoyState)  # indexed by preparation code
 
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
 SLOW = settings(max_examples=15, deadline=None, derandomize=True)
@@ -229,7 +228,8 @@ def projection_reference(row: np.ndarray, n: int, targets: list[int], ket: np.nd
     return p, rest / math.sqrt(p) if p > 0 else np.zeros_like(rest)
 
 
-ONE_QUBIT_KETS = {Basis.Z: np.eye(2, dtype=complex), Basis.X: np.array([[1, 1], [1, -1]]) * statevec.SQRT1_2}
+# Row 2 * basis + bit: |0>, |1>, |+>, |->, built without ``statevec.KETS``.
+CODE_KETS = np.concatenate([np.eye(2, dtype=complex), np.array([[1, 1], [1, -1]]) * statevec.SQRT1_2])
 
 
 def assert_remainders_match_the_projection(prob, out, stack, targets, kets):
@@ -246,6 +246,19 @@ def assert_remainders_match_the_projection(prob, out, stack, targets, kets):
             np.testing.assert_allclose(out[r], rest, rtol=0, atol=1e-12)
 
 
+def assert_prepare_rows_collapses(stack, qubit, prob, out, codes):
+    """``prepare_rows`` of the rest puts row ``r``'s qubit back as ``codes[r]``: the collapsed state,
+    |ket><ket|_qubit row / sqrt(p), within 1e-12, and the same bytes as its own one-row call."""
+    n = num_qubits(stack[0])
+    collapsed = prepare_rows(out, qubit, codes)
+    for r in np.flatnonzero(prob >= ZERO_PROB):
+        ket = CODE_KETS[codes[r]]
+        want = kron_reference(stack[r], n, [qubit], np.outer(ket, ket.conj())) / math.sqrt(prob[r])
+        np.testing.assert_allclose(collapsed[r], want, rtol=0, atol=1e-12)
+    for r in range(len(stack)):
+        assert collapsed[r].tobytes() == prepare_rows(out[r : r + 1], qubit, codes[r : r + 1])[0].tobytes()
+
+
 @FAST
 @given(stacks(max_qubits=6), st.data(), st.sampled_from(Basis), st.integers(0, 2**32 - 1))
 def test_kernels_leave_the_projection_onto_the_outcome(stack, data, basis, seed):
@@ -260,14 +273,17 @@ def test_kernels_leave_the_projection_onto_the_outcome(stack, data, basis, seed)
         measured, out = measure_rows(stack, qubit, basis, new_rng(seed).random(rows))
         kernels.append((measured, (postselect_rows(stack, qubit, basis, measured)[0], out)))
     for picked, (prob, out) in kernels:
-        kets = ONE_QUBIT_KETS[basis][picked]
-        assert_remainders_match_the_projection(prob, out, stack, [qubit], kets)
-        # ``prepare_rows`` of the rest is the collapsed state, |outcome><outcome|_qubit row / sqrt(p).
-        collapsed = prepare_rows(out, qubit, basis, picked)
-        for r in np.flatnonzero(prob >= ZERO_PROB):
-            projector = np.outer(kets[r], kets[r].conj())
-            want = kron_reference(stack[r], n, [qubit], projector) / math.sqrt(prob[r])
-            np.testing.assert_allclose(collapsed[r], want, rtol=0, atol=1e-12)
+        codes = 2 * (basis is Basis.X) + picked
+        assert_remainders_match_the_projection(prob, out, stack, [qubit], CODE_KETS[codes])
+        assert_prepare_rows_collapses(stack, qubit, prob, out, codes)
+    # Per-row codes of both bases: each row is forced in its own basis, and put back as its own code.
+    codes = 2 * np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))) + outcomes
+    prob, out = np.empty(rows), np.empty((rows, stack.shape[1] >> 1), dtype=complex)
+    with np.errstate(all="raise"):
+        for basis_bit, b in enumerate(Basis):
+            on = codes >> 1 == basis_bit
+            prob[on], out[on] = postselect_rows(stack[on], qubit, b, codes[on] & 1)
+    assert_prepare_rows_collapses(stack, qubit, prob, out, codes)
     if n < 2:
         return
     pair = data.draw(st.permutations(range(n)))[:2]
@@ -382,7 +398,7 @@ def test_decoy_state_measure_matches_the_array_path(length, seed):
     qubits tapped by ``PassThrough`` equals one measurement of each qubit in turn, draw for draw."""
     draw = new_rng(length)
     codes, x_basis = draw.integers(0, 4, length).tolist(), draw.integers(0, 2, length).tolist()
-    states, bases = [DECOYS[code].make_state() for code in codes], [list(Basis)[x] for x in x_basis]
+    states, bases = list(statevec.KETS[codes]), [list(Basis)[x] for x in x_basis]
     for state, basis in zip(states, bases):
         assert_one_qubit_path_matches_array_path(state, basis, seed)
     stack_rng, ref_rng = (LastDraw(), LastDraw()) if seed is None else (RecordingRng(seed), new_rng(seed))

@@ -12,7 +12,7 @@ from sqpbs.bits import Bits
 from sqpbs.errors import ConfigError, SemiquantumCapabilityError
 from sqpbs.protocol import Party, ProtocolRun, replay_difference, run_full
 from sqpbs.registers import merge, new_qubit
-from sqpbs.statevec import HADAMARD, Basis, BellState, ket_minus, ket_plus, new_rng
+from sqpbs.statevec import HADAMARD, KETS, Basis, BellState, ket_plus, new_rng
 from sqpbs.teleport import correction_matrices
 from sqpbs.transcript import CHANNELS, AttackSpec, RunConfig
 from stubs import RecordingRng
@@ -29,7 +29,7 @@ def recovery_fidelities(run: ProtocolRun) -> list[float]:
     Particle 3 is column 0, the most significant qubit, of ``run.recovered`` when no probe rides on
     the message qubits, so <t|rho|t> is the squared norm of <t|_3 on each row.
     """
-    targets = np.array([ket_plus(), ket_minus()])[list(run.g)]
+    targets = KETS[2 + np.asarray(run.g)]
     projected = np.einsum("ri,rij->rj", targets.conj(), run.recovered.reshape(len(targets), 2, -1))
     return (np.abs(projected) ** 2).sum(axis=1).tolist()
 
@@ -239,7 +239,7 @@ class TestAttacks:
             assert (run.m_d == records["M_D"]) == (trent_pad.key == david_pad.key)
             right = correction_matrices(records["M_B"], records["M_D"], records["M_C"])
             residual = correction_matrices(run.m_b, run.m_d, run.m_c) @ np.linalg.inv(right)
-            flips = Bits((np.abs(ket_minus().conj() @ residual @ ket_plus()) > 0.5).astype(int).tolist())
+            flips = Bits((np.abs(KETS[3].conj() @ residual @ ket_plus()) > 0.5).astype(int).tolist())
             assert run.g_prime == run.g ^ flips
             assert transcript.verdict == ("invalid" if any(flips) else "valid")
             verdicts.append(transcript.verdict)

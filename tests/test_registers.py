@@ -87,7 +87,7 @@ def test_chained_merges_measure_like_the_direct_tensor(position, basis):
         outcome = measure_qubit(c, row, position, basis, new_rng(position + row))
         want_outcome, rest = measure(state, position, basis, new_rng(position + row))
         assert outcome == want_outcome
-        want_state = prepare_rows(rest[None], position, basis, np.array([want_outcome]))[0]
+        want_state = prepare_rows(rest[None], position, np.array([2 * (basis is Basis.X) + want_outcome]))[0]
         assert c[row].tobytes() == want_state.tobytes()
 
 
@@ -189,7 +189,7 @@ def test_last_draw_takes_the_outcome_with_weight(n):
     stack = plus.copy()
     assert [measure_qubit(stack, r, 0, Basis.X, LastDraw()) for r in range(len(plus))] == got.tolist()
     assert got.tolist() == [0] * len(plus)
-    assert stack.tobytes() == prepare_rows(collapsed, 0, Basis.X, got).tobytes()
+    assert stack.tobytes() == prepare_rows(collapsed, 0, 2 + got).tobytes()
     if n > 1:
         phi = BELL_MATRIX[:, 0]
         pairs = np.array([tensor(phi, basis_state(n - 1, r)) for r in range(1 << (n - 1))])
@@ -225,7 +225,7 @@ ROW_KERNELS = {
     "born_rows": (lambda s: np.array(born_rows(s, 1, EMPTY)), (2, 0)),
     "postselect_rows": (lambda s: postselect_rows(s, 1, Basis.X, EMPTY)[1], (0, 4)),
     "measure_rows": (lambda s: measure_rows(s, 1, Basis.Z, np.zeros(0))[1], (0, 4)),
-    "prepare_rows": (lambda s: prepare_rows(s, 1, Basis.X, EMPTY), (0, 16)),
+    "prepare_rows": (lambda s: prepare_rows(s, 1, EMPTY), (0, 16)),
     "postselect_bell_rows": (lambda s: postselect_bell_rows(s, 2, 0, EMPTY)[1], (0, 2)),
     "measure_bell_rows": (lambda s: measure_bell_rows(s, 0, 2, np.zeros(0))[1], (0, 2)),
     "apply_1q_rows": (lambda s: apply_1q_rows(s, 1, np.zeros((0, 2, 2), dtype=complex)), (0, 8)),

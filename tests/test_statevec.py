@@ -10,6 +10,7 @@ from sqpbs.statevec import (
     BellState,
     HADAMARD,
     I_SIGMA_Y,
+    KETS,
     PauliCorrection,
     SIGMA_X,
     SIGMA_Z,
@@ -20,7 +21,6 @@ from sqpbs.statevec import (
     draw_bits,
     draw_sample,
     fidelity_up_to_phase,
-    ket_minus,
     ket_plus,
     measure,
     measure_bell,
@@ -196,7 +196,7 @@ class TestMeasure:
         np.testing.assert_allclose(post, ket_plus())
 
     def test_x_on_minus_deterministic(self):
-        bit, post = measure(tensor(ket_minus(), basis_state(1, 1)), 0, Basis.X, new_rng(0))
+        bit, post = measure(tensor(KETS[3], basis_state(1, 1)), 0, Basis.X, new_rng(0))
         assert bit == 1
         assert fidelity_up_to_phase(post, basis_state(1, 1)) == pytest.approx(1.0, abs=1e-12)
 
